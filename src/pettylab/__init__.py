@@ -8,14 +8,13 @@ M <= 8 (zonoids) and m >= 6 (symmetric bodies) in three dimensions.
 
 from .bodies import Ball, body_from_dict, body_to_dict, load_body, save_body
 from .errors import (BodyFileError, FlatBodyError, GeometryError, InputError,
-                     SymmetryError)
+                     LimitError, SymmetryError)
 from .functionals import (InvariantReport, invariants, mixed_volume,
                           petty_value, polar_volume, q_direction, ratio,
                           s_sym, s_term, sl_invariance_check, t_sym, t_term,
                           ts_ratio)
-from .geom import (Polytope, SphereGrid, chord, convex_hull, det_d,
-                   facet_data, fibonacci_sphere, slice_area, support,
-                   wedge_last)
+from .geom import (Polytope, SphereGrid, chord, convex_hull, fibonacci_sphere,
+                   slice_area)
 from .revolution import (RevolutionBody, axis_ratio, ball_volume,
                          berwald_check, cone_bound, rev_second_proj_axis,
                          rev_volume)
@@ -23,8 +22,7 @@ from .search import SearchRun, min_Q_search, optimize
 from .symmetrize import (ChordProfile, chord_profile, schwartz,
                          schwartz_ratio_monotonicity, steiner,
                          steiner_projection_monotonicity)
-from .zonotope import (GeneratorSet, polytope_projection_body,
-                       projection_body, second_proj_support, z_shadow_area,
-                       z_support, z_volume)
+from .zonotope import (GeneratorSet, projection_body, second_proj_support,
+                       z_shadow_area, z_volume)
 
 __version__ = "0.1.0"

@@ -13,10 +13,11 @@ on load, so round-tripping preserves the body exactly.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .errors import BodyFileError, GeometryError
+from .errors import BodyFileError, GeometryError, InputError
 from .geom import Polytope, convex_hull
 from .revolution import RevolutionBody
 from .zonotope import GeneratorSet
@@ -27,6 +28,17 @@ class Ball:
 
     radius = 1.0
     d = 3
+    symmetric = True
+    volume = 4.0 * math.pi / 3.0
+
+    def support(self, X):
+        return np.linalg.norm(np.asarray(X, dtype=float), axis=-1)
+
+    def surface_measure(self):
+        raise InputError("the ball has no finite surface measure")
+
+    def projection_generators(self):
+        raise InputError("the ball is not a zonotope: no projection generators")
 
     def __repr__(self):
         return "Ball()"
@@ -70,7 +82,10 @@ def body_from_dict(doc):
         verts = _matrix(doc, "vertices", kind)
         if verts.shape[1] != 3:
             raise BodyFileError("field 'vertices' must have 3 columns")
-        return convex_hull(verts, symmetric=bool(doc.get("symmetric", False)))
+        symmetric = doc.get("symmetric", False)
+        if type(symmetric) is not bool:
+            raise BodyFileError("field 'symmetric' must be true or false")
+        return convex_hull(verts, symmetric=symmetric)
     if kind == "revolution":
         prof = _matrix(doc, "profile", kind)
         if prof.shape[1] != 2:
@@ -79,6 +94,8 @@ def body_from_dict(doc):
         a = float(doc.get("a", prof[-1, 0]))
         return RevolutionBody(d, a, prof[:, 0], prof[:, 1])
     if kind == "ball":
+        if doc.get("dimension", 3) != 3:
+            raise BodyFileError("field 'dimension' of a ball must be 3")
         return Ball()
     raise BodyFileError(f"unknown body kind {kind!r}")
 

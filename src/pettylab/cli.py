@@ -6,7 +6,8 @@
     pettylab symmetrize BODY.json --direction X,Y,Z --mode steiner|schwartz
     pettylab fixtures --out DIR
 
-Exit codes: 0 success, 2 usage/parse error, 3 invalid body, 4 suite failure.
+Exit codes: 0 success, 2 usage/parse error, 3 invalid body, 4 suite failure
+or a search result beyond a theorem limit.
 The environment variable PETTYLAB_SEED supplies the default seed; all
 numeric output uses 12 significant digits.  Output is byte-identical for
 identical command lines apart from the timestamp header (suppress with
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import fixtures as fixture_mod
 from .bodies import load_body, save_body
-from .errors import BodyFileError, GeometryError
+from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import invariants
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
@@ -62,7 +63,6 @@ def build_parser():
     v.add_argument("--samples", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out")
 
     s = sub.add_parser("search", help="stochastic extremal search")
@@ -189,16 +189,12 @@ def cmd_symmetrize(args):
         print(f"ratio before {fmt(rb)} after {fmt(ra)} (direction {args.track_ratio})")
     if args.mode == "schwartz":
         out_body = schwartz(body, direction, samples_per_piece=args.samples_per_piece)
-        from .revolution import rev_volume
-        v_after = rev_volume(out_body)
     elif args.steps > 1:
         out_body, trace = steiner_rounding_run(body, args.steps, seed)
-        v_after = out_body.volume
         print(f"roundness {fmt(trace[0])} -> {fmt(trace[-1])} over {args.steps} steps")
     else:
         out_body = steiner(body, direction)
-        v_after = out_body.volume
-    print(f"volume before {fmt(v_before)} after {fmt(v_after)}")
+    print(f"volume before {fmt(v_before)} after {fmt(out_body.volume)}")
     if args.out:
         save_body(out_body, args.out)
     return EXIT_OK
@@ -235,6 +231,9 @@ def main(argv=None):
     except GeometryError as exc:
         sys.stderr.write(f"invalid body: {exc}\n")
         return EXIT_BODY
+    except LimitError as exc:
+        sys.stderr.write(f"theorem limit crossed: {exc}\n")
+        return EXIT_SUITE
 
 
 if __name__ == "__main__":

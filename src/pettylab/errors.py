@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: file/parse problems are usage errors
 (exit 2), geometric invalidity (flat body, missing symmetry, bad argument)
-is exit 3.
+is exit 3, a search result beyond a theorem limit is exit 4.
 """
 
 
@@ -24,3 +24,7 @@ class SymmetryError(GeometryError):
 
 class BodyFileError(ValueError):
     """Malformed body file; message carries field context."""
+
+
+class LimitError(ArithmeticError):
+    """A computed value crossed a sharp theorem constant: an evaluator bug."""

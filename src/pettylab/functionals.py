@@ -26,17 +26,17 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bodies import Ball
-from .errors import FlatBodyError, InputError, SymmetryError
-from .geom import (Polytope, adaptive_simpson, as_vec, fibonacci_sphere,
-                   slice_quadratics, support, support_batch, unitize)
+from .errors import InputError, SymmetryError
+from .geom import (Polytope, adaptive_simpson, as_vec, convex_hull,
+                   fibonacci_sphere, plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, axis_ratio, rev_to_polytope
-from .zonotope import (GeneratorSet, is_flat, pair_crosses, polytope_projection_body,
-                       projection_body, z_shadow_area_batch, z_support,
-                       z_support_batch, z_volume)
+from .zonotope import (GeneratorSet, merge_parallel, pair_crosses, z_volume,
+                       zonotope_vertices)
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 
-_PERMS4 = np.array(list(itertools.permutations(range(4))))
+# the 24 permutations in lexicographic order; sums run in this order
+_PERMS4 = list(itertools.permutations(range(4)))
 
 
 def s_term(a, b, c, w, x):
@@ -51,26 +51,55 @@ def t_term(a, b, c, w, x):
     return abs(float(np.dot(np.cross(np.cross(a, b), np.cross(c, w)), x)))
 
 
+def ts_sums(vs, x):
+    """(s_sym, t_sym) of four 3-vectors vs and a direction x, in plain floats.
+
+    Loop-based on purpose: the annealer calls this tens of thousands of
+    times, where per-call numpy overhead would dominate.
+    """
+    v = [(float(r[0]), float(r[1]), float(r[2])) for r in vs]
+    x0, x1, x2 = (float(c) for c in x)
+    cross = {}
+    for i in range(4):
+        for j in range(4):
+            if i != j and (i, j) not in cross:
+                a, b = v[i], v[j]
+                cross[(i, j)] = (a[1] * b[2] - a[2] * b[1],
+                                 a[2] * b[0] - a[0] * b[2],
+                                 a[0] * b[1] - a[1] * b[0])
+    s_tot = t_tot = 0.0
+    for (i, j, k, l) in _PERMS4:
+        cij = cross[(i, j)]
+        ckl = cross[(k, l)]
+        w = v[l]
+        c = v[k]
+        s_tot += abs(cij[0] * c[0] + cij[1] * c[1] + cij[2] * c[2]) \
+            * abs(w[0] * x0 + w[1] * x1 + w[2] * x2)
+        ccx = (cij[1] * ckl[2] - cij[2] * ckl[1],
+               cij[2] * ckl[0] - cij[0] * ckl[2],
+               cij[0] * ckl[1] - cij[1] * ckl[0])
+        t_tot += abs(ccx[0] * x0 + ccx[1] * x1 + ccx[2] * x2)
+    return s_tot, t_tot
+
+
+def _checked_sums(x1, x2, x3, x4, x):
+    return ts_sums([as_vec(v, 3) for v in (x1, x2, x3, x4)], as_vec(x, 3))
+
+
 def s_sym(x1, x2, x3, x4, x):
     """Sum of s_term over the 24 argument permutations; symmetric in x1..x4."""
-    vs = [as_vec(v, 3) for v in (x1, x2, x3, x4)]
-    x = as_vec(x, 3)
-    return sum(s_term(vs[p[0]], vs[p[1]], vs[p[2]], vs[p[3]], x) for p in _PERMS4)
+    return _checked_sums(x1, x2, x3, x4, x)[0]
 
 
 def t_sym(x1, x2, x3, x4, x):
     """Sum of t_term over the 24 argument permutations; symmetric in x1..x4."""
-    vs = [as_vec(v, 3) for v in (x1, x2, x3, x4)]
-    x = as_vec(x, 3)
-    return sum(t_term(vs[p[0]], vs[p[1]], vs[p[2]], vs[p[3]], x) for p in _PERMS4)
+    return _checked_sums(x1, x2, x3, x4, x)[1]
 
 
 def ts_ratio(x1, x2, x3, x4, x):
     """t_sym / s_sym, or None when s_sym vanishes (then t_sym vanishes too)."""
-    s = s_sym(x1, x2, x3, x4, x)
-    if s <= 0.0:
-        return None
-    return t_sym(x1, x2, x3, x4, x) / s
+    s, t = _checked_sums(x1, x2, x3, x4, x)
+    return t / s if s > 0.0 else None
 
 
 def ts_ratio_batch(tuples, xs):
@@ -91,61 +120,16 @@ def ts_ratio_batch(tuples, xs):
         return np.where(s_tot > 0.0, t_tot / s_tot, np.nan)
 
 
-# --- support / volume dispatch over the body union ---------------------------
-
-def body_volume(B):
-    if isinstance(B, GeneratorSet):
-        return z_volume(B)
-    if isinstance(B, Polytope):
-        return B.volume
-    if isinstance(B, Ball):
-        return 4.0 * math.pi / 3.0
-    if isinstance(B, RevolutionBody):
-        from .revolution import rev_volume
-        return rev_volume(B)
-    raise InputError(f"unsupported body type {type(B).__name__}")
-
-
-def body_support(B, x):
-    if isinstance(B, GeneratorSet):
-        return z_support(B, x)
-    if isinstance(B, Polytope):
-        return support(B, x)
-    if isinstance(B, Ball):
-        return float(np.linalg.norm(as_vec(x, 3)))
-    raise InputError(f"no support evaluation for {type(B).__name__}")
-
-
-def _require_solid(B):
-    if isinstance(B, GeneratorSet) and is_flat(B):
-        raise FlatBodyError("zonotope is flat")
-    if isinstance(B, Polytope) and B.volume <= 0.0:
-        raise FlatBodyError("polytope is flat")
-
-
 # --- mixed volumes and polars -------------------------------------------------
 
 def mixed_volume(K, L):
     """V(K, L, L) = (1/3) * integral of h_K against the surface measure of L.
 
-    L must be solid; its facets are enumerated directly (triangles of a
-    polytope, cross-product parallelogram pairs of a zonotope).  K enters
-    only through its support values, so K may be a polytope or zonotope.
+    K enters through its support values, L through surface_measure(), so
+    each may be a polytope or a zonotope (K may also be the ball).
     """
-    def h(x):
-        return body_support(K, x)
-
-    if isinstance(L, Polytope):
-        total = sum(h(n) * a for n, a in zip(L.facet_normals, L.facet_areas))
-        return total / 3.0
-    if isinstance(L, GeneratorSet):
-        if is_flat(L):
-            raise FlatBodyError("surface measure of a flat zonotope")
-        c = pair_crosses(L, drop_zero=True)
-        # each pair spans antipodal facets of area 4|c|, normals +-c/|c|
-        total = sum(4.0 * (h(ci) + h(-ci)) for ci in c)
-        return total / 3.0
-    raise InputError("mixed volume needs a polytope or zonotope as second argument")
+    normals, areas = L.surface_measure()
+    return float(K.support(normals) @ areas) / 3.0
 
 
 def polar_volume(B, grid=100_000):
@@ -155,16 +139,8 @@ def polar_volume(B, grid=100_000):
     accuracy target is 1% relative.  Bodies must contain the origin in the
     interior.
     """
-    if isinstance(B, Ball):
-        return 4.0 * math.pi / 3.0
     grid = max(int(grid), 100_000)
-    U = fibonacci_sphere(grid).points
-    if isinstance(B, GeneratorSet):
-        h = z_support_batch(B, U)
-    elif isinstance(B, Polytope):
-        h = support_batch(B, U)
-    else:
-        raise InputError(f"no polar volume for {type(B).__name__}")
+    h = B.support(fibonacci_sphere(grid).points)
     scale = float(np.max(h))
     if scale <= 0.0 or np.min(h) <= 1e-12 * scale:
         raise InputError("body must contain the origin in its interior")
@@ -173,25 +149,21 @@ def polar_volume(B, grid=100_000):
 
 # --- the direction ratio and its extrema --------------------------------------
 
+def _pi_generators(B):
+    """Generators of Pi B for P and Pi^2: a polytope's parallel facets merge."""
+    g = B.projection_generators()
+    return merge_parallel(g) if isinstance(B, Polytope) else g
+
+
 def _second_support_weights(B):
     """Pair-cross matrix W with h_{Pi^2 B}(x) = 4 * sum |W @ x| (d = 3).
 
     Cached on the body: extremization calls this once per direction batch.
     """
     cached = getattr(B, "_second_weights", None)
-    if cached is not None:
-        return cached
-    if isinstance(B, GeneratorSet):
-        c = pair_crosses(B, drop_zero=True)
-        # Pi B has generators 4c; absorb the factor into the weights
-        w = pair_crosses(GeneratorSet(4.0 * c))
-    elif isinstance(B, Polytope):
-        pb = polytope_projection_body(B, merge_antipodal=True)
-        w = pair_crosses(pb, drop_zero=True)
-    else:
-        raise InputError(f"no projection-body pipeline for {type(B).__name__}")
-    B._second_weights = w
-    return w
+    if cached is None:
+        cached = B._second_weights = pair_crosses(_pi_generators(B), drop_zero=True)
+    return cached
 
 
 def ratio_batch(B, X):
@@ -199,14 +171,9 @@ def ratio_batch(B, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(B, Ball):
         return np.full(X.shape[0], BALL_RATIO)
-    _require_solid(B)
-    vol = body_volume(B)
     W = _second_support_weights(B)
     num = 4.0 * np.sum(np.abs(W @ X.T), axis=0)
-    if isinstance(B, GeneratorSet):
-        den = z_support_batch(B, X) * vol
-    else:
-        den = support_batch(B, X) * vol
+    den = B.support(X) * B.volume
     if np.any(den <= 0.0):
         raise InputError("support must be positive in every requested direction")
     return num / den
@@ -228,9 +195,16 @@ def ratio(B, x):
         if cosang >= 1.0 - 1e-12:
             return axis_ratio(B)
         return ratio(rev_to_polytope(B), x)
-    if isinstance(B, Polytope) and not B.symmetric:
+    if not B.symmetric:
         raise SymmetryError("direction ratio requires a symmetric body")
     return float(ratio_batch(B, np.asarray(x, dtype=float)[None, :])[0])
+
+
+def _sliceable(B):
+    """The polytope the slice functional cuts: a zonotope's vertex hull, else B."""
+    if isinstance(B, GeneratorSet):
+        return convex_hull(zonotope_vertices(B), symmetric=True)
+    return B
 
 
 def q_direction(B, x):
@@ -243,11 +217,10 @@ def q_direction(B, x):
     if isinstance(B, Ball):
         return BALL_RATIO  # int sqrt(pi(1-s^2)) = sqrt(pi) pi/2
     if isinstance(B, RevolutionBody):
-        return axis_ratio(B) if B.d == 3 else _raise_dim()
-    if isinstance(B, GeneratorSet):
-        from .zonotope import zonotope_vertices
-        from .geom import convex_hull
-        B = convex_hull(zonotope_vertices(B), symmetric=True)
+        if B.d != 3:
+            raise InputError("slice functional for revolution bodies needs d = 3")
+        return axis_ratio(B)
+    B = _sliceable(B)
     u = unitize(x)
     breaks, coeffs = slice_quadratics(B, u)
     integral = 0.0
@@ -256,12 +229,8 @@ def q_direction(B, x):
         f = lambda s: math.sqrt(max(c0 + c1 * s + c2 * s * s, 0.0))
         integral += adaptive_simpson(f, breaks[k], breaks[k + 1], tol=1e-9)
     # even support convention (max |<x, y>|) so asymmetric bodies work too
-    h = max(support(B, u), support(B, -u))
+    h = float(max(B.support(u), B.support(-u)))
     return 4.0 * integral * integral / (h * B.volume)
-
-
-def _raise_dim():
-    raise InputError("slice functional for revolution bodies needs d = 3")
 
 
 def petty_value(B):
@@ -272,12 +241,7 @@ def petty_value(B):
         if B.d != 3:
             raise InputError("P for revolution bodies is realized at d = 3")
         B = rev_to_polytope(B)
-    _require_solid(B)
-    if isinstance(B, GeneratorSet):
-        pb = projection_body(B)
-    else:
-        pb = polytope_projection_body(B, merge_antipodal=True)
-    return z_volume(pb) / body_volume(B) ** 2
+    return z_volume(_pi_generators(B)) / B.volume ** 2
 
 
 def candidate_directions(B):
@@ -301,10 +265,7 @@ def _chart_refine(fn, x0, v0, maximize, steps):
     if steps <= 0:
         return x0, v0
     x0 = unitize(x0)
-    # orthonormal frame spanning the tangent plane at x0
-    a = np.array([1.0, 0.0, 0.0]) if abs(x0[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = unitize(np.cross(x0, a))
-    w = np.cross(x0, u)
+    u, w = plane_basis(x0)  # orthonormal frame of the tangent plane at x0
     sign = -1.0 if maximize else 1.0
 
     def obj(th):
@@ -359,12 +320,10 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
         if B.d != 3:
             raise InputError("invariant reports for revolution bodies need d = 3")
         B = rev_to_polytope(B)
-    _require_solid(B)
     if isinstance(B, Ball):
         v = BALL_RATIO
         return InvariantReport(v, v, v, v, None, None, None, grid, refine, False)
-    symmetric = isinstance(B, GeneratorSet) or (isinstance(B, Polytope) and B.symmetric)
-    if ("M" in want or "m" in want) and not symmetric:
+    if ("M" in want or "m" in want) and not B.symmetric:
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
@@ -381,12 +340,7 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
         if "m" in want:
             m_dir, m = _chart_refine(fn, X[im], float(vals[im]), False, refine)
     if "Q" in want:
-        if isinstance(B, GeneratorSet):
-            from .zonotope import zonotope_vertices
-            from .geom import convex_hull
-            Bq = convex_hull(zonotope_vertices(B), symmetric=True)
-        else:
-            Bq = B
+        Bq = _sliceable(B)
         qvals = np.array([q_direction(Bq, x) for x in X])
         iQ = int(np.argmax(qvals))
         Q_dir, Q = _chart_refine(lambda x: q_direction(Bq, x), X[iQ], float(qvals[iQ]),
@@ -400,12 +354,9 @@ def sl_invariance_check(B, T, grid=2048, refine=50):
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")
-    if isinstance(B, GeneratorSet):
-        TB = B.map_linear(T)
-    elif isinstance(B, Polytope):
-        TB = B.map_linear(T)
-    else:
+    if not hasattr(B, "map_linear"):
         raise InputError("invariance check needs a polytope or zonotope")
+    TB = B.map_linear(T)
     r0 = invariants(B, grid=grid, refine=refine, want=("M", "m"))
     r1 = invariants(TB, grid=grid, refine=refine, want=("M", "m"))
     dev_M = abs(r1.M - r0.M) / abs(r0.M)

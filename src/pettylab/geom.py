@@ -1,9 +1,9 @@
 """Vector/exterior algebra and 3-D polytope geometry.
 
 Everything downstream (zonotope calculus, invariants, symmetrization) sits on
-the primitives in this module: generalized cross products, determinants,
-triangulated convex hulls with outward normals, support values, line chords
-and planar slices, and a deterministic sphere grid for extremization.
+the primitives in this module: triangulated convex hulls with outward
+normals, support values, line chords and planar slices, and a deterministic
+sphere grid for extremization.
 
 All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
@@ -39,44 +39,11 @@ def unitize(x):
     return v / n
 
 
-def wedge_last(vs):
-    """Generalized cross product of d-1 vectors in R^d.
-
-    Returns the vector w with <w, y> = det(v_1, ..., v_{d-1}, y) for every y;
-    |w| is the (d-1)-volume of the parallelepiped the arguments span.  For
-    d = 3 this is the ordinary cross product.
-    """
-    mat = np.asarray(vs, dtype=float)
-    if mat.ndim != 2:
-        raise InputError("expected a sequence of vectors")
-    k, d = mat.shape
-    if d < 2 or k != d - 1:
-        raise InputError(f"need d-1 vectors of dimension d >= 2, got {k} of dimension {d}")
-    if not np.all(np.isfinite(mat)):
-        raise InputError("vector has non-finite entries")
-    if d == 3:
-        return np.cross(mat[0], mat[1])
-    w = np.empty(d)
-    cols = np.arange(d)
-    for i in range(d):
-        minor = mat[:, cols != i]
-        w[i] = (-1.0) ** (i + d + 1) * np.linalg.det(minor)
-    return w
-
-
-def det_d(vs):
-    """Signed determinant of d vectors of dimension d (as columns).
-
-    d = 3 uses the triple product, which is exact on small integer data.
-    """
-    mat = np.asarray(vs, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InputError(f"need d vectors of dimension d, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InputError("vector has non-finite entries")
-    if mat.shape[0] == 3:
-        return float(np.dot(np.cross(mat[0], mat[1]), mat[2]))
-    return float(np.linalg.det(mat.T))
+def plane_basis(x):
+    """Orthonormal pair (e1, e2) spanning the plane orthogonal to the unit x."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = unitize(np.cross(x, a))
+    return e1, np.cross(x, e1)
 
 
 def fibonacci_sphere(n):
@@ -114,7 +81,9 @@ class Polytope:
     """Triangulated 3-D convex polytope: vertices, facet triples, symmetry flag.
 
     Facet triples are oriented outward at construction; per-facet unit
-    normals, areas and plane offsets are derived once and cached.
+    normals, areas and plane offsets are derived once and cached.  Like every
+    body type it answers volume, support(X), surface_measure() and
+    projection_generators().
     """
 
     def __init__(self, vertices, facets, symmetric=False):
@@ -171,13 +140,17 @@ class Polytope:
         outside = (-self.vertices) @ self.facet_normals.T - self.facet_offsets[None, :]
         return float(max(0.0, np.max(outside)))
 
-    @property
-    def edges(self):
-        """Unique undirected vertex-index pairs appearing in facet triangles."""
-        t = self.facets
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+    def support(self, X):
+        """Support values max over vertices of <x, v>, per row of X (or for one x)."""
+        return np.max(self.vertices @ np.asarray(X, dtype=float).T, axis=0)
+
+    def surface_measure(self):
+        """Unit outward facet normals and the facet areas they carry."""
+        return self.facet_normals, self.facet_areas
+
+    def projection_generators(self):
+        """Generators of Pi P: (area/2) * normal per triangle, parallel ones kept apart."""
+        return 0.5 * self.facet_areas[:, None] * self.facet_normals
 
     def map_linear(self, mat):
         """Image under an orientation-preserving linear map (facets kept)."""
@@ -217,55 +190,40 @@ def convex_hull(points, symmetric=False):
     return Polytope(pts[keep], remap[solid], symmetric=symmetric)
 
 
-def facet_data(P):
-    """Per-triangle (unit outward normal, area, vertex-index triple).
+def chords(P, bases, direction):
+    """Clip the lines base + t*direction against every facet half-space.
 
-    The area-weighted normals of a closed surface sum to zero; callers rely
-    on that to tolerance 1e-9 of the total area.
+    Returns arrays (f, g) with one entry per row of bases, NaN where the line
+    misses P; endpoints lie on the boundary to ~1e-9 of the body scale.
     """
-    return P.facet_normals, P.facet_areas, P.facets
-
-
-def support(P, x):
-    """Support value h_P(x) = max over vertices of <x, v>."""
-    return float(np.max(P.vertices @ as_vec(x, 3)))
-
-
-def support_batch(P, X):
-    """Support values for each row of the (m, 3) direction array X."""
-    return np.max(P.vertices @ np.asarray(X, float).T, axis=0)
+    den = P.facet_normals @ direction                            # (F,)
+    num = P.facet_offsets[None, :] - bases @ P.facet_normals.T   # (N, F)
+    scale = float(np.max(np.abs(P.vertices))) or 1.0
+    tol = 1e-12 * scale
+    lo = np.full(bases.shape[0], -np.inf)
+    hi = np.full(bases.shape[0], np.inf)
+    pos = den > tol
+    neg = den < -tol
+    par = ~pos & ~neg
+    if np.any(pos):
+        hi = np.min(num[:, pos] / den[pos], axis=1)
+    if np.any(neg):
+        lo = np.max(num[:, neg] / den[neg], axis=1)
+    miss = ~np.isfinite(lo) | ~np.isfinite(hi) | (lo > hi + 1e-9 * scale)
+    if np.any(par):
+        miss |= np.any(num[:, par] < -1e-9 * scale, axis=1)
+    mid = 0.5 * (lo + hi)
+    lo = np.minimum(lo, mid)
+    hi = np.maximum(hi, mid)
+    lo[miss] = np.nan
+    hi[miss] = np.nan
+    return lo, hi
 
 
 def chord(P, base, direction):
-    """Intersection {t : base + t*dir in P} as (f, g), or None if the line misses.
-
-    Computed by clipping the line against every facet half-space; endpoints
-    lie on the boundary to ~1e-9 of the body scale.
-    """
-    b = as_vec(base, 3)
-    d = as_vec(direction, 3)
-    scale = float(np.max(np.abs(P.vertices))) or 1.0
-    den = P.facet_normals @ d
-    num = P.facet_offsets - P.facet_normals @ b
-    lo, hi = -np.inf, np.inf
-    tol = 1e-12 * scale
-    par = np.abs(den) <= tol
-    if np.any(num[par] < -1e-9 * scale):
-        return None
-    pos = den > tol
-    neg = den < -tol
-    if np.any(pos):
-        hi = np.min(num[pos] / den[pos])
-    if np.any(neg):
-        lo = np.max(num[neg] / den[neg])
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return None
-    if lo > hi + 1e-9 * scale:
-        return None
-    if lo > hi:
-        mid = 0.5 * (lo + hi)
-        lo = hi = mid
-    return float(lo), float(hi)
+    """Intersection {t : base + t*dir in P} as (f, g), or None if the line misses."""
+    lo, hi = chords(P, as_vec(base, 3)[None, :], as_vec(direction, 3))
+    return None if np.isnan(lo[0]) else (float(lo[0]), float(hi[0]))
 
 
 def slice_area(P, x, s):
@@ -281,8 +239,8 @@ def slice_area(P, x, s):
         raise InputError("direction must be nonzero")
     u = u / nu
     s = float(s) / nu
-    h_plus = support(P, u)
-    h_minus = support(P, -u)
+    h_plus = float(P.support(u))
+    h_minus = float(P.support(-u))
     scale = float(np.max(np.abs(P.vertices))) or 1.0
     if s >= h_plus - 1e-14 * scale or s <= -h_minus + 1e-14 * scale:
         return 0.0

@@ -72,7 +72,14 @@ def validate_profile(s, f, tol=_EVEN_TOL):
 
 
 class RevolutionBody:
-    """Convex body of revolution: dimension, half-length, radial profile."""
+    """Convex body of revolution: dimension, half-length, radial profile.
+
+    The axis is the last coordinate.  Volume and support are exact; the
+    projection-body quantities need the polytopal realization
+    rev_to_polytope().
+    """
+
+    symmetric = True
 
     def __init__(self, d, a, s_nodes, f_nodes):
         if d < 3:
@@ -87,19 +94,27 @@ class RevolutionBody:
         self.s = s
         self.f = f
 
-    @classmethod
-    def from_half_profile(cls, d, s_half, f_half):
-        """Build from nodes on [0, a]; the even reflection is generated."""
-        s = np.asarray(s_half, dtype=float)
-        f = np.asarray(f_half, dtype=float)
-        if s[0] != 0.0:
-            raise InputError("half profile must start at 0")
-        s_full = np.concatenate([-s[::-1], s[1:]])
-        f_full = np.concatenate([f[::-1], f[1:]])
-        return cls(d, s[-1], s_full, f_full)
-
     def scaled(self, lam):
         return RevolutionBody(self.d, lam * self.a, lam * self.s, lam * self.f)
+
+    @property
+    def volume(self):
+        return rev_volume(self)
+
+    def support(self, X):
+        """max_k s_k <x, axis> + f_k |x_perp|: the body is the hull of its node spheres."""
+        X = np.asarray(X, dtype=float)
+        radial = np.linalg.norm(X[..., :-1], axis=-1)
+        return np.max(np.multiply.outer(X[..., -1], self.s)
+                      + np.multiply.outer(radial, self.f), axis=-1)
+
+    def surface_measure(self):
+        raise InputError("revolution bodies have no finite surface measure; "
+                         "use rev_to_polytope")
+
+    def projection_generators(self):
+        raise InputError("revolution bodies have no projection generators; "
+                         "use rev_to_polytope")
 
 
 def profile_power_integral(s, f, p):

@@ -21,11 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, LimitError
 from .fixtures import icosphere, cube
-from .functionals import invariants
-from .geom import convex_hull
-from .zonotope import GeneratorSet, is_flat, z_volume
+from .functionals import invariants, ts_sums
+from .geom import Polytope, convex_hull
+from .zonotope import GeneratorSet, is_flat
 
 BALL_Q = 3.0 * math.pi ** 2 / 4.0
 
@@ -96,54 +96,23 @@ def _body_of(objective, config):
     return convex_hull(pts, symmetric=True)
 
 
-_PERM4 = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4)
-          for d in range(4) if len({a, b, c, d}) == 4]
-
-
-def _ts_value(config):
-    """Scalar t_sym/s_sym of a (5, 3) tuple-plus-direction, loop-based.
-
-    Plain-float arithmetic: the annealer calls this tens of thousands of
-    times, where per-call numpy overhead dominates.
-    """
-    v = [(float(r[0]), float(r[1]), float(r[2])) for r in config[:4]]
-    x0, x1, x2 = (float(c) for c in config[4])
-    cross = {}
-    for i in range(4):
-        for j in range(4):
-            if i != j and (i, j) not in cross:
-                a, b = v[i], v[j]
-                cross[(i, j)] = (a[1] * b[2] - a[2] * b[1],
-                                 a[2] * b[0] - a[0] * b[2],
-                                 a[0] * b[1] - a[1] * b[0])
-    s_tot = t_tot = 0.0
-    for (i, j, k, l) in _PERM4:
-        cij = cross[(i, j)]
-        ckl = cross[(k, l)]
-        w = v[l]
-        c = v[k]
-        s_tot += abs(cij[0] * c[0] + cij[1] * c[1] + cij[2] * c[2]) \
-            * abs(w[0] * x0 + w[1] * x1 + w[2] * x2)
-        ccx = (cij[1] * ckl[2] - cij[2] * ckl[1],
-               cij[2] * ckl[0] - cij[0] * ckl[2],
-               cij[0] * ckl[1] - cij[1] * ckl[0])
-        t_tot += abs(ccx[0] * x0 + ccx[1] * x1 + ccx[2] * x2)
-    if s_tot <= 0.0:
-        return 0.0
-    return t_tot / s_tot
-
-
 def evaluate_config(objective, config):
-    """Objective value of a configuration (used for runs and on reload).
+    """Objective value of a configuration (used for runs and on reload)."""
+    config = np.asarray(config, dtype=float)
+    body = None if objective == "max-ts-ratio" else _body_of(objective, config)
+    return _evaluate(objective, config, body)
+
+
+def _evaluate(objective, config, body):
+    """Objective value of a configuration whose body is already built.
 
     Grid-only extremization: the structured candidate directions contain the
     exact extremizers of cylinder- and cone-like configurations, so the sharp
     constants stay reachable without per-step refinement.
     """
-    config = np.asarray(config, dtype=float)
     if objective == "max-ts-ratio":
-        return _ts_value(config)
-    body = _body_of(objective, config)
+        s_tot, t_tot = ts_sums(config[:4], config[4])
+        return t_tot / s_tot if s_tot > 0.0 else 0.0
     if objective == "max-M-zonoid":
         rep = invariants(body, grid=_SEARCH_GRID, refine=0, want=("M",))
         return rep.M
@@ -159,6 +128,8 @@ def evaluate_config(objective, config):
 def _normalize(objective, config):
     """Rescale to volume 1 (bodies) or unit norms (tuples); None if degenerate.
 
+    Returns the rescaled configuration and its body (None for tuples).  A
+    hull is built once, on the unscaled points, and its vertices rescaled.
     Ill-conditioned configurations (near-flat after volume normalization) are
     rejected as well: their determinant sums lose all significant digits, so
     no value computed there can be trusted against the sharp constants.
@@ -167,25 +138,25 @@ def _normalize(objective, config):
         norms = np.linalg.norm(config, axis=1)
         if np.any(norms < 1e-12):
             return None
-        return config / norms[:, None]
+        return config / norms[:, None], None
     # determinant-sum round-off grows like eps / (sv ratio)^2; 1e-3 keeps it
     # below 1e-10 while every cylinder/cone-like optimum stays reachable
     sv = np.linalg.svd(np.asarray(config, float), compute_uv=False)
     if sv[2] <= 1e-3 * sv[0]:
         return None
     try:
+        body = _body_of(objective, config)
+        if objective == "max-M-zonoid" and is_flat(body):
+            return None
+        v = body.volume
+        if not (v > 1e-9):
+            return None
+        k = v ** (1.0 / 3.0)
         if objective == "max-M-zonoid":
-            if is_flat(config):
-                return None
-            v = z_volume(config)
-        else:
-            body = _body_of(objective, config)
-            v = body.volume
+            return config / k, GeneratorSet(config / k)
+        return config / k, Polytope(body.vertices / k, body.facets, symmetric=True)
     except Exception:
         return None
-    if not (v > 1e-9):
-        return None
-    return config / v ** (1.0 / 3.0)
 
 
 def _initial_config(objective, n, rng, start=None):
@@ -198,11 +169,12 @@ def _initial_config(objective, n, rng, start=None):
 
 def _anneal(objective, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
     maximize = objective.startswith("max")
-    config = None
-    while config is None:
-        config = _normalize(objective, _initial_config(objective, n, rng, start))
+    state = None
+    while state is None:
+        state = _normalize(objective, _initial_config(objective, n, rng, start))
         start = None  # only retry the random part
-    value = evaluate_config(objective, config)
+    config = state[0]
+    value = _evaluate(objective, *state)
     best_config, best_value = config.copy(), value
     trace = [(0, value, t_start)]
     sigma = 0.3
@@ -215,10 +187,11 @@ def _anneal(objective, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
         proposal = config.copy()
         row = rng.integers(0, proposal.shape[0])
         proposal[row] = proposal[row] + sigma * rng.standard_normal(3)
-        proposal = _normalize(objective, proposal)
+        state = _normalize(objective, proposal)
         window += 1
-        if proposal is not None:
-            cand = evaluate_config(objective, proposal)
+        if state is not None:
+            proposal = state[0]
+            cand = _evaluate(objective, *state)
             gain = (cand - value) if maximize else (value - cand)
             if gain >= 0.0 or rng.random() < math.exp(gain / temp):
                 config, value = proposal, cand
@@ -250,10 +223,11 @@ def _polish(objective, config, value, rounds=60):
             for sgn in (1.0, -1.0):
                 cand = flat.copy()
                 cand[k] += sgn * step
-                cand_cfg = _normalize(objective, cand.reshape(config.shape))
-                if cand_cfg is None:
+                state = _normalize(objective, cand.reshape(config.shape))
+                if state is None:
                     continue
-                cv = evaluate_config(objective, cand_cfg)
+                cand_cfg = state[0]
+                cv = _evaluate(objective, *state)
                 if (cv > value) if maximize else (cv < value):
                     flat = cand_cfg.reshape(-1)
                     value = cv
@@ -270,9 +244,9 @@ def _check_limits(objective, value):
     if objective in _HARD_LIMITS:
         mode, bound = _HARD_LIMITS[objective]
         if mode == "max" and value > bound + 1e-9:
-            raise ArithmeticError(f"{objective} produced {value} > {bound}: evaluator bug")
+            raise LimitError(f"{objective} produced {value} > {bound}: evaluator bug")
         if mode == "min" and value < bound - 1e-9:
-            raise ArithmeticError(f"{objective} produced {value} < {bound}: evaluator bug")
+            raise LimitError(f"{objective} produced {value} < {bound}: evaluator bug")
 
 
 def _run_restart(args):

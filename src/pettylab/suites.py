@@ -15,14 +15,15 @@ import numpy as np
 
 from . import fixtures
 from .functionals import (candidate_directions, mixed_volume, petty_value,
-                          polar_volume, ratio_batch, ts_ratio_batch)
-from .geom import fibonacci_sphere, unitize
+                          polar_volume, ratio_batch, sl_invariance_check,
+                          ts_ratio_batch)
+from .geom import fibonacci_sphere, plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import (schwartz_ratio_monotonicity,
                          steiner_projection_monotonicity)
-from .zonotope import (GeneratorSet, projection_body, second_proj_support,
-                       z_shadow_area, z_support, z_volume, zonogon_area)
+from .zonotope import (GeneratorSet, merge_parallel, projection_body,
+                       second_proj_support, z_shadow_area, zonogon_area)
 
 SHARP_TS = 4.0 / 3.0
 
@@ -75,7 +76,7 @@ def suite_formula_coherence(samples=200, seed=7):
         x = unitize(rng.standard_normal(3))
         a1 = z_shadow_area(Z, x)
         # oracle: project generators to x-perp and take the zonogon area
-        e1, e2 = _basis(x)
+        e1, e2 = plane_basis(x)
         a2 = zonogon_area(np.column_stack([Z.gens @ e1, Z.gens @ e2]))
         rel = abs(a1 - a2) / max(a1, 1e-300)
         if rel > worst_shadow:
@@ -83,7 +84,7 @@ def suite_formula_coherence(samples=200, seed=7):
         b1 = second_proj_support(Z, x)
         b2 = z_shadow_area(projection_body(Z), x)
         worst_second = max(worst_second, abs(b1 - b2) / max(b1, 1e-300))
-        s1 = z_support(projection_body(Z), x)
+        s1 = projection_body(Z).support(x)
         worst_shadow = max(worst_shadow, abs(a1 - s1) / max(a1, 1e-300))
     return [
         check("shadow-vs-zonogon-oracle", worst_shadow <= 1e-12, value=worst_shadow,
@@ -91,12 +92,6 @@ def suite_formula_coherence(samples=200, seed=7):
         check("second-support-direct-vs-composed", worst_second <= 1e-9,
               value=worst_second, tolerance=1e-9, detail=f"seed={seed}"),
     ]
-
-
-def _basis(x):
-    a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = unitize(np.cross(x, a))
-    return e1, np.cross(x, e1)
 
 
 def suite_fubini(samples=200, seed=11):
@@ -111,8 +106,7 @@ def suite_fubini(samples=200, seed=11):
         else:
             L = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
         piK = projection_body(K)
-        piL = projection_body(L) if isinstance(L, GeneratorSet) else _poly_pi(L)
-        lhs = mixed_volume(piL, piK)
+        lhs = mixed_volume(projection_body(L), piK)
         rhs = mixed_volume(projection_body(piK), L)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         if rel > worst:
@@ -121,17 +115,12 @@ def suite_fubini(samples=200, seed=11):
                   detail=witness)]
     cube_z = fixtures.cube_zonotope()
     tet = fixtures.tetrahedron()
-    lhs = mixed_volume(_poly_pi(tet), projection_body(cube_z))
+    lhs = mixed_volume(projection_body(tet), projection_body(cube_z))
     rhs = mixed_volume(projection_body(projection_body(cube_z)), tet)
     ok = abs(lhs - 64.0) <= 1e-9 and abs(rhs - 64.0) <= 1e-9
     rows.append(check("fubini-cube-tetrahedron", ok, value=lhs, tolerance=1e-9,
                       detail=f"both sides should be 64, got {lhs:.12g}/{rhs:.12g}"))
     return rows
-
-
-def _poly_pi(P):
-    from .zonotope import polytope_projection_body
-    return polytope_projection_body(P)
 
 
 def suite_minkowski(samples=200, seed=13):
@@ -143,8 +132,7 @@ def suite_minkowski(samples=200, seed=13):
     for k in range(samples):
         K = _random_body(rng)
         L = _random_body(rng)
-        vK = z_volume(K) if isinstance(K, GeneratorSet) else K.volume
-        vL = z_volume(L) if isinstance(L, GeneratorSet) else L.volume
+        vK, vL = K.volume, L.volume
         mv = mixed_volume(K, L)
         slack = mv / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0))
         if slack < worst_gap:
@@ -246,8 +234,8 @@ def suite_zhang_petty(samples=100, seed=29):
     witness = ""
     for k in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
-        Z = GeneratorSet(Z.gens / z_volume(Z) ** (1.0 / 3.0))
-        val = polar_volume(projection_body(Z)) * z_volume(Z) ** 2
+        Z = GeneratorSet(Z.gens / Z.volume ** (1.0 / 3.0))
+        val = polar_volume(projection_body(Z)) * Z.volume ** 2
         if val < lo_seen:
             lo_seen = val
             witness = f"seed={seed} sample={k}"
@@ -258,7 +246,7 @@ def suite_zhang_petty(samples=100, seed=29):
                          f"[{lo_band:.6g}, {hi_band:.6g}] (1%); {witness}")]
     # simplex attains the lower end: the tetrahedron pins the quadrature
     tet = fixtures.tetrahedron()
-    val = polar_volume(_poly_pi(tet)) * tet.volume ** 2
+    val = polar_volume(projection_body(tet)) * tet.volume ** 2
     rows.append(check("zhang-simplex-extremal", abs(val - lo_band) <= 0.01 * lo_band,
                       value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27"))
     return rows
@@ -308,7 +296,6 @@ def suite_theorem_1_2(samples=1000, seed=37, grid=1024, pairs_max=12):
 
 def suite_sl_invariance(samples=12, seed=41, grid=2048):
     """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
-    from .functionals import sl_invariance_check
     rng = _rng(seed, "sl")
     worst = 0.0
     witness = ""
@@ -348,12 +335,7 @@ def suite_class_reduction(samples=100, seed=43):
     for k in range(samples):
         B = _random_body(rng)
         pk = petty_value(B)
-        if isinstance(B, GeneratorSet):
-            piB = projection_body(B)
-        else:
-            piB = _poly_pi(B)
-        from .zonotope import merge_parallel
-        piB = GeneratorSet(merge_parallel(piB.gens))
+        piB = GeneratorSet(merge_parallel(projection_body(B).gens))
         ppk = petty_value(piB)
         gap = (ppk - pk) / max(pk, 1e-300)
         if gap > worst:

@@ -16,10 +16,10 @@ computed from the exact piecewise-quadratic slice-area function.
 import numpy as np
 
 from .errors import FlatBodyError, InputError, SymmetryError
-from .geom import convex_hull, slice_quadratics, support, unitize
+from .geom import chords, convex_hull, plane_basis, slice_quadratics, unitize
 from .revolution import RevolutionBody, axis_ratio
 from .functionals import ratio
-from .zonotope import polytope_projection_body
+from .zonotope import projection_body, z_shadow_area
 
 DUPLICATE_TOL = 1e-10
 
@@ -35,13 +35,6 @@ class ChordProfile:
             raise InputError("chord profile has g < f")
         self.w = 0.5 * (self.g - self.f)
         self.u = 0.5 * (self.g + self.f)
-
-
-def _plane_basis(nu):
-    a = np.array([1.0, 0.0, 0.0]) if abs(nu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = unitize(np.cross(nu, a))
-    e2 = np.cross(nu, e1)
-    return e1, e2
 
 
 def _roof_floor_edges(P, nu):
@@ -92,36 +85,10 @@ def _projected_edge_crossings(P, nu, e1, e2):
     return (a1[:, 0, :][ri] + t[ok][:, None] * d1[:, 0, :][ri])
 
 
-def _chords_batch(P, bases, nu):
-    """Vectorized line clipping: (f, g) per base point, NaN when the line misses."""
-    den = P.facet_normals @ nu                       # (F,)
-    num = P.facet_offsets[None, :] - bases @ P.facet_normals.T   # (N, F)
-    scale = float(np.max(np.abs(P.vertices))) or 1.0
-    tol = 1e-12 * scale
-    lo = np.full(bases.shape[0], -np.inf)
-    hi = np.full(bases.shape[0], np.inf)
-    pos = den > tol
-    neg = den < -tol
-    par = ~pos & ~neg
-    if np.any(pos):
-        hi = np.min(num[:, pos] / den[pos], axis=1)
-    if np.any(neg):
-        lo = np.max(num[:, neg] / den[neg], axis=1)
-    miss = ~np.isfinite(lo) | ~np.isfinite(hi) | (lo > hi + 1e-9 * scale)
-    if np.any(par):
-        miss |= np.any(num[:, par] < -1e-9 * scale, axis=1)
-    mid = 0.5 * (lo + hi)
-    lo = np.minimum(lo, mid)
-    hi = np.maximum(hi, mid)
-    lo[miss] = np.nan
-    hi[miss] = np.nan
-    return lo, hi
-
-
 def chord_profile(P, nu):
     """Chords of P along nu at every projected vertex and roof-floor crossing."""
     nu = unitize(nu)
-    e1, e2 = _plane_basis(nu)
+    e1, e2 = plane_basis(nu)
     verts2 = np.column_stack([P.vertices @ e1, P.vertices @ e2])
     pts2 = np.vstack([verts2, _projected_edge_crossings(P, nu, e1, e2)])
     scale = float(np.max(np.abs(P.vertices))) or 1.0
@@ -130,7 +97,7 @@ def chord_profile(P, nu):
     _, keep = np.unique(key, axis=0, return_index=True)
     pts2 = pts2[np.sort(keep)]
     bases = pts2[:, 0, None] * e1[None, :] + pts2[:, 1, None] * e2[None, :]
-    lo, hi = _chords_batch(P, bases, nu)
+    lo, hi = chords(P, bases, nu)
     ok = ~np.isnan(lo)
     if int(ok.sum()) < 3:
         raise FlatBodyError("chord profile is degenerate")
@@ -166,7 +133,7 @@ def schwartz(P, nu, samples_per_piece=16):
     if samples_per_piece < 1:
         raise InputError("need at least one sample per piece")
     nu = unitize(nu)
-    a = support(P, nu)
+    a = float(P.support(nu))
     breaks, coeffs = slice_quadratics(P, nu)
     s_nodes = []
     areas = []
@@ -214,20 +181,6 @@ def _concave_majorant(s, f):
     return np.interp(s, s[hull], f[hull])
 
 
-def shadow_area_on_plane(gens, e1, e2):
-    """Area of a zonotope's shadow on the plane spanned by (e1, e2).
-
-    The projected zonotope is a zonogon; its area is 4 * sum over generator
-    pairs of the absolute 2x2 determinant.
-    """
-    g = np.asarray(gens, dtype=float)
-    v = np.column_stack([g @ e1, g @ e2])
-    n = v.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    dets = v[ii, 0] * v[jj, 1] - v[ii, 1] * v[jj, 0]
-    return 4.0 * float(np.sum(np.abs(dets)))
-
-
 def steiner_projection_monotonicity(P, nu, h_second):
     """Shadow areas of Pi P and Pi(S_nu P) on a 2-plane H containing nu.
 
@@ -239,9 +192,10 @@ def steiner_projection_monotonicity(P, nu, h_second):
     perp = h2 - np.dot(h2, nu) * nu
     if np.linalg.norm(perp) < 1e-9:
         raise InputError("second direction must be independent of nu")
-    e2 = unitize(perp)
-    before = shadow_area_on_plane(polytope_projection_body(P).gens, nu, e2)
-    after = shadow_area_on_plane(polytope_projection_body(steiner(P, nu)).gens, nu, e2)
+    # the shadow on H = span(nu, e2) is the shadow along the normal nu x e2
+    w = np.cross(nu, unitize(perp))
+    before = z_shadow_area(projection_body(P), w)
+    after = z_shadow_area(projection_body(steiner(P, nu)), w)
     return float(before), float(after)
 
 

@@ -13,10 +13,12 @@ The facet normals of a polytope give its projection body the same way, one
 generator (area/2) * normal per triangle.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import Polytope, as_vec
+from .geom import as_vec
 
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
@@ -24,7 +26,13 @@ _PAIR_CACHE = {}
 
 
 class GeneratorSet:
-    """Generators x_1..x_n of the zonotope sum of [-x_i, x_i]."""
+    """Generators x_1..x_n of the zonotope sum of [-x_i, x_i].
+
+    Answers the body protocol (volume, support(X), surface_measure(),
+    projection_generators()) through the determinant sums of this module.
+    """
+
+    symmetric = True
 
     def __init__(self, gens):
         g = np.asarray(gens, dtype=float)
@@ -43,6 +51,27 @@ class GeneratorSet:
 
     def map_linear(self, mat):
         return GeneratorSet(self.gens @ np.asarray(mat, float).T)
+
+    @cached_property
+    def volume(self):
+        return z_volume(self)
+
+    def support(self, X):
+        """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
+        return np.sum(np.abs(self.gens @ np.asarray(X, float).T), axis=0)
+
+    def projection_generators(self):
+        """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
+        if is_flat(self):
+            raise FlatBodyError("projection body of a flat zonotope is degenerate")
+        return 4.0 * pair_crosses(self, drop_zero=True)
+
+    def surface_measure(self):
+        """Each pair (i, j) spans two antipodal facets of area 4|x_i x x_j|."""
+        g = self.projection_generators()
+        area = np.linalg.norm(g, axis=1)
+        unit = g / area[:, None]
+        return np.vstack([unit, -unit]), np.concatenate([area, area])
 
 
 def as_gens(Z):
@@ -79,17 +108,6 @@ def is_flat(Z):
     return bool(sv[2] <= 1e-12 * sv[0])
 
 
-def z_support(Z, x):
-    """Support value of the zonotope: sum of |<x, x_i>|."""
-    g = as_gens(Z)
-    return float(np.sum(np.abs(g @ as_vec(x, 3))))
-
-
-def z_support_batch(Z, X):
-    g = as_gens(Z)
-    return np.sum(np.abs(g @ np.asarray(X, float).T), axis=0)
-
-
 def z_volume(Z):
     """Volume 8 * sum over generator triples of |det|; zero iff coplanar."""
     g = as_gens(Z)
@@ -106,28 +124,23 @@ def z_volume(Z):
     return 8.0 * total / 3.0
 
 
-def z_shadow_area(Z, x):
-    """Shadow area V_2(Z | x^perp) = 4 * sum over pairs of |det(x_i, x_j, x)|."""
-    c = pair_crosses(Z)
-    return 4.0 * float(np.sum(np.abs(c @ as_vec(x, 3))))
+def z_shadow_area(Z, X):
+    """Shadow areas V_2(Z | x^perp) = 4 * sum over pairs of |det(x_i, x_j, x)|.
 
-
-def z_shadow_area_batch(Z, X):
+    One value per row of X, or one value for a single direction x.
+    """
     c = pair_crosses(Z)
     return 4.0 * np.sum(np.abs(c @ np.asarray(X, float).T), axis=0)
 
 
-def projection_body(Z):
-    """Projection body of a solid zonotope, again as a GeneratorSet.
+def projection_body(K):
+    """Projection body Pi K of a zonotope or polytope, as a GeneratorSet.
 
-    One generator 4 (x_i x x_j) per unordered pair, zero cross products
-    skipped; parallel generators are kept separate (support and volume sums
-    are additive, so merging is never required for correctness).
+    Built from K.projection_generators(); parallel generators are kept
+    separate (support and volume sums are additive, so merging is never
+    required for correctness).
     """
-    if is_flat(Z):
-        raise FlatBodyError("projection body of a flat zonotope is degenerate")
-    c = pair_crosses(Z, drop_zero=True)
-    return GeneratorSet(4.0 * c)
+    return GeneratorSet(K.projection_generators())
 
 
 def second_proj_support(Z, x):
@@ -135,33 +148,14 @@ def second_proj_support(Z, x):
 
     Direct tuple-sum evaluation: 8 * sum over ordered 4-tuples (i,j,k,l) of
     |det(x_i x x_j, x_k x x_l, x)|, computed over i<j, k<l with multiplicity
-    4 (absolute values make the orientation irrelevant).
+    4 (absolute values make the orientation irrelevant).  Kept as the
+    independent oracle of the projection-body pipeline.
     """
-    return float(second_proj_support_batch(Z, np.asarray(x, float)[None, :])[0])
-
-
-def second_proj_support_batch(Z, X):
     if is_flat(Z):
         raise FlatBodyError("flat zonotope has no second projection body")
-    c = pair_crosses(Z, drop_zero=True)
-    cc = pair_crosses(GeneratorSet(c))
-    X = np.asarray(X, dtype=float)
+    cc = pair_crosses(pair_crosses(Z, drop_zero=True))
     # ordered (a,b) combos of i<j pairs double the a<b sum; times multiplicity 4
-    return 64.0 * np.sum(np.abs(cc @ X.T), axis=0)
-
-
-def polytope_projection_body(P, merge_antipodal=False):
-    """Projection body of a triangulated polytope: (area/2) * normal per facet.
-
-    With merge_antipodal=True parallel generators are combined (their sums
-    enter every formula additively, so the represented body is unchanged).
-    """
-    if not isinstance(P, Polytope):
-        raise InputError("expected a Polytope")
-    gens = 0.5 * P.facet_areas[:, None] * P.facet_normals
-    if merge_antipodal:
-        gens = merge_parallel(gens)
-    return GeneratorSet(gens)
+    return 64.0 * float(np.sum(np.abs(cc @ as_vec(x, 3))))
 
 
 def merge_parallel(gens, tol=1e-12):

@@ -61,6 +61,17 @@ class TestBodyFiles:
         with pytest.raises(BodyFileError, match="torus"):
             load_body(p)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "polytope", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+          "symmetric": "false"}, "symmetric"),
+        ({"kind": "ball", "dimension": 4}, "dimension"),
+    ])
+    def test_strict_field_types_exit2(self, tmp_path, capsys, doc, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["compute", str(p), "--invariants", "P"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_extra_fields_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"kind": "ball", "radius": 2}')
@@ -122,6 +133,9 @@ class TestVerify:
                                "--samples", "2000", "--seed", "42")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_threads_flag_removed(self):
+        assert main(["verify", "ts-ratio", "--threads", "2"]) == 2
 
     def test_unknown_suite_exit2(self):
         code, _, _ = run_cli("verify", "no-such-suite")
@@ -237,3 +251,13 @@ def test_failing_suite_exit4(monkeypatch, capsys):
     code = main(["--no-timestamp", "verify", "ts-ratio"])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_theorem_limit_exit4(monkeypatch, capsys):
+    from pettylab import search as search_mod
+
+    monkeypatch.setattr(search_mod, "_evaluate", lambda objective, config, body: 9.0)
+    code = main(["search", "max-M-zonoid", "--n", "3", "--restarts", "1", "--iters", "2"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max-M-zonoid" in err

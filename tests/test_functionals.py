@@ -7,7 +7,7 @@ import pytest
 
 from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       invariants, mixed_volume, petty_value, polar_volume,
-                      projection_body, polytope_projection_body, q_direction,
+                      projection_body, q_direction,
                       ratio, s_sym, s_term, sl_invariance_check, t_sym,
                       t_term, ts_ratio)
 from pettylab.functionals import BALL_RATIO, ratio_batch, ts_ratio_batch
@@ -119,7 +119,7 @@ class TestMixedVolume:
     def test_fubini_cube_tetrahedron(self, tetrahedron):
         Z = fixtures.cube_zonotope()
         piK = projection_body(Z)
-        piL = polytope_projection_body(tetrahedron)
+        piL = projection_body(tetrahedron)
         assert mixed_volume(piL, piK) == pytest.approx(64.0, rel=1e-12)
         assert mixed_volume(projection_body(piK), tetrahedron) == pytest.approx(
             64.0, rel=1e-12)
@@ -128,7 +128,7 @@ class TestMixedVolume:
         for _ in range(60):
             K = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
             L = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
-            lhs = mixed_volume(polytope_projection_body(L), projection_body(K))
+            lhs = mixed_volume(projection_body(L), projection_body(K))
             rhs = mixed_volume(projection_body(projection_body(K)), L)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -293,11 +293,9 @@ class TestClassReduction:
         for _ in range(30):
             if rng.random() < 0.5:
                 B = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
-                piB = projection_body(B)
             else:
                 B = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
-                piB = polytope_projection_body(B)
-            piB = GeneratorSet(merge_parallel(piB.gens))
+            piB = GeneratorSet(merge_parallel(projection_body(B).gens))
             assert petty_value(piB) <= petty_value(B) * (1.0 + 1e-9)
 
     def test_projection_mixed_volume_bound(self, rng):

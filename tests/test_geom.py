@@ -8,64 +8,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from pettylab import (FlatBodyError, InputError, chord, convex_hull, det_d,
-                      facet_data, fibonacci_sphere, slice_area, support,
-                      wedge_last)
-from pettylab.geom import adaptive_simpson, slice_quadratics, support_batch
+from pettylab import (FlatBodyError, InputError, chord, convex_hull,
+                      fibonacci_sphere, slice_area, z_volume)
+from pettylab.geom import adaptive_simpson, slice_quadratics
+from pettylab.zonotope import pair_crosses
 
 E1, E2, E3 = np.eye(3)
 
 
 class TestWedgeAndDet:
+    """The 3-D wedge (pair_crosses) and the determinant sum behind z_volume."""
+
     def test_wedge_orthonormal_frame(self):
-        assert np.allclose(wedge_last([E1, E2]), E3)
+        assert np.allclose(pair_crosses([E1, E2]), [E3])
 
     def test_wedge_repeated_argument(self):
-        assert np.allclose(wedge_last([E1, E1]), 0.0)
+        assert np.allclose(pair_crosses([E1, E1]), 0.0)
+        assert pair_crosses([E1, E1], drop_zero=True).shape == (0, 3)
 
     def test_wedge_hand_cofactor(self):
         # cofactor expansion of ((1,0,0),(1,1,0)) gives (0,0,1)
-        assert np.allclose(wedge_last([[1, 0, 0], [1, 1, 0]]), [0, 0, 1])
+        assert np.allclose(pair_crosses([[1, 0, 0], [1, 1, 0]]), [[0, 0, 1]])
 
     def test_wedge_dimension_mismatch(self):
         with pytest.raises(InputError):
-            wedge_last([[1, 0, 0]])
-        with pytest.raises(InputError):
-            wedge_last([[1, 0], [0, 1]])
+            pair_crosses([[1, 0], [0, 1]])
 
     def test_det_identity(self):
-        assert det_d(np.eye(3)) == 1.0
+        assert z_volume(np.eye(3)) == 8.0
 
     def test_det_dependent(self):
-        assert det_d([E1, E2, E1 + E2]) == 0.0
+        assert z_volume([E1, E2, E1 + E2]) == 0.0
 
     def test_det_hand_cofactor(self):
-        assert det_d([[1, 1, 1], [1, 1, -1], [1, -1, 1]]) == -4.0
+        # det = -4: one triple, so V = 8 |det|
+        assert z_volume([[1, 1, 1], [1, 1, -1], [1, -1, 1]]) == 32.0
 
     def test_det_dimension_mismatch(self):
         with pytest.raises(InputError):
-            det_d([[1, 0, 0], [0, 1, 0]])
+            z_volume([[1, 0], [0, 1]])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_lagrange_identity(self, seed):
-        # <wedge(a, b), y> = det(a, b, y), relative 1e-12
+        # 8 |<a x b, y>| = V of the parallelepiped zonotope {a, b, y}, relative 1e-12
         rng = np.random.default_rng(seed)
         a, b, y = rng.standard_normal((3, 3))
-        lhs = float(np.dot(wedge_last([a, b]), y))
-        rhs = det_d([a, b, y])
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_wedge_d4(self):
-        # <w, y> = det(v1, v2, v3, y) in dimension 4
-        rng = np.random.default_rng(5)
-        vs = rng.standard_normal((3, 4))
-        w = wedge_last(vs)
-        for _ in range(5):
-            y = rng.standard_normal(4)
-            lhs = float(np.dot(w, y))
-            rhs = float(np.linalg.det(np.column_stack([*vs, y])))
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+        lhs = 8.0 * abs(float(pair_crosses([a, b])[0] @ y))
+        rhs = z_volume([a, b, y])
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
 
 class TestConvexHull:
@@ -107,18 +98,18 @@ class TestConvexHull:
 
 class TestFacetData:
     def test_cube_facets(self, cube):
-        normals, areas, tris = facet_data(cube)
+        normals, areas = cube.surface_measure()
         assert np.allclose(areas, 2.0)
         axis_weight = np.abs(normals).sum(axis=1)
         assert np.allclose(axis_weight, 1.0)  # all +-e_i
 
     def test_octahedron_facets(self, octahedron):
-        normals, areas, _ = facet_data(octahedron)
+        normals, areas = octahedron.surface_measure()
         assert np.allclose(areas, math.sqrt(3.0) / 2.0)
         assert np.allclose(np.abs(normals), 1.0 / math.sqrt(3.0))
 
     def test_tetrahedron_areas(self, tetrahedron):
-        _, areas, _ = facet_data(tetrahedron)
+        _, areas = tetrahedron.surface_measure()
         assert sorted(np.round(areas, 12)) == pytest.approx(
             [0.5, 0.5, 0.5, math.sqrt(3.0) / 2.0], abs=1e-12)
 
@@ -126,27 +117,27 @@ class TestFacetData:
         # sum of area-weighted normals vanishes on 100 random hulls
         for _ in range(100):
             P = convex_hull(rng.standard_normal((12, 3)))
-            normals, areas, _ = facet_data(P)
+            normals, areas = P.surface_measure()
             resid = np.linalg.norm((normals * areas[:, None]).sum(axis=0))
             assert resid <= 1e-9 * areas.sum()
 
 
 class TestSupport:
     def test_cube_axis(self, cube):
-        assert support(cube, E1) == 1.0
+        assert cube.support(E1) == 1.0
 
     def test_octahedron_diagonal(self, octahedron):
         u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-        assert support(octahedron, u) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
+        assert octahedron.support(u) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
 
     def test_homogeneity(self, cube):
-        assert support(cube, [1, 1, 1]) == 3.0
+        assert cube.support([1, 1, 1]) == 3.0
 
     def test_batch_matches_scalar(self, rng, octahedron):
         X = rng.standard_normal((40, 3))
-        vals = support_batch(octahedron, X)
+        vals = octahedron.support(X)
         for x, v in zip(X, vals):
-            assert support(octahedron, x) == pytest.approx(v, rel=1e-14)
+            assert octahedron.support(x) == pytest.approx(v, rel=1e-14)
 
 
 class TestChord:

@@ -201,3 +201,20 @@ class TestMeshAgreement:
             P = rev_to_polytope(R, m=64)
             lhs = ratio(P, np.array([0.0, 0.0, 1.0]))
             assert lhs == pytest.approx(axis_ratio(R), rel=0.01)
+
+    def test_support_and_volume_agree_with_realization(self, rng):
+        # the exact protocol answers bound the inscribed 64-gon realization
+        R = fixtures.random_concave_profile(rng, n_nodes=5)
+        P = rev_to_polytope(R, m=64)
+        X = rng.standard_normal((20, 3))
+        assert R.volume == rev_volume(R)
+        assert np.all(P.support(X) <= R.support(X) * (1.0 + 1e-12))
+        assert P.support(X) == pytest.approx(R.support(X), rel=2e-3)
+        assert P.volume == pytest.approx(R.volume, rel=5e-3)
+
+    def test_cylinder_support_closed_form(self):
+        R = fixtures.cylinder_profile()
+        X = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
+        assert R.support(X) == pytest.approx([1.0, 1.0, 1.4], rel=1e-15)
+        with pytest.raises(InputError):
+            R.projection_generators()

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from pettylab import (FlatBodyError, GeneratorSet, InputError,
-                      polytope_projection_body, projection_body,
-                      second_proj_support, z_shadow_area, z_support, z_volume)
-from pettylab.zonotope import (merge_parallel, zonogon_area,
-                               zonotope_vertices, z_shadow_area_batch)
+from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
+                      convex_hull, mixed_volume, projection_body,
+                      second_proj_support, z_shadow_area, z_volume)
+from pettylab.zonotope import merge_parallel, zonogon_area, zonotope_vertices
 from pettylab import fixtures
 
 E1, E2, E3 = np.eye(3)
@@ -26,13 +25,13 @@ def hull_volume_oracle(Z):
 
 class TestSupport:
     def test_cube_axis(self):
-        assert z_support(fixtures.cube_zonotope(), E1) == 1.0
+        assert fixtures.cube_zonotope().support(E1) == 1.0
 
     def test_minkowski_additivity(self):
-        assert z_support(GeneratorSet([E1, E1]), E1) == 2.0
+        assert GeneratorSet([E1, E1]).support(E1) == 2.0
 
     def test_diagonal(self):
-        assert z_support(fixtures.cube_zonotope(), DIAG) == pytest.approx(
+        assert fixtures.cube_zonotope().support(DIAG) == pytest.approx(
             math.sqrt(3.0), rel=1e-14)
 
     def test_zero_generator_rejected(self):
@@ -91,12 +90,12 @@ class TestProjectionBody:
     def test_cube(self):
         pb = projection_body(fixtures.cube_zonotope())
         assert sorted(np.linalg.norm(pb.gens, axis=1)) == pytest.approx([4.0] * 3)
-        assert z_support(pb, E1) == 4.0  # body [-4,4]^3
+        assert pb.support(E1) == 4.0  # body [-4,4]^3
 
     def test_twice_gives_64(self):
         pb2 = projection_body(projection_body(fixtures.cube_zonotope()))
         for u in np.eye(3):
-            assert z_support(pb2, u) == pytest.approx(64.0, rel=1e-12)
+            assert pb2.support(u) == pytest.approx(64.0, rel=1e-12)
 
     def test_flat_error(self):
         with pytest.raises(FlatBodyError):
@@ -108,7 +107,7 @@ class TestProjectionBody:
             Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            assert z_support(projection_body(Z), x) == pytest.approx(
+            assert projection_body(Z).support(x) == pytest.approx(
                 z_shadow_area(Z, x), rel=1e-12)
 
 
@@ -145,41 +144,40 @@ class TestSecondProjSupport:
 
 class TestPolytopeProjectionBody:
     def test_cube_gives_4cube(self, cube):
-        pb = polytope_projection_body(cube)
+        pb = projection_body(cube)
         assert len(pb) == 12
         for u in np.eye(3):
-            assert z_support(pb, u) == pytest.approx(4.0, rel=1e-12)
+            assert pb.support(u) == pytest.approx(4.0, rel=1e-12)
 
     def test_octahedron_merged(self, octahedron):
-        pb = polytope_projection_body(octahedron, merge_antipodal=True)
+        pb = GeneratorSet(merge_parallel(octahedron.projection_generators()))
         assert len(pb) == 4
         norms = np.linalg.norm(pb.gens, axis=1)
         assert np.allclose(norms, math.sqrt(3.0) / 2.0)
         assert np.allclose(np.abs(pb.gens), 0.5)
 
     def test_tetrahedron(self, tetrahedron):
-        pb = polytope_projection_body(tetrahedron, merge_antipodal=True)
+        pb = GeneratorSet(merge_parallel(tetrahedron.projection_generators()))
         mags = sorted(np.round(np.linalg.norm(pb.gens, axis=1), 12))
         assert mags == pytest.approx([0.25, 0.25, 0.25, math.sqrt(3.0) / 4.0])
 
     def test_support_equals_half_area_sum(self, rng):
         # h_{Pi K}(u) = (1/2) sum |<u, n_F>| A_F = shadow area of K
         P = fixtures.random_symmetric_polytope(rng, 8)
-        pb = polytope_projection_body(P)
+        pb = projection_body(P)
         for _ in range(20):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             byhand = 0.5 * float(np.sum(P.facet_areas * np.abs(P.facet_normals @ u)))
-            assert z_support(pb, u) == pytest.approx(byhand, rel=1e-12)
+            assert pb.support(u) == pytest.approx(byhand, rel=1e-12)
 
     def test_merge_is_invisible(self, rng):
         P = fixtures.random_symmetric_polytope(rng, 7)
-        a = polytope_projection_body(P)
-        b = polytope_projection_body(P, merge_antipodal=True)
+        a = projection_body(P)
+        b = GeneratorSet(merge_parallel(a.gens))
         assert len(b) < len(a)
         X = rng.standard_normal((32, 3))
-        assert np.allclose(z_shadow_area_batch(a, X), z_shadow_area_batch(b, X),
-                           rtol=1e-12)
+        assert np.allclose(z_shadow_area(a, X), z_shadow_area(b, X), rtol=1e-12)
 
 
 def test_merge_parallel_sums_lengths():
@@ -187,3 +185,19 @@ def test_merge_parallel_sums_lengths():
     merged = merge_parallel(gens)
     assert merged.shape == (2, 3)
     assert sorted(np.linalg.norm(merged, axis=1)) == [1.0, 3.0]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_protocol_agrees_with_vertex_hull(seed):
+    # a zonotope and its realization as a polytope answer the body protocol alike
+    rng = np.random.default_rng(seed)
+    Z = GeneratorSet(rng.standard_normal((int(rng.integers(3, 7)), 3)))
+    P = convex_hull(zonotope_vertices(Z), symmetric=True)
+    X = rng.standard_normal((16, 3))
+    assert P.volume == pytest.approx(Z.volume, rel=1e-9)
+    assert P.support(X) == pytest.approx(Z.support(X), rel=1e-9)
+    for K in (Ball(), Z):
+        assert mixed_volume(K, P) == pytest.approx(mixed_volume(K, Z), rel=1e-9)
+    assert projection_body(P).support(X) == pytest.approx(
+        projection_body(Z).support(X), rel=1e-9)
