@@ -44,13 +44,22 @@ class Ball:
         return "Ball()"
 
 
+def _is_number(v):
+    """A JSON number: int or float, not a boolean or a string."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _matrix(doc, field, kind):
     if field not in doc:
         raise BodyFileError(f"{kind} body needs field '{field}'")
+    rows = doc[field]
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(map(_is_number, r)) for r in rows)):
+        raise BodyFileError(f"field '{field}' must be a list of rows of numbers")
     try:
-        arr = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BodyFileError(f"field '{field}' is not numeric: {exc}") from exc
+        arr = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise BodyFileError(f"field '{field}' has rows of unequal length") from exc
     if arr.ndim != 2:
         raise BodyFileError(f"field '{field}' must be a list of coordinate rows")
     return arr
@@ -90,9 +99,13 @@ def body_from_dict(doc):
         prof = _matrix(doc, "profile", kind)
         if prof.shape[1] != 2:
             raise BodyFileError("field 'profile' must be [s, f] pairs")
-        d = int(doc.get("dimension", 3))
-        a = float(doc.get("a", prof[-1, 0]))
-        return RevolutionBody(d, a, prof[:, 0], prof[:, 1])
+        d = doc.get("dimension", 3)
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise BodyFileError("field 'dimension' must be an integer")
+        a = doc.get("a", float(prof[-1, 0]))
+        if not _is_number(a):
+            raise BodyFileError("field 'a' must be a number")
+        return RevolutionBody(d, float(a), prof[:, 0], prof[:, 1])
     if kind == "ball":
         if doc.get("dimension", 3) != 3:
             raise BodyFileError("field 'dimension' of a ball must be 3")

@@ -30,7 +30,7 @@ from .errors import InputError, SymmetryError
 from .geom import (Polytope, adaptive_simpson, as_vec, convex_hull,
                    fibonacci_sphere, plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, axis_ratio, rev_to_polytope
-from .zonotope import (GeneratorSet, merge_parallel, pair_crosses, z_volume,
+from .zonotope import (GeneratorSet, pair_crosses, z_shadow_area,
                        zonotope_vertices)
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
@@ -149,30 +149,12 @@ def polar_volume(B, grid=100_000):
 
 # --- the direction ratio and its extrema --------------------------------------
 
-def _pi_generators(B):
-    """Generators of Pi B for P and Pi^2: a polytope's parallel facets merge."""
-    g = B.projection_generators()
-    return merge_parallel(g) if isinstance(B, Polytope) else g
-
-
-def _second_support_weights(B):
-    """Pair-cross matrix W with h_{Pi^2 B}(x) = 4 * sum |W @ x| (d = 3).
-
-    Cached on the body: extremization calls this once per direction batch.
-    """
-    cached = getattr(B, "_second_weights", None)
-    if cached is None:
-        cached = B._second_weights = pair_crosses(_pi_generators(B), drop_zero=True)
-    return cached
-
-
 def ratio_batch(B, X):
-    """ratio(B, x) for each row of X, via one pass over the pair-cross matrix."""
+    """ratio(B, x) for each row of X; the numerator is the shadow of Pi B."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(B, Ball):
         return np.full(X.shape[0], BALL_RATIO)
-    W = _second_support_weights(B)
-    num = 4.0 * np.sum(np.abs(W @ X.T), axis=0)
+    num = z_shadow_area(B.pi_body, X)
     den = B.support(X) * B.volume
     if np.any(den <= 0.0):
         raise InputError("support must be positive in every requested direction")
@@ -241,7 +223,7 @@ def petty_value(B):
         if B.d != 3:
             raise InputError("P for revolution bodies is realized at d = 3")
         B = rev_to_polytope(B)
-    return z_volume(_pi_generators(B)) / B.volume ** 2
+    return B.pi_body.volume / B.volume ** 2
 
 
 def candidate_directions(B):

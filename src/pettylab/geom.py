@@ -9,6 +9,8 @@ All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
@@ -151,6 +153,16 @@ class Polytope:
     def projection_generators(self):
         """Generators of Pi P: (area/2) * normal per triangle, parallel ones kept apart."""
         return 0.5 * self.facet_areas[:, None] * self.facet_normals
+
+    @cached_property
+    def pi_body(self):
+        """Pi P as a GeneratorSet with the parallel facet generators merged.
+
+        Kept for P and the support of Pi^2 P; merging makes its pair sums and
+        zonogon walks shorter.
+        """
+        from .zonotope import GeneratorSet, merge_parallel  # zonotope imports geom
+        return GeneratorSet(merge_parallel(self.projection_generators()))
 
     def map_linear(self, mat):
         """Image under an orientation-preserving linear map (facets kept)."""

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, formats, determinism, round-trips."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -65,6 +67,18 @@ class TestBodyFiles:
         ({"kind": "polytope", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
           "symmetric": "false"}, "symmetric"),
         ({"kind": "ball", "dimension": 4}, "dimension"),
+        ({"kind": "revolution", "dimension": 3.9, "a": 1.0,
+          "profile": [[-1, 0], [0, 1], [1, 0]]}, "dimension"),
+        ({"kind": "revolution", "dimension": "3", "a": 1.0,
+          "profile": [[-1, 0], [0, 1], [1, 0]]}, "dimension"),
+        ({"kind": "revolution", "dimension": True, "a": 1.0,
+          "profile": [[-1, 0], [0, 1], [1, 0]]}, "dimension"),
+        ({"kind": "revolution", "dimension": 3, "a": "1.0",
+          "profile": [[-1, 0], [0, 1], [1, 0]]}, "a"),
+        ({"kind": "revolution", "dimension": 3, "a": 1.0,
+          "profile": [[-1, 0], ["0", 1], [1, 0]]}, "profile"),
+        ({"kind": "zonotope", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, False]]},
+         "generators"),
     ])
     def test_strict_field_types_exit2(self, tmp_path, capsys, doc, field):
         p = tmp_path / "bad.json"
@@ -125,6 +139,25 @@ class TestCompute:
         code, _, err = run_cli("compute", str(fixture_dir / "tetrahedron.json"),
                                "--invariants", "M")
         assert code == 3
+
+    @pytest.mark.parametrize("body, want", [("z48", "M"), ("icosphere3", "P,M,m")])
+    def test_bounded_memory(self, tmp_path, body, want):
+        # Pi^2 of 48 generators (1,128 Pi generators) and of icosphere3 (640
+        # merged) must fit in 3 GiB of address space; the child alone is capped
+        if body == "z48":
+            B = fixtures.random_zonotope(np.random.default_rng(48), 48)
+        else:
+            B = fixtures.icosphere(3)
+        save_body(B, tmp_path / "b.json")
+        cap = 3 * 2**30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pettylab", "compute", str(tmp_path / "b.json"),
+             "--invariants", want],
+            capture_output=True, text=True, timeout=600, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:

@@ -11,7 +11,9 @@ from scipy.spatial import ConvexHull
 from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       convex_hull, mixed_volume, projection_body,
                       second_proj_support, z_shadow_area, z_volume)
-from pettylab.zonotope import merge_parallel, zonogon_area, zonotope_vertices
+from pettylab.geom import plane_basis
+from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
+                               pair_crosses, zonogon_area, zonotope_vertices)
 from pettylab import fixtures
 
 E1, E2, E3 = np.eye(3)
@@ -185,6 +187,129 @@ def test_merge_parallel_sums_lengths():
     merged = merge_parallel(gens)
     assert merged.shape == (2, 3)
     assert sorted(np.linalg.norm(merged, axis=1)) == [1.0, 3.0]
+
+
+def merge_parallel_loop(gens, tol=1e-12):
+    """Reference: each generator joins the first earlier group within tol."""
+    g = np.asarray(gens, dtype=float)
+    norms = np.linalg.norm(g, axis=1)
+    keep = norms > 0.0
+    g, norms = g[keep], norms[keep]
+    units = g / norms[:, None]
+    sign = np.where(units[:, 0] != 0.0, np.sign(units[:, 0]),
+                    np.where(units[:, 1] != 0.0, np.sign(units[:, 1]), np.sign(units[:, 2])))
+    units = units * sign[:, None]
+    out_units = []
+    out_norms = []
+    for u, r in zip(units, norms):
+        for k, v in enumerate(out_units):
+            if np.linalg.norm(u - v) <= tol:
+                out_norms[k] += r
+                break
+        else:
+            out_units.append(u)
+            out_norms.append(r)
+    return np.array(out_units) * np.array(out_norms)[:, None]
+
+
+def _near_parallel_gens():
+    # pairs 0.5e-12 apart (merge) and 2e-12 apart (stay apart), one antiparallel
+    base = np.array([[0.3, -0.4, 0.5], [0.0, 1.0, 0.0], [-1.0, 2.0, 2.0]])
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    perp = np.array([[0.8, 0.6, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+    perp -= np.sum(perp * base, axis=1)[:, None] * base
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    rows = []
+    for b, w in zip(base, perp):
+        rows += [2.0 * b, b + 0.5e-12 * w, -1.5 * (b - 0.5e-12 * w), 0.7 * (b + 2e-12 * w)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "icosphere1", "icosphere2",
+                                  "icosphere3", "hull5", "hull40", "near-parallel"])
+def test_merge_parallel_matches_loop(name):
+    if name.startswith("icosphere"):
+        gens = fixtures.icosphere(int(name[-1])).projection_generators()
+    elif name.startswith("hull"):
+        rng = np.random.default_rng(int(name[4:]))
+        gens = fixtures.random_symmetric_polytope(rng, int(name[4:])).projection_generators()
+    elif name == "near-parallel":
+        gens = _near_parallel_gens()
+    else:
+        gens = fixtures.FIXTURES[name]().projection_generators()
+    want = merge_parallel_loop(gens)
+    got = merge_parallel(gens)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    if name == "near-parallel":
+        assert got.shape == (6, 3)
+
+
+def _shadow_oracle(G, x):
+    e1, e2 = plane_basis(x / np.linalg.norm(x))
+    return np.linalg.norm(x) * zonogon_area(np.column_stack([G @ e1, G @ e2]))
+
+
+def _degenerate(rng, G, kind):
+    """Rows of G made parallel, antiparallel, along x = e3, or on the seam at x."""
+    G = G.copy()
+    k = min(len(G), 4)
+    if kind == "parallel":
+        G[:k] = rng.standard_normal(k)[:, None] * G[0]
+    elif kind == "along-x":
+        G[:k, :2] = 0.0
+    elif kind == "seam":
+        # x = e3 has the frame (e1, e2): these project to p < 0, q = 0
+        G[:k, 0] = -np.abs(G[:k, 0]) - 0.1
+        G[:k, 1] = 0.0
+    return G
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([4, 7, 90, 140]),
+       st.sampled_from(["generic", "parallel", "along-x", "seam"]))
+@settings(max_examples=40, deadline=None)
+def test_shadow_paths_agree(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    G = _degenerate(rng, rng.standard_normal((n, 3)), kind)
+    X = rng.standard_normal((64, 3))
+    X[0] = [0.0, 0.0, 2.5]  # non-unit x on the seam of the rows above
+    X[1] = G[-1]            # a generator direction: its own row projects to 0
+    Z = GeneratorSet(G)
+    assert _pair_path(n, len(X)) == (n < 50)
+    pair = _pair_shadow(pair_crosses(G), X)
+    oracle = np.array([_shadow_oracle(G, x) for x in X])
+    # 1e-12 relative, or of the area scale where parallel rows cancel to ~0
+    tol = 1e-12 * np.maximum(np.abs(pair), np.sum(np.linalg.norm(G, axis=1)) ** 2
+                             * np.linalg.norm(X, axis=1))
+    for got in (_sorted_shadow(G, X), z_shadow_area(Z, X), [z_shadow_area(Z, X[0])]):
+        m = np.size(got)
+        assert np.all(np.abs(got - pair[:m]) <= tol[:m])
+        assert np.all(np.abs(got - oracle[:m]) <= tol[:m])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([4, 12]))
+@settings(max_examples=15, deadline=None)
+def test_second_support_from_shadow_paths(seed, n):
+    # Pi Z has 6 or 66 generators: the pair sum and the walk both meet the tuple sum
+    rng = np.random.default_rng(seed)
+    Z = fixtures.random_zonotope(rng, n)
+    X = rng.standard_normal((70, 3))
+    pi = Z.pi_body
+    direct = np.array([second_proj_support(Z, x) for x in X[:3]])
+    assert _pair_shadow(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
+    assert _sorted_shadow(pi.gens, X[:3]) == pytest.approx(direct, rel=1e-12)
+    assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
+
+
+def test_volume_of_many_generators_by_increments():
+    # V(Z + [-x, x]) = V(Z) + 2|x| V_2(Z | x^perp), one generator at a time
+    rng = np.random.default_rng(33)
+    G = rng.standard_normal((100, 3))
+    vol = 0.0
+    for k in range(1, len(G)):
+        vol += 2.0 * _shadow_oracle(G[:k], G[k])  # the oracle scales with |x|
+    assert not _pair_path(len(G), len(G))
+    assert z_volume(G) == pytest.approx(vol, rel=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
