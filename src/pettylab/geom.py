@@ -48,6 +48,29 @@ def plane_basis(x):
     return e1, np.cross(x, e1)
 
 
+# Bytes of per-direction temporaries one chunk of a batched evaluation holds.
+_CHUNK_BYTES = 2**20
+
+
+def _chunks(d, row_bytes):
+    """Slices of d directions, each about _CHUNK_BYTES at row_bytes apiece."""
+    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
+    return (slice(lo, lo + step) for lo in range(0, d, step))
+
+
+def _frames(U):
+    """Rows e1, e2 completing each unit row u of U to a right-handed frame.
+
+    Branch-free construction of Duff et al. (2017), also finite at u = 0.
+    """
+    x, y, z = U.T
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    return (np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=1),
+            np.stack([b, s + y * y * a, -y], axis=1))
+
+
 def fibonacci_sphere(n):
     """Deterministic, approximately equidistributed grid of n unit vectors."""
     if n < 2:
@@ -259,7 +282,7 @@ def slice_area(P, x, s):
     heights = P.vertices @ u
     tol = 1e-12 * scale
     total = 0.0
-    for tri, n in zip(P.facets, P.facet_normals):
+    for tri, tdir in zip(P.facets, np.cross(u, P.facet_normals)):
         hv = heights[tri] - s
         pts = []
         on_plane = 0
@@ -277,7 +300,6 @@ def slice_area(P, x, s):
         # a facet edge lying in the plane is shared with the neighbouring
         # facet; each side contributes it at half weight
         weight = 0.5 if on_plane == 2 and len(pts) == 2 else 1.0
-        tdir = np.cross(u, n)
         proj = [np.dot(p, tdir) for p in pts]
         a = pts[int(np.argmin(proj))]
         b = pts[int(np.argmax(proj))]
@@ -285,115 +307,69 @@ def slice_area(P, x, s):
     return max(float(total), 0.0)
 
 
-def slice_area_batch(P, x, svals):
-    """Section areas for a batch of offsets strictly between vertex heights.
+def slice_quadratics(P, X):
+    """Section areas of P along each row of X as exact quadratics per piece.
 
-    Vectorized over facets and offsets; assumes no sample coincides with a
-    vertex height (the quadratic-piece samplers guarantee this), so every
-    crossing is transversal.
+    Returns (H, C): H[i] the vertex heights along u_i = x_i/|x_i|, sorted,
+    and C[i, k] = (a, b, c), the area at height H[i, k] + t (H[i, k+1] -
+    H[i, k]) being a + b t + c t^2 for t in [0, 1]; one direction gives H of
+    shape (V,) and C of (V-1, 3).  Each facet adds (1/2) sigma det(A, B, u)
+    to the pieces between its lowest and highest vertex, A and B its cut
+    points, which move along edges at (edge vector)/(edge height gap); no
+    piece an edge spans is wider than its gap, so no coefficient grows as
+    pieces shrink.  Pieces of zero width get zero coefficients.  Temporaries
+    grow with the rows of X times the facets; q_batch passes chunks of rows.
     """
-    u = unitize(x)
-    s = np.asarray(svals, dtype=float)
-    v = P.vertices
-    t = P.facets
-    heights = v @ u                                    # (V,)
-    hv = heights[t]                                    # (F, 3)
-    d = hv[:, :, None] - s[None, None, :]              # (F, 3, S)
-    pts = v[t]                                         # (F, 3, 3)
-    seg_a = np.zeros((t.shape[0], s.size, 3))
-    seg_b = np.zeros((t.shape[0], s.size, 3))
-    have_a = np.zeros((t.shape[0], s.size), dtype=bool)
-    cross_pt = []
-    cross_ok = []
-    for i in range(3):
-        j = (i + 1) % 3
-        di, dj = d[:, i, :], d[:, j, :]
-        ok = di * dj < 0.0                             # (F, S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(ok, di / (di - dj), 0.0)
-        p = pts[:, i, None, :] + w[:, :, None] * (pts[:, j, None, :] - pts[:, i, None, :])
-        cross_pt.append(p)
-        cross_ok.append(ok)
-    for p, ok in zip(cross_pt, cross_ok):
-        first = ok & ~have_a
-        second = ok & have_a
-        seg_a[first] = p[first]
-        seg_b[second] = p[second]
-        have_a |= ok
-    tdir = np.cross(u[None, :], P.facet_normals)       # (F, 3)
-    swap = np.einsum("fsk,fk->fs", seg_b - seg_a, tdir) < 0.0
-    a = np.where(swap[:, :, None], seg_b, seg_a)
-    b = np.where(swap[:, :, None], seg_a, seg_b)
-    contrib = 0.5 * np.einsum("fsk,k->fs", np.cross(a, b), u)
-    # facets with fewer than two crossings contribute zero
-    n_cross = sum(ok.astype(int) for ok in cross_ok)
-    contrib[n_cross < 2] = 0.0
-    areas = contrib.sum(axis=0)
-    return np.maximum(areas, 0.0)
-
-
-def slice_pieces(P, x, merge_tol=1e-9):
-    """Sorted breakpoints of the piecewise-quadratic section-area function.
-
-    Returns the unique vertex heights along x, with near-ties (relative to
-    the body scale) merged.
-    """
-    u = unitize(x)
-    heights = np.sort(P.vertices @ u)
-    scale = max(float(heights[-1] - heights[0]), 1e-300)
-    out = [heights[0]]
-    for h in heights[1:]:
-        if h - out[-1] > merge_tol * scale:
-            out.append(h)
-    return np.array(out)
-
-
-def slice_quadratics(P, x):
-    """Exact quadratic coefficients of the section area on each height piece.
-
-    The area between consecutive vertex heights is a quadratic in the offset;
-    it is recovered by Lagrange interpolation through three interior samples.
-    Returns (breaks, coeffs) with coeffs[k] = (c0, c1, c2) for the piece
-    [breaks[k], breaks[k+1]], area = c0 + c1*s + c2*s^2.
-    """
-    breaks = slice_pieces(P, x)
-    if breaks.size < 2:
-        raise FlatBodyError("body has no extent along the direction")
-    coeffs = np.zeros((breaks.size - 1, 3))
-    s_nodes = []
-    for k in range(breaks.size - 1):
-        a, b = breaks[k], breaks[k + 1]
-        s_nodes.extend([a + (b - a) * f for f in (0.25, 0.5, 0.75)])
-    areas = slice_area_batch(P, x, np.array(s_nodes))
-    for k in range(breaks.size - 1):
-        a, b = breaks[k], breaks[k + 1]
-        s0, s1, s2 = (a + (b - a) * f for f in (0.25, 0.5, 0.75))
-        y0, y1, y2 = areas[3 * k: 3 * k + 3]
-        # quadratic through (s0,y0),(s1,y1),(s2,y2)
-        den0 = (s0 - s1) * (s0 - s2)
-        den1 = (s1 - s0) * (s1 - s2)
-        den2 = (s2 - s0) * (s2 - s1)
-        c2 = y0 / den0 + y1 / den1 + y2 / den2
-        c1 = (-y0 * (s1 + s2) / den0 - y1 * (s0 + s2) / den1 - y2 * (s0 + s1) / den2)
-        c0 = (y0 * s1 * s2 / den0 + y1 * s0 * s2 / den1 + y2 * s0 * s1 / den2)
-        coeffs[k] = (c0, c1, c2)
-    return breaks, coeffs
-
-
-def adaptive_simpson(f, a, b, tol=1e-9, max_depth=40):
-    """Adaptive Simpson quadrature with absolute tolerance."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+    U = np.atleast_2d(np.asarray(X, dtype=float))
+    norms = np.sqrt(np.sum(U * U, axis=1))
+    if U.shape[1] != 3 or not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise InputError("directions must be nonzero finite 3-vectors")
+    U = U / norms[:, None]
+    d, V = U.shape[0], P.vertices.shape[0]
+    e1, e2 = _frames(U)
+    h = U @ P.vertices.T
+    order = np.argsort(h, axis=1)
+    flat = order + V * np.arange(d)[:, None]
+    H = h.ravel()[flat].reshape(d, V)
+    Hf = H.ravel()
+    # plane coordinates as complex numbers: det(p, q, u) = Im(conj(p) q)
+    z = ((e1 + 1j * e2) @ P.vertices.T).ravel()[flat.ravel()]
+    r = np.argsort(order, axis=1)[:, P.facets]
+    # facet corners run counter-clockwise about the outward normal; sorting
+    # them by height with an odd permutation reverses the cut segment
+    odd = (r[..., 0] > r[..., 1]) ^ (r[..., 1] > r[..., 2]) ^ (r[..., 0] > r[..., 2])
+    r.sort(axis=2)
+    r += V * np.arange(d)[:, None, None]
+    hr, zr = Hf[r], z[r]
+    # A = a + (s - h_lo) g on the long edge, B = b + (s - h_b) m on the edge
+    # from the lowest to the middle vertex (first segment of pieces) or from
+    # the middle to the highest (second segment); the area term is
+    # det(A, B) = c0 + (s - h_b) c1 + (s - h_lo) (c2 + (s - h_b) c3)
+    half = np.where(odd, -0.5, 0.5)[..., None]
+    # a gap of zero height spans no piece: its slope is never used, set it 0
+    slope = lambda dz, gap: dz * np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0.0)
+    a, b = half * zr[..., :1], zr[..., :2]
+    g = half * slope(zr[..., 2:] - zr[..., :1], hr[..., 2:] - hr[..., :1])
+    m = slope(np.diff(zr, axis=2), np.diff(hr, axis=2))
+    lh, bh = np.repeat(hr[..., 0].ravel(), 2), hr[..., :2].ravel()
+    start, count = r[..., :2].ravel(), np.diff(r, axis=2).ravel()
+    c0, c1, c2, c3 = ((p.conj() * q).imag.ravel() for p, q in ((a, b), (a, m), (g, b), (g, m)))
+    dH = np.diff(H, axis=1, append=H[:, -1:]).ravel()
+    out = np.zeros((3, d * V))
+    # (facet, piece) pairs go in groups whose dozen arrays fill about a chunk
+    cum, group = np.cumsum(count), _CHUNK_BYTES // 128
+    cuts = np.searchsorted(cum, np.arange(group, cum[-1], group), side="right")
+    bounds = np.concatenate(([0], cuts, [count.size]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = count[lo:hi]
+        idx = np.repeat(start[lo:hi] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        rep = lambda v: np.repeat(v[lo:hi], n)
+        w, dl, db = dH[idx], Hf[idx] - rep(lh), Hf[idx] - rep(bh)
+        k1, k2, k3 = rep(c1), rep(c2), rep(c3)
+        coef = (rep(c0) + db * k1 + dl * (k2 + db * k3), w * (k1 + k2 + (dl + db) * k3),
+                w * w * k3)
+        for row, c in zip(out, coef):
+            row += np.bincount(idx, weights=c, minlength=d * V)
+    C = out.T.reshape(d, V, 3)[:, :-1]
+    C[dH.reshape(d, V)[:, :-1] == 0.0] = 0.0
+    return (H[0], C[0]) if np.ndim(X) == 1 else (H, C)

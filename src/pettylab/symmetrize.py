@@ -134,20 +134,13 @@ def schwartz(P, nu, samples_per_piece=16):
         raise InputError("need at least one sample per piece")
     nu = unitize(nu)
     a = float(P.support(nu))
-    breaks, coeffs = slice_quadratics(P, nu)
-    s_nodes = []
-    areas = []
-    for k in range(breaks.size - 1):
-        lo, hi = breaks[k], breaks[k + 1]
-        c0, c1, c2 = coeffs[k]
-        ss = np.linspace(lo, hi, samples_per_piece + 1, endpoint=True)
-        if k > 0:
-            ss = ss[1:]
-        vals = c0 + c1 * ss + c2 * ss * ss
-        s_nodes.extend(ss.tolist())
-        areas.extend(np.maximum(vals, 0.0).tolist())
-    s_nodes = np.array(s_nodes)
-    f_nodes = np.sqrt(np.array(areas) / np.pi)
+    H, C = slice_quadratics(P, nu)
+    wide = np.diff(H) > 0.0
+    t = np.linspace(0.0, 1.0, samples_per_piece + 1)[1:]
+    s_nodes = np.concatenate([H[:1], (H[:-1, None] + np.diff(H)[:, None] * t)[wide].ravel()])
+    C = C[wide]
+    areas = np.concatenate([C[:1, 0], (C[:, :1] + t * (C[:, 1:2] + t * C[:, 2:])).ravel()])
+    f_nodes = np.sqrt(np.maximum(areas, 0.0) / np.pi)
     # drop sliver nodes (vertex-height clusters near the poles); they carry
     # no volume but amplify slope noise
     keep = np.concatenate([[True], np.diff(s_nodes) > 1e-7 * 2.0 * a])

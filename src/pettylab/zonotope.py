@@ -25,14 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import as_vec
+from .geom import _chunks, _frames, as_vec
 
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
 _PAIR_CACHE = {}
-
-# Bytes of per-direction temporaries one chunk of a shadow evaluation holds.
-_CHUNK_BYTES = 2**20
 
 # Sort axis of merge_parallel; any unit vector works, a generic one keeps the
 # windows of near-equal keys short for structured inputs.
@@ -170,12 +167,6 @@ def z_shadow_area(Z, X):
     return out[0] if X.ndim == 1 else out
 
 
-def _chunks(d, row_bytes):
-    """Slices of d directions, each about _CHUNK_BYTES at row_bytes apiece."""
-    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
-    return (slice(lo, lo + step) for lo in range(0, d, step))
-
-
 def _pair_shadow(C, X):
     """4 * sum over the rows c of C of |<c, x>|, per row x of X."""
     out = np.empty(X.shape[0])
@@ -192,19 +183,6 @@ def _line_units(U):
     sign = np.where(U[:, 0] != 0.0, np.sign(U[:, 0]),
                     np.where(U[:, 1] != 0.0, np.sign(U[:, 1]), np.sign(U[:, 2])))
     return U * sign[:, None]
-
-
-def _frames(U):
-    """Rows e1, e2 completing each unit row u of U to an orthonormal frame.
-
-    Branch-free construction of Duff et al. (2017), also finite at u = 0.
-    """
-    x, y, z = U.T
-    s = np.copysign(1.0, z)
-    a = -1.0 / (s + z)
-    b = x * y * a
-    return (np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=1),
-            np.stack([b, s + y * y * a, -y], axis=1))
 
 
 def _sorted_shadow(G, X):

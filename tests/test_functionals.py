@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       invariants, mixed_volume, petty_value, polar_volume,
                       projection_body, q_direction,
                       ratio, s_sym, s_term, sl_invariance_check, t_sym,
                       t_term, ts_ratio)
-from pettylab.functionals import BALL_RATIO, ratio_batch, ts_ratio_batch
-from pettylab import fixtures
+from pettylab.functionals import (BALL_RATIO, q_batch, ratio_batch,
+                                  sqrt_quadratic_integral, ts_ratio_batch)
+from pettylab import convex_hull, fixtures, slice_area
 
 E1, E2, E3 = np.eye(3)
 SHARP = 4.0 / 3.0
@@ -220,6 +223,94 @@ class TestQDirection:
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
             assert ratio(P, x) >= q_direction(P, x) - 1e-6
+
+
+def _sliced_q(P, x):
+    """q(P, x) from mpmath.quad of sqrt(slice_area), piece by piece.
+
+    Independent of the piece quadratics: the integrand is the scalar section
+    area, integrated between consecutive distinct vertex heights.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    u = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    h = np.unique(P.vertices @ u)
+    f = lambda s: math.sqrt(slice_area(P, u, float(s)))
+    integral = float(sum(mpmath.quad(f, [a, b]) for a, b in zip(h[:-1], h[1:])))
+    return 4.0 * integral ** 2 / (max(h[-1], -h[0]) * P.volume)
+
+
+class TestQAgainstSlicing:
+    def test_icosphere1_nearly_tied_heights(self):
+        # pieces about 1e-7 wide, where a fit through samples broke down
+        P = fixtures.icosphere(1)
+        x = np.array([-9.3e-8, -0.934, -0.357])
+        assert q_direction(P, x) == pytest.approx(_sliced_q(P, x), rel=1e-10)
+
+    def test_seeded_sphere_hulls_at_Q_dir(self):
+        # 4-12 antipodal pairs on the sphere; Q at its own refined direction
+        for seed in range(1, 7):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 686]))
+            for n in (4, 6, 8, 10, 12):
+                p = rng.standard_normal((n, 3))
+                p /= np.linalg.norm(p, axis=1)[:, None]
+                P = convex_hull(np.vstack([p, -p]), symmetric=True)
+                rep = invariants(P, want=("P", "Q"))
+                assert rep.Q == pytest.approx(_sliced_q(P, rep.Q_dir), rel=1e-10)
+                assert rep.Q <= rep.P
+
+    def test_batch_rows_match_single_directions(self, rng):
+        P = fixtures.random_symmetric_polytope(rng, 7)
+        X = rng.standard_normal((40, 3))
+        single = [q_direction(P, x) for x in X]
+        assert np.allclose(q_batch(P, X), single, rtol=1e-13, atol=0.0)
+
+
+def test_cube_Q_not_above_P():
+    rep = invariants(fixtures.cube(), want=("P", "Q"))
+    assert abs(rep.Q - 8.0) <= 1e-9
+    assert rep.Q <= rep.P + 1e-12
+
+
+@st.composite
+def _pieces(draw):
+    """(a, b, c) with a + b t + c t^2 >= 0 on [0, 1], one family per branch."""
+    kind = draw(st.sampled_from(["any", "series", "tip0", "tip1", "constant", "narrow"]))
+    q0, q1 = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 4.0))
+    c = draw(st.floats(-8.0, 8.0))
+    if kind == "series":
+        c = draw(st.floats(-1e-8, 1e-8)) * q0
+    elif kind == "tip0":
+        q0 = 0.0
+    elif kind == "tip1":
+        q1 = 0.0
+    elif kind == "constant":
+        q1, c = q0, 0.0
+    a, b = q0, q1 - q0 - c
+    if kind == "narrow":
+        # a piece of width w cut from a + b' s + c' s^2
+        w = 10.0 ** draw(st.floats(-12.0, 0.0))
+        b, c = w * draw(st.floats(-3.0, 3.0)), w * w * draw(st.floats(-3.0, 3.0))
+    # rounding may leave q(1) a few ulps below zero at a tip
+    assume(a + b + c >= -1e-15 * max(abs(a), abs(b), abs(c)))
+    assume(not (c > 0.0 and 0.0 < -b / (2.0 * c) < 1.0 and a - b * b / (4.0 * c) < 0.0))
+    return a, b, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pieces())
+def test_sqrt_quadratic_integral_against_mpmath(piece):
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c = piece
+    with mpmath.workdps(40):
+        # mpmath's error target is absolute: integrate at unit scale
+        m = mpmath.mpf(max(abs(a), abs(b), abs(c)) or 1.0)
+        q = lambda t: (a + b * t + c * t * t) / m
+        cuts = [mpmath.mpf(0), mpmath.mpf(1)]
+        if c != 0.0 and 0.0 < -b / (2.0 * c) < 1.0:
+            cuts.insert(1, mpmath.mpf(-b) / (2 * c))
+        ref = mpmath.sqrt(m) * mpmath.quad(lambda t: mpmath.sqrt(max(q(t), 0)), cuts)
+    got = float(sqrt_quadratic_integral(a, b, c))
+    assert abs(got - float(ref)) <= 1e-12 * float(ref)
 
 
 class TestInvariants:

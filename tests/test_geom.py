@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull
 
 from pettylab import (FlatBodyError, InputError, chord, convex_hull,
                       fibonacci_sphere, slice_area, z_volume)
-from pettylab.geom import adaptive_simpson, slice_quadratics
+from pettylab.geom import slice_quadratics
 from pettylab.zonotope import pair_crosses
 
 E1, E2, E3 = np.eye(3)
@@ -184,19 +184,31 @@ class TestSliceArea:
         assert slice_area(octahedron, E3, 0.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_integrates_to_volume(self, rng):
-        # piecewise-quadratic slice areas integrate exactly to the volume
+        # the exact piece quadratics integrate to the volume:
+        # sum over pieces of width w of w (a + b/2 + c/3)
         for _ in range(20):
             P = convex_hull(rng.standard_normal((12, 3)))
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            breaks, coeffs = slice_quadratics(P, u)
-            vol = 0.0
-            for k in range(len(breaks) - 1):
-                a, b = breaks[k], breaks[k + 1]
-                c0, c1, c2 = coeffs[k]
-                vol += (c0 * (b - a) + c1 * (b * b - a * a) / 2.0
-                        + c2 * (b ** 3 - a ** 3) / 3.0)
-            assert vol == pytest.approx(P.volume, rel=1e-9)
+            H, C = slice_quadratics(P, u)
+            vol = np.sum(np.diff(H) * (C[:, 0] + C[:, 1] / 2.0 + C[:, 2] / 3.0))
+            assert vol == pytest.approx(P.volume, rel=1e-12)
+
+    def test_quadratics_match_scalar_slices(self, rng, cube, octahedron):
+        # batched pieces against the scalar oracle inside every piece, with
+        # tied heights (cube and octahedron along axes) giving empty pieces
+        bodies = [convex_hull(rng.standard_normal((10, 3))) for _ in range(4)]
+        for P in bodies + [cube, octahedron]:
+            X = np.vstack([np.eye(3), rng.standard_normal((5, 3))])
+            H, C = slice_quadratics(P, X)
+            for x, h, c in zip(X, H, C):
+                u = x / np.linalg.norm(x)
+                for k in np.nonzero(np.diff(h) > 0.0)[0]:
+                    for t in (0.25, 0.5, 0.75):
+                        area = c[k, 0] + t * (c[k, 1] + t * c[k, 2])
+                        s = h[k] + t * (h[k + 1] - h[k])
+                        assert area == pytest.approx(slice_area(P, u, s), rel=1e-10, abs=1e-12)
+                assert np.all(c[np.diff(h) == 0.0] == 0.0)
 
 
 class TestFibonacciSphere:
@@ -223,13 +235,3 @@ class TestFibonacciSphere:
 
     def test_deterministic(self):
         assert np.array_equal(fibonacci_sphere(128).points, fibonacci_sphere(128).points)
-
-
-def test_adaptive_simpson_polynomial():
-    val = adaptive_simpson(lambda s: s * s, 0.0, 2.0, tol=1e-12)
-    assert val == pytest.approx(8.0 / 3.0, abs=1e-12)
-
-
-def test_adaptive_simpson_sqrt():
-    val = adaptive_simpson(math.sqrt, 0.0, 1.0, tol=1e-10)
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-8)
