@@ -15,6 +15,7 @@ identical command lines apart from the timestamp header (suppress with
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import invariants
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
-from .search import OBJECTIVES, min_Q_search, optimize
+from .search import OBJECTIVES, RECORDS, min_Q_search, optimize
 from .suites import SUITES, run_suite
 from .symmetrize import schwartz, steiner, steiner_rounding_run
 
@@ -35,12 +36,20 @@ EXIT_USAGE = 2
 EXIT_BODY = 3
 EXIT_SUITE = 4
 
+# Largest --grid.  compute builds a (vertices x grid) support matrix; at this
+# size icosphere3's M peaks near 0.6 GB, and larger grids exhaust memory.
+GRID_MAX = 100_000
 
-def _default_seed():
-    try:
-        return int(os.environ.get("PETTYLAB_SEED", "42"))
-    except ValueError:
-        return 42
+
+def _int_in(lo, hi=math.inf):
+    """argparse type: an integer from lo to hi."""
+    def parse(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be from {lo} to {hi}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid value" message
+    return parse
 
 
 def build_parser():
@@ -53,24 +62,26 @@ def build_parser():
     c = sub.add_parser("compute", help="invariants of a body file")
     c.add_argument("body")
     c.add_argument("--invariants", default="P,M,m,Q")
-    c.add_argument("--grid", type=int, default=2048)
-    c.add_argument("--refine", type=int, default=50)
+    c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=2048)
+    c.add_argument("--refine", type=_int_in(0), default=50)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("suite", choices=sorted(SUITES), metavar="suite",
+                   help=f"one of: {', '.join(sorted(SUITES))}")
+    v.add_argument("--samples", type=_int_in(1), default=None)
+    v.add_argument("--seed", type=_int_in(0), default=None)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
     v.add_argument("--out")
 
     s = sub.add_parser("search", help="stochastic extremal search")
-    s.add_argument("objective", help=f"one of: {', '.join(OBJECTIVES)}")
+    s.add_argument("objective", choices=OBJECTIVES, metavar="objective",
+                   help=f"one of: {', '.join(OBJECTIVES)}")
     s.add_argument("--n", type=int, default=5)
-    s.add_argument("--restarts", type=int, default=2)
-    s.add_argument("--iters", type=int, default=1500)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--restarts", type=_int_in(1), default=2)
+    s.add_argument("--iters", type=_int_in(1), default=1500)
+    s.add_argument("--seed", type=_int_in(0), default=None)
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--start", default=None,
                    help="named start for min-Q-symmetric (icosphere, cube)")
@@ -83,8 +94,8 @@ def build_parser():
     y.add_argument("--direction", default="0,0,1")
     y.add_argument("--steps", type=int, default=1,
                    help="random-direction Steiner iterations when > 1")
-    y.add_argument("--seed", type=int, default=None)
-    y.add_argument("--samples-per-piece", type=int, default=16)
+    y.add_argument("--seed", type=_int_in(0), default=None)
+    y.add_argument("--samples-per-piece", type=_int_in(1), default=16)
     y.add_argument("--track-ratio", default=None,
                    help="direction for the before/after ratio pair")
     y.add_argument("--out")
@@ -92,6 +103,24 @@ def build_parser():
     f = sub.add_parser("fixtures", help="write the bundled fixture bodies")
     f.add_argument("--out", default="fixtures")
     return top
+
+
+def _check_args(parser, args):
+    """Checks that need the environment or a second argument; errors exit 2."""
+    if "seed" in vars(args) and args.seed is None:
+        try:
+            args.seed = _int_in(0)(os.environ.get("PETTYLAB_SEED", "42"))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"PETTYLAB_SEED: {exc}")
+    if args.command == "search":
+        lo, hi = RECORDS[args.objective].n_range
+        if not lo <= args.n <= hi:
+            parser.error(f"argument --n: must be from {lo} to {hi} for {args.objective}, "
+                         f"got {args.n}")
+        starts = RECORDS[args.objective].starts
+        if args.start is not None and args.start not in starts:
+            parser.error(f"argument --start: {args.objective} takes "
+                         f"{', '.join(starts) or 'no named start'}, got {args.start!r}")
 
 
 def _parse_direction(text):
@@ -134,29 +163,18 @@ def cmd_compute(args):
 
 
 def cmd_verify(args):
-    if args.suite not in SUITES:
-        sys.stderr.write(f"unknown suite {args.suite!r}\n")
-        return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _default_seed()
-    rows = run_suite(args.suite, samples=args.samples, seed=seed)
+    rows = run_suite(args.suite, samples=args.samples, seed=args.seed)
     _emit(rows, args, args.out)
     return EXIT_SUITE if any_failed(rows) else EXIT_OK
 
 
 def cmd_search(args):
-    if args.objective not in OBJECTIVES:
-        sys.stderr.write(f"unknown objective {args.objective!r}\n")
-        return EXIT_USAGE
-    if args.iters < 1 or args.restarts < 1 or args.n < 1:
-        sys.stderr.write("budget parameters must be positive\n")
-        return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.objective == "min-Q-symmetric" and args.start:
+    if args.start:  # only min-Q-symmetric has named starts
         run = min_Q_search(n=args.n, restarts=args.restarts, iters=args.iters,
-                           seed=seed, start=args.start, threads=args.threads)
+                           seed=args.seed, start=args.start, threads=args.threads)
     else:
         run = optimize(args.objective, n=args.n, restarts=args.restarts,
-                       iters=args.iters, seed=seed, threads=args.threads)
+                       iters=args.iters, seed=args.seed, threads=args.threads)
     if args.out:
         run.save(args.out)
     if args.log:
@@ -180,7 +198,6 @@ def cmd_symmetrize(args):
     if not isinstance(body, Polytope):
         raise GeometryError("symmetrization needs a polytope body file")
     direction = _parse_direction(args.direction)
-    seed = args.seed if args.seed is not None else _default_seed()
     track = _parse_direction(args.track_ratio) if args.track_ratio else None
     v_before = body.volume
     if track is not None:
@@ -190,7 +207,7 @@ def cmd_symmetrize(args):
     if args.mode == "schwartz":
         out_body = schwartz(body, direction, samples_per_piece=args.samples_per_piece)
     elif args.steps > 1:
-        out_body, trace = steiner_rounding_run(body, args.steps, seed)
+        out_body, trace = steiner_rounding_run(body, args.steps, args.seed)
         print(f"roundness {fmt(trace[0])} -> {fmt(trace[-1])} over {args.steps} steps")
     else:
         out_body = steiner(body, direction)
@@ -221,6 +238,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -21,6 +21,8 @@ the constant (8 = 6 * 4/3).
 
 import itertools
 import math
+from collections import namedtuple
+from functools import partial, wraps
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,7 +31,7 @@ from .bodies import Ball
 from .errors import InputError, SymmetryError
 from .geom import (Polytope, _chunks, as_vec, convex_hull, fibonacci_sphere,
                    plane_basis, slice_quadratics, unitize)
-from .revolution import RevolutionBody, axis_ratio, rev_to_polytope
+from .revolution import RevolutionBody, rev_to_polytope
 from .zonotope import (GeneratorSet, pair_crosses, z_shadow_area,
                        zonotope_vertices)
 
@@ -149,37 +151,45 @@ def polar_volume(B, grid=100_000):
 
 # --- the direction ratio and its extrema --------------------------------------
 
-def ratio_batch(B, X):
-    """ratio(B, x) for each row of X; the numerator is the shadow of Pi B."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(B, Ball):
-        return np.full(X.shape[0], BALL_RATIO)
+def _realized(B):
+    """The body the evaluators work on: a revolution body's 64-gon polytope.
+
+    The polytope agrees with the closed form axis_ratio to rounding at the
+    axis; rev_to_polytope raises InputError unless d = 3.
+    """
+    return rev_to_polytope(B) if isinstance(B, RevolutionBody) else B
+
+
+def _per_row(rows_fn):
+    """Lift rows_fn(B, rows) to one direction x (a float) or the rows of X.
+
+    B is realized first; the ball has the closed value 3 pi^2/4 for both
+    ratio and q.
+    """
+    @wraps(rows_fn)
+    def evaluator(B, X):
+        X = np.asarray(X, dtype=float)
+        B, U = _realized(B), np.atleast_2d(X)
+        vals = np.full(U.shape[0], BALL_RATIO) if isinstance(B, Ball) else rows_fn(B, U)
+        return float(vals[0]) if X.ndim == 1 else vals
+    return evaluator
+
+
+@_per_row
+def ratio(B, X):
+    """h_{Pi^2 B}(x) / (h_B(x) * V(B)) for one direction x, or per row of X.
+
+    The numerator is the shadow of Pi B.  Zonotopes and polytopes are exact,
+    the ball analytic, and a revolution body is evaluated on its polytopal
+    realization.  B must be symmetric (SymmetryError otherwise).
+    """
+    if not B.symmetric:
+        raise SymmetryError("direction ratio requires a symmetric body")
     num = z_shadow_area(B.pi_body, X)
     den = B.support(X) * B.volume
     if np.any(den <= 0.0):
         raise InputError("support must be positive in every requested direction")
     return num / den
-
-
-def ratio(B, x):
-    """h_{Pi^2 B}(x) / (h_B(x) * V(B)) for a solid symmetric 3-D body.
-
-    Zonotopes and polytopes evaluate exactly through the projection-body
-    pipeline; the ball is analytic; revolution bodies use the closed axis
-    form when x is the axis and a polytopal realization otherwise.
-    """
-    if isinstance(B, RevolutionBody):
-        x = as_vec(x, 3)
-        axis = np.array([0.0, 0.0, 1.0])
-        if B.d != 3:
-            raise InputError("direction ratios for revolution bodies need d = 3")
-        cosang = abs(np.dot(unitize(x), axis))
-        if cosang >= 1.0 - 1e-12:
-            return axis_ratio(B)
-        return ratio(rev_to_polytope(B), x)
-    if not B.symmetric:
-        raise SymmetryError("direction ratio requires a symmetric body")
-    return float(ratio_batch(B, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _sliceable(B):
@@ -237,19 +247,15 @@ def sqrt_quadratic_integral(a, b, c):
     return np.sqrt(m) * np.where((r0 == 0.0) & (r1 == 0.0) & (c >= 0.0), 0.0, out)
 
 
-def q_batch(B, X):
-    """q(B, x) = 4 (int sqrt(V_2(slice)) ds)^2 / (h_B(x) V(B)) per row x of X.
+@_per_row
+def q_direction(B, X):
+    """q(B, x) = 4 (int sqrt(V_2(slice)) ds)^2 / (h_B(x) V(B)), one x or per row of X.
 
     Exact section quadratics (geom.slice_quadratics) integrated in closed
-    form (sqrt_quadratic_integral, within 1e-12 relative), over chunks of X.
+    form (sqrt_quadratic_integral, within 1e-12 relative), over chunks of
+    rows.  The ball is analytic (int sqrt(pi(1-s^2)) = sqrt(pi) pi/2); a
+    revolution body is evaluated on its polytopal realization.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(B, Ball):
-        return np.full(X.shape[0], BALL_RATIO)  # int sqrt(pi(1-s^2)) = sqrt(pi) pi/2
-    if isinstance(B, RevolutionBody):
-        if B.d != 3:
-            raise InputError("slice functional for revolution bodies needs d = 3")
-        return np.full(X.shape[0], axis_ratio(B))
     B = _sliceable(B)
     out = np.empty(X.shape[0])
     # the pieces and their integrals take ~300 bytes per vertex and facet of B
@@ -262,19 +268,11 @@ def q_batch(B, X):
     return out
 
 
-def q_direction(B, x):
-    """q_batch for the single direction x."""
-    return float(q_batch(B, unitize(x)[None, :])[0])
-
-
 def petty_value(B):
     """P(B) = V(Pi B) / V(B)^2, exact for zonotopes and polytopes."""
+    B = _realized(B)
     if isinstance(B, Ball):
         return BALL_RATIO  # conjectured minimum value, exact for the ball
-    if isinstance(B, RevolutionBody):
-        if B.d != 3:
-            raise InputError("P for revolution bodies is realized at d = 3")
-        B = rev_to_polytope(B)
     return B.pi_body.volume / B.volume ** 2
 
 
@@ -315,30 +313,9 @@ def _chart_refine(fn, x0, v0, maximize, steps):
     return x0, v0
 
 
-class InvariantReport:
+class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir grid refine "
+                                                     "near_cone_equality")):
     """P, M, m, Q of a body with attaining directions and search diagnostics."""
-
-    def __init__(self, P, M, m, Q, M_dir, m_dir, Q_dir, grid, refine, near_cone_equality):
-        self.P = P
-        self.M = M
-        self.m = m
-        self.Q = Q
-        self.M_dir = M_dir
-        self.m_dir = m_dir
-        self.Q_dir = Q_dir
-        self.grid = grid
-        self.refine = refine
-        self.near_cone_equality = near_cone_equality
-
-    def as_dict(self):
-        return {
-            "P": self.P, "M": self.M, "m": self.m, "Q": self.Q,
-            "M_dir": None if self.M_dir is None else list(self.M_dir),
-            "m_dir": None if self.m_dir is None else list(self.m_dir),
-            "Q_dir": None if self.Q_dir is None else list(self.Q_dir),
-            "grid": self.grid, "refine": self.refine,
-            "near_cone_equality": self.near_cone_equality,
-        }
 
 
 def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
@@ -350,10 +327,7 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
     M and m require a symmetric body.
     """
     want = set(want)
-    if isinstance(B, RevolutionBody):
-        if B.d != 3:
-            raise InputError("invariant reports for revolution bodies need d = 3")
-        B = rev_to_polytope(B)
+    B = _realized(B)
     if isinstance(B, Ball):
         v = BALL_RATIO
         return InvariantReport(v, v, v, v, None, None, None, grid, refine, False)
@@ -362,23 +336,19 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
 
     P = petty_value(B) if "P" in want else None
     X = np.vstack([fibonacci_sphere(grid).points, candidate_directions(B)])
-
-    M = m = Q = None
-    M_dir = m_dir = Q_dir = None
-    if "M" in want or "m" in want:
-        vals = ratio_batch(B, X)
-        iM, im = int(np.argmax(vals)), int(np.argmin(vals))
-        fn = lambda x: float(ratio_batch(B, x[None, :])[0])
-        if "M" in want:
-            M_dir, M = _chart_refine(fn, X[iM], float(vals[iM]), True, refine)
-        if "m" in want:
-            m_dir, m = _chart_refine(fn, X[im], float(vals[im]), False, refine)
-    if "Q" in want:
-        Bq = _sliceable(B)
-        qvals = q_batch(Bq, X)
-        iQ = int(np.argmax(qvals))
-        Q_dir, Q = _chart_refine(lambda x: q_direction(Bq, x), X[iQ], float(qvals[iQ]),
-                                 True, refine)
+    # a zonotope is sliced as its vertex hull, built here once
+    Bq = _sliceable(B) if "Q" in want else None
+    found, grid_vals = {}, {}
+    for name, fn, body, maximize in (("M", ratio, B, True), ("m", ratio, B, False),
+                                     ("Q", q_direction, Bq, True)):
+        if name not in want:
+            continue
+        if fn not in grid_vals:  # M and m share one evaluation of the grid
+            grid_vals[fn] = fn(body, X)
+        vals = grid_vals[fn]
+        i = int(np.argmax(vals) if maximize else np.argmin(vals))
+        found[name] = _chart_refine(partial(fn, body), X[i], float(vals[i]), maximize, refine)
+    (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
     near = bool(m is not None and m < 6.0 + 1e-6)
     return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir, grid, refine, near)
 

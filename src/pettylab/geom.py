@@ -279,32 +279,28 @@ def slice_area(P, x, s):
     scale = float(np.max(np.abs(P.vertices))) or 1.0
     if s >= h_plus - 1e-14 * scale or s <= -h_minus + 1e-14 * scale:
         return 0.0
-    heights = P.vertices @ u
     tol = 1e-12 * scale
-    total = 0.0
-    for tri, tdir in zip(P.facets, np.cross(u, P.facet_normals)):
-        hv = heights[tri] - s
-        pts = []
-        on_plane = 0
-        for i in range(3):
-            j = (i + 1) % 3
-            hi_, hj_ = hv[i], hv[j]
-            if abs(hi_) <= tol:
-                pts.append(P.vertices[tri[i]])
-                on_plane += 1
-            elif hi_ * hj_ < 0.0 and abs(hj_) > tol:
-                t = hi_ / (hi_ - hj_)
-                pts.append(P.vertices[tri[i]] + t * (P.vertices[tri[j]] - P.vertices[tri[i]]))
-        if len(pts) < 2:
-            continue
-        # a facet edge lying in the plane is shared with the neighbouring
-        # facet; each side contributes it at half weight
-        weight = 0.5 if on_plane == 2 and len(pts) == 2 else 1.0
-        proj = [np.dot(p, tdir) for p in pts]
-        a = pts[int(np.argmin(proj))]
-        b = pts[int(np.argmax(proj))]
-        total += weight * 0.5 * np.dot(np.cross(a, b), u)
-    return max(float(total), 0.0)
+    # per facet corner i: its height above the plane, and that of corner i+1
+    h0 = (P.vertices @ u)[P.facets] - s
+    h1 = np.roll(h0, -1, axis=1)
+    vi = P.vertices[P.facets]
+    on = np.abs(h0) <= tol
+    # edge i -> i+1 crosses the plane strictly between its ends
+    cuts = ~on & (h0 * h1 < 0.0) & (np.abs(h1) > tol)
+    t = h0 / np.where(cuts, h0 - h1, 1.0)
+    pts = np.where(on[..., None], vi, vi + t[..., None] * (np.roll(vi, -1, axis=1) - vi))
+    found = on | cuts
+    # the chord's ends are the extreme points along the facet's in-plane tangent
+    proj = np.einsum("fij,fj->fi", pts, np.cross(u, P.facet_normals))
+    rows = np.arange(pts.shape[0])
+    a = pts[rows, np.argmin(np.where(found, proj, np.inf), axis=1)]
+    b = pts[rows, np.argmax(np.where(found, proj, -np.inf), axis=1)]
+    # a facet edge lying in the plane is shared with the neighbouring facet;
+    # each side contributes it at half weight
+    n_found = found.sum(axis=1)
+    weight = np.where((on.sum(axis=1) == 2) & (n_found == 2), 0.5, 1.0)
+    terms = weight * 0.5 * np.einsum("fj,j->f", np.cross(a, b), u)
+    return max(float(np.sum(terms[n_found >= 2])), 0.0)
 
 
 def slice_quadratics(P, X):
@@ -318,7 +314,8 @@ def slice_quadratics(P, X):
     points, which move along edges at (edge vector)/(edge height gap); no
     piece an edge spans is wider than its gap, so no coefficient grows as
     pieces shrink.  Pieces of zero width get zero coefficients.  Temporaries
-    grow with the rows of X times the facets; q_batch passes chunks of rows.
+    grow with the rows of X times the facets; q_direction passes chunks of
+    rows.
     """
     U = np.atleast_2d(np.asarray(X, dtype=float))
     norms = np.sqrt(np.sum(U * U, axis=1))

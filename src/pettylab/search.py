@@ -25,17 +25,77 @@ from .errors import InputError, LimitError
 from .fixtures import icosphere, cube
 from .functionals import invariants, ts_sums
 from .geom import Polytope, convex_hull
-from .zonotope import GeneratorSet, is_flat
+from .zonotope import GeneratorSet
 
 BALL_Q = 3.0 * math.pi ** 2 / 4.0
 
-OBJECTIVES = ("max-M-zonoid", "min-m-symmetric", "min-Q-symmetric", "max-ts-ratio")
 
-# Sharp theorem constants: any run crossing these reveals an evaluator bug.
-_HARD_LIMITS = {"max-M-zonoid": ("max", 8.0), "min-m-symmetric": ("min", 6.0),
-                "min-Q-symmetric": ("min", 6.0)}
+def _symmetric_hull(config):
+    return convex_hull(np.vstack([config, -config]), symmetric=True)
 
-_SEARCH_GRID = 192
+
+def _rescaled_hull(body, k):
+    return Polytope(body.vertices / k, body.facets, symmetric=True)
+
+
+class Objective:
+    """One search objective: everything the search reads about it.
+
+    build makes the body of a configuration of n rows (n in n_range for a
+    random start), and rescaled(body, k) the body of the configuration
+    divided by k without a second hull.  build is None for a 4-tuple plus a
+    direction, whose five rows are only scaled to unit length (n unused).
+    quantity is the invariant extremized, without refinement, over `grid`
+    Fibonacci directions plus the structured candidates, or "t/s".  A best
+    value beyond `limit` in the objective's sense is an evaluator bug; one
+    within 1e-3 of `sharp` is flagged as near equality, with hints(config).
+    starts maps the names of fixed starting bodies to their vertices.
+    """
+
+    def __init__(self, name, build, rescaled, n_range, quantity, grid, maximize,
+                 limit=None, sharp=None, hints=None, starts=None):
+        self.name = name
+        self.build = build
+        self.rescaled = rescaled
+        self.n_range = n_range
+        self.quantity = quantity
+        self.grid = grid
+        self.maximize = maximize
+        self.sign = 1.0 if maximize else -1.0
+        self.limit = limit
+        self.sharp = sharp
+        self.hints = hints
+        self.starts = starts or {}
+
+    def better(self, a, b):
+        """True when a beats b in the objective's sense."""
+        return a > b if self.maximize else a < b
+
+
+def _cylinder_hints(config):
+    """How close a zonotope is to a cylinder: all but one generator coplanar."""
+    g = np.asarray(config)
+    un = g / np.linalg.norm(g, axis=1)[:, None]
+    gram = np.abs(un @ un.T)
+    np.fill_diagonal(gram, 0.0)
+    sv = np.linalg.svd(g, compute_uv=False)
+    return {"parallel_pairs": int(np.sum(gram > 1.0 - 1e-3) // 2),
+            "coplanarity_gap": float(sv[2] / sv[0])}
+
+
+# the sharp theorem constants are the limits: crossing one reveals an evaluator bug
+RECORDS = {o.name: o for o in (
+    Objective("max-M-zonoid", GeneratorSet, lambda Z, k: GeneratorSet(Z.gens / k), (3, 8),
+              "M", 192, True, limit=8.0, sharp=8.0, hints=_cylinder_hints),
+    Objective("min-m-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "m", 192, False,
+              limit=6.0, sharp=6.0),
+    Objective("min-Q-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "Q", 48, False,
+              limit=6.0, starts={"icosphere": lambda: icosphere(1).vertices,
+                                 "cube": lambda: cube().vertices}),
+    Objective("max-ts-ratio", None, None, (1, math.inf), "t/s", None, True, sharp=4.0 / 3.0),
+)}
+
+OBJECTIVES = tuple(RECORDS)
 
 
 class SearchRun:
@@ -89,43 +149,28 @@ class SearchRun:
         return run
 
 
-def _body_of(objective, config):
-    if objective == "max-M-zonoid":
-        return GeneratorSet(config)
-    pts = np.vstack([config, -config])
-    return convex_hull(pts, symmetric=True)
-
-
 def evaluate_config(objective, config):
     """Objective value of a configuration (used for runs and on reload)."""
+    obj = RECORDS[objective]
     config = np.asarray(config, dtype=float)
-    body = None if objective == "max-ts-ratio" else _body_of(objective, config)
-    return _evaluate(objective, config, body)
+    return _evaluate(obj, config, obj.build(config) if obj.build else None)
 
 
-def _evaluate(objective, config, body):
+def _evaluate(obj, config, body):
     """Objective value of a configuration whose body is already built.
 
     Grid-only extremization: the structured candidate directions contain the
     exact extremizers of cylinder- and cone-like configurations, so the sharp
     constants stay reachable without per-step refinement.
     """
-    if objective == "max-ts-ratio":
+    if obj.quantity == "t/s":
         s_tot, t_tot = ts_sums(config[:4], config[4])
         return t_tot / s_tot if s_tot > 0.0 else 0.0
-    if objective == "max-M-zonoid":
-        rep = invariants(body, grid=_SEARCH_GRID, refine=0, want=("M",))
-        return rep.M
-    if objective == "min-m-symmetric":
-        rep = invariants(body, grid=_SEARCH_GRID, refine=0, want=("m",))
-        return rep.m
-    if objective == "min-Q-symmetric":
-        rep = invariants(body, grid=48, refine=0, want=("Q",))
-        return rep.Q
-    raise InputError(f"unknown objective {objective!r}")
+    rep = invariants(body, grid=obj.grid, refine=0, want=(obj.quantity,))
+    return getattr(rep, obj.quantity)
 
 
-def _normalize(objective, config):
+def _normalize(obj, config):
     """Rescale to volume 1 (bodies) or unit norms (tuples); None if degenerate.
 
     Returns the rescaled configuration and its body (None for tuples).  A
@@ -134,7 +179,7 @@ def _normalize(objective, config):
     rejected as well: their determinant sums lose all significant digits, so
     no value computed there can be trusted against the sharp constants.
     """
-    if objective == "max-ts-ratio":
+    if obj.build is None:
         norms = np.linalg.norm(config, axis=1)
         if np.any(norms < 1e-12):
             return None
@@ -145,36 +190,25 @@ def _normalize(objective, config):
     if sv[2] <= 1e-3 * sv[0]:
         return None
     try:
-        body = _body_of(objective, config)
-        if objective == "max-M-zonoid" and is_flat(body):
-            return None
+        body = obj.build(config)
         v = body.volume
         if not (v > 1e-9):
             return None
         k = v ** (1.0 / 3.0)
-        if objective == "max-M-zonoid":
-            return config / k, GeneratorSet(config / k)
-        return config / k, Polytope(body.vertices / k, body.facets, symmetric=True)
+        return config / k, obj.rescaled(body, k)
     except Exception:
         return None
 
 
-def _initial_config(objective, n, rng, start=None):
-    if start is not None:
-        return np.asarray(start, dtype=float)
-    if objective == "max-ts-ratio":
-        return rng.standard_normal((5, 3))
-    return rng.standard_normal((n, 3))
-
-
-def _anneal(objective, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
-    maximize = objective.startswith("max")
+def _anneal(obj, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
     state = None
     while state is None:
-        state = _normalize(objective, _initial_config(objective, n, rng, start))
+        config = (np.asarray(start, dtype=float) if start is not None
+                  else rng.standard_normal((n if obj.build else 5, 3)))
+        state = _normalize(obj, config)
         start = None  # only retry the random part
     config = state[0]
-    value = _evaluate(objective, *state)
+    value = _evaluate(obj, *state)
     best_config, best_value = config.copy(), value
     trace = [(0, value, t_start)]
     sigma = 0.3
@@ -187,17 +221,17 @@ def _anneal(objective, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
         proposal = config.copy()
         row = rng.integers(0, proposal.shape[0])
         proposal[row] = proposal[row] + sigma * rng.standard_normal(3)
-        state = _normalize(objective, proposal)
+        state = _normalize(obj, proposal)
         window += 1
         if state is not None:
             proposal = state[0]
-            cand = _evaluate(objective, *state)
-            gain = (cand - value) if maximize else (value - cand)
+            cand = _evaluate(obj, *state)
+            gain = obj.sign * (cand - value)
             if gain >= 0.0 or rng.random() < math.exp(gain / temp):
                 config, value = proposal, cand
                 accepted += 1
                 trace.append((it, value, temp))
-                if (cand > best_value) if maximize else (cand < best_value):
+                if obj.better(cand, best_value):
                     best_config, best_value = proposal.copy(), cand
         if window >= 50:
             rate = accepted / window
@@ -206,15 +240,14 @@ def _anneal(objective, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
             accepted = window = 0
     # the deterministic polish is reserved for convergence-grade budgets
     rounds = 0 if iters < 100 else max(8, min(60, iters // 10))
-    best_config, best_value = _polish(objective, best_config, best_value, rounds=rounds)
+    best_config, best_value = _polish(obj, best_config, best_value, rounds=rounds)
     return best_config, best_value, trace
 
 
-def _polish(objective, config, value, rounds=60):
+def _polish(obj, config, value, rounds=60):
     """Deterministic shrinking-step coordinate descent after annealing."""
     if rounds <= 0:
         return config, value
-    maximize = objective.startswith("max")
     step = 0.02
     flat = config.reshape(-1)
     for _ in range(rounds):
@@ -223,12 +256,12 @@ def _polish(objective, config, value, rounds=60):
             for sgn in (1.0, -1.0):
                 cand = flat.copy()
                 cand[k] += sgn * step
-                state = _normalize(objective, cand.reshape(config.shape))
+                state = _normalize(obj, cand.reshape(config.shape))
                 if state is None:
                     continue
                 cand_cfg = state[0]
-                cv = _evaluate(objective, *state)
-                if (cv > value) if maximize else (cv < value):
+                cv = _evaluate(obj, *state)
+                if obj.better(cv, value):
                     flat = cand_cfg.reshape(-1)
                     value = cv
                     improved = True
@@ -240,19 +273,16 @@ def _polish(objective, config, value, rounds=60):
     return flat.reshape(config.shape), value
 
 
-def _check_limits(objective, value):
-    if objective in _HARD_LIMITS:
-        mode, bound = _HARD_LIMITS[objective]
-        if mode == "max" and value > bound + 1e-9:
-            raise LimitError(f"{objective} produced {value} > {bound}: evaluator bug")
-        if mode == "min" and value < bound - 1e-9:
-            raise LimitError(f"{objective} produced {value} < {bound}: evaluator bug")
+def _check_limits(obj, value):
+    if obj.limit is not None and obj.better(value, obj.limit + obj.sign * 1e-9):
+        raise LimitError(f"{obj.name} produced {value} {'>' if obj.maximize else '<'} "
+                         f"{obj.limit}: evaluator bug")
 
 
 def _run_restart(args):
     objective, n, iters, seed, ridx, start = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ridx,)))
-    return _anneal(objective, n, iters, rng, start=start)
+    return _anneal(RECORDS[objective], n, iters, rng, start=start)
 
 
 def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads=1):
@@ -260,54 +290,38 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
 
     Restarts may run in parallel; the merged result is independent of the
     worker count (best-of by value, ties to the lowest restart index).
+    A random start has n rows within the objective's n_range.
     """
-    if objective not in OBJECTIVES:
+    if objective not in RECORDS:
         raise InputError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
     if iters < 1 or restarts < 1:
         raise InputError("iters and restarts must be positive")
-    if start is None:
-        if objective == "max-M-zonoid" and n > 8:
-            raise InputError("zonotope searches are limited to 8 generators")
-        if objective in ("min-m-symmetric", "min-Q-symmetric") and n > 20:
-            raise InputError("polytope searches are limited to 20 vertex pairs")
+    obj = RECORDS[objective]
+    lo, hi = obj.n_range
+    if start is None and not lo <= n <= hi:
+        raise InputError(f"{objective} searches take n from {lo} to {hi}")
     jobs = [(objective, n, iters, seed, r, start if r == 0 else None)
             for r in range(restarts)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, restarts)) as pool:
             results = list(pool.map(_run_restart, jobs))
     else:
         results = [_run_restart(j) for j in jobs]
-    maximize = objective.startswith("max")
-    best_r = 0
-    for r in range(1, restarts):
-        better = (results[r][1] > results[best_r][1]) if maximize \
-            else (results[r][1] < results[best_r][1])
-        if better:
-            best_r = r
-    best_config, best_value, trace = results[best_r]
-    _check_limits(objective, best_value)
-    diagnostics = _diagnose(objective, best_config, best_value)
+    # the first best restart wins ties
+    best_config, best_value, trace = (max if obj.maximize else min)(results, key=lambda r: r[1])
+    _check_limits(obj, best_value)
+    diagnostics = _diagnose(obj, best_config, best_value)
     return SearchRun(objective, seed, n, restarts, iters, float(best_value),
                      best_config, trace, diagnostics)
 
 
-def _diagnose(objective, config, value):
+def _diagnose(obj, config, value):
     """Equality-case hints dumped when a run lands near a sharp constant."""
     diag = {}
-    if objective == "max-M-zonoid" and value > 8.0 - 1e-3:
-        g = np.asarray(config)
-        un = g / np.linalg.norm(g, axis=1)[:, None]
-        gram = np.abs(un @ un.T)
-        np.fill_diagonal(gram, 0.0)
+    if obj.sharp is not None and obj.better(value, obj.sharp - obj.sign * 1e-3):
         diag["near_equality"] = True
-        diag["parallel_pairs"] = int(np.sum(gram > 1.0 - 1e-3) // 2)
-        # cylinders: all but one generator coplanar
-        sv = np.linalg.svd(g, compute_uv=False)
-        diag["coplanarity_gap"] = float(sv[2] / sv[0])
-    if objective == "min-m-symmetric" and value < 6.0 + 1e-3:
-        diag["near_equality"] = True
-    if objective == "max-ts-ratio" and value > 4.0 / 3.0 - 1e-3:
-        diag["near_equality"] = True
+        if obj.hints:
+            diag.update(obj.hints(config))
     return diag
 
 
@@ -333,15 +347,13 @@ def min_Q_search(n=12, restarts=1, iters=300, seed=0, start=None, threads=1):
     floor 6 is a theorem and tripping it is an evaluator bug.  `start` may be
     "icosphere", "cube", or an (n, 3) array of vertex-pair seeds.
     """
+    objective = "min-Q-symmetric"
     if isinstance(start, str):
-        if start == "icosphere":
-            v = icosphere(1).vertices
-        elif start == "cube":
-            v = cube().vertices
-        else:
+        named = RECORDS[objective].starts
+        if start not in named:
             raise InputError(f"unknown start {start!r}")
-        start = _pair_representatives(v)
-    run = optimize("min-Q-symmetric", n=n if start is None else len(start),
+        start = _pair_representatives(named[start]())
+    run = optimize(objective, n=n if start is None else len(start),
                    restarts=restarts, iters=iters, seed=seed, start=start,
                    threads=threads)
     run.diagnostics["gap_to_ball_bound"] = float(run.best_value - BALL_Q)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fixtures
 from .functionals import (candidate_directions, mixed_volume, petty_value,
-                          polar_volume, ratio_batch, sl_invariance_check,
+                          polar_volume, ratio, sl_invariance_check,
                           ts_ratio_batch)
 from .geom import fibonacci_sphere, plane_basis, unitize
 from .report import Row, check
@@ -261,13 +261,13 @@ def suite_theorem_1_1(samples=10_000, seed=31, grid=1024):
     for k in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
         dirs = np.vstack([X, candidate_directions(Z)])
-        vals = ratio_batch(Z, dirs)
+        vals = ratio(Z, dirs)
         v = float(np.max(vals))
         if v > worst:
             worst, witness = v, f"seed={seed} sample={k}"
     rows = [check("zonoid-ratio-upper", worst <= 8.0 * (1.0 + 1e-9), value=worst,
                   tolerance=8.0, detail=witness)]
-    cube_val = float(ratio_batch(fixtures.cube_zonotope(), np.eye(3)).max())
+    cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
     rows.append(check("cube-attains-8", abs(cube_val - 8.0) <= 1e-9,
                       value=cube_val, tolerance=1e-9))
     return rows
@@ -282,13 +282,13 @@ def suite_theorem_1_2(samples=1000, seed=37, grid=1024, pairs_max=12):
     for k in range(samples):
         P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, pairs_max + 1)))
         dirs = np.vstack([X, candidate_directions(P)])
-        vals = ratio_batch(P, dirs)
+        vals = ratio(P, dirs)
         v = float(np.min(vals))
         if v < worst:
             worst, witness = v, f"seed={seed} sample={k}"
     rows = [check("symmetric-ratio-lower", worst >= 6.0 * (1.0 - 1e-9), value=worst,
                   tolerance=6.0, detail=witness)]
-    oct_val = float(ratio_batch(fixtures.octahedron(), np.eye(3)).min())
+    oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
     rows.append(check("octahedron-attains-6", abs(oct_val - 6.0) <= 1e-6,
                       value=oct_val, tolerance=1e-6, direction=(0, 0, 1)))
     return rows

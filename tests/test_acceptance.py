@@ -15,7 +15,7 @@ import numpy as np
 
 from pettylab import (axis_ratio, berwald_check, cone_bound, invariants,
                       petty_value, q_direction, ratio, optimize)
-from pettylab.functionals import BALL_RATIO, ratio_batch
+from pettylab.functionals import BALL_RATIO
 from pettylab.revolution import ball_petty_value
 from pettylab.suites import (suite_class_reduction, suite_formula_coherence,
                              suite_fubini, suite_minkowski,
@@ -42,7 +42,7 @@ def test_criterion_01_zonoid_upper_bound():
     rows = suite_theorem_1_1(samples=10_000, seed=31)
     elapsed = time.monotonic() - t0
     ok, bad = all_pass(rows)
-    cube_val = float(ratio_batch(fixtures.cube_zonotope(), np.eye(3)).max())
+    cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
     ok = ok and abs(cube_val - 8.0) <= 1e-9 and elapsed < 60.0
     report(1, "zonoid ratio <= 8 on 1e4 zonotopes", ok,
            f"worst={rows[0].value:.12g} cube={cube_val:.9f} {elapsed:.1f}s {bad}")
@@ -54,7 +54,7 @@ def test_criterion_02_symmetric_lower_bound():
     elapsed = time.monotonic() - t0
     ok, bad = all_pass(rows)
     oct_ = fixtures.octahedron()
-    oct_val = float(ratio_batch(oct_, E3[None, :])[0])
+    oct_val = float(ratio(oct_, E3[None, :])[0])
     rep = invariants(oct_, grid=256, refine=20, want=("m",))
     ok = (ok and abs(oct_val - 6.0) <= 1e-6 and rep.near_cone_equality
           and elapsed < 300.0)

@@ -193,6 +193,12 @@ class TestVerify:
                             capture_output=True, text=True, timeout=600)
         assert p1.stdout == p2.stdout
 
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_malformed_seed_env_exit2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("PETTYLAB_SEED", value)
+        assert main(["verify", "formula-coherence", "--samples", "20"]) == 2
+        assert "PETTYLAB_SEED" in capsys.readouterr().err
+
 
 class TestSearchCmd:
     def test_ts_search_summary_and_files(self, tmp_path):
@@ -214,6 +220,26 @@ class TestSearchCmd:
     def test_unknown_objective_exit2(self):
         code, _, _ = run_cli("search", "maximize-everything")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "CUBE", "--grid", "1"], "--grid"),
+    (["compute", "CUBE", "--grid", "3000000000"], "--grid"),
+    (["compute", "CUBE", "--refine", "-5"], "--refine"),
+    (["search", "max-M-zonoid", "--n", "2"], "--n"),
+    (["search", "min-m-symmetric", "--n", "2"], "--n"),
+    (["search", "max-M-zonoid", "--n", "9"], "--n"),
+    (["verify", "ts-ratio", "--seed", "-1"], "--seed"),
+    (["verify", "theorem-1-1", "--samples", "0"], "--samples"),
+    (["symmetrize", "CUBE", "--mode", "schwartz", "--samples-per-piece", "0"],
+     "--samples-per-piece"),
+    (["search", "max-M-zonoid", "--start", "cube"], "--start"),
+], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
+        "seed-negative", "samples-0", "samples-per-piece-0", "zonoid-named-start"])
+def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
+    argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]
+    assert main(argv) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestSymmetrizeCmd:

@@ -12,9 +12,10 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       projection_body, q_direction,
                       ratio, s_sym, s_term, sl_invariance_check, t_sym,
                       t_term, ts_ratio)
-from pettylab.functionals import (BALL_RATIO, q_batch, ratio_batch,
-                                  sqrt_quadratic_integral, ts_ratio_batch)
+from pettylab.functionals import (BALL_RATIO, sqrt_quadratic_integral,
+                                  ts_ratio_batch)
 from pettylab import convex_hull, fixtures, slice_area
+from pettylab.revolution import rev_to_polytope
 
 E1, E2, E3 = np.eye(3)
 SHARP = 4.0 / 3.0
@@ -185,6 +186,8 @@ class TestRatio:
     def test_asymmetric_rejected(self, tetrahedron):
         with pytest.raises(SymmetryError):
             ratio(tetrahedron, E3)
+        with pytest.raises(SymmetryError):
+            ratio(tetrahedron, np.eye(3))
 
     def test_zonotope_polytope_agree(self, rng):
         from pettylab import convex_hull
@@ -215,6 +218,12 @@ class TestQDirection:
 
     def test_ball(self):
         assert q_direction(Ball(), E3) == BALL_RATIO
+
+    def test_revolution_body_is_its_polytope(self):
+        # off the axis too: the cylinder's 64-gon prism, not its axis value 8
+        R = fixtures.cylinder_profile()
+        assert q_direction(R, E1) == q_direction(rev_to_polytope(R), E1)
+        assert q_direction(R, E1) < 7.8
 
     def test_ratio_dominates_slice_functional(self, rng):
         # ratio(K, x) >= q_direction(K, x) for every direction
@@ -262,7 +271,7 @@ class TestQAgainstSlicing:
         P = fixtures.random_symmetric_polytope(rng, 7)
         X = rng.standard_normal((40, 3))
         single = [q_direction(P, x) for x in X]
-        assert np.allclose(q_batch(P, X), single, rtol=1e-13, atol=0.0)
+        assert np.allclose(q_direction(P, X), single, rtol=1e-13, atol=0.0)
 
 
 def test_cube_Q_not_above_P():

@@ -167,6 +167,38 @@ class TestChord:
                 assert gaps.min() <= 1e-7 * scale  # actually touches the boundary
 
 
+def _slice_area_loop(P, x, s):
+    """Facet-by-facet reference for the vectorized slice_area."""
+    u = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    s = float(s) / np.linalg.norm(x)
+    scale = float(np.max(np.abs(P.vertices))) or 1.0
+    if s >= float(P.support(u)) - 1e-14 * scale or s <= -float(P.support(-u)) + 1e-14 * scale:
+        return 0.0
+    heights = P.vertices @ u
+    tol = 1e-12 * scale
+    total = 0.0
+    for tri, tdir in zip(P.facets, np.cross(u, P.facet_normals)):
+        hv = heights[tri] - s
+        pts = []
+        on_plane = 0
+        for i in range(3):
+            j = (i + 1) % 3
+            if abs(hv[i]) <= tol:
+                pts.append(P.vertices[tri[i]])
+                on_plane += 1
+            elif hv[i] * hv[j] < 0.0 and abs(hv[j]) > tol:
+                t = hv[i] / (hv[i] - hv[j])
+                pts.append(P.vertices[tri[i]] + t * (P.vertices[tri[j]] - P.vertices[tri[i]]))
+        if len(pts) < 2:
+            continue
+        weight = 0.5 if on_plane == 2 and len(pts) == 2 else 1.0
+        proj = [np.dot(p, tdir) for p in pts]
+        a = pts[int(np.argmin(proj))]
+        b = pts[int(np.argmax(proj))]
+        total += weight * 0.5 * np.dot(np.cross(a, b), u)
+    return max(float(total), 0.0)
+
+
 class TestSliceArea:
     def test_cube_equator(self, cube):
         assert slice_area(cube, E3, 0.0) == pytest.approx(4.0, rel=1e-12)
@@ -209,6 +241,26 @@ class TestSliceArea:
                         s = h[k] + t * (h[k + 1] - h[k])
                         assert area == pytest.approx(slice_area(P, u, s), rel=1e-10, abs=1e-12)
                 assert np.all(c[np.diff(h) == 0.0] == 0.0)
+
+    def test_matches_facet_loop(self, rng, cube, octahedron):
+        # seeded sphere hulls, the cube and the octahedron, at every vertex
+        # height (tied ones included), between them and at random heights.
+        # The per-facet terms are of size scale^2 and cancel in thin sections,
+        # where the two may differ by a few ulps of scale^2
+        bodies = [cube, octahedron]
+        for seed in range(1, 4):
+            p = np.random.default_rng(np.random.SeedSequence([seed, 686])).standard_normal((8, 3))
+            p /= np.linalg.norm(p, axis=1)[:, None]
+            bodies.append(convex_hull(np.vstack([p, -p]), symmetric=True))
+        for P in bodies:
+            scale = float(np.max(np.abs(P.vertices)))
+            for x in np.vstack([np.eye(3), np.ones(3), rng.standard_normal((3, 3))]):
+                x = x / np.linalg.norm(x)
+                h = np.unique(P.vertices @ x)
+                for s in np.concatenate([h, (h[1:] + h[:-1]) / 2.0,
+                                         rng.uniform(h[0], h[-1], 4)]):
+                    assert slice_area(P, x, s) == pytest.approx(
+                        _slice_area_loop(P, x, s), rel=1e-14, abs=1e-14 * scale ** 2)
 
 
 class TestFibonacciSphere:

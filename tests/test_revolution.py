@@ -193,14 +193,14 @@ class TestBerwald:
 
 class TestMeshAgreement:
     def test_closed_form_vs_polytopal_pipeline(self, rng):
-        # d=3 revolution bodies realized as fine hulls: the polytope ratio at
-        # the axis agrees with the closed form to discretization accuracy
+        # d=3 revolution bodies realized as 64-gon hulls: the polytope ratio
+        # at the axis agrees with the closed form to rounding
         from pettylab import ratio
         for _ in range(5):
             R = fixtures.random_concave_profile(rng, n_nodes=4)
             P = rev_to_polytope(R, m=64)
             lhs = ratio(P, np.array([0.0, 0.0, 1.0]))
-            assert lhs == pytest.approx(axis_ratio(R), rel=0.01)
+            assert lhs == pytest.approx(axis_ratio(R), rel=1e-12)
 
     def test_support_and_volume_agree_with_realization(self, rng):
         # the exact protocol answers bound the inscribed 64-gon realization

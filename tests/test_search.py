@@ -74,6 +74,8 @@ class TestSoundness:
         with pytest.raises(InputError):
             optimize("min-m-symmetric", n=40)
         with pytest.raises(InputError):
+            optimize("max-M-zonoid", n=2)
+        with pytest.raises(InputError):
             optimize("max-ts-ratio", iters=0)
         with pytest.raises(InputError):
             optimize("no-such-objective")
@@ -117,6 +119,20 @@ class TestMinQ:
     def test_random_start_floor(self):
         run = min_Q_search(n=8, restarts=1, iters=30, seed=7)
         assert run.best_value >= 6.0 - 1e-6
+
+
+def test_workers_capped_at_restarts(monkeypatch):
+    from pettylab import search
+    seen = []
+
+    class Recording(search.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    optimize("max-ts-ratio", n=4, restarts=1, iters=20, seed=1, threads=3)
+    assert seen == [1]
 
 
 def test_parallel_restarts_match_serial():
