@@ -13,12 +13,11 @@ from .functionals import (InvariantReport, invariants, mixed_volume,
                           petty_value, polar_volume, q_direction, ratio,
                           s_sym, s_term, sl_invariance_check, t_sym, t_term,
                           ts_ratio)
-from .geom import (Polytope, SphereGrid, chord, convex_hull, fibonacci_sphere,
-                   slice_area)
+from .geom import Polytope, chord, convex_hull, fibonacci_sphere, slice_area
 from .revolution import (RevolutionBody, axis_ratio, ball_volume,
                          berwald_check, cone_bound, rev_second_proj_axis,
                          rev_volume)
-from .search import SearchRun, min_Q_search, optimize
+from .search import SearchRun, optimize
 from .symmetrize import (ChordProfile, chord_profile, schwartz,
                          schwartz_ratio_monotonicity, steiner,
                          steiner_projection_monotonicity)

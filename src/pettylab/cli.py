@@ -27,7 +27,7 @@ from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import invariants
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
-from .search import OBJECTIVES, RECORDS, min_Q_search, optimize
+from .search import OBJECTIVES, RECORDS, optimize
 from .suites import SUITES, run_suite
 from .symmetrize import schwartz, steiner, steiner_rounding_run
 
@@ -82,7 +82,7 @@ def build_parser():
     s.add_argument("--restarts", type=_int_in(1), default=2)
     s.add_argument("--iters", type=_int_in(1), default=1500)
     s.add_argument("--seed", type=_int_in(0), default=None)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_int_in(1), default=1)
     s.add_argument("--start", default=None,
                    help="named start for min-Q-symmetric (icosphere, cube)")
     s.add_argument("--out", help="write the SearchRun JSON document here")
@@ -92,7 +92,7 @@ def build_parser():
     y.add_argument("body")
     y.add_argument("--mode", choices=("steiner", "schwartz"), required=True)
     y.add_argument("--direction", default="0,0,1")
-    y.add_argument("--steps", type=int, default=1,
+    y.add_argument("--steps", type=_int_in(1), default=1,
                    help="random-direction Steiner iterations when > 1")
     y.add_argument("--seed", type=_int_in(0), default=None)
     y.add_argument("--samples-per-piece", type=_int_in(1), default=16)
@@ -169,12 +169,8 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
-    if args.start:  # only min-Q-symmetric has named starts
-        run = min_Q_search(n=args.n, restarts=args.restarts, iters=args.iters,
-                           seed=args.seed, start=args.start, threads=args.threads)
-    else:
-        run = optimize(args.objective, n=args.n, restarts=args.restarts,
-                       iters=args.iters, seed=args.seed, threads=args.threads)
+    run = optimize(args.objective, n=args.n, restarts=args.restarts, iters=args.iters,
+                   seed=args.seed, start=args.start, threads=args.threads)
     if args.out:
         run.save(args.out)
     if args.log:

@@ -117,17 +117,6 @@ def random_symmetric_polytope(rng, n_pairs):
     raise RuntimeError("could not draw a solid symmetric hull")
 
 
-def random_polytope(rng, n_points):
-    """Hull of Gaussian points (generally not symmetric)."""
-    for _ in range(100):
-        pts = rng.standard_normal((n_points, 3))
-        try:
-            return convex_hull(pts, symmetric=False)
-        except Exception:
-            continue
-    raise RuntimeError("could not draw a solid hull")
-
-
 def random_concave_profile(rng, n_nodes=6, a=1.0):
     """Even concave piecewise-linear profile with random node values.
 

@@ -142,7 +142,7 @@ def polar_volume(B, grid=100_000):
     interior.
     """
     grid = max(int(grid), 100_000)
-    h = B.support(fibonacci_sphere(grid).points)
+    h = B.support(fibonacci_sphere(grid))
     scale = float(np.max(h))
     if scale <= 0.0 or np.min(h) <= 1e-12 * scale:
         raise InputError("body must contain the origin in its interior")
@@ -335,7 +335,7 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
-    X = np.vstack([fibonacci_sphere(grid).points, candidate_directions(B)])
+    X = np.vstack([fibonacci_sphere(grid), candidate_directions(B)])
     # a zonotope is sliced as its vertex hull, built here once
     Bq = _sliceable(B) if "Q" in want else None
     found, grid_vals = {}, {}

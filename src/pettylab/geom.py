@@ -9,7 +9,7 @@ All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -71,8 +71,12 @@ def _frames(U):
             np.stack([b, s + y * y * a, -y], axis=1))
 
 
+@lru_cache(maxsize=8)
 def fibonacci_sphere(n):
-    """Deterministic, approximately equidistributed grid of n unit vectors."""
+    """Deterministic, approximately equidistributed grid of n unit vectors.
+
+    Returns a cached, read-only (n, 3) array.
+    """
     if n < 2:
         raise InputError("sphere grid needs at least 2 points")
     i = np.arange(n, dtype=float)
@@ -82,24 +86,8 @@ def fibonacci_sphere(n):
     th = golden * i
     pts = np.column_stack([r * np.cos(th), r * np.sin(th), z])
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    return SphereGrid(points=pts, resolution=n)
-
-
-class SphereGrid:
-    """Unit direction set used as an extremization domain."""
-
-    def __init__(self, points, resolution):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise InputError("sphere grid needs at least 2 points")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise InputError("sphere grid points must be unit vectors")
-        self.points = pts
-        self.resolution = int(resolution)
-
-    def __len__(self):
-        return self.points.shape[0]
+    pts.flags.writeable = False
+    return pts
 
 
 class Polytope:

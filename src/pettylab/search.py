@@ -17,17 +17,16 @@ Objectives:
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import InputError, LimitError
 from .fixtures import icosphere, cube
-from .functionals import invariants, ts_sums
+from .functionals import BALL_RATIO, invariants, ts_sums
 from .geom import Polytope, convex_hull
 from .zonotope import GeneratorSet
-
-BALL_Q = 3.0 * math.pi ** 2 / 4.0
 
 
 def _symmetric_hull(config):
@@ -49,11 +48,12 @@ class Objective:
     Fibonacci directions plus the structured candidates, or "t/s".  A best
     value beyond `limit` in the objective's sense is an evaluator bug; one
     within 1e-3 of `sharp` is flagged as near equality, with hints(config).
+    A run reports its gap to `conjectured`, an unproven optimum, when set.
     starts maps the names of fixed starting bodies to their vertices.
     """
 
     def __init__(self, name, build, rescaled, n_range, quantity, grid, maximize,
-                 limit=None, sharp=None, hints=None, starts=None):
+                 limit=None, sharp=None, conjectured=None, hints=None, starts=None):
         self.name = name
         self.build = build
         self.rescaled = rescaled
@@ -64,6 +64,7 @@ class Objective:
         self.sign = 1.0 if maximize else -1.0
         self.limit = limit
         self.sharp = sharp
+        self.conjectured = conjectured
         self.hints = hints
         self.starts = starts or {}
 
@@ -90,8 +91,8 @@ RECORDS = {o.name: o for o in (
     Objective("min-m-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "m", 192, False,
               limit=6.0, sharp=6.0),
     Objective("min-Q-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "Q", 48, False,
-              limit=6.0, starts={"icosphere": lambda: icosphere(1).vertices,
-                                 "cube": lambda: cube().vertices}),
+              limit=6.0, conjectured=BALL_RATIO,
+              starts={"icosphere": lambda: icosphere(1).vertices, "cube": lambda: cube().vertices}),
     Objective("max-ts-ratio", None, None, (1, math.inf), "t/s", None, True, sharp=4.0 / 3.0),
 )}
 
@@ -288,22 +289,32 @@ def _run_restart(args):
 def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads=1):
     """Simulated-annealing search; deterministic for a fixed seed.
 
-    Restarts may run in parallel; the merged result is independent of the
-    worker count (best-of by value, ties to the lowest restart index).
-    A random start has n rows within the objective's n_range.
+    Restarts may run in parallel, on at most one worker per restart and per
+    CPU; the merged result is independent of the worker count (best-of by
+    value, ties to the lowest restart index).  A random start has n rows
+    within the objective's n_range; `start` may instead be an (n, 3) array
+    of rows or the name of one of the objective's fixed starts, whose
+    antipodal vertex pairs become the rows.
     """
     if objective not in RECORDS:
         raise InputError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
     if iters < 1 or restarts < 1:
         raise InputError("iters and restarts must be positive")
     obj = RECORDS[objective]
+    if isinstance(start, str):
+        if start not in obj.starts:
+            raise InputError(f"unknown start {start!r} for {objective}")
+        start = _pair_representatives(obj.starts[start]())
     lo, hi = obj.n_range
-    if start is None and not lo <= n <= hi:
+    if start is not None:
+        n = len(start)
+    elif not lo <= n <= hi:
         raise InputError(f"{objective} searches take n from {lo} to {hi}")
     jobs = [(objective, n, iters, seed, r, start if r == 0 else None)
             for r in range(restarts)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, restarts)) as pool:
+        workers = min(threads, restarts, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_restart, jobs))
     else:
         results = [_run_restart(j) for j in jobs]
@@ -316,12 +327,14 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
 
 
 def _diagnose(obj, config, value):
-    """Equality-case hints dumped when a run lands near a sharp constant."""
+    """Equality-case hints near a sharp constant; the gap to a conjectured one."""
     diag = {}
     if obj.sharp is not None and obj.better(value, obj.sharp - obj.sign * 1e-3):
         diag["near_equality"] = True
         if obj.hints:
             diag.update(obj.hints(config))
+    if obj.conjectured is not None:
+        diag["gap_to_ball_bound"] = float(value - obj.conjectured)
     return diag
 
 
@@ -338,23 +351,3 @@ def _pair_representatives(vertices):
         if not any(np.linalg.norm(w - u) < 1e-9 for u in out):
             out.append(w)
     return np.array(out)
-
-
-def min_Q_search(n=12, restarts=1, iters=300, seed=0, start=None, threads=1):
-    """Search for small Q; reports the gap to the conjectured bound 3*pi^2/4.
-
-    No assertion that the bound is attained (it is a conjecture); the hard
-    floor 6 is a theorem and tripping it is an evaluator bug.  `start` may be
-    "icosphere", "cube", or an (n, 3) array of vertex-pair seeds.
-    """
-    objective = "min-Q-symmetric"
-    if isinstance(start, str):
-        named = RECORDS[objective].starts
-        if start not in named:
-            raise InputError(f"unknown start {start!r}")
-        start = _pair_representatives(named[start]())
-    run = optimize(objective, n=n if start is None else len(start),
-                   restarts=restarts, iters=iters, seed=seed, start=start,
-                   threads=threads)
-    run.diagnostics["gap_to_ball_bound"] = float(run.best_value - BALL_Q)
-    return run

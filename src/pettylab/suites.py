@@ -2,22 +2,19 @@
 
 Each suite draws seeded random inputs, checks an inequality or identity at
 its stated tolerance, and returns report rows; FAIL rows carry the seed and
-sample index needed to reproduce the witness.  Suite names:
-
-    ts-ratio, formula-coherence, fubini, minkowski, steiner-monotone,
-    schwartz-monotone, berwald, zhang-petty, theorem-1-1, theorem-1-2,
-    sl-invariance, class-reduction
+sample index needed to reproduce the witness.  SUITES maps each name to its
+function and default sample count.
 """
 
 import zlib
+from collections import namedtuple
 
 import numpy as np
 
 from . import fixtures
-from .functionals import (candidate_directions, mixed_volume, petty_value,
-                          polar_volume, ratio, sl_invariance_check,
-                          ts_ratio_batch)
-from .geom import fibonacci_sphere, plane_basis, unitize
+from .functionals import (invariants, mixed_volume, petty_value, polar_volume,
+                          ratio, sl_invariance_check, ts_ratio_batch)
+from .geom import plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import (schwartz_ratio_monotonicity,
@@ -34,7 +31,19 @@ def _rng(seed, tag):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def suite_ts_ratio(samples=100_000, seed=42):
+def _worst(seed, values, lowest=False, label="sample", notes=None):
+    """The largest (smallest if lowest) per-sample value and its witness.
+
+    The witness "seed=S sample=K" names the first sample attaining the
+    value, followed by notes[K] when notes are given.
+    """
+    values = np.asarray(values, dtype=float)
+    k = int(np.argmin(values) if lowest else np.argmax(values))
+    witness = f"seed={seed} {label}={k}" + (f" {notes[k]}" if notes else "")
+    return float(values[k]), witness
+
+
+def suite_ts_ratio(samples, seed):
     """t_sym <= (4/3) s_sym on random 4-tuples; parallel pairs give exactly 4/3."""
     rng = _rng(seed, "ts")
     tuples = rng.standard_normal((samples, 4, 3))
@@ -65,27 +74,24 @@ def suite_ts_ratio(samples=100_000, seed=42):
     return rows
 
 
-def suite_formula_coherence(samples=200, seed=7):
+def suite_formula_coherence(samples, seed):
     """Shadow formula vs zonogon oracle (1e-12) and direct vs composed h_{Pi^2} (1e-9)."""
     rng = _rng(seed, "coherence")
-    worst_shadow = 0.0
-    worst_second = 0.0
-    witness = ""
-    for k in range(samples):
+    shadow, second = [], []
+    for _ in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
         x = unitize(rng.standard_normal(3))
         a1 = z_shadow_area(Z, x)
-        # oracle: project generators to x-perp and take the zonogon area
+        # oracles: project generators to x-perp and take the zonogon area, and
+        # the support of Pi Z
         e1, e2 = plane_basis(x)
         a2 = zonogon_area(np.column_stack([Z.gens @ e1, Z.gens @ e2]))
-        rel = abs(a1 - a2) / max(a1, 1e-300)
-        if rel > worst_shadow:
-            worst_shadow, witness = rel, f"seed={seed} sample={k}"
+        piZ = projection_body(Z)
+        shadow.append(max(abs(a1 - a2), abs(a1 - piZ.support(x))) / max(a1, 1e-300))
         b1 = second_proj_support(Z, x)
-        b2 = z_shadow_area(projection_body(Z), x)
-        worst_second = max(worst_second, abs(b1 - b2) / max(b1, 1e-300))
-        s1 = projection_body(Z).support(x)
-        worst_shadow = max(worst_shadow, abs(a1 - s1) / max(a1, 1e-300))
+        second.append(abs(b1 - z_shadow_area(piZ, x)) / max(b1, 1e-300))
+    worst_shadow, witness = _worst(seed, shadow)
+    worst_second = max(second)
     return [
         check("shadow-vs-zonogon-oracle", worst_shadow <= 1e-12, value=worst_shadow,
               tolerance=1e-12, detail=witness),
@@ -94,12 +100,11 @@ def suite_formula_coherence(samples=200, seed=7):
     ]
 
 
-def suite_fubini(samples=200, seed=11):
+def suite_fubini(samples, seed):
     """V(Pi L, Pi K) = V(Pi^2 K, L) on random body pairs; cube/tet gives 64."""
     rng = _rng(seed, "fubini")
-    worst = 0.0
-    witness = ""
-    for k in range(samples):
+    rels = []
+    for _ in range(samples):
         K = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
         if rng.random() < 0.5:
             L = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
@@ -108,9 +113,8 @@ def suite_fubini(samples=200, seed=11):
         piK = projection_body(K)
         lhs = mixed_volume(projection_body(L), piK)
         rhs = mixed_volume(projection_body(piK), L)
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        if rel > worst:
-            worst, witness = rel, f"seed={seed} sample={k}"
+        rels.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    worst, witness = _worst(seed, rels)
     rows = [check("fubini-identity", worst <= 1e-9, value=worst, tolerance=1e-9,
                   detail=witness)]
     cube_z = fixtures.cube_zonotope()
@@ -123,22 +127,18 @@ def suite_fubini(samples=200, seed=11):
     return rows
 
 
-def suite_minkowski(samples=200, seed=13):
+def suite_minkowski(samples, seed):
     """V(K,L) >= V(K)^{1/3} V(L)^{2/3} and V(K,K) = V(K) on random pairs."""
     rng = _rng(seed, "minkowski")
-    worst_gap = np.inf
-    worst_diag = 0.0
-    witness = ""
-    for k in range(samples):
+    slack, diag = [], []
+    for _ in range(samples):
         K = _random_body(rng)
         L = _random_body(rng)
         vK, vL = K.volume, L.volume
-        mv = mixed_volume(K, L)
-        slack = mv / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0))
-        if slack < worst_gap:
-            worst_gap, witness = slack, f"seed={seed} sample={k}"
-        diag = abs(mixed_volume(L, L) - vL) / vL
-        worst_diag = max(worst_diag, diag)
+        slack.append(mixed_volume(K, L) / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0)))
+        diag.append(abs(mixed_volume(L, L) - vL) / vL)
+    worst_gap, witness = _worst(seed, slack, lowest=True)
+    worst_diag = max(diag)
     return [
         check("minkowski-inequality", worst_gap >= 1.0 - 1e-9, value=worst_gap,
               tolerance=1.0, detail=witness),
@@ -153,57 +153,52 @@ def _random_body(rng):
     return fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
 
 
-def suite_steiner_monotone(samples=500, seed=17):
+def suite_steiner_monotone(samples, seed):
     """Shadow of Pi K on planes through nu never grows under Steiner."""
     rng = _rng(seed, "steiner")
-    worst = -np.inf
-    witness = ""
-    for k in range(samples):
+    gaps = []
+    for _ in range(samples):
         P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
         nu = unitize(rng.standard_normal(3))
         h2 = unitize(rng.standard_normal(3))
         if abs(np.dot(nu, h2)) > 1.0 - 1e-6:
+            gaps.append(-np.inf)  # no plane through nu and h2
             continue
         before, after = steiner_projection_monotonicity(P, nu, h2)
-        gap = (after - before) / max(before, 1e-300)
-        if gap > worst:
-            worst, witness = gap, f"seed={seed} sample={k}"
+        gaps.append((after - before) / max(before, 1e-300))
+    worst, witness = _worst(seed, gaps)
     return [check("steiner-shadow-monotone", worst <= 1e-9, value=worst,
                   tolerance=1e-9, detail=witness)]
 
 
-def suite_schwartz_monotone(samples=200, seed=19):
+def suite_schwartz_monotone(samples, seed):
     """Direction ratio never grows under Schwartz symmetrization."""
     rng = _rng(seed, "schwartz")
-    worst = -np.inf
-    witness = ""
-    for k in range(samples):
+    gaps = []
+    for _ in range(samples):
         P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
         x = unitize(rng.standard_normal(3))
         before, after = schwartz_ratio_monotonicity(P, x)
-        gap = after - before
-        if gap > worst:
-            worst, witness = gap, f"seed={seed} sample={k}"
+        gaps.append(after - before)
+    worst, witness = _worst(seed, gaps)
     return [check("schwartz-ratio-monotone", worst <= 1e-6, value=worst,
                   tolerance=1e-6, detail=witness)]
 
 
-def suite_berwald(samples=1000, seed=23):
+def suite_berwald(samples, seed):
     """Moment comparison on random concave profiles; equality only for tents."""
     rng = _rng(seed, "berwald")
-    worst = -np.inf
+    gaps = []
     false_equal = 0
-    witness = ""
-    for k in range(samples):
+    for _ in range(samples):
         R = fixtures.random_concave_profile(rng, n_nodes=int(rng.integers(3, 8)))
         p = float(rng.uniform(0.3, 2.0))
         q = p + float(rng.uniform(0.2, 2.0))
         res = berwald_check(R.s, R.f, p, q)
-        gap = (res.rhs - res.lhs) / max(res.lhs, 1e-300)
-        if gap > worst:
-            worst, witness = gap, f"seed={seed} sample={k}"
+        gaps.append((res.rhs - res.lhs) / max(res.lhs, 1e-300))
         if res.equality and not _is_tent(R):
             false_equal += 1
+    worst, witness = _worst(seed, gaps)
     tent = fixtures.double_cone_profile()
     res = berwald_check(tent.s, tent.f, 1.0, 2.0)
     rows = [
@@ -226,20 +221,17 @@ def _is_tent(R):
     return bool(np.max(np.abs(f - lin)) <= 1e-10 * f.max())
 
 
-def suite_zhang_petty(samples=100, seed=29):
+def suite_zhang_petty(samples, seed):
     """20/27 <= V((Pi K)^polar) V(K)^2 <= 64/27 at 1% quadrature tolerance."""
     rng = _rng(seed, "zhang")
     lo_band, hi_band = 20.0 / 27.0, 64.0 / 27.0
-    lo_seen, hi_seen = np.inf, -np.inf
-    witness = ""
-    for k in range(samples):
+    vals = []
+    for _ in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
         Z = GeneratorSet(Z.gens / Z.volume ** (1.0 / 3.0))
-        val = polar_volume(projection_body(Z)) * Z.volume ** 2
-        if val < lo_seen:
-            lo_seen = val
-            witness = f"seed={seed} sample={k}"
-        hi_seen = max(hi_seen, val)
+        vals.append(polar_volume(projection_body(Z)) * Z.volume ** 2)
+    lo_seen, witness = _worst(seed, vals, lowest=True)
+    hi_seen = max(vals)
     ok = lo_seen >= lo_band * 0.99 and hi_seen <= hi_band * 1.01
     rows = [check("zhang-petty-band", ok, value=lo_seen, tolerance=lo_band,
                   detail=f"range [{lo_seen:.6g}, {hi_seen:.6g}] in "
@@ -252,19 +244,17 @@ def suite_zhang_petty(samples=100, seed=29):
     return rows
 
 
-def suite_theorem_1_1(samples=10_000, seed=31, grid=1024):
+def _grid_extremum(B, name):
+    """M or m of B on the 1024-point grid plus candidates, unrefined."""
+    return getattr(invariants(B, grid=1024, refine=0, want=(name,)), name)
+
+
+def suite_theorem_1_1(samples, seed):
     """Zonoid upper bound: ratio <= 8 in every direction, cube attains 8."""
     rng = _rng(seed, "thm11")
-    X = fibonacci_sphere(grid).points
-    worst = -np.inf
-    witness = ""
-    for k in range(samples):
-        Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
-        dirs = np.vstack([X, candidate_directions(Z)])
-        vals = ratio(Z, dirs)
-        v = float(np.max(vals))
-        if v > worst:
-            worst, witness = v, f"seed={seed} sample={k}"
+    M = [_grid_extremum(fixtures.random_zonotope(rng, int(rng.integers(3, 9))), "M")
+         for _ in range(samples)]
+    worst, witness = _worst(seed, M)
     rows = [check("zonoid-ratio-upper", worst <= 8.0 * (1.0 + 1e-9), value=worst,
                   tolerance=8.0, detail=witness)]
     cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
@@ -273,19 +263,12 @@ def suite_theorem_1_1(samples=10_000, seed=31, grid=1024):
     return rows
 
 
-def suite_theorem_1_2(samples=1000, seed=37, grid=1024, pairs_max=12):
+def suite_theorem_1_2(samples, seed):
     """Symmetric lower bound: ratio >= 6 in every direction; octahedron attains 6."""
     rng = _rng(seed, "thm12")
-    X = fibonacci_sphere(grid).points
-    worst = np.inf
-    witness = ""
-    for k in range(samples):
-        P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, pairs_max + 1)))
-        dirs = np.vstack([X, candidate_directions(P)])
-        vals = ratio(P, dirs)
-        v = float(np.min(vals))
-        if v < worst:
-            worst, witness = v, f"seed={seed} sample={k}"
+    m = [_grid_extremum(fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13))), "m")
+         for _ in range(samples)]
+    worst, witness = _worst(seed, m, lowest=True)
     rows = [check("symmetric-ratio-lower", worst >= 6.0 * (1.0 - 1e-9), value=worst,
                   tolerance=6.0, detail=witness)]
     oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
@@ -294,11 +277,9 @@ def suite_theorem_1_2(samples=1000, seed=37, grid=1024, pairs_max=12):
     return rows
 
 
-def suite_sl_invariance(samples=12, seed=41, grid=2048):
+def suite_sl_invariance(samples, seed):
     """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
     rng = _rng(seed, "sl")
-    worst = 0.0
-    witness = ""
     bodies = [fixtures.cube_zonotope(), fixtures.octahedron()]
     maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             np.diag([2.0, 0.5, 1.0])]
@@ -307,10 +288,8 @@ def suite_sl_invariance(samples=12, seed=41, grid=2048):
         B = _random_body(rng)
         T = _random_unimodular(rng)
         cases.append((B, T))
-    for k, (B, T) in enumerate(cases[:samples]):
-        dev = sl_invariance_check(B, T, grid=grid, refine=60)
-        if dev > worst:
-            worst, witness = dev, f"seed={seed} case={k}"
+    devs = [sl_invariance_check(B, T, grid=2048, refine=60) for B, T in cases[:samples]]
+    worst, witness = _worst(seed, devs, label="case")
     return [check("sl-invariance", worst <= 1e-4, value=worst, tolerance=1e-4,
                   detail=witness)]
 
@@ -327,52 +306,44 @@ def _random_unimodular(rng):
     return A / d ** (1.0 / 3.0)
 
 
-def suite_class_reduction(samples=100, seed=43):
-    """P(Pi K) <= P(K); both values logged for every body."""
+def suite_class_reduction(samples, seed):
+    """P(Pi K) <= P(K); the worst body's two values are logged."""
     rng = _rng(seed, "classred")
-    worst = -np.inf
-    witness = ""
-    for k in range(samples):
+    gaps, notes = [], []
+    for _ in range(samples):
         B = _random_body(rng)
         pk = petty_value(B)
-        piB = GeneratorSet(merge_parallel(projection_body(B).gens))
-        ppk = petty_value(piB)
-        gap = (ppk - pk) / max(pk, 1e-300)
-        if gap > worst:
-            worst, witness = gap, f"seed={seed} sample={k} P(K)={pk:.9g} P(PiK)={ppk:.9g}"
+        ppk = petty_value(GeneratorSet(merge_parallel(projection_body(B).gens)))
+        gaps.append((ppk - pk) / max(pk, 1e-300))
+        notes.append(f"P(K)={pk:.9g} P(PiK)={ppk:.9g}")
+    worst, witness = _worst(seed, gaps, notes=notes)
     return [check("class-reduction", worst <= 1e-9, value=worst, tolerance=1e-9,
                   detail=witness)]
 
 
-SUITES = {
-    "ts-ratio": suite_ts_ratio,
-    "formula-coherence": suite_formula_coherence,
-    "fubini": suite_fubini,
-    "minkowski": suite_minkowski,
-    "steiner-monotone": suite_steiner_monotone,
-    "schwartz-monotone": suite_schwartz_monotone,
-    "berwald": suite_berwald,
-    "zhang-petty": suite_zhang_petty,
-    "theorem-1-1": suite_theorem_1_1,
-    "theorem-1-2": suite_theorem_1_2,
-    "sl-invariance": suite_sl_invariance,
-    "class-reduction": suite_class_reduction,
-}
+Suite = namedtuple("Suite", "run samples")
 
-_DEFAULT_SAMPLES = {
-    "ts-ratio": 100_000, "formula-coherence": 200, "fubini": 200,
-    "minkowski": 200, "steiner-monotone": 500, "schwartz-monotone": 200,
-    "berwald": 1000, "zhang-petty": 100, "theorem-1-1": 10_000,
-    "theorem-1-2": 1000, "sl-invariance": 12, "class-reduction": 100,
+SUITES = {
+    "ts-ratio": Suite(suite_ts_ratio, 100_000),
+    "formula-coherence": Suite(suite_formula_coherence, 200),
+    "fubini": Suite(suite_fubini, 200),
+    "minkowski": Suite(suite_minkowski, 200),
+    "steiner-monotone": Suite(suite_steiner_monotone, 500),
+    "schwartz-monotone": Suite(suite_schwartz_monotone, 200),
+    "berwald": Suite(suite_berwald, 1000),
+    "zhang-petty": Suite(suite_zhang_petty, 100),
+    "theorem-1-1": Suite(suite_theorem_1_1, 10_000),
+    "theorem-1-2": Suite(suite_theorem_1_2, 1000),
+    "sl-invariance": Suite(suite_sl_invariance, 12),
+    "class-reduction": Suite(suite_class_reduction, 100),
 }
 
 
 def run_suite(name, samples=None, seed=42):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    kwargs = {"seed": seed}
-    kwargs["samples"] = samples if samples is not None else _DEFAULT_SAMPLES[name]
-    rows = SUITES[name](**kwargs)
+    suite = SUITES[name]
+    rows = suite.run(samples=suite.samples if samples is None else samples, seed=seed)
     summary = Row(f"suite:{name}",
                   status="FAIL" if any(r.status == "FAIL" for r in rows) else "PASS",
                   detail=f"{sum(r.status != 'FAIL' for r in rows)}/{len(rows)} checks passed")

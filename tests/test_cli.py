@@ -8,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pettylab import bodies, fixtures, load_body, save_body
+from pettylab import (GeneratorSet, GeometryError, bodies, convex_hull, fixtures,
+                      load_body, save_body)
 from pettylab.cli import main
 
 
@@ -48,6 +51,41 @@ class TestBodyFiles:
         S = load_body(tmp_path / "r.json")
         assert S.d == 3 and S.a == 1.0
         assert np.array_equal(S.s, R.s) and np.array_equal(S.f, R.f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dict_json_roundtrip(self, data):
+        kind = data.draw(st.sampled_from(["zonotope", "polytope", "revolution", "ball"]))
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        point = st.lists(coord, min_size=3, max_size=3)
+        if kind == "zonotope":
+            gens = np.array(data.draw(st.lists(point, min_size=1, max_size=10)))
+            assume(np.all(np.linalg.norm(gens, axis=1) > 0.0))
+            B = GeneratorSet(gens)
+        elif kind == "polytope":
+            pts = np.array(data.draw(st.lists(point, min_size=2, max_size=10)))
+            try:
+                B = convex_hull(np.vstack([pts, -pts]), symmetric=True)
+            except GeometryError:
+                assume(False)
+        elif kind == "revolution":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            B = fixtures.random_concave_profile(rng, n_nodes=data.draw(st.integers(2, 8)),
+                                                a=data.draw(st.floats(0.1, 10.0)))
+        else:
+            B = fixtures.ball()
+        C = bodies.body_from_dict(json.loads(json.dumps(bodies.body_to_dict(B))))
+        assert type(C) is type(B)
+        if kind == "zonotope":
+            assert np.array_equal(C.gens, B.gens)
+        elif kind == "polytope":
+            X = np.vstack([np.eye(3), B.vertices])
+            assert C.symmetric
+            assert C.volume == pytest.approx(B.volume, rel=1e-12)
+            assert np.array_equal(C.support(X), B.support(X))
+        elif kind == "revolution":
+            assert (C.d, C.a) == (B.d, B.a)
+            assert np.array_equal(C.s, B.s) and np.array_equal(C.f, B.f)
 
     def test_parse_error_context(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -213,6 +251,13 @@ class TestSearchCmd:
         assert doc["objective"] == "max-ts-ratio"
         assert out_log.read_text().count("\n") == len(doc["trace"])
 
+    @pytest.mark.parametrize("start", [[], ["--start", "cube"]], ids=["random", "cube"])
+    def test_min_Q_reports_gap(self, capsys, start):
+        code = main(["search", "min-Q-symmetric", "--n", "4", "--iters", "3",
+                     "--seed", "1", *start])
+        assert code == 0
+        assert ", gap-to-ball-bound=" in capsys.readouterr().out
+
     def test_bad_budget_exit2(self):
         code, _, _ = run_cli("search", "max-ts-ratio", "--iters", "0")
         assert code == 2
@@ -234,8 +279,12 @@ class TestSearchCmd:
     (["symmetrize", "CUBE", "--mode", "schwartz", "--samples-per-piece", "0"],
      "--samples-per-piece"),
     (["search", "max-M-zonoid", "--start", "cube"], "--start"),
+    (["search", "max-ts-ratio", "--threads", "-4"], "--threads"),
+    (["search", "max-ts-ratio", "--threads", "0"], "--threads"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--steps", "-4"], "--steps"),
 ], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
-        "seed-negative", "samples-0", "samples-per-piece-0", "zonoid-named-start"])
+        "seed-negative", "samples-0", "samples-per-piece-0", "zonoid-named-start",
+        "threads-negative", "threads-0", "steps-negative"])
 def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
     argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]
     assert main(argv) == 2
@@ -301,12 +350,11 @@ def test_failing_suite_exit4(monkeypatch, capsys):
     from pettylab import suites as suites_mod
     from pettylab.report import check
 
-    def broken(samples=1, seed=0):
+    def broken(samples, seed):
         return [check("always-broken", False, value=1.0, tolerance=0.0,
                       detail=f"seed={seed}")]
 
-    monkeypatch.setitem(suites_mod.SUITES, "ts-ratio", broken)
-    monkeypatch.setitem(suites_mod._DEFAULT_SAMPLES, "ts-ratio", 1)
+    monkeypatch.setitem(suites_mod.SUITES, "ts-ratio", suites_mod.Suite(broken, 1))
     code = main(["--no-timestamp", "verify", "ts-ratio"])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out

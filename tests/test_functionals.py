@@ -300,8 +300,12 @@ def _pieces(draw):
         w = 10.0 ** draw(st.floats(-12.0, 0.0))
         b, c = w * draw(st.floats(-3.0, 3.0)), w * w * draw(st.floats(-3.0, 3.0))
     # rounding may leave q(1) a few ulps below zero at a tip
-    assume(a + b + c >= -1e-15 * max(abs(a), abs(b), abs(c)))
-    assume(not (c > 0.0 and 0.0 < -b / (2.0 * c) < 1.0 and a - b * b / (4.0 * c) < 0.0))
+    m = max(abs(a), abs(b), abs(c)) or 1.0
+    assume(a + b + c >= -1e-15 * m)
+    # no interior minimum below zero; tested at unit scale, where b * b
+    # cannot underflow to 0 and let a piece negative inside [0, 1] through
+    a1, b1, c1 = a / m, b / m, c / m
+    assume(not (c1 > 0.0 and 0.0 < -b1 / (2.0 * c1) < 1.0 and a1 - b1 * b1 / (4.0 * c1) < 0.0))
     return a, b, c
 
 

@@ -266,11 +266,11 @@ class TestSliceArea:
 class TestFibonacciSphere:
     def test_two_points(self):
         g = fibonacci_sphere(2)
-        assert len(g) == 2
-        assert np.dot(g.points[0], g.points[1]) < 0.0  # roughly antipodal
+        assert g.shape == (2, 3)
+        assert np.dot(g[0], g[1]) < 0.0  # roughly antipodal
 
     def test_equidistribution(self):
-        g = fibonacci_sphere(2048).points
+        g = fibonacci_sphere(2048)
         # max nearest-neighbor angular gap below 0.1 rad, measured directly
         dots = np.clip(g @ g.T, -1.0, 1.0)
         np.fill_diagonal(dots, -1.0)
@@ -278,7 +278,7 @@ class TestFibonacciSphere:
         assert gaps.max() < 0.1
 
     def test_unit_norms(self):
-        g = fibonacci_sphere(999).points
+        g = fibonacci_sphere(999)
         assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) <= 1e-12
 
     def test_too_few(self):
@@ -286,4 +286,10 @@ class TestFibonacciSphere:
             fibonacci_sphere(1)
 
     def test_deterministic(self):
-        assert np.array_equal(fibonacci_sphere(128).points, fibonacci_sphere(128).points)
+        assert np.array_equal(fibonacci_sphere(128), fibonacci_sphere(128).copy())
+
+    def test_cached_read_only(self):
+        g = fibonacci_sphere(128)
+        assert fibonacci_sphere(128) is g
+        with pytest.raises(ValueError):
+            g[0, 0] = 2.0

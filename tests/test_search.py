@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pettylab import InputError, min_Q_search, optimize
+from pettylab import InputError, optimize
 from pettylab.search import SearchRun, evaluate_config
 
 SHARP_TS = 4.0 / 3.0
@@ -105,23 +105,28 @@ class TestConvergence:
 
 class TestMinQ:
     def test_icosphere_start_near_ball_bound(self):
-        run = min_Q_search(restarts=1, iters=15, seed=2, start="icosphere")
+        run = optimize("min-Q-symmetric", restarts=1, iters=15, seed=2, start="icosphere")
         assert run.best_value <= (3 * np.pi ** 2 / 4) * 1.02
         assert run.best_value >= 6.0 - 1e-6
         assert "gap_to_ball_bound" in run.diagnostics
 
     def test_cube_start_decreasing_trace(self):
-        run = min_Q_search(restarts=1, iters=60, seed=3, start="cube")
+        run = optimize("min-Q-symmetric", restarts=1, iters=60, seed=3, start="cube")
         vals = [v for _, v, _ in run.trace]
         assert vals[0] == pytest.approx(8.0, abs=1e-5)
         assert run.best_value < vals[0]
 
     def test_random_start_floor(self):
-        run = min_Q_search(n=8, restarts=1, iters=30, seed=7)
+        run = optimize("min-Q-symmetric", n=8, restarts=1, iters=30, seed=7)
         assert run.best_value >= 6.0 - 1e-6
+        assert run.diagnostics["gap_to_ball_bound"] == run.best_value - 3 * np.pi ** 2 / 4
+
+    def test_unknown_start(self):
+        with pytest.raises(InputError):
+            optimize("min-Q-symmetric", start="dodecahedron")
 
 
-def test_workers_capped_at_restarts(monkeypatch):
+def _record_workers(monkeypatch):
     from pettylab import search
     seen = []
 
@@ -131,8 +136,20 @@ def test_workers_capped_at_restarts(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    return seen
+
+
+def test_workers_capped_at_restarts(monkeypatch):
+    seen = _record_workers(monkeypatch)
     optimize("max-ts-ratio", n=4, restarts=1, iters=20, seed=1, threads=3)
     assert seen == [1]
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    seen = _record_workers(monkeypatch)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    optimize("max-ts-ratio", n=4, restarts=3, iters=20, seed=1, threads=64)
+    assert seen == [2]
 
 
 def test_parallel_restarts_match_serial():

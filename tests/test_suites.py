@@ -1,9 +1,16 @@
 """Every registered verification suite runs green at reduced sample counts."""
 
+import re
+
+import numpy as np
 import pytest
 
+from pettylab import fixtures, fibonacci_sphere, ratio
+from pettylab.functionals import candidate_directions
+from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
-from pettylab.suites import SUITES, run_suite
+from pettylab.suites import SUITES, _rng, _worst, run_suite
+from pettylab.symmetrize import schwartz_ratio_monotonicity
 
 SMALL = {
     "ts-ratio": 2000,
@@ -35,11 +42,55 @@ def test_unknown_suite():
         run_suite("nope")
 
 
-def test_fail_rows_carry_witness():
-    rows = run_suite("formula-coherence", samples=10, seed=1)
-    for r in rows:
-        if r.status == "FAIL":
-            assert "seed=" in r.detail
+def test_worst_takes_first_sample_on_ties():
+    assert _worst(5, [1.0, 3.0, 3.0, 2.0]) == (3.0, "seed=5 sample=1")
+    assert _worst(5, [2.0, 1.0, 1.0], lowest=True) == (1.0, "seed=5 sample=1")
+    assert _worst(5, [0.0, 0.0], label="case") == (0.0, "seed=5 case=0")
+    assert _worst(5, [1.0, 2.0], notes=["a", "b"]) == (2.0, "seed=5 sample=1 b")
+
+
+def _grid_ratios(B):
+    return ratio(B, np.vstack([fibonacci_sphere(1024), candidate_directions(B)]))
+
+
+def _max_ratio(rng):
+    return float(np.max(_grid_ratios(fixtures.random_zonotope(rng, int(rng.integers(3, 9))))))
+
+
+def _min_ratio(rng):
+    P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13)))
+    return float(np.min(_grid_ratios(P)))
+
+
+def _schwartz_gap(rng):
+    P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
+    before, after = schwartz_ratio_monotonicity(P, unitize(rng.standard_normal(3)))
+    return after - before
+
+
+# suite -> (its stream's tag, one sample drawn from the stream and valued,
+# whether the worst value is the lowest)
+REPLAYS = {
+    "theorem-1-1": ("thm11", _max_ratio, False),
+    "theorem-1-2": ("thm12", _min_ratio, True),
+    "schwartz-monotone": ("schwartz", _schwartz_gap, False),
+}
+
+
+@pytest.mark.parametrize("name, samples", [("theorem-1-1", 40), ("theorem-1-2", 25),
+                                           ("schwartz-monotone", 6)])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_witness_replays_to_row_value(name, samples, seed):
+    tag, sample, lowest = REPLAYS[name]
+    row = run_suite(name, samples=samples, seed=seed)[0]
+    witness = re.fullmatch(rf"seed={seed} sample=(\d+)", row.detail)
+    assert witness, row.detail
+    rng = _rng(seed, tag)
+    vals = [sample(rng) for _ in range(samples)]
+    k = int(witness.group(1))
+    assert row.value == vals[k]
+    # the witness is the first sample attaining the worst value
+    assert k == (int(np.argmin(vals)) if lowest else int(np.argmax(vals)))
 
 
 def test_render_csv_and_json():
