@@ -12,6 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import fixtures
+from .errors import InputError
 from .functionals import (invariants, mixed_volume, petty_value, polar_volume,
                           ratio, sl_invariance_check, ts_ratio_batch)
 from .geom import plane_basis, unitize
@@ -35,10 +36,17 @@ def _worst(seed, values, lowest=False, label="sample", notes=None):
     """The largest (smallest if lowest) per-sample value and its witness.
 
     The witness "seed=S sample=K" names the first sample attaining the
-    value, followed by notes[K] when notes are given.
+    value, followed by notes[K] when notes are given.  A value of -inf
+    (+inf if lowest) marks a skipped sample: when no sample was evaluated,
+    the result is that value with an empty witness.
     """
+    skipped = np.inf if lowest else -np.inf
     values = np.asarray(values, dtype=float)
+    if not values.size:
+        return skipped, ""
     k = int(np.argmin(values) if lowest else np.argmax(values))
+    if values[k] == skipped:
+        return skipped, ""
     witness = f"seed={seed} {label}={k}" + (f" {notes[k]}" if notes else "")
     return float(values[k]), witness
 
@@ -342,6 +350,8 @@ SUITES = {
 def run_suite(name, samples=None, seed=42):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    if samples is not None and samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     suite = SUITES[name]
     rows = suite.run(samples=suite.samples if samples is None else samples, seed=seed)
     summary = Row(f"suite:{name}",

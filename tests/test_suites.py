@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pettylab import fixtures, fibonacci_sphere, ratio
+from pettylab.errors import InputError
 from pettylab.functionals import candidate_directions
 from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
@@ -47,6 +48,20 @@ def test_worst_takes_first_sample_on_ties():
     assert _worst(5, [2.0, 1.0, 1.0], lowest=True) == (1.0, "seed=5 sample=1")
     assert _worst(5, [0.0, 0.0], label="case") == (0.0, "seed=5 case=0")
     assert _worst(5, [1.0, 2.0], notes=["a", "b"]) == (2.0, "seed=5 sample=1 b")
+
+
+def test_worst_without_evaluated_samples():
+    # -inf (+inf when lowest) marks a skipped sample; none names no witness
+    assert _worst(5, [-np.inf, -np.inf]) == (-np.inf, "")
+    assert _worst(5, [np.inf], lowest=True) == (np.inf, "")
+    assert _worst(5, []) == (-np.inf, "")
+    assert _worst(5, [-np.inf, -1.0]) == (-1.0, "seed=5 sample=1")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_suite_needs_a_sample(samples):
+    with pytest.raises(InputError):
+        run_suite("theorem-1-1", samples=samples)
 
 
 def _grid_ratios(B):
