@@ -11,9 +11,8 @@ from .errors import (BodyFileError, FlatBodyError, GeometryError, InputError,
                      LimitError, SymmetryError)
 from .functionals import (InvariantReport, invariants, mixed_volume,
                           petty_value, polar_volume, q_direction, ratio,
-                          s_sym, s_term, sl_invariance_check, t_sym, t_term,
-                          ts_ratio)
-from .geom import Polytope, chord, convex_hull, fibonacci_sphere, slice_area
+                          s_term, sl_invariance_check, t_term, ts_sums)
+from .geom import Polytope, chords, convex_hull, fibonacci_sphere, slice_area
 from .revolution import (RevolutionBody, axis_ratio, ball_volume,
                          berwald_check, cone_bound, rev_second_proj_axis,
                          rev_volume)
@@ -21,7 +20,6 @@ from .search import SearchRun, optimize
 from .symmetrize import (ChordProfile, chord_profile, schwartz,
                          schwartz_ratio_monotonicity, steiner,
                          steiner_projection_monotonicity)
-from .zonotope import (GeneratorSet, projection_body, second_proj_support,
-                       z_shadow_area, z_volume)
+from .zonotope import GeneratorSet, second_proj_support, z_shadow_area, z_volume
 
 __version__ = "0.1.0"

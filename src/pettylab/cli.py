@@ -40,6 +40,10 @@ EXIT_SUITE = 4
 # size icosphere3's M peaks near 0.6 GB, and larger grids exhaust memory.
 GRID_MAX = 100_000
 
+# Largest --samples.  The suites draw their samples up front; at this size
+# verify ts-ratio peaks near 0.22 GB, and larger counts exhaust memory.
+SAMPLES_MAX = 1_000_000
+
 
 def _int_in(lo, hi=math.inf):
     """argparse type: an integer from lo to hi."""
@@ -70,7 +74,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES), metavar="suite",
                    help=f"one of: {', '.join(sorted(SUITES))}")
-    v.add_argument("--samples", type=_int_in(1), default=None)
+    v.add_argument("--samples", type=_int_in(1, SAMPLES_MAX), default=None)
     v.add_argument("--seed", type=_int_in(0), default=None)
     v.add_argument("--format", choices=("csv", "json"), default="csv")
     v.add_argument("--out")

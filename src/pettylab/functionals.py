@@ -10,8 +10,9 @@ The two quadrilinear forms s_term/t_term drive the sharp constant 4/3: their
 symmetrizations satisfy t_sym <= (4/3) s_sym, which is equivalent to the
 zonoid bound M <= 8.
 
-Index convention: s_sym/t_sym sum over the 24 permutations of the four
-vector arguments (distinct indices).  The bridging identity
+Index convention: s_sym/t_sym sum s_term/t_term over the 24 orders of the
+four vectors of a tuple (distinct indices); ts_sums evaluates both in closed
+form, with 4 + 3 terms.  The bridging identity
 
     ratio(Z, x) = 6 * sum_{tuples} t_term / sum_{tuples} s_term
 
@@ -19,7 +20,6 @@ over ordered generator 4-tuples fixes the normalization; the cube calibrates
 the constant (8 = 6 * 4/3).
 """
 
-import itertools
 import math
 from collections import namedtuple
 from functools import partial, wraps
@@ -37,8 +37,11 @@ from .zonotope import (GeneratorSet, pair_crosses, z_shadow_area,
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 
-# the 24 permutations in lexicographic order; sums run in this order
-_PERMS4 = list(itertools.permutations(range(4)))
+# the tuple without v_l, for l = 1..3, oriented so that w_0 = -(w_1 + w_2 + w_3)
+# in ts_sums
+_TRIPLES = np.array([[2, 0, 3], [0, 1, 3], [1, 0, 2]])
+# (b x c)_k = b_{k+1} c_{k+2} - b_{k+2} c_{k+1}
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def s_term(a, b, c, w, x):
@@ -53,73 +56,42 @@ def t_term(a, b, c, w, x):
     return abs(float(np.dot(np.cross(np.cross(a, b), np.cross(c, w)), x)))
 
 
-def ts_sums(vs, x):
-    """(s_sym, t_sym) of four 3-vectors vs and a direction x, in plain floats.
+def ts_sums(V, X):
+    """(s_sym, t_sym) of a (4, 3) tuple V and a direction X, as two floats.
 
-    Loop-based on purpose: the annealer calls this tens of thousands of
-    times, where per-call numpy overhead would dominate.
+    Rows V (B, 4, 3) and X (B, 3) give two arrays, one entry per row, equal
+    to single calls bit for bit.  s_term repeats over the 6 orders of each
+    triple and t_term over the 8 orders of each pairing {ij|kl}.  Let
+    w_l = +-det(V without v_l) <v_l, x>, signed so that the four sum to 0
+    (Cramer's rule).  Binet-Cauchy,
+    det(a x b, c x d, x) = det(a,b,d) <c,x> - det(a,b,c) <d,x>, makes the
+    pairing {ij|kl} worth |w_k + w_l|, so
+
+        s_sym = 6 * (|w_1 + w_2 + w_3| + |w_1| + |w_2| + |w_3|)
+        t_sym = 8 * (|w_2 + w_3| + |w_1 + w_3| + |w_1 + w_2|)
+
+    and t_sym <= (4/3) s_sym is Hlawka's inequality in w_1, w_2, w_3.
+    Taking w_0 from the other three keeps it to the rounding of these sums
+    even where the determinants cancel, as in near-coplanar tuples.  A
+    coplanar tuple gives s_sym = t_sym = 0.
     """
-    v = [(float(r[0]), float(r[1]), float(r[2])) for r in vs]
-    x0, x1, x2 = (float(c) for c in x)
-    cross = {}
-    for i in range(4):
-        for j in range(4):
-            if i != j and (i, j) not in cross:
-                a, b = v[i], v[j]
-                cross[(i, j)] = (a[1] * b[2] - a[2] * b[1],
-                                 a[2] * b[0] - a[0] * b[2],
-                                 a[0] * b[1] - a[1] * b[0])
-    s_tot = t_tot = 0.0
-    for (i, j, k, l) in _PERMS4:
-        cij = cross[(i, j)]
-        ckl = cross[(k, l)]
-        w = v[l]
-        c = v[k]
-        s_tot += abs(cij[0] * c[0] + cij[1] * c[1] + cij[2] * c[2]) \
-            * abs(w[0] * x0 + w[1] * x1 + w[2] * x2)
-        ccx = (cij[1] * ckl[2] - cij[2] * ckl[1],
-               cij[2] * ckl[0] - cij[0] * ckl[2],
-               cij[0] * ckl[1] - cij[1] * ckl[0])
-        t_tot += abs(ccx[0] * x0 + ccx[1] * x1 + ccx[2] * x2)
-    return s_tot, t_tot
-
-
-def _checked_sums(x1, x2, x3, x4, x):
-    return ts_sums([as_vec(v, 3) for v in (x1, x2, x3, x4)], as_vec(x, 3))
-
-
-def s_sym(x1, x2, x3, x4, x):
-    """Sum of s_term over the 24 argument permutations; symmetric in x1..x4."""
-    return _checked_sums(x1, x2, x3, x4, x)[0]
-
-
-def t_sym(x1, x2, x3, x4, x):
-    """Sum of t_term over the 24 argument permutations; symmetric in x1..x4."""
-    return _checked_sums(x1, x2, x3, x4, x)[1]
-
-
-def ts_ratio(x1, x2, x3, x4, x):
-    """t_sym / s_sym, or None when s_sym vanishes (then t_sym vanishes too)."""
-    s, t = _checked_sums(x1, x2, x3, x4, x)
-    return t / s if s > 0.0 else None
-
-
-def ts_ratio_batch(tuples, xs):
-    """Vectorized t_sym/s_sym for (B, 4, 3) tuples and (B, 3) directions.
-
-    Entries with s_sym = 0 come back as NaN.
-    """
-    v = np.asarray(tuples, dtype=float)
-    x = np.asarray(xs, dtype=float)
-    s_tot = np.zeros(v.shape[0])
-    t_tot = np.zeros(v.shape[0])
-    for p in _PERMS4:
-        a, b, c, w = v[:, p[0]], v[:, p[1]], v[:, p[2]], v[:, p[3]]
-        s_tot += np.abs(np.einsum("ij,ij->i", np.cross(a, b), c)
-                        * np.einsum("ij,ij->i", w, x))
-        t_tot += np.abs(np.einsum("ij,ij->i", np.cross(np.cross(a, b), np.cross(c, w)), x))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(s_tot > 0.0, t_tot / s_tot, np.nan)
+    V = np.asarray(V, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if V.shape[-2:] != (4, 3) or V.shape[:-2] + (3,) != X.shape or X.ndim > 2:
+        raise InputError(f"expected (4, 3) and 3 or (B, 4, 3) and (B, 3) arrays, "
+                         f"got {V.shape} and {X.shape}")
+    V, Xs = V.reshape(-1, 4, 3), X.reshape(-1, 3)
+    s, t = np.empty(Xs.shape[0]), np.empty(Xs.shape[0])
+    # the triples and their products take ~1 kB per row
+    for sl in _chunks(Xs.shape[0], 1024):
+        T = V[sl][:, _TRIPLES]
+        a, b, c = T[:, :, 0], T[:, :, 1], T[:, :, 2]
+        det = np.sum(a * (b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]),
+                     axis=-1)
+        w1, w2, w3 = (det * np.sum(V[sl, 1:] * Xs[sl, None, :], axis=-1)).T
+        s[sl] = 6.0 * (np.abs(w1 + w2 + w3) + np.abs(w1) + np.abs(w2) + np.abs(w3))
+        t[sl] = 8.0 * (np.abs(w2 + w3) + np.abs(w1 + w3) + np.abs(w1 + w2))
+    return (float(s[0]), float(t[0])) if X.ndim == 1 else (s, t)
 
 
 # --- mixed volumes and polars -------------------------------------------------

@@ -243,12 +243,6 @@ def chords(P, bases, direction):
     return lo, hi
 
 
-def chord(P, base, direction):
-    """Intersection {t : base + t*dir in P} as (f, g), or None if the line misses."""
-    lo, hi = chords(P, as_vec(base, 3)[None, :], as_vec(direction, 3))
-    return None if np.isnan(lo[0]) else (float(lo[0]), float(hi[0]))
-
-
 def slice_area(P, x, s):
     """Area of the section polygon P cut by the plane <y, x> = s.
 

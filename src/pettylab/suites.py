@@ -14,14 +14,14 @@ import numpy as np
 from . import fixtures
 from .errors import InputError
 from .functionals import (invariants, mixed_volume, petty_value, polar_volume,
-                          ratio, sl_invariance_check, ts_ratio_batch)
+                          ratio, sl_invariance_check, ts_sums)
 from .geom import plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import (schwartz_ratio_monotonicity,
                          steiner_projection_monotonicity)
-from .zonotope import (GeneratorSet, merge_parallel, projection_body,
-                       second_proj_support, z_shadow_area, zonogon_area)
+from .zonotope import (GeneratorSet, second_proj_support, z_shadow_area,
+                       zonogon_area)
 
 SHARP_TS = 4.0 / 3.0
 
@@ -51,17 +51,20 @@ def _worst(seed, values, lowest=False, label="sample", notes=None):
     return float(values[k]), witness
 
 
+def _ts_ratios(tuples, xs):
+    """t_sym/s_sym per sample; -inf, a skipped sample, where s_sym = 0."""
+    s, t = ts_sums(tuples, xs)
+    return np.divide(t, s, out=np.full(s.shape, -np.inf), where=s > 0.0)
+
+
 def suite_ts_ratio(samples, seed):
     """t_sym <= (4/3) s_sym on random 4-tuples; parallel pairs give exactly 4/3."""
     rng = _rng(seed, "ts")
     tuples = rng.standard_normal((samples, 4, 3))
     xs = rng.standard_normal((samples, 3))
-    r = ts_ratio_batch(tuples, xs)
-    finite = r[~np.isnan(r)]
-    worst = float(np.max(finite))
+    worst, witness = _worst(seed, _ts_ratios(tuples, xs))
     rows = [check("ts-ratio-bound", worst <= SHARP_TS + 1e-12, value=worst,
-                  tolerance=SHARP_TS + 1e-12,
-                  detail=f"seed={seed} samples={samples}")]
+                  tolerance=SHARP_TS + 1e-12, detail=witness)]
     # tuples with a repeated direction sit exactly on the constant; keep the
     # family away from the degenerate slabs (coplanar triple, direction
     # orthogonal to the repeated vector) where cancellation would eat the
@@ -73,12 +76,10 @@ def suite_ts_ratio(samples, seed):
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     dets = np.abs(np.einsum("ij,ij->i", np.cross(par[:, 0], par[:, 1]), par[:, 2]))
     dots = np.abs(np.einsum("ij,ij->i", par[:, 2], xs))
-    ok_idx = (dets > 1e-2) & (dots > 1e-2)
-    rp = ts_ratio_batch(par[ok_idx], xs[ok_idx])
-    rp = rp[~np.isnan(rp)]
-    dev = float(np.max(np.abs(rp - SHARP_TS))) if rp.size else 0.0
+    dev, witness = _worst(seed, np.where((dets > 1e-2) & (dots > 1e-2),
+                                         np.abs(_ts_ratios(par, xs) - SHARP_TS), -np.inf))
     rows.append(check("ts-ratio-parallel-pair", dev <= 1e-12, value=dev,
-                      tolerance=1e-12, detail=f"seed={seed}"))
+                      tolerance=1e-12, detail=witness))
     return rows
 
 
@@ -94,17 +95,16 @@ def suite_formula_coherence(samples, seed):
         # the support of Pi Z
         e1, e2 = plane_basis(x)
         a2 = zonogon_area(np.column_stack([Z.gens @ e1, Z.gens @ e2]))
-        piZ = projection_body(Z)
-        shadow.append(max(abs(a1 - a2), abs(a1 - piZ.support(x))) / max(a1, 1e-300))
+        shadow.append(max(abs(a1 - a2), abs(a1 - Z.pi_body.support(x))) / max(a1, 1e-300))
         b1 = second_proj_support(Z, x)
-        second.append(abs(b1 - z_shadow_area(piZ, x)) / max(b1, 1e-300))
-    worst_shadow, witness = _worst(seed, shadow)
-    worst_second = max(second)
+        second.append(abs(b1 - z_shadow_area(Z.pi_body, x)) / max(b1, 1e-300))
+    worst_shadow, shadow_witness = _worst(seed, shadow)
+    worst_second, second_witness = _worst(seed, second)
     return [
         check("shadow-vs-zonogon-oracle", worst_shadow <= 1e-12, value=worst_shadow,
-              tolerance=1e-12, detail=witness),
+              tolerance=1e-12, detail=shadow_witness),
         check("second-support-direct-vs-composed", worst_second <= 1e-9,
-              value=worst_second, tolerance=1e-9, detail=f"seed={seed}"),
+              value=worst_second, tolerance=1e-9, detail=second_witness),
     ]
 
 
@@ -118,17 +118,16 @@ def suite_fubini(samples, seed):
             L = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
         else:
             L = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
-        piK = projection_body(K)
-        lhs = mixed_volume(projection_body(L), piK)
-        rhs = mixed_volume(projection_body(piK), L)
+        lhs = mixed_volume(L.pi_body, K.pi_body)
+        rhs = mixed_volume(K.pi_body.pi_body, L)
         rels.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
     worst, witness = _worst(seed, rels)
     rows = [check("fubini-identity", worst <= 1e-9, value=worst, tolerance=1e-9,
                   detail=witness)]
     cube_z = fixtures.cube_zonotope()
     tet = fixtures.tetrahedron()
-    lhs = mixed_volume(projection_body(tet), projection_body(cube_z))
-    rhs = mixed_volume(projection_body(projection_body(cube_z)), tet)
+    lhs = mixed_volume(tet.pi_body, cube_z.pi_body)
+    rhs = mixed_volume(cube_z.pi_body.pi_body, tet)
     ok = abs(lhs - 64.0) <= 1e-9 and abs(rhs - 64.0) <= 1e-9
     rows.append(check("fubini-cube-tetrahedron", ok, value=lhs, tolerance=1e-9,
                       detail=f"both sides should be 64, got {lhs:.12g}/{rhs:.12g}"))
@@ -145,13 +144,13 @@ def suite_minkowski(samples, seed):
         vK, vL = K.volume, L.volume
         slack.append(mixed_volume(K, L) / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0)))
         diag.append(abs(mixed_volume(L, L) - vL) / vL)
-    worst_gap, witness = _worst(seed, slack, lowest=True)
-    worst_diag = max(diag)
+    worst_gap, gap_witness = _worst(seed, slack, lowest=True)
+    worst_diag, diag_witness = _worst(seed, diag)
     return [
         check("minkowski-inequality", worst_gap >= 1.0 - 1e-9, value=worst_gap,
-              tolerance=1.0, detail=witness),
+              tolerance=1.0, detail=gap_witness),
         check("mixed-volume-diagonal", worst_diag <= 1e-9, value=worst_diag,
-              tolerance=1e-9, detail=f"seed={seed}"),
+              tolerance=1e-9, detail=diag_witness),
     ]
 
 
@@ -237,7 +236,7 @@ def suite_zhang_petty(samples, seed):
     for _ in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
         Z = GeneratorSet(Z.gens / Z.volume ** (1.0 / 3.0))
-        vals.append(polar_volume(projection_body(Z)) * Z.volume ** 2)
+        vals.append(polar_volume(Z.pi_body) * Z.volume ** 2)
     lo_seen, witness = _worst(seed, vals, lowest=True)
     hi_seen = max(vals)
     ok = lo_seen >= lo_band * 0.99 and hi_seen <= hi_band * 1.01
@@ -246,7 +245,7 @@ def suite_zhang_petty(samples, seed):
                          f"[{lo_band:.6g}, {hi_band:.6g}] (1%); {witness}")]
     # simplex attains the lower end: the tetrahedron pins the quadrature
     tet = fixtures.tetrahedron()
-    val = polar_volume(projection_body(tet)) * tet.volume ** 2
+    val = polar_volume(tet.pi_body) * tet.volume ** 2
     rows.append(check("zhang-simplex-extremal", abs(val - lo_band) <= 0.01 * lo_band,
                       value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27"))
     return rows
@@ -321,7 +320,7 @@ def suite_class_reduction(samples, seed):
     for _ in range(samples):
         B = _random_body(rng)
         pk = petty_value(B)
-        ppk = petty_value(GeneratorSet(merge_parallel(projection_body(B).gens)))
+        ppk = petty_value(B.pi_body)
         gaps.append((ppk - pk) / max(pk, 1e-300))
         notes.append(f"P(K)={pk:.9g} P(PiK)={ppk:.9g}")
     worst, witness = _worst(seed, gaps, notes=notes)

@@ -19,7 +19,7 @@ from .errors import FlatBodyError, InputError, SymmetryError
 from .geom import chords, convex_hull, plane_basis, slice_quadratics, unitize
 from .revolution import RevolutionBody, axis_ratio
 from .functionals import ratio
-from .zonotope import projection_body, z_shadow_area
+from .zonotope import z_shadow_area
 
 DUPLICATE_TOL = 1e-10
 
@@ -187,8 +187,8 @@ def steiner_projection_monotonicity(P, nu, h_second):
         raise InputError("second direction must be independent of nu")
     # the shadow on H = span(nu, e2) is the shadow along the normal nu x e2
     w = np.cross(nu, unitize(perp))
-    before = z_shadow_area(projection_body(P), w)
-    after = z_shadow_area(projection_body(steiner(P, nu)), w)
+    before = z_shadow_area(P.pi_body, w)
+    after = z_shadow_area(steiner(P, nu).pi_body, w)
     return float(before), float(after)
 
 

@@ -10,7 +10,8 @@ determinants over generator tuples:
 
 and the projection body of Z is the zonotope generated by {4 (x_i x x_j)}.
 The facet normals of a polytope give its projection body the same way, one
-generator (area/2) * normal per triangle.
+generator (area/2) * normal per triangle.  Either body keeps Pi K as its
+cached `pi_body`.
 
 Shadows are the one primitive (`z_shadow_area`): the support of Pi^2 K is
 the shadow of Pi K, and V(Z) = (2/3) sum_k V_2(Z | x_k^perp), since each
@@ -20,6 +21,7 @@ as the zonogon boundary in angular order (O(n log n) per direction); both
 are exact, and both run over chunks of directions of bounded size.
 """
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -213,29 +215,23 @@ def _sorted_shadow(G, X):
     return out
 
 
-def projection_body(K):
-    """Projection body Pi K of a zonotope or polytope, as a GeneratorSet.
-
-    Built from K.projection_generators(); parallel generators are kept
-    separate (support and volume sums are additive, so merging is never
-    required for correctness).
-    """
-    return GeneratorSet(K.projection_generators())
-
-
 def second_proj_support(Z, x):
     """Support value of the second projection body, h_{Pi^2 Z}(x).
 
-    Direct tuple-sum evaluation: 8 * sum over ordered 4-tuples (i,j,k,l) of
-    |det(x_i x x_j, x_k x x_l, x)|, computed over i<j, k<l with multiplicity
-    4 (absolute values make the orientation irrelevant).  Kept as the
-    independent oracle of the projection-body pipeline.
+    The independent oracle of the projection-body pipeline: 64 * sum over
+    pairs {(i, j), (k, l)} of generator pairs of |det(x_i x x_j, x_k x x_l, x)|,
+    enumerated here and not through pair_crosses, each term by Binet-Cauchy
+    as det(x_i, x_j, x_l) <x_k, x> - det(x_i, x_j, x_k) <x_l, x>.
     """
     if is_flat(Z):
         raise FlatBodyError("flat zonotope has no second projection body")
-    cc = pair_crosses(pair_crosses(Z, drop_zero=True))
-    # ordered (a,b) combos of i<j pairs double the a<b sum; times multiplicity 4
-    return 64.0 * float(np.sum(np.abs(cc @ as_vec(x, 3))))
+    g = as_set(Z).gens
+    pairs = itertools.combinations(itertools.combinations(range(len(g)), 2), 2)
+    (i, j), (k, l) = (np.array(side).T for side in zip(*pairs))
+    gij, gx = np.cross(g[i], g[j]), g @ as_vec(x, 3)
+    terms = (np.einsum("ij,ij->i", gij, g[l]) * gx[k]
+             - np.einsum("ij,ij->i", gij, g[k]) * gx[l])
+    return 64.0 * float(np.sum(np.abs(terms)))
 
 
 def merge_parallel(gens, tol=1e-12):

@@ -276,6 +276,7 @@ class TestSearchCmd:
     (["search", "max-M-zonoid", "--n", "9"], "--n"),
     (["verify", "ts-ratio", "--seed", "-1"], "--seed"),
     (["verify", "theorem-1-1", "--samples", "0"], "--samples"),
+    (["verify", "ts-ratio", "--samples", "3000000000"], "--samples"),
     (["symmetrize", "CUBE", "--mode", "schwartz", "--samples-per-piece", "0"],
      "--samples-per-piece"),
     (["search", "max-M-zonoid", "--start", "cube"], "--start"),
@@ -283,8 +284,8 @@ class TestSearchCmd:
     (["search", "max-ts-ratio", "--threads", "0"], "--threads"),
     (["symmetrize", "CUBE", "--mode", "steiner", "--steps", "-4"], "--steps"),
 ], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
-        "seed-negative", "samples-0", "samples-per-piece-0", "zonoid-named-start",
-        "threads-negative", "threads-0", "steps-negative"])
+        "seed-negative", "samples-0", "samples-3e9", "samples-per-piece-0",
+        "zonoid-named-start", "threads-negative", "threads-0", "steps-negative"])
 def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
     argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]
     assert main(argv) == 2

@@ -1,5 +1,6 @@
 """Invariants, tuple functionals, mixed volumes, polar volumes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,9 @@ from hypothesis import strategies as st
 
 from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       invariants, mixed_volume, petty_value, polar_volume,
-                      projection_body, q_direction,
-                      ratio, s_sym, s_term, sl_invariance_check, t_sym,
-                      t_term, ts_ratio)
-from pettylab.functionals import (BALL_RATIO, sqrt_quadratic_integral,
-                                  ts_ratio_batch)
+                      q_direction, ratio, s_term, sl_invariance_check, t_term,
+                      ts_sums)
+from pettylab.functionals import BALL_RATIO, sqrt_quadratic_integral
 from pettylab import convex_hull, fixtures, slice_area
 from pettylab.revolution import rev_to_polytope
 
@@ -50,45 +49,89 @@ class TestTerms:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def _perm_sums(V, x):
+    """s_sym and t_sym by definition: s_term/t_term over the 24 orders of V."""
+    orders = list(itertools.permutations(V))
+    return (sum(s_term(a, b, c, w, x) for a, b, c, w in orders),
+            sum(t_term(a, b, c, w, x) for a, b, c, w in orders))
+
+
+# zero or at least 1e-3 in magnitude: products of four tiny coordinates
+# underflow, in the definition and the closed form alike
+_coord = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+_vec = st.lists(_coord, min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def _tuples(draw):
+    """A 4-tuple and a direction: generic, with a repeated vector, coplanar,
+    or with the direction orthogonal to one vector."""
+    V = np.array([draw(_vec) for _ in range(4)])
+    x = draw(_vec)
+    kind = draw(st.sampled_from(["generic", "repeated", "coplanar", "orthogonal"]))
+    if kind == "repeated":
+        V[3] = V[2] * draw(st.floats(0.25, 4.0))
+    elif kind == "coplanar":
+        V[:, 2] = 0.0
+    elif kind == "orthogonal":
+        x = np.cross(V[draw(st.integers(0, 3))], x)
+    return kind, V, x
+
+
 class TestSymmetrized:
     def test_enumeration_values(self):
-        assert s_sym(E1, E2, E3, E3, E3) == 12.0
-        assert t_sym(E1, E2, E3, E3, E3) == 16.0
+        assert ts_sums([E1, E2, E3, E3], E3) == (12.0, 16.0)
 
     def test_degenerate_tuple(self):
-        assert s_sym(E1, E2, E1 + E2, E1, E3) == 0.0
-        assert t_sym(E1, E2, E1 + E2, E1, E3) == 0.0
+        assert ts_sums([E1, E2, E1 + E2, E1], E3) == (0.0, 0.0)
 
     def test_symmetry_in_arguments(self, rng):
         v = rng.standard_normal((4, 3))
         x = rng.standard_normal(3)
-        base = s_sym(*v, x), t_sym(*v, x)
-        perm = s_sym(v[2], v[0], v[3], v[1], x), t_sym(v[2], v[0], v[3], v[1], x)
-        assert base == pytest.approx(perm, rel=1e-12)
+        assert ts_sums(v, x) == pytest.approx(ts_sums(v[[2, 0, 3, 1]], x), rel=1e-12)
 
     def test_ratio_parallel_pair(self):
-        assert ts_ratio(E1, E2, E3, E3, E3) == pytest.approx(SHARP, abs=1e-15)
+        s, t = ts_sums([E1, E2, E3, E3], E3)
+        assert t / s == pytest.approx(SHARP, abs=1e-15)
 
     def test_ratio_undefined(self):
-        assert ts_ratio(E1, E2, E1 + E2, E1, E3) is None
+        # a degenerate row reads s_sym = t_sym = 0 among regular rows
+        s, t = ts_sums([[E1, E2, E3, E3], [E1, E2, E1 + E2, E1]], [E3, E3])
+        assert (s[1], t[1]) == (0.0, 0.0) and s[0] > 0.0
 
     def test_sharp_bound_random(self, rng):
         tuples = rng.standard_normal((100_000, 4, 3))
         xs = rng.standard_normal((100_000, 3))
-        r = ts_ratio_batch(tuples, xs)
-        finite = r[~np.isnan(r)]
-        assert float(np.max(finite)) <= SHARP + 1e-12
+        s, t = ts_sums(tuples, xs)
+        assert np.all(s > 0.0)
+        assert float(np.max(t / s)) <= SHARP + 1e-12
 
     def test_batch_matches_scalar(self, rng):
-        tuples = rng.standard_normal((50, 4, 3))
-        xs = rng.standard_normal((50, 3))
-        batch = ts_ratio_batch(tuples, xs)
-        for k in range(50):
-            r = ts_ratio(*tuples[k], xs[k])
-            if r is None:
-                assert np.isnan(batch[k])
-            else:
-                assert batch[k] == pytest.approx(r, rel=1e-12)
+        # rows cross chunk boundaries; each equals its single call bit for bit
+        tuples = rng.standard_normal((3000, 4, 3))
+        xs = rng.standard_normal((3000, 3))
+        s, t = ts_sums(tuples, xs)
+        for k in range(0, 3000, 7):
+            assert ts_sums(tuples[k], xs[k]) == (s[k], t[k])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InputError):
+            ts_sums(np.zeros((2, 4, 3)), np.zeros(3))
+
+    @given(_tuples())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_permutation_sums(self, case):
+        kind, V, x = case
+        s, t = ts_sums(V, x)
+        s_ref, t_ref = _perm_sums(V, x)
+        # every term is at most |v_1||v_2||v_3||v_4||x|: rel 1e-12 of that scale
+        scale = 24.0 * np.prod(np.linalg.norm(V, axis=1)) * np.linalg.norm(x)
+        assert s == pytest.approx(s_ref, rel=1e-12, abs=1e-12 * scale)
+        assert t == pytest.approx(t_ref, rel=1e-12, abs=1e-12 * scale)
+        if kind == "coplanar":
+            assert (s, t) == (0.0, 0.0)
+        if kind == "repeated" and s > 1e-6 * scale:
+            assert t / s == pytest.approx(SHARP, rel=1e-9)
 
 
 class TestBridgingIdentity:
@@ -121,19 +164,16 @@ class TestMixedVolume:
         assert mixed_volume(octahedron, cube) == pytest.approx(8.0, rel=1e-12)
 
     def test_fubini_cube_tetrahedron(self, tetrahedron):
-        Z = fixtures.cube_zonotope()
-        piK = projection_body(Z)
-        piL = projection_body(tetrahedron)
-        assert mixed_volume(piL, piK) == pytest.approx(64.0, rel=1e-12)
-        assert mixed_volume(projection_body(piK), tetrahedron) == pytest.approx(
-            64.0, rel=1e-12)
+        piK = fixtures.cube_zonotope().pi_body
+        assert mixed_volume(tetrahedron.pi_body, piK) == pytest.approx(64.0, rel=1e-12)
+        assert mixed_volume(piK.pi_body, tetrahedron) == pytest.approx(64.0, rel=1e-12)
 
     def test_fubini_random(self, rng):
         for _ in range(60):
             K = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
             L = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
-            lhs = mixed_volume(projection_body(L), projection_body(K))
-            rhs = mixed_volume(projection_body(projection_body(K)), L)
+            lhs = mixed_volume(L.pi_body, K.pi_body)
+            rhs = mixed_volume(K.pi_body.pi_body, L)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_minkowski_inequality(self, rng):
@@ -393,14 +433,12 @@ class TestSLInvariance:
 
 class TestClassReduction:
     def test_P_of_projection_body_not_larger(self, rng):
-        from pettylab.zonotope import merge_parallel
         for _ in range(30):
             if rng.random() < 0.5:
                 B = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
             else:
                 B = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 9)))
-            piB = GeneratorSet(merge_parallel(projection_body(B).gens))
-            assert petty_value(piB) <= petty_value(B) * (1.0 + 1e-9)
+            assert petty_value(B.pi_body) <= petty_value(B) * (1.0 + 1e-9)
 
     def test_projection_mixed_volume_bound(self, rng):
         # V(Pi L, Pi K) <= 8 V(K) V(K, L) for zonotope pairs
@@ -408,7 +446,7 @@ class TestClassReduction:
         for _ in range(40):
             K = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
             L = fixtures.random_zonotope(rng, int(rng.integers(3, 7)))
-            lhs = mixed_volume(projection_body(L), projection_body(K))
+            lhs = mixed_volume(L.pi_body, K.pi_body)
             rhs = 8.0 * z_volume(K) * mixed_volume(K, L)
             assert lhs <= rhs * (1.0 + 1e-9)
 

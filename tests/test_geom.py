@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from pettylab import (FlatBodyError, InputError, chord, convex_hull,
+from pettylab import (FlatBodyError, InputError, chords, convex_hull,
                       fibonacci_sphere, slice_area, z_volume)
 from pettylab.geom import slice_quadratics
 from pettylab.zonotope import pair_crosses
@@ -142,14 +142,17 @@ class TestSupport:
 
 class TestChord:
     def test_cube_axis(self, cube):
-        assert chord(cube, [0, 0, 0], E3) == (-1.0, 1.0)
+        f, g = chords(cube, np.zeros((1, 3)), E3)
+        assert (f[0], g[0]) == (-1.0, 1.0)
 
     def test_octahedron_offset(self, octahedron):
-        f, g = chord(octahedron, [0.5, 0, 0], E3)
-        assert (f, g) == pytest.approx((-0.5, 0.5), abs=1e-12)
+        f, g = chords(octahedron, np.array([[0.5, 0, 0]]), E3)
+        assert (f[0], g[0]) == pytest.approx((-0.5, 0.5), abs=1e-12)
 
     def test_miss(self, cube):
-        assert chord(cube, [2, 0, 0], E3) is None
+        f, g = chords(cube, np.array([[2.0, 0, 0], [0.5, 0, 0]]), E3)
+        assert np.isnan(f[0]) and np.isnan(g[0])
+        assert (f[1], g[1]) == (-1.0, 1.0)
 
     def test_endpoints_on_boundary(self, rng):
         # both returned points must satisfy every facet plane to 1e-9
@@ -158,7 +161,7 @@ class TestChord:
             base = P.vertices.mean(axis=0)
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
-            f, g = chord(P, base, d)
+            (f,), (g,) = chords(P, base[None, :], d)
             scale = np.max(np.abs(P.vertices))
             for t in (f, g):
                 p = base + t * d
