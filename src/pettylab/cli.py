@@ -29,7 +29,7 @@ from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
 from .suites import SUITES, run_suite
-from .symmetrize import schwartz, steiner, steiner_rounding_run
+from .symmetrize import schwartz, schwartz_ratio_monotonicity, steiner, steiner_rounding_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,7 +99,6 @@ def build_parser():
     y.add_argument("--steps", type=_int_in(1), default=1,
                    help="random-direction Steiner iterations when > 1")
     y.add_argument("--seed", type=_int_in(0), default=None)
-    y.add_argument("--samples-per-piece", type=_int_in(1), default=16)
     y.add_argument("--track-ratio", default=None,
                    help="direction for the before/after ratio pair")
     y.add_argument("--out")
@@ -201,11 +200,10 @@ def cmd_symmetrize(args):
     track = _parse_direction(args.track_ratio) if args.track_ratio else None
     v_before = body.volume
     if track is not None:
-        from .symmetrize import schwartz_ratio_monotonicity
-        rb, ra = schwartz_ratio_monotonicity(body, track, args.samples_per_piece)
+        rb, ra = schwartz_ratio_monotonicity(body, track)
         print(f"ratio before {fmt(rb)} after {fmt(ra)} (direction {args.track_ratio})")
     if args.mode == "schwartz":
-        out_body = schwartz(body, direction, samples_per_piece=args.samples_per_piece)
+        out_body = schwartz(body, direction)
     elif args.steps > 1:
         out_body, trace = steiner_rounding_run(body, args.steps, args.seed)
         print(f"roundness {fmt(trace[0])} -> {fmt(trace[-1])} over {args.steps} steps")

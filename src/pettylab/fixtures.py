@@ -8,6 +8,7 @@ profiles, plus reproducible random zonotopes and symmetric hulls.
 import numpy as np
 
 from .bodies import Ball
+from .errors import GeometryError
 from .geom import convex_hull
 from .revolution import RevolutionBody
 from .zonotope import GeneratorSet
@@ -112,7 +113,7 @@ def random_symmetric_polytope(rng, n_pairs):
         pts = np.vstack([p, -p])
         try:
             return convex_hull(pts, symmetric=True)
-        except Exception:
+        except GeometryError:
             continue
     raise RuntimeError("could not draw a solid symmetric hull")
 

@@ -32,8 +32,7 @@ from .errors import InputError, SymmetryError
 from .geom import (Polytope, _chunks, as_vec, convex_hull, fibonacci_sphere,
                    plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, rev_to_polytope
-from .zonotope import (GeneratorSet, pair_crosses, z_shadow_area,
-                       zonotope_vertices)
+from .zonotope import GeneratorSet, z_shadow_area, zonotope_vertices
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 
@@ -106,14 +105,13 @@ def mixed_volume(K, L):
     return float(K.support(normals) @ areas) / 3.0
 
 
-def polar_volume(B, grid=100_000):
+def polar_volume(B):
     """Volume of the polar body via (1/3) * mean over S^2 of h^{-3} * 4*pi.
 
-    Quadrature on a Fibonacci grid of at least 1e5 points; documented
-    accuracy target is 1% relative.  Bodies must contain the origin in the
-    interior.
+    Quadrature on a Fibonacci grid of 1e5 points; documented accuracy target
+    is 1% relative.  Bodies must contain the origin in the interior.
     """
-    grid = max(int(grid), 100_000)
+    grid = 100_000
     h = B.support(fibonacci_sphere(grid))
     scale = float(np.max(h))
     if scale <= 0.0 or np.min(h) <= 1e-12 * scale:
@@ -254,7 +252,7 @@ def candidate_directions(B):
     if isinstance(B, GeneratorSet):
         g = B.gens
         cands.append(g)
-        cands.append(pair_crosses(B, drop_zero=True))
+        cands.append(B._crosses)
     elif isinstance(B, Polytope):
         cands.append(B.facet_normals)
         cands.append(B.vertices)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .geom import convex_hull
 
 _EVEN_TOL = 1e-12
 
@@ -41,7 +42,7 @@ def ball_volumes(d):
     return np.array([ball_volume(k) for k in range(1, d + 1)])
 
 
-def validate_profile(s, f, tol=_EVEN_TOL):
+def validate_profile(s, f):
     """Check node arrays for an even, concave, nonnegative, nonzero profile."""
     s = np.asarray(s, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -53,15 +54,15 @@ def validate_profile(s, f, tol=_EVEN_TOL):
         raise InputError("profile nodes must be strictly increasing")
     a = s[-1]
     scale = max(float(np.max(np.abs(f))), 1e-300)
-    if abs(s[0] + a) > tol * max(a, 1.0):
+    if abs(s[0] + a) > _EVEN_TOL * max(a, 1.0):
         raise InputError("profile domain must be symmetric [-a, a]")
-    if np.any(f < -tol * scale):
+    if np.any(f < -_EVEN_TOL * scale):
         raise InputError("profile must be nonnegative")
     if np.max(f) <= 0.0:
         raise InputError("profile is identically zero")
     # evenness: reversed nodes must match
-    if (np.max(np.abs(s + s[::-1])) > tol * max(a, 1.0)
-            or np.max(np.abs(f - f[::-1])) > tol * scale):
+    if (np.max(np.abs(s + s[::-1])) > _EVEN_TOL * max(a, 1.0)
+            or np.max(np.abs(f - f[::-1])) > _EVEN_TOL * scale):
         raise InputError("profile must be even")
     # concavity of the node sequence
     if s.size >= 3:
@@ -212,12 +213,11 @@ def berwald_check(s_nodes, f_nodes, p, q):
     return BerwaldResult(float(lhs), float(rhs), bool(equality))
 
 
-def rev_to_polytope(R, m=64):
-    """Polytopal realization of a d=3 revolution body with m-gon cross sections."""
-    from .geom import convex_hull
-
+def rev_to_polytope(R):
+    """Polytopal realization of a d=3 revolution body with 64-gon cross sections."""
     if R.d != 3:
         raise InputError("polytopal realization implemented for d = 3 only")
+    m = 64
     th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     ring = np.column_stack([np.cos(th), np.sin(th)])
     pts = []

@@ -22,11 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import InputError, LimitError
+from .errors import GeometryError, InputError, LimitError
 from .fixtures import icosphere, cube
 from .functionals import BALL_RATIO, invariants, ts_sums
 from .geom import Polytope, convex_hull
-from .zonotope import GeneratorSet
+from .zonotope import GeneratorSet, _line_units
 
 
 def _symmetric_hull(config):
@@ -197,11 +197,12 @@ def _normalize(obj, config):
             return None
         k = v ** (1.0 / 3.0)
         return config / k, obj.rescaled(body, k)
-    except Exception:
+    except GeometryError:
         return None
 
 
-def _anneal(obj, n, iters, rng, start=None, t_start=0.1, t_end=1e-7):
+def _anneal(obj, n, iters, rng, start=None):
+    t_start, t_end = 0.1, 1e-7
     state = None
     while state is None:
         config = (np.asarray(start, dtype=float) if start is not None
@@ -339,15 +340,7 @@ def _diagnose(obj, config, value):
 
 
 def _pair_representatives(vertices):
-    """One member of each antipodal vertex pair, canonical sign."""
-    out = []
-    for v in vertices:
-        w = v.copy()
-        for c in w:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    w = -w
-                break
-        if not any(np.linalg.norm(w - u) < 1e-9 for u in out):
-            out.append(w)
-    return np.array(out)
+    """One member of each antipodal vertex pair, canonical sign, in order of first appearance."""
+    units = _line_units(np.asarray(vertices, dtype=float))
+    _, first = np.unique(units, axis=0, return_index=True)
+    return units[np.sort(first)]

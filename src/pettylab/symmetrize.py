@@ -120,39 +120,44 @@ def steiner(P, nu):
     return convex_hull(pts, symmetric=P.symmetric)
 
 
-def schwartz(P, nu, samples_per_piece=16):
+def schwartz(P, nu):
     """Schwartz symmetral: revolution body with equal-area circular slices.
 
     The radial profile sqrt(slice_area / pi) is sampled at the vertex-height
-    breakpoints plus uniform refinements per piece, using the exact quadratic
-    slice-area coefficients; the result is symmetrized to machine evenness.
-    Requires a centrally symmetric input.
+    breakpoints plus 16, 32, ... uniform samples per piece, until it keeps the
+    volume of P to 0.1%, using the exact quadratic slice-area coefficients;
+    the result is symmetrized to machine evenness.  Requires a symmetric input.
     """
     if not P.symmetric:
         raise SymmetryError("Schwartz symmetrization needs a symmetric body")
-    if samples_per_piece < 1:
-        raise InputError("need at least one sample per piece")
     nu = unitize(nu)
     a = float(P.support(nu))
     H, C = slice_quadratics(P, nu)
     wide = np.diff(H) > 0.0
-    t = np.linspace(0.0, 1.0, samples_per_piece + 1)[1:]
-    s_nodes = np.concatenate([H[:1], (H[:-1, None] + np.diff(H)[:, None] * t)[wide].ravel()])
     C = C[wide]
-    areas = np.concatenate([C[:1, 0], (C[:, :1] + t * (C[:, 1:2] + t * C[:, 2:])).ravel()])
-    f_nodes = np.sqrt(np.maximum(areas, 0.0) / np.pi)
-    # drop sliver nodes (vertex-height clusters near the poles); they carry
-    # no volume but amplify slope noise
-    keep = np.concatenate([[True], np.diff(s_nodes) > 1e-7 * 2.0 * a])
-    keep[0] = keep[-1] = True
-    s_nodes, f_nodes = s_nodes[keep], f_nodes[keep]
-    # ride the least concave majorant to clip quadrature round-off, then
-    # enforce exact evenness by mirroring the averaged halves
-    f_nodes = _concave_majorant(s_nodes, f_nodes)
-    s_sym = 0.5 * (s_nodes - s_nodes[::-1])
-    f_sym = 0.5 * (f_nodes + f_nodes[::-1])
-    s_sym[0], s_sym[-1] = -a, a
-    return RevolutionBody(3, a, s_sym, f_sym)
+    samples_per_piece = 16
+    while True:
+        t = np.linspace(0.0, 1.0, samples_per_piece + 1)[1:]
+        s_nodes = np.concatenate([H[:1], (H[:-1, None] + np.diff(H)[:, None] * t)[wide].ravel()])
+        areas = np.concatenate([C[:1, 0], (C[:, :1] + t * (C[:, 1:2] + t * C[:, 2:])).ravel()])
+        f_nodes = np.sqrt(np.maximum(areas, 0.0) / np.pi)
+        # drop sliver nodes (vertex-height clusters near the poles); they carry
+        # no volume but amplify slope noise
+        keep = np.concatenate([[True], np.diff(s_nodes) > 1e-7 * 2.0 * a])
+        keep[0] = keep[-1] = True
+        s_nodes, f_nodes = s_nodes[keep], f_nodes[keep]
+        # ride the least concave majorant to clip quadrature round-off, then
+        # enforce exact evenness by mirroring the averaged halves
+        f_nodes = _concave_majorant(s_nodes, f_nodes)
+        s_sym = 0.5 * (s_nodes - s_nodes[::-1])
+        f_sym = 0.5 * (f_nodes + f_nodes[::-1])
+        s_sym[0], s_sym[-1] = -a, a
+        R = RevolutionBody(3, a, s_sym, f_sym)
+        # each doubling about halves the volume lost; a cube with its top
+        # facet tilted by 1e-6 or less needs the most seen, 1024 per piece
+        if abs(R.volume - P.volume) <= 1e-3 * P.volume:
+            return R
+        samples_per_piece *= 2
 
 
 def _concave_majorant(s, f):
@@ -192,7 +197,7 @@ def steiner_projection_monotonicity(P, nu, h_second):
     return float(before), float(after)
 
 
-def schwartz_ratio_monotonicity(P, x, samples_per_piece=16):
+def schwartz_ratio_monotonicity(P, x):
     """Direction ratio of P at x versus its Schwartz symmetral along x.
 
     The symmetral side is evaluated by the closed revolution-body form;
@@ -201,8 +206,7 @@ def schwartz_ratio_monotonicity(P, x, samples_per_piece=16):
     """
     x = unitize(x)
     before = ratio(P, x)
-    R = schwartz(P, x, samples_per_piece=samples_per_piece)
-    after = axis_ratio(R)
+    after = axis_ratio(schwartz(P, x))
     return float(before), float(after)
 
 
@@ -219,12 +223,12 @@ def roundness(P):
     return circum / inr
 
 
-def steiner_rounding_run(P, steps, seed, vertex_cap=600):
+def steiner_rounding_run(P, steps, seed):
     """Iterated random-direction Steiner steps with a roundness trace.
 
     Exactness is per step; to keep long runs tractable the vertex set is
-    decimated (farthest-point subset) whenever it exceeds the cap, which
-    perturbs the body by far less than the roundness trend being observed.
+    decimated (farthest-point subset) whenever it exceeds 600 vertices,
+    which perturbs the body by far less than the roundness trend observed.
     """
     rng = np.random.default_rng(seed)
     trace = [roundness(P)]
@@ -232,8 +236,8 @@ def steiner_rounding_run(P, steps, seed, vertex_cap=600):
     for _ in range(steps):
         nu = unitize(rng.standard_normal(3))
         body = steiner(body, nu)
-        if body.vertices.shape[0] > vertex_cap:
-            body = _decimate(body, vertex_cap)
+        if body.vertices.shape[0] > 600:
+            body = _decimate(body, 600)
         trace.append(roundness(body))
     return body, np.array(trace)
 

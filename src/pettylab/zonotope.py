@@ -25,6 +25,7 @@ import itertools
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .errors import FlatBodyError, InputError
 from .geom import _chunks, _frames, as_vec
@@ -73,7 +74,7 @@ class GeneratorSet:
     @cached_property
     def _crosses(self):
         """Nonzero crosses x_i x x_j over i < j: Pi generators and pair-sum rows."""
-        return pair_crosses(self, drop_zero=True)
+        return pair_crosses(self)
 
     @cached_property
     def pi_body(self):
@@ -110,15 +111,13 @@ def _pairs(n):
     return _PAIR_CACHE[n]
 
 
-def pair_crosses(Z, drop_zero=False):
-    """Cross products x_i x x_j over i < j, in index order."""
+def pair_crosses(Z):
+    """Nonzero cross products x_i x x_j over i < j, in index order."""
     g = as_set(Z).gens
     i, j = _pairs(g.shape[0])
     c = np.cross(g[i], g[j])
-    if drop_zero:
-        scale = float(np.max(np.abs(g))) or 1.0
-        c = c[np.linalg.norm(c, axis=1) > 1e-14 * scale * scale]
-    return c
+    scale = float(np.max(np.abs(g))) or 1.0
+    return c[np.linalg.norm(c, axis=1) > 1e-14 * scale * scale]
 
 
 def is_flat(Z):
@@ -234,14 +233,15 @@ def second_proj_support(Z, x):
     return 64.0 * float(np.sum(np.abs(terms)))
 
 
-def merge_parallel(gens, tol=1e-12):
+def merge_parallel(gens):
     """Combine (anti)parallel generators into single summed segments.
 
-    Generators whose sign-canonical unit vectors lie within tol of each other
-    (directly or through a chain of such neighbours) become one segment: the
-    unit vector of the first member times the summed lengths, in order of
-    first appearance.
+    Generators whose sign-canonical unit vectors lie within tol = 1e-12 of
+    each other (directly or through a chain of such neighbours) become one
+    segment: the unit vector of the first member times the summed lengths,
+    in order of first appearance.
     """
+    tol = 1e-12
     g = np.asarray(gens, dtype=float)
     norms = np.linalg.norm(g, axis=1)
     keep = norms > 0.0
@@ -300,14 +300,18 @@ def zonogon_area(gens2d):
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def zonotope_vertices(Z, limit=16):
-    """All sign-combination points of the generators (2^n of them).
+def zonotope_vertices(Z):
+    """The vertices of Z, sign sums +-x_1 +- ... +- x_n in their binary order.
 
-    Only sensible for small n; used to realize a zonotope as a Polytope.
+    Summed one generator at a time; each partial sum keeps only the vertices
+    of its hull in its affine span: at most k^2 - k + 2 for k generators.
     """
-    g = as_set(Z).gens
-    n = g.shape[0]
-    if n > limit:
-        raise InputError(f"vertex enumeration limited to {limit} generators")
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
-    return signs @ g
+    pts = np.zeros((1, 3))
+    for x in as_set(Z).gens:
+        pts = (pts[:, None, :] + np.array([-x, x])).reshape(-1, 3)
+        c = pts - pts.mean(axis=0)
+        _, sv, vt = np.linalg.svd(c, full_matrices=False)
+        y = c @ vt[sv > 1e-12 * sv[0]].T
+        pts = pts[np.unique(ConvexHull(y).vertices if y.shape[1] > 1
+                            else [np.argmin(y), np.argmax(y)])]
+    return pts

@@ -178,6 +178,14 @@ class TestCompute:
                                "--invariants", "M")
         assert code == 3
 
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_many_generator_zonotope_Q(self, tmp_path, capsys, n):
+        # Q slices the vertex hull, which no longer caps the generator count
+        save_body(fixtures.random_zonotope(np.random.default_rng(n), n), tmp_path / "z.json")
+        assert main(["--no-timestamp", "compute", str(tmp_path / "z.json"),
+                     "--invariants", "P,Q", "--grid", "256", "--refine", "5"]) == 0
+        assert [l.split(",")[0] for l in capsys.readouterr().out.splitlines()[1:]] == ["P", "Q"]
+
     @pytest.mark.parametrize("body, want", [("z48", "M"), ("icosphere3", "P,M,m")])
     def test_bounded_memory(self, tmp_path, body, want):
         # Pi^2 of 48 generators (1,128 Pi generators) and of icosphere3 (640
@@ -277,14 +285,12 @@ class TestSearchCmd:
     (["verify", "ts-ratio", "--seed", "-1"], "--seed"),
     (["verify", "theorem-1-1", "--samples", "0"], "--samples"),
     (["verify", "ts-ratio", "--samples", "3000000000"], "--samples"),
-    (["symmetrize", "CUBE", "--mode", "schwartz", "--samples-per-piece", "0"],
-     "--samples-per-piece"),
     (["search", "max-M-zonoid", "--start", "cube"], "--start"),
     (["search", "max-ts-ratio", "--threads", "-4"], "--threads"),
     (["search", "max-ts-ratio", "--threads", "0"], "--threads"),
     (["symmetrize", "CUBE", "--mode", "steiner", "--steps", "-4"], "--steps"),
 ], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
-        "seed-negative", "samples-0", "samples-3e9", "samples-per-piece-0",
+        "seed-negative", "samples-0", "samples-3e9",
         "zonoid-named-start", "threads-negative", "threads-0", "steps-negative"])
 def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
     argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]

@@ -23,8 +23,7 @@ class TestWedgeAndDet:
         assert np.allclose(pair_crosses([E1, E2]), [E3])
 
     def test_wedge_repeated_argument(self):
-        assert np.allclose(pair_crosses([E1, E1]), 0.0)
-        assert pair_crosses([E1, E1], drop_zero=True).shape == (0, 3)
+        assert pair_crosses([E1, E1]).shape == (0, 3)
 
     def test_wedge_hand_cofactor(self):
         # cofactor expansion of ((1,0,0),(1,1,0)) gives (0,0,1)

@@ -198,14 +198,14 @@ class TestMeshAgreement:
         from pettylab import ratio
         for _ in range(5):
             R = fixtures.random_concave_profile(rng, n_nodes=4)
-            P = rev_to_polytope(R, m=64)
+            P = rev_to_polytope(R)
             lhs = ratio(P, np.array([0.0, 0.0, 1.0]))
             assert lhs == pytest.approx(axis_ratio(R), rel=1e-12)
 
     def test_support_and_volume_agree_with_realization(self, rng):
         # the exact protocol answers bound the inscribed 64-gon realization
         R = fixtures.random_concave_profile(rng, n_nodes=5)
-        P = rev_to_polytope(R, m=64)
+        P = rev_to_polytope(R)
         X = rng.standard_normal((20, 3))
         assert R.volume == rev_volume(R)
         assert np.all(P.support(X) <= R.support(X) * (1.0 + 1e-12))

@@ -68,6 +68,20 @@ class TestSoundness:
             run = optimize("max-M-zonoid", n=5, restarts=1, iters=60, seed=seed)
             assert run.best_value <= 8.0 + 1e-9
 
+    def test_evaluator_errors_propagate(self, monkeypatch):
+        # only degenerate geometry (GeometryError) is skipped; any other error
+        # from building a body is a bug and stops the search and the sampler
+        from pettylab import fixtures, search
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("evaluator bug")
+        monkeypatch.setattr(search, "convex_hull", broken)
+        monkeypatch.setattr(fixtures, "convex_hull", broken)
+        with pytest.raises(ZeroDivisionError):
+            optimize("min-m-symmetric", n=4, restarts=1, iters=1)
+        with pytest.raises(ZeroDivisionError):
+            fixtures.random_symmetric_polytope(np.random.default_rng(0), 5)
+
     def test_budget_validation(self):
         with pytest.raises(InputError):
             optimize("max-M-zonoid", n=9)

@@ -20,9 +20,17 @@ E1, E2, E3 = np.eye(3)
 DIAG = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
 
 
+def sign_sums(Z):
+    """Reference vertex candidates: all 2^n sign sums +-x_1 +- ... +- x_n."""
+    g = zonotope.as_set(Z).gens
+    n = g.shape[0]
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
+    return signs @ g
+
+
 def hull_volume_oracle(Z):
     """Exact zonotope volume via the hull of all sign-combination points."""
-    return ConvexHull(zonotope_vertices(Z)).volume
+    return ConvexHull(sign_sums(Z)).volume
 
 
 class TestSupport:
@@ -322,6 +330,23 @@ def test_volume_of_many_generators_by_increments():
         vol += 2.0 * _shadow_oracle(G[:k], G[k])  # the oracle scales with |x|
     assert not _pair_path(len(G), len(G))
     assert z_volume(G) == pytest.approx(vol, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, kind", [(n, "generic") for n in range(3, 13)]
+                         + [(n, "parallel") for n in range(4, 13)])
+def test_vertices_match_sign_sums(n, kind):
+    # pruned partial sums keep every vertex of the 2^n sign sums and nothing else
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, 3))
+    if kind == "parallel":
+        g[-1] = -2.5 * g[0]
+        if n > 4:
+            g[1] = 0.5 * g[0]
+    pts = zonotope_vertices(g)
+    got, want = ConvexHull(pts), ConvexHull(sign_sums(g))
+    assert len(pts) == len(got.vertices) == len(want.vertices)
+    assert got.volume == pytest.approx(want.volume, rel=1e-12)
+    assert got.volume == pytest.approx(z_volume(g), rel=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
