@@ -4,8 +4,11 @@ The central quantity is the direction ratio
 
     ratio(K, x) = h_{Pi^2 K}(x) / (h_K(x) * V(K))        (d = 3)
 
-whose extrema over the sphere are the invariants M(K) and m(K); P(K) is
-V(Pi K)/V(K)^2 and Q(K) is the sharpest slice-integral lower bound for P.
+whose extrema over the sphere are the invariants M(K) and m(K).  P(K) =
+V(Pi K)/V(K)^2 = V(Pi^2 K, K, K)/V(K)^2 (Fubini at L = K) is its mean over
+the cone-volume measure h_K dS_K / (3 V(K)), so m <= P <= M.  q(K, x), the
+axis ratio of K's Schwartz symmetral about x, is at most ratio(K, x); so
+Q(K) = max q <= M(K), P >= 6 follows from q >= 6, and Q can exceed P.
 The two quadrilinear forms s_term/t_term drive the sharp constant 4/3: their
 symmetrizations satisfy t_sym <= (4/3) s_sym, which is equivalent to the
 zonoid bound M <= 8.
@@ -29,8 +32,8 @@ from scipy.optimize import minimize
 
 from .bodies import Ball
 from .errors import InputError, SymmetryError
-from .geom import (Polytope, _chunks, as_vec, convex_hull, fibonacci_sphere,
-                   plane_basis, slice_quadratics, unitize)
+from .geom import (_NEXT, _PREV, Polytope, _chunks, as_vec, convex_hull,
+                   fibonacci_sphere, plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, rev_to_polytope
 from .zonotope import GeneratorSet, z_shadow_area, zonotope_vertices
 
@@ -39,8 +42,6 @@ BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 # the tuple without v_l, for l = 1..3, oriented so that w_0 = -(w_1 + w_2 + w_3)
 # in ts_sums
 _TRIPLES = np.array([[2, 0, 3], [0, 1, 3], [1, 0, 2]])
-# (b x c)_k = b_{k+1} c_{k+2} - b_{k+2} c_{k+1}
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def s_term(a, b, c, w, x):

@@ -18,6 +18,8 @@ from .errors import FlatBodyError, InputError
 
 # Coplanarity/merge tolerance for hull construction.
 HULL_TOL = 1e-10
+# (b x c)_k = b_{k+1} c_{k+2} - b_{k+2} c_{k+1}
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def as_vec(x, d=None):
@@ -127,13 +129,16 @@ class Polytope:
         t = self.facets
         inner = v.mean(axis=0)
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        cr = np.cross(b - a, c - a)
+        u, w = b - a, c - a
+        # u x w = p - q, row-major as np.cross forms it; a flip swaps p and q
+        p, q = u[:, _NEXT] * w[:, _PREV], u[:, _PREV] * w[:, _NEXT]
+        cr = np.subtract(p, q, order="C")
         flip = np.einsum("ij,ij->i", cr, a - inner) < 0.0
+        cr[flip] = q[flip] - p[flip]
         t = t.copy()
         t[flip] = t[flip][:, [0, 2, 1]]
         self.facets = t
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        cr = np.cross(b - a, c - a)
+        b, c = v[t[:, 1]], v[t[:, 2]]
         two_areas = np.linalg.norm(cr, axis=1)
         self.facet_areas = 0.5 * two_areas
         with np.errstate(invalid="ignore", divide="ignore"):

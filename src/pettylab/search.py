@@ -1,11 +1,11 @@
 """Stochastic extremal search over body configurations.
 
 Simulated annealing with Gaussian perturbations, geometric cooling and
-Metropolis acceptance; the step size adapts toward 30% acceptance.  Bodies
-are renormalized to volume 1 after every accepted step (the objectives are
-invariant under volume-preserving linear maps, so the normalization is
-harmless).  Runs are deterministic for a fixed seed; restarts use
-independent spawned seeds and merge best-of with ties broken by restart
+Metropolis acceptance; the step size adapts toward 30% acceptance.  Each
+proposal's body is built once and scored as built (its invariants do not
+depend on its size); the rows carried on are rescaled to volume 1, or to
+unit length for a tuple.  Runs are deterministic for a fixed seed; restarts
+use independent spawned seeds and merge best-of with ties broken by restart
 index.
 
 Objectives:
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GeometryError, InputError, LimitError
 from .fixtures import icosphere, cube
 from .functionals import BALL_RATIO, invariants, ts_sums
-from .geom import Polytope, convex_hull
+from .geom import convex_hull
 from .zonotope import GeneratorSet, _line_units
 
 
@@ -33,17 +33,13 @@ def _symmetric_hull(config):
     return convex_hull(np.vstack([config, -config]), symmetric=True)
 
 
-def _rescaled_hull(body, k):
-    return Polytope(body.vertices / k, body.facets, symmetric=True)
-
-
 class Objective:
     """One search objective: everything the search reads about it.
 
     build makes the body of a configuration of n rows (n in n_range for a
-    random start), and rescaled(body, k) the body of the configuration
-    divided by k without a second hull.  build is None for a 4-tuple plus a
-    direction, whose five rows are only scaled to unit length (n unused).
+    random start); the body is scored as built, and the rows are rescaled
+    to volume 1.  build is None for a 4-tuple plus a direction, whose five
+    rows are scaled to unit length and scored so (n unused).
     quantity is the invariant extremized, without refinement, over `grid`
     Fibonacci directions plus the structured candidates, or "t/s".  A best
     value beyond `limit` in the objective's sense is an evaluator bug; one
@@ -52,11 +48,10 @@ class Objective:
     starts maps the names of fixed starting bodies to their vertices.
     """
 
-    def __init__(self, name, build, rescaled, n_range, quantity, grid, maximize,
+    def __init__(self, name, build, n_range, quantity, grid, maximize,
                  limit=None, sharp=None, conjectured=None, hints=None, starts=None):
         self.name = name
         self.build = build
-        self.rescaled = rescaled
         self.n_range = n_range
         self.quantity = quantity
         self.grid = grid
@@ -86,14 +81,14 @@ def _cylinder_hints(config):
 
 # the sharp theorem constants are the limits: crossing one reveals an evaluator bug
 RECORDS = {o.name: o for o in (
-    Objective("max-M-zonoid", GeneratorSet, lambda Z, k: GeneratorSet(Z.gens / k), (3, 8),
-              "M", 192, True, limit=8.0, sharp=8.0, hints=_cylinder_hints),
-    Objective("min-m-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "m", 192, False,
+    Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", 192, True, limit=8.0, sharp=8.0,
+              hints=_cylinder_hints),
+    Objective("min-m-symmetric", _symmetric_hull, (3, 20), "m", 192, False,
               limit=6.0, sharp=6.0),
-    Objective("min-Q-symmetric", _symmetric_hull, _rescaled_hull, (3, 20), "Q", 48, False,
+    Objective("min-Q-symmetric", _symmetric_hull, (3, 20), "Q", 48, False,
               limit=6.0, conjectured=BALL_RATIO,
               starts={"icosphere": lambda: icosphere(1).vertices, "cube": lambda: cube().vertices}),
-    Objective("max-ts-ratio", None, None, (1, math.inf), "t/s", None, True, sharp=4.0 / 3.0),
+    Objective("max-ts-ratio", None, (1, math.inf), "t/s", None, True, sharp=4.0 / 3.0),
 )}
 
 OBJECTIVES = tuple(RECORDS)
@@ -151,7 +146,7 @@ class SearchRun:
 
 
 def evaluate_config(objective, config):
-    """Objective value of a configuration (used for runs and on reload)."""
+    """Objective value of a configuration (used on reload)."""
     obj = RECORDS[objective]
     config = np.asarray(config, dtype=float)
     return _evaluate(obj, config, obj.build(config) if obj.build else None)
@@ -171,46 +166,42 @@ def _evaluate(obj, config, body):
     return getattr(rep, obj.quantity)
 
 
-def _normalize(obj, config):
-    """Rescale to volume 1 (bodies) or unit norms (tuples); None if degenerate.
+def _step(obj, config):
+    """Rows rescaled to volume 1 (bodies) or unit norms (tuples), and their value.
 
-    Returns the rescaled configuration and its body (None for tuples).  A
-    hull is built once, on the unscaled points, and its vertices rescaled.
-    Ill-conditioned configurations (near-flat after volume normalization) are
-    rejected as well: their determinant sums lose all significant digits, so
+    The body is built once and scored as built.  None for degenerate rows, and
+    for near-flat ones: their determinant sums lose all significant digits, so
     no value computed there can be trusted against the sharp constants.
     """
     if obj.build is None:
         norms = np.linalg.norm(config, axis=1)
         if np.any(norms < 1e-12):
             return None
-        return config / norms[:, None], None
+        config = config / norms[:, None]
+        return config, _evaluate(obj, config, None)
     # determinant-sum round-off grows like eps / (sv ratio)^2; 1e-3 keeps it
     # below 1e-10 while every cylinder/cone-like optimum stays reachable
-    sv = np.linalg.svd(np.asarray(config, float), compute_uv=False)
+    sv = np.linalg.svd(config, compute_uv=False)
     if sv[2] <= 1e-3 * sv[0]:
         return None
     try:
         body = obj.build(config)
         v = body.volume
-        if not (v > 1e-9):
-            return None
-        k = v ** (1.0 / 3.0)
-        return config / k, obj.rescaled(body, k)
     except GeometryError:
         return None
+    if not (v > 1e-9):
+        return None
+    return config / v ** (1.0 / 3.0), _evaluate(obj, config, body)
 
 
 def _anneal(obj, n, iters, rng, start=None):
     t_start, t_end = 0.1, 1e-7
-    state = None
+    state = None if start is None else _step(obj, start)
+    if start is not None and state is None:
+        raise InputError(f"start rows are degenerate for {obj.name}")
     while state is None:
-        config = (np.asarray(start, dtype=float) if start is not None
-                  else rng.standard_normal((n if obj.build else 5, 3)))
-        state = _normalize(obj, config)
-        start = None  # only retry the random part
-    config = state[0]
-    value = _evaluate(obj, *state)
+        state = _step(obj, rng.standard_normal((n if obj.build else 5, 3)))
+    config, value = state
     best_config, best_value = config.copy(), value
     trace = [(0, value, t_start)]
     sigma = 0.3
@@ -223,11 +214,10 @@ def _anneal(obj, n, iters, rng, start=None):
         proposal = config.copy()
         row = rng.integers(0, proposal.shape[0])
         proposal[row] = proposal[row] + sigma * rng.standard_normal(3)
-        state = _normalize(obj, proposal)
+        state = _step(obj, proposal)
         window += 1
         if state is not None:
-            proposal = state[0]
-            cand = _evaluate(obj, *state)
+            proposal, cand = state
             gain = obj.sign * (cand - value)
             if gain >= 0.0 or rng.random() < math.exp(gain / temp):
                 config, value = proposal, cand
@@ -258,11 +248,10 @@ def _polish(obj, config, value, rounds=60):
             for sgn in (1.0, -1.0):
                 cand = flat.copy()
                 cand[k] += sgn * step
-                state = _normalize(obj, cand.reshape(config.shape))
+                state = _step(obj, cand.reshape(config.shape))
                 if state is None:
                     continue
-                cand_cfg = state[0]
-                cv = _evaluate(obj, *state)
+                cand_cfg, cv = state
                 if obj.better(cv, value):
                     flat = cand_cfg.reshape(-1)
                     value = cv
@@ -294,8 +283,9 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
     CPU; the merged result is independent of the worker count (best-of by
     value, ties to the lowest restart index).  A random start has n rows
     within the objective's n_range; `start` may instead be an (n, 3) array
-    of rows or the name of one of the objective's fixed starts, whose
-    antipodal vertex pairs become the rows.
+    of rows (n >= 3 for a body, 5 for a tuple plus a direction; InputError
+    otherwise, or if they are degenerate) or the name of one of the
+    objective's fixed starts, whose antipodal vertex pairs become the rows.
     """
     if objective not in RECORDS:
         raise InputError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
@@ -308,7 +298,11 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
         start = _pair_representatives(obj.starts[start]())
     lo, hi = obj.n_range
     if start is not None:
-        n = len(start)
+        start = np.asarray(start, dtype=float)
+        n = len(start) if start.ndim == 2 and start.shape[1] == 3 else 0
+        if not (n >= 3 if obj.build else n == 5) or not np.all(np.isfinite(start)):
+            raise InputError(f"{objective} takes a start of {'at least 3' if obj.build else 5} "
+                             f"finite rows of 3, got shape {start.shape}")
     elif not lo <= n <= hi:
         raise InputError(f"{objective} searches take n from {lo} to {hi}")
     jobs = [(objective, n, iters, seed, r, start if r == 0 else None)

@@ -20,8 +20,7 @@ from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import (schwartz_ratio_monotonicity,
                          steiner_projection_monotonicity)
-from .zonotope import (GeneratorSet, second_proj_support, z_shadow_area,
-                       zonogon_area)
+from .zonotope import second_proj_support, z_shadow_area, zonogon_area
 
 SHARP_TS = 4.0 / 3.0
 
@@ -235,7 +234,7 @@ def suite_zhang_petty(samples, seed):
     vals = []
     for _ in range(samples):
         Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
-        Z = GeneratorSet(Z.gens / Z.volume ** (1.0 / 3.0))
+        # scale-invariant: each sample is measured as drawn
         vals.append(polar_volume(Z.pi_body) * Z.volume ** 2)
     lo_seen, witness = _worst(seed, vals, lowest=True)
     hi_seen = max(vals)

@@ -314,6 +314,20 @@ class TestQAgainstSlicing:
         assert np.allclose(q_direction(P, X), single, rtol=1e-13, atol=0.0)
 
 
+def test_Q_is_no_lower_bound_for_P():
+    # P is the mean of the ratio over the cone-volume measure, so m <= P <= M;
+    # q is at most the ratio in each direction, so Q <= M, yet Q may exceed P
+    rng = np.random.default_rng(0)
+    for n in (3, 4, 6, 8, 10, 12, 14):
+        g = rng.standard_normal((n, 3))
+    Z = GeneratorSet(g)
+    rep = invariants(Z, grid=512, refine=20)
+    assert rep.m <= rep.P <= rep.M
+    assert rep.Q <= rep.M
+    assert q_direction(Z, rep.Q_dir) <= ratio(Z, rep.Q_dir)
+    assert rep.Q > rep.P
+
+
 def test_cube_Q_not_above_P():
     rep = invariants(fixtures.cube(), want=("P", "Q"))
     assert abs(rep.Q - 8.0) <= 1e-9
@@ -429,6 +443,36 @@ class TestSLInvariance:
     def test_non_unimodular_rejected(self):
         with pytest.raises(InputError):
             sl_invariance_check(fixtures.cube_zonotope(), 2.0 * np.eye(3))
+
+
+def _unimodular(rng):
+    """Random T with det T = 1, singular values within a factor e^2 of each other."""
+    U, V = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    T = (U * np.exp(rng.uniform(-1.0, 1.0, 3))) @ V
+    if np.linalg.det(T) < 0.0:
+        T[0] = -T[0]
+    return T / np.linalg.det(T) ** (1.0 / 3.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zonotope", "hull"]))
+@settings(max_examples=60, deadline=None)
+def test_evaluators_are_sl3_covariant(seed, kind):
+    # ratio(TK, y) = ratio(K, T^T y), and likewise q, for det T = 1; rounding
+    # in the determinant sums grows with the condition number of the body's
+    # points, which random zonotopes take into the thousands
+    rng = np.random.default_rng(seed)
+    if kind == "zonotope":
+        K = fixtures.random_zonotope(rng, int(rng.integers(3, 8)))
+        pts = K.gens
+    else:
+        K = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
+        pts = K.vertices
+    sv = np.linalg.svd(pts, compute_uv=False)
+    rel = 1e-12 * max(1.0, sv[0] / sv[2] / 100.0)
+    T = _unimodular(rng)
+    TK, Y = K.map_linear(T), rng.standard_normal((20, 3))
+    for fn in (ratio, q_direction):
+        assert fn(TK, Y) == pytest.approx(fn(K, Y @ T), rel=rel)
 
 
 class TestClassReduction:

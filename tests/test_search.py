@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pettylab import InputError, optimize
-from pettylab.search import SearchRun, evaluate_config
+from pettylab.search import OBJECTIVES, RECORDS, SearchRun, _step, evaluate_config
 
 SHARP_TS = 4.0 / 3.0
 
@@ -82,6 +84,24 @@ class TestSoundness:
         with pytest.raises(ZeroDivisionError):
             fixtures.random_symmetric_polytope(np.random.default_rng(0), 5)
 
+    def test_degenerate_start_rejected(self):
+        # near-flat rows are not swapped for random ones
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        rows[:, 2] *= 1e-9
+        with pytest.raises(InputError, match="start"):
+            optimize("min-m-symmetric", start=rows, iters=1, restarts=1, seed=1)
+
+    @pytest.mark.parametrize("objective", ["min-m-symmetric", "max-M-zonoid"])
+    def test_start_of_two_rows_rejected(self, objective):
+        with pytest.raises(InputError, match="start"):
+            optimize(objective, start=np.eye(3)[:2], iters=1, restarts=1, seed=1)
+
+    @pytest.mark.parametrize("rows", [3, 4, 6])
+    def test_tuple_start_needs_five_rows(self, rows):
+        start = np.random.default_rng(rows).standard_normal((rows, 3))
+        with pytest.raises(InputError, match="start"):
+            optimize("max-ts-ratio", start=start, iters=1, restarts=1, seed=1)
+
     def test_budget_validation(self):
         with pytest.raises(InputError):
             optimize("max-M-zonoid", n=9)
@@ -93,6 +113,23 @@ class TestSoundness:
             optimize("max-ts-ratio", iters=0)
         with pytest.raises(InputError):
             optimize("no-such-objective")
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_step_scores_the_rescaled_rows(objective, seed):
+    # the invariants do not depend on the body's size, so scoring the body as
+    # built gives the value of the rows a step returns, rescaled
+    obj = RECORDS[objective]
+    rng = np.random.default_rng(seed)
+    rows = 5 if obj.build is None else int(rng.integers(obj.n_range[0], 9))
+    state = _step(obj, 3.0 * rng.standard_normal((rows, 3)))
+    assume(state is not None)
+    config, value = state
+    if obj.build is not None:
+        assert obj.build(config).volume == pytest.approx(1.0, rel=1e-12)
+    assert evaluate_config(objective, config) == pytest.approx(value, rel=1e-12)
 
 
 class TestConvergence:

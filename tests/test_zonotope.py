@@ -350,6 +350,18 @@ def test_vertices_match_sign_sums(n, kind):
 
 
 @given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_minkowski_additivity_of_supports(seed):
+    # Z1 + Z2 is generated by both generator lists
+    rng = np.random.default_rng(seed)
+    g1, g2 = (rng.standard_normal((int(rng.integers(1, 7)), 3)) for _ in range(2))
+    X = rng.standard_normal((16, 3))
+    total = GeneratorSet(np.vstack([g1, g2])).support(X)
+    assert total == pytest.approx(GeneratorSet(g1).support(X) + GeneratorSet(g2).support(X),
+                                  rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_protocol_agrees_with_vertex_hull(seed):
     # a zonotope and its realization as a polytope answer the body protocol alike
