@@ -17,8 +17,7 @@ from .revolution import (RevolutionBody, axis_ratio, ball_volume,
                          berwald_check, cone_bound, rev_second_proj_axis,
                          rev_volume)
 from .search import SearchRun, optimize
-from .symmetrize import (ChordProfile, chord_profile, schwartz,
-                         schwartz_ratio_monotonicity, steiner,
+from .symmetrize import (ChordProfile, chord_profile, schwartz, steiner,
                          steiner_projection_monotonicity)
 from .zonotope import GeneratorSet, second_proj_support, z_shadow_area, z_volume
 

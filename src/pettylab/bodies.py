@@ -9,7 +9,8 @@ unit Ball.  Files are plain JSON documents:
     {"kind": "ball"}
 
 Polytope files carry vertices only; the triangulation is rebuilt by the hull
-on load, so round-tripping preserves the body exactly.
+on load, so round-tripping preserves the body exactly.  Coordinates must be
+finite, with the largest magnitude of each field within COORD_RANGE.
 """
 
 import json
@@ -49,19 +50,39 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _matrix(doc, field, kind):
+# The invariants are scale-invariant, but their evaluation is not free of
+# overflow.  V(Pi K) is about 512 C(N, 3) s^6 for s the largest |coordinate|
+# and N the generators of Pi K, and M and m square the norms of crosses of
+# Pi K's generators, about 256 s^8.  From 1e-30 to 1e30 these stay finite and
+# normal doubles (2.2e-308 to 1.8e308) with about 1e65 to spare; at 1e40 the
+# squared norms overflow and at 1e-40 they underflow.
+COORD_RANGE = (1e-30, 1e30)
+
+
+def _matrix(doc, field, kind, cols):
+    """The field's rows as an (n, cols) array, range-checked by _in_range."""
     if field not in doc:
         raise BodyFileError(f"{kind} body needs field '{field}'")
     rows = doc[field]
-    if not (isinstance(rows, list)
+    if not (isinstance(rows, list) and rows
             and all(isinstance(r, list) and all(map(_is_number, r)) for r in rows)):
-        raise BodyFileError(f"field '{field}' must be a list of rows of numbers")
+        raise BodyFileError(f"field '{field}' must be a nonempty list of rows of numbers")
+    if any(len(r) != cols for r in rows):
+        raise BodyFileError(f"field '{field}' must have rows of {cols} numbers")
+    return _in_range(rows, field)
+
+
+def _in_range(values, field):
+    """values as floats, each finite and the largest magnitude within COORD_RANGE."""
+    lo, hi = COORD_RANGE
     try:
-        arr = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise BodyFileError(f"field '{field}' has rows of unequal length") from exc
-    if arr.ndim != 2:
-        raise BodyFileError(f"field '{field}' must be a list of coordinate rows")
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # a JSON integer beyond the double range
+        arr = np.array(np.inf)
+    top = float(np.max(np.abs(arr), initial=0.0))
+    if not (np.all(np.isfinite(arr)) and lo <= top <= hi):
+        raise BodyFileError(f"field '{field}' must be finite with largest magnitude "
+                            f"from {lo:g} to {hi:g}, got {top:.3g}; rescale the body")
     return arr
 
 
@@ -83,29 +104,22 @@ def body_from_dict(doc):
         if extra:
             raise BodyFileError(f"unexpected fields for kind {kind!r}: {sorted(extra)}")
     if kind == "zonotope":
-        gens = _matrix(doc, "generators", kind)
-        if gens.shape[1] != 3:
-            raise BodyFileError("field 'generators' must have 3 columns")
-        return GeneratorSet(gens)
+        return GeneratorSet(_matrix(doc, "generators", kind, 3))
     if kind == "polytope":
-        verts = _matrix(doc, "vertices", kind)
-        if verts.shape[1] != 3:
-            raise BodyFileError("field 'vertices' must have 3 columns")
+        verts = _matrix(doc, "vertices", kind, 3)
         symmetric = doc.get("symmetric", False)
         if type(symmetric) is not bool:
             raise BodyFileError("field 'symmetric' must be true or false")
         return convex_hull(verts, symmetric=symmetric)
     if kind == "revolution":
-        prof = _matrix(doc, "profile", kind)
-        if prof.shape[1] != 2:
-            raise BodyFileError("field 'profile' must be [s, f] pairs")
+        prof = _matrix(doc, "profile", kind, 2)
         d = doc.get("dimension", 3)
         if not isinstance(d, int) or isinstance(d, bool):
             raise BodyFileError("field 'dimension' must be an integer")
         a = doc.get("a", float(prof[-1, 0]))
         if not _is_number(a):
             raise BodyFileError("field 'a' must be a number")
-        return RevolutionBody(d, float(a), prof[:, 0], prof[:, 1])
+        return RevolutionBody(d, float(_in_range(a, "a")), prof[:, 0], prof[:, 1])
     if kind == "ball":
         if doc.get("dimension", 3) != 3:
             raise BodyFileError("field 'dimension' of a ball must be 3")

@@ -3,7 +3,8 @@
     pettylab compute BODY.json --invariants P,M,m,Q [--grid N] [--refine K]
     pettylab verify SUITE [--samples N] [--seed S]
     pettylab search OBJECTIVE [--n N] [--restarts R] [--iters I] [--out run.json]
-    pettylab symmetrize BODY.json --direction X,Y,Z --mode steiner|schwartz
+    pettylab symmetrize BODY.json --mode steiner|schwartz [--direction X,Y,Z]
+                        [--track-ratio X,Y,Z] [--steps N (steiner)]
     pettylab fixtures --out DIR
 
 Exit codes: 0 success, 2 usage/parse error, 3 invalid body, 4 suite failure
@@ -24,12 +25,12 @@ import numpy as np
 from . import fixtures as fixture_mod
 from .bodies import load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
-from .functionals import invariants
+from .functionals import invariants, q_direction, ratio
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
 from .suites import SUITES, run_suite
-from .symmetrize import schwartz, schwartz_ratio_monotonicity, steiner, steiner_rounding_run
+from .symmetrize import schwartz, steiner, steiner_rounding_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +44,8 @@ GRID_MAX = 100_000
 # Largest --samples.  The suites draw their samples up front; at this size
 # verify ts-ratio peaks near 0.22 GB, and larger counts exhaust memory.
 SAMPLES_MAX = 1_000_000
+
+INVARIANTS = ("P", "M", "m", "Q")
 
 
 def _int_in(lo, hi=math.inf):
@@ -65,7 +68,7 @@ def build_parser():
 
     c = sub.add_parser("compute", help="invariants of a body file")
     c.add_argument("body")
-    c.add_argument("--invariants", default="P,M,m,Q")
+    c.add_argument("--invariants", default=",".join(INVARIANTS))
     c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=2048)
     c.add_argument("--refine", type=_int_in(0), default=50)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -95,9 +98,10 @@ def build_parser():
     y = sub.add_parser("symmetrize", help="Steiner or Schwartz symmetrization")
     y.add_argument("body")
     y.add_argument("--mode", choices=("steiner", "schwartz"), required=True)
-    y.add_argument("--direction", default="0,0,1")
+    y.add_argument("--direction", default=None,
+                   help="symmetrization direction (default 0,0,1)")
     y.add_argument("--steps", type=_int_in(1), default=1,
-                   help="random-direction Steiner iterations when > 1")
+                   help="random-direction Steiner iterations when > 1 (no --direction)")
     y.add_argument("--seed", type=_int_in(0), default=None)
     y.add_argument("--track-ratio", default=None,
                    help="direction for the before/after ratio pair")
@@ -115,6 +119,20 @@ def _check_args(parser, args):
             args.seed = _int_in(0)(os.environ.get("PETTYLAB_SEED", "42"))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"PETTYLAB_SEED: {exc}")
+    if args.command == "compute":
+        wanted = tuple(p.strip() for p in args.invariants.split(",") if p.strip())
+        bad = [w for w in wanted if w not in INVARIANTS]
+        if not wanted or bad or len(set(wanted)) < len(wanted):
+            parser.error(f"argument --invariants: must list distinct names from "
+                         f"{','.join(INVARIANTS)}, got {args.invariants!r}")
+        args.invariants = wanted
+    if args.command == "symmetrize" and args.steps > 1:
+        if args.mode == "schwartz":
+            parser.error("argument --steps: only --mode steiner iterates, "
+                         f"got {args.steps} with --mode schwartz")
+        if args.direction is not None:
+            parser.error("argument --direction: iterated Steiner steps draw their "
+                         "own directions; drop --direction or --steps")
     if args.command == "search":
         lo, hi = RECORDS[args.objective].n_range
         if not lo <= args.n <= hi:
@@ -147,14 +165,10 @@ def _emit(rows, args, out=None):
 
 def cmd_compute(args):
     body = load_body(args.body)
-    wanted = tuple(p.strip() for p in args.invariants.split(",") if p.strip())
-    bad = [w for w in wanted if w not in ("P", "M", "m", "Q")]
-    if bad:
-        raise BodyFileError(f"unknown invariants {bad}; choose from P,M,m,Q")
-    rep = invariants(body, grid=args.grid, refine=args.refine, want=wanted)
+    rep = invariants(body, grid=args.grid, refine=args.refine, want=args.invariants)
     rows = []
     dirs = {"M": rep.M_dir, "m": rep.m_dir, "Q": rep.Q_dir}
-    for name in wanted:
+    for name in args.invariants:
         rows.append(Row(name, value=getattr(rep, name), direction=dirs.get(name),
                         status="INFO",
                         detail=f"grid={rep.grid} refine={rep.refine}"))
@@ -196,11 +210,12 @@ def cmd_symmetrize(args):
     body = load_body(args.body)
     if not isinstance(body, Polytope):
         raise GeometryError("symmetrization needs a polytope body file")
-    direction = _parse_direction(args.direction)
+    direction = _parse_direction("0,0,1" if args.direction is None else args.direction)
     track = _parse_direction(args.track_ratio) if args.track_ratio else None
     v_before = body.volume
     if track is not None:
-        rb, ra = schwartz_ratio_monotonicity(body, track)
+        # after Schwartz symmetrization about x the ratio is q(body, x)
+        rb, ra = ratio(body, track), q_direction(body, track)
         print(f"ratio before {fmt(rb)} after {fmt(ra)} (direction {args.track_ratio})")
     if args.mode == "schwartz":
         out_body = schwartz(body, direction)

@@ -9,6 +9,8 @@ V(Pi K)/V(K)^2 = V(Pi^2 K, K, K)/V(K)^2 (Fubini at L = K) is its mean over
 the cone-volume measure h_K dS_K / (3 V(K)), so m <= P <= M.  q(K, x), the
 axis ratio of K's Schwartz symmetral about x, is at most ratio(K, x); so
 Q(K) = max q <= M(K), P >= 6 follows from q >= 6, and Q can exceed P.
+Polar volumes, behind the Zhang-Petty band
+20/27 <= V((Pi K)^polar) V(K)^2 <= 64/27, are exact hull volumes.
 The two quadrilinear forms s_term/t_term drive the sharp constant 4/3: their
 symmetrizations satisfy t_sym <= (4/3) s_sym, which is equivalent to the
 zonoid bound M <= 8.
@@ -107,17 +109,19 @@ def mixed_volume(K, L):
 
 
 def polar_volume(B):
-    """Volume of the polar body via (1/3) * mean over S^2 of h^{-3} * 4*pi.
+    """Volume of the polar body, exactly: the hull of n / h_B(n) over B's facet normals.
 
-    Quadrature on a Fibonacci grid of 1e5 points; documented accuracy target
-    is 1% relative.  Bodies must contain the origin in the interior.
+    The ball is self-polar; a revolution body is taken as its polytopal
+    realization.  B must contain the origin in its interior.
     """
-    grid = 100_000
-    h = B.support(fibonacci_sphere(grid))
-    scale = float(np.max(h))
-    if scale <= 0.0 or np.min(h) <= 1e-12 * scale:
+    B = _realized(B)
+    if isinstance(B, Ball):
+        return B.volume
+    normals, _ = B.surface_measure()
+    h = B.support(normals)
+    if np.min(h) <= 1e-12 * np.max(h):
         raise InputError("body must contain the origin in its interior")
-    return float(4.0 * math.pi / (3.0 * grid) * np.sum(h ** -3.0))
+    return convex_hull(normals / h[:, None]).volume
 
 
 # --- the direction ratio and its extrema --------------------------------------
@@ -306,7 +310,9 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
-    X = np.vstack([fibonacci_sphere(grid), candidate_directions(B)])
+    # P alone reads no direction
+    X = (np.vstack([fibonacci_sphere(grid), candidate_directions(B)])
+         if want & {"M", "m", "Q"} else None)
     # a zonotope is sliced as its vertex hull, built here once
     Bq = _sliceable(B) if "Q" in want else None
     found, grid_vals = {}, {}

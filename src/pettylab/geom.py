@@ -227,7 +227,8 @@ def chords(P, bases, direction):
     den = P.facet_normals @ direction                            # (F,)
     num = P.facet_offsets[None, :] - bases @ P.facet_normals.T   # (N, F)
     scale = float(np.max(np.abs(P.vertices))) or 1.0
-    tol = 1e-12 * scale
+    # den is a cosine times |direction|, whatever the body's size
+    tol = 1e-12 * float(np.linalg.norm(direction))
     lo = np.full(bases.shape[0], -np.inf)
     hi = np.full(bases.shape[0], np.inf)
     pos = den > tol

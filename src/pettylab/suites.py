@@ -14,12 +14,11 @@ import numpy as np
 from . import fixtures
 from .errors import InputError
 from .functionals import (invariants, mixed_volume, petty_value, polar_volume,
-                          ratio, sl_invariance_check, ts_sums)
+                          q_direction, ratio, sl_invariance_check, ts_sums)
 from .geom import plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
-from .symmetrize import (schwartz_ratio_monotonicity,
-                         steiner_projection_monotonicity)
+from .symmetrize import steiner_projection_monotonicity
 from .zonotope import second_proj_support, z_shadow_area, zonogon_area
 
 SHARP_TS = 4.0 / 3.0
@@ -178,17 +177,16 @@ def suite_steiner_monotone(samples, seed):
 
 
 def suite_schwartz_monotone(samples, seed):
-    """Direction ratio never grows under Schwartz symmetrization."""
+    """Schwartz symmetrization never raises the ratio: q(P, x) <= ratio(P, x), exact."""
     rng = _rng(seed, "schwartz")
     gaps = []
     for _ in range(samples):
         P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
         x = unitize(rng.standard_normal(3))
-        before, after = schwartz_ratio_monotonicity(P, x)
-        gaps.append(after - before)
+        gaps.append(q_direction(P, x) - ratio(P, x))
     worst, witness = _worst(seed, gaps)
-    return [check("schwartz-ratio-monotone", worst <= 1e-6, value=worst,
-                  tolerance=1e-6, detail=witness)]
+    return [check("schwartz-ratio-monotone", worst <= 1e-9, value=worst,
+                  tolerance=1e-9, detail=witness)]
 
 
 def suite_berwald(samples, seed):
@@ -228,7 +226,7 @@ def _is_tent(R):
 
 
 def suite_zhang_petty(samples, seed):
-    """20/27 <= V((Pi K)^polar) V(K)^2 <= 64/27 at 1% quadrature tolerance."""
+    """20/27 <= V((Pi K)^polar) V(K)^2 <= 64/27, exact polar volumes, 1e-9 relative."""
     rng = _rng(seed, "zhang")
     lo_band, hi_band = 20.0 / 27.0, 64.0 / 27.0
     vals = []
@@ -238,14 +236,14 @@ def suite_zhang_petty(samples, seed):
         vals.append(polar_volume(Z.pi_body) * Z.volume ** 2)
     lo_seen, witness = _worst(seed, vals, lowest=True)
     hi_seen = max(vals)
-    ok = lo_seen >= lo_band * 0.99 and hi_seen <= hi_band * 1.01
+    ok = lo_seen >= lo_band * (1.0 - 1e-9) and hi_seen <= hi_band * (1.0 + 1e-9)
     rows = [check("zhang-petty-band", ok, value=lo_seen, tolerance=lo_band,
                   detail=f"range [{lo_seen:.6g}, {hi_seen:.6g}] in "
-                         f"[{lo_band:.6g}, {hi_band:.6g}] (1%); {witness}")]
-    # simplex attains the lower end: the tetrahedron pins the quadrature
+                         f"[{lo_band:.6g}, {hi_band:.6g}] (1e-9); {witness}")]
+    # simplex attains the lower end
     tet = fixtures.tetrahedron()
     val = polar_volume(tet.pi_body) * tet.volume ** 2
-    rows.append(check("zhang-simplex-extremal", abs(val - lo_band) <= 0.01 * lo_band,
+    rows.append(check("zhang-simplex-extremal", abs(val - lo_band) <= 1e-9 * lo_band,
                       value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27"))
     return rows
 

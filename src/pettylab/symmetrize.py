@@ -10,15 +10,16 @@ exactly those points and taking the hull reproduces the symmetral exactly
 crossing its bottom edge in projection has all its volume at a crossing).
 
 Schwartz symmetrization replaces every slice by a disc of equal area and is
-computed from the exact piecewise-quadratic slice-area function.
+computed from the exact piecewise-quadratic slice-area function, sampled
+into a revolution profile.  The symmetral's axis ratio is q(P, x), which
+functionals.q_direction evaluates exactly without building it.
 """
 
 import numpy as np
 
 from .errors import FlatBodyError, InputError, SymmetryError
 from .geom import chords, convex_hull, plane_basis, slice_quadratics, unitize
-from .revolution import RevolutionBody, axis_ratio
-from .functionals import ratio
+from .revolution import RevolutionBody
 from .zonotope import z_shadow_area
 
 DUPLICATE_TOL = 1e-10
@@ -194,19 +195,6 @@ def steiner_projection_monotonicity(P, nu, h_second):
     w = np.cross(nu, unitize(perp))
     before = z_shadow_area(P.pi_body, w)
     after = z_shadow_area(steiner(P, nu).pi_body, w)
-    return float(before), float(after)
-
-
-def schwartz_ratio_monotonicity(P, x):
-    """Direction ratio of P at x versus its Schwartz symmetral along x.
-
-    The symmetral side is evaluated by the closed revolution-body form;
-    symmetrizing can only decrease the ratio (after <= before, with a 1e-6
-    discretization allowance).
-    """
-    x = unitize(x)
-    before = ratio(P, x)
-    after = axis_ratio(schwartz(P, x))
     return float(before), float(after)
 
 

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, determinism, round-trips."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pettylab import (GeneratorSet, GeometryError, bodies, convex_hull, fixtures,
-                      load_body, save_body)
+from pettylab import (BodyFileError, GeneratorSet, GeometryError, bodies, convex_hull,
+                      fixtures, load_body, save_body)
 from pettylab.cli import main
 
 
@@ -74,7 +75,14 @@ class TestBodyFiles:
                                                 a=data.draw(st.floats(0.1, 10.0)))
         else:
             B = fixtures.ball()
-        C = bodies.body_from_dict(json.loads(json.dumps(bodies.body_to_dict(B))))
+        doc = json.loads(json.dumps(bodies.body_to_dict(B)))
+        field = {"zonotope": "generators", "polytope": "vertices"}.get(kind)
+        if field and np.max(np.abs(doc[field])) < bodies.COORD_RANGE[0]:
+            # a body smaller than the coordinate range is refused, not misread
+            with pytest.raises(BodyFileError, match=field):
+                bodies.body_from_dict(doc)
+            return
+        C = bodies.body_from_dict(doc)
         assert type(C) is type(B)
         if kind == "zonotope":
             assert np.array_equal(C.gens, B.gens)
@@ -123,6 +131,41 @@ class TestBodyFiles:
         p.write_text(json.dumps(doc))
         assert main(["compute", str(p), "--invariants", "P"]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "zonotope", "generators": (1e70 * np.eye(3)).tolist()}, "generators"),
+        ({"kind": "polytope", "symmetric": True,
+          "vertices": np.vstack([1e70 * np.eye(3), -1e70 * np.eye(3)]).tolist()}, "vertices"),
+        ({"kind": "polytope", "symmetric": False,
+          "vertices": (1e300 * fixtures.tetrahedron().vertices).tolist()}, "vertices"),
+        ({"kind": "zonotope", "generators": (1e-200 * np.eye(3)).tolist()}, "generators"),
+        ({"kind": "zonotope", "generators": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "generators"),
+        ({"kind": "zonotope", "generators": [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "generators"),
+        ({"kind": "revolution", "dimension": 3, "a": 1e40,
+          "profile": [[-1e40, 0], [0, 1e40], [1e40, 0]]}, "profile"),
+        ({"kind": "revolution", "dimension": 3, "a": 1e40,
+          "profile": [[-1, 0], [0, 1], [1, 0]]}, "a"),
+    ], ids=["zonotope-1e70", "octahedron-1e70", "tetrahedron-1e300", "zonotope-1e-200",
+            "integer-1e400", "nan", "profile-1e40", "a-1e40"])
+    def test_coordinates_out_of_range_exit2(self, tmp_path, capsys, doc, field):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        for want in ("P", "M", "Q"):
+            assert main(["compute", str(p), "--invariants", want]) == 2
+            assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    def test_coordinates_at_range_ends(self, tmp_path, capsys, scale):
+        # P, M, m and Q are scale-invariant: the ends of the range read as 1
+        doc = {"kind": "zonotope", "generators": (scale * np.eye(3)).tolist()}
+        (tmp_path / "z.json").write_text(json.dumps(doc))
+        assert main(["--no-timestamp", "compute", str(tmp_path / "z.json"),
+                     "--grid", "64", "--refine", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {r.split(",")[0]: float(r.split(",")[1]) for r in rows} == pytest.approx(
+            {"P": 8.0, "M": 8.0, "m": 8.0, "Q": 8.0}, rel=1e-9)
 
     def test_extra_fields_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -289,9 +332,17 @@ class TestSearchCmd:
     (["search", "max-ts-ratio", "--threads", "-4"], "--threads"),
     (["search", "max-ts-ratio", "--threads", "0"], "--threads"),
     (["symmetrize", "CUBE", "--mode", "steiner", "--steps", "-4"], "--steps"),
+    (["symmetrize", "CUBE", "--mode", "schwartz", "--steps", "5"], "--steps"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--steps", "3", "--direction", "1,0,0"],
+     "--direction"),
+    (["compute", "CUBE", "--invariants", ","], "--invariants"),
+    (["compute", "CUBE", "--invariants", "P,P"], "--invariants"),
+    (["compute", "CUBE", "--invariants", "P,V"], "--invariants"),
 ], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
         "seed-negative", "samples-0", "samples-3e9",
-        "zonoid-named-start", "threads-negative", "threads-0", "steps-negative"])
+        "zonoid-named-start", "threads-negative", "threads-0", "steps-negative",
+        "schwartz-steps", "steps-with-direction", "invariants-empty",
+        "invariants-repeated", "invariants-unknown"])
 def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
     argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]
     assert main(argv) == 2

@@ -1,0 +1,128 @@
+"""CLI fuzz: generated body files and flag combinations end in a documented exit code.
+
+Run as a script (`python tests/test_cli_fuzz.py DIR`), it writes seeded body
+files to DIR, runs about 100 command lines through pettylab.cli.main in this
+one process, and prints one line per command line: its exit code, or
+"traceback" when main raised.  The test runs the script in a child process
+whose address space is capped, so running out of memory is a traceback too.
+"""
+
+import contextlib
+import io
+import json
+import os
+import resource
+import subprocess
+import sys
+
+import numpy as np
+
+SEED = 11
+ADDRESS_SPACE = 2 * 2**30
+EXIT_CODES = {"0", "2", "3", "4"}
+
+DIRECTIONS = ("0,0,1", "0,0,0", "nan,0,0", "inf,1,0", "1,1e-300,0", "0.3,-0.2,1")
+
+
+def _bodies(rng):
+    """Body documents by name: coordinates at and beyond the accepted range,
+    degenerate and falsely symmetric hulls, and profiles the library rejects."""
+    docs = {}
+    # the largest |coordinate| of each is the scale
+    unit = lambda a: a / np.max(np.abs(a))
+    for scale in (1.0, 1e-30, 1e30, 1e-200, 1e70, 1e300):
+        docs[f"zonotope-{scale:g}"] = {
+            "kind": "zonotope", "generators": (scale * unit(rng.standard_normal((5, 3)))).tolist()}
+        pts = scale * unit(rng.standard_normal((6, 3)))
+        docs[f"hull-{scale:g}"] = {"kind": "polytope", "symmetric": True,
+                                   "vertices": np.vstack([pts, -pts]).tolist()}
+    cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    tet = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+    docs["coplanar"] = {"kind": "polytope", "symmetric": False,
+                        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]]}
+    docs["duplicates"] = {"kind": "polytope", "symmetric": True, "vertices": cube + cube[:5]}
+    docs["tetrahedron-claimed-symmetric"] = {"kind": "polytope", "symmetric": True,
+                                             "vertices": tet}
+    docs["tetrahedron"] = {"kind": "polytope", "symmetric": False, "vertices": tet}
+    docs["flat-zonotope"] = {"kind": "zonotope",
+                             "generators": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0]]}
+    docs["parallel-zonotope"] = {"kind": "zonotope",
+                                 "generators": [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    docs["non-concave"] = {"kind": "revolution", "dimension": 3, "a": 1.0,
+                           "profile": [[-1, 1], [0, 0.2], [1, 1]]}
+    docs["cone-d4"] = {"kind": "revolution", "dimension": 4, "a": 1.0,
+                       "profile": [[-1, 0], [0, 1], [1, 0]]}
+    docs["cone"] = {"kind": "revolution", "dimension": 3, "a": 1.0,
+                    "profile": [[-1, 0], [0, 1], [1, 0]]}
+    docs["ball"] = {"kind": "ball"}
+    return docs
+
+
+def command_lines(work):
+    """The seeded command lines, each a list of arguments for main."""
+    rng = np.random.default_rng(SEED)
+    lines = []
+    for name, doc in _bodies(rng).items():
+        path = os.path.join(work, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        grid, refine = str(rng.choice([2, 3, 16])), str(rng.choice([0, 1, 3]))
+        d, track = rng.choice(DIRECTIONS, size=2)
+        x = ",".join(repr(float(c)) for c in rng.standard_normal(3))
+        out = os.path.join(work, f"{name}-out.json")
+        lines += [
+            ["compute", path, "--invariants", "P"],
+            ["compute", path, "--grid", grid, "--refine", refine],
+            ["compute", path, "--invariants", "Q,m", "--grid", "2", "--refine", "0",
+             "--format", "json"],
+            ["symmetrize", path, "--mode", "steiner", f"--direction={d}", "--out", out],
+            ["symmetrize", path, "--mode", "schwartz", f"--direction={x}",
+             f"--track-ratio={x}", "--out", out],
+            ["symmetrize", path, "--mode", "schwartz", f"--direction={x}",
+             f"--track-ratio={track}"],
+            ["symmetrize", path, "--mode", "steiner", "--steps", "2", "--seed", "1"],
+        ]
+    path = os.path.join(work, "hull-1.json")
+    lines += [
+        ["compute", path, "--invariants", ","],
+        ["compute", path, "--invariants", "P,P"],
+        ["compute", path, "--grid", "1"],
+        ["symmetrize", path, "--mode", "schwartz", "--steps", "3"],
+        ["symmetrize", path, "--mode", "steiner", "--steps", "3", "--direction", "1,0,0"],
+        ["symmetrize", path, "--mode", "steiner", "--direction", "1,2"],
+        ["compute", os.path.join(work, "missing.json")],
+    ]
+    return lines
+
+
+def main(work):
+    from pettylab.cli import main as cli_main
+    for argv in command_lines(work):
+        argv = ["--no-timestamp", *argv]
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = str(cli_main(argv))
+        except BaseException as exc:  # every escape from main is a finding
+            code = f"traceback:{type(exc).__name__}"
+        print(code, " ".join(os.path.basename(a) for a in argv), flush=True)
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, __file__, str(tmp_path)], capture_output=True, text=True,
+        timeout=300, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (ADDRESS_SPACE, ADDRESS_SPACE)))
+    # the script ends with exit 0 only after its last command line
+    assert proc.returncode == 0, proc.stderr
+    results = [line.split(" ", 1) for line in proc.stdout.splitlines()]
+    assert len(results) >= 100
+    bad = [(code, line) for code, line in results if code not in EXIT_CODES]
+    assert not bad, bad
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

@@ -196,11 +196,26 @@ class TestPolarVolume:
         assert polar_volume(Ball()) == pytest.approx(4 * math.pi / 3, rel=1e-12)
 
     def test_cube_polar_is_cross_polytope(self, cube):
-        assert polar_volume(cube) == pytest.approx(4.0 / 3.0, rel=0.01)
+        assert polar_volume(cube) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    def test_octahedron_polar_is_cube(self, octahedron):
+        assert polar_volume(octahedron) == pytest.approx(8.0, rel=1e-12)
 
     def test_polarity_scaling(self):
         big = GeneratorSet(4.0 * np.eye(3))  # body [-4, 4]^3
-        assert polar_volume(big) == pytest.approx(1.0 / 48.0, rel=0.01)
+        assert polar_volume(big) == pytest.approx(1.0 / 48.0, rel=1e-12)
+
+    def test_simplex_attains_zhang_bound(self, tetrahedron):
+        val = polar_volume(tetrahedron.pi_body) * tetrahedron.volume ** 2
+        assert val == pytest.approx(20.0 / 27.0, rel=1e-12)
+
+    def test_revolution_body_is_realized(self):
+        # the realization is the sum of a 64-gon and a segment, whose polar is
+        # the product of the polar 64-gon (area 64 tan(pi/64)) and [-1, 1]
+        cone = fixtures.double_cone_profile()
+        assert polar_volume(cone) == polar_volume(rev_to_polytope(cone))
+        assert polar_volume(cone) == pytest.approx(2.0 * 64 * math.tan(math.pi / 64),
+                                                   rel=1e-12)
 
     def test_origin_not_interior(self):
         from pettylab import convex_hull

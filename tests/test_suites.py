@@ -5,13 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import fixtures, fibonacci_sphere, ratio
+from pettylab import fixtures, fibonacci_sphere, q_direction, ratio
 from pettylab.errors import InputError
 from pettylab.functionals import candidate_directions
 from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
 from pettylab.suites import SUITES, _rng, _worst, run_suite
-from pettylab.symmetrize import schwartz_ratio_monotonicity
 
 SMALL = {
     "ts-ratio": 2000,
@@ -79,8 +78,8 @@ def _min_ratio(rng):
 
 def _schwartz_gap(rng):
     P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
-    before, after = schwartz_ratio_monotonicity(P, unitize(rng.standard_normal(3)))
-    return after - before
+    x = unitize(rng.standard_normal(3))
+    return q_direction(P, x) - ratio(P, x)
 
 
 # suite -> (its stream's tag, one sample drawn from the stream and valued,

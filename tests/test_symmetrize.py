@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pettylab import (FlatBodyError, InputError, SymmetryError, chord_profile,
-                      convex_hull, ratio, schwartz,
-                      schwartz_ratio_monotonicity, steiner,
-                      steiner_projection_monotonicity)
+from pettylab import (FlatBodyError, InputError, SymmetryError, axis_ratio,
+                      chord_profile, convex_hull, q_direction, ratio, schwartz,
+                      steiner, steiner_projection_monotonicity)
 from pettylab.geom import unitize
 from pettylab.revolution import rev_volume
 from pettylab.suites import _rng
@@ -65,6 +64,15 @@ class TestSteiner:
             nu /= np.linalg.norm(nu)
             S = steiner(P, nu)
             assert S.volume == pytest.approx(P.volume, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e20, 1e30])
+    def test_volume_preserved_at_any_scale(self, rng, scale):
+        # chords compare cosines with the direction, not lengths: a body far
+        # from unit size still finds its chords
+        P = fixtures.random_symmetric_polytope(rng, 8)
+        big = convex_hull(scale * P.vertices, symmetric=True)
+        S = steiner(big, unitize(rng.standard_normal(3)))
+        assert S.volume == pytest.approx(big.volume, rel=1e-9)
 
     def test_reflection_symmetry(self, rng):
         for _ in range(20):
@@ -176,14 +184,16 @@ class TestSteinerShadowMonotonicity:
 
 
 class TestSchwartzRatioMonotonicity:
+    """The ratio after Schwartz symmetrization about x is q(P, x) <= ratio(P, x)."""
+
     def test_octahedron_equality(self, octahedron):
-        before, after = schwartz_ratio_monotonicity(octahedron, E3)
+        before, after = ratio(octahedron, E3), q_direction(octahedron, E3)
         assert before == pytest.approx(6.0, abs=1e-9)
-        assert after == pytest.approx(6.0, abs=1e-4)
-        assert after <= before + 1e-6
+        assert after == pytest.approx(6.0, abs=1e-9)
+        assert after <= before + 1e-9
 
     def test_cube_equality(self, cube):
-        before, after = schwartz_ratio_monotonicity(cube, E3)
+        before, after = ratio(cube, E3), q_direction(cube, E3)
         assert (before, after) == pytest.approx((8.0, 8.0), abs=1e-9)
 
     def test_random(self, rng):
@@ -191,8 +201,25 @@ class TestSchwartzRatioMonotonicity:
             P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            before, after = schwartz_ratio_monotonicity(P, x)
-            assert after <= before + 1e-6
+            assert q_direction(P, x) <= ratio(P, x) + 1e-9
+
+    def test_symmetral_axis_ratio_tracks_q(self, rng):
+        # axis_ratio(R) / q = (I_R / I)^2 V(P) / V(R), I and I_R the integrals
+        # of the true radius sqrt(A / pi) and of the sampled profile.  The
+        # profile interpolates the concave radius from below, so I_R <= I and
+        # V(R) <= V(P): above q it is off by at most V(P) / V(R) - 1, which
+        # the 0.1% volume contract bounds by 1 / 0.999 - 1.  Below q, to first
+        # order 2 dI/I - dV/V; the deficit sits mostly near the poles, where
+        # the radius is small, and costs I up to about twice the share of
+        # volume it costs (1.8 at most on these bodies, 1.95 on 200 others),
+        # which gives 3 * 1e-3.  The worst seen here is -1.42e-3.
+        bodies = [fixtures.cube(), fixtures.octahedron(), fixtures.icosphere(1)]
+        bodies += [fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
+                   for _ in range(100)]
+        for P in bodies:
+            for x in rng.standard_normal((2, 3)):
+                rel = axis_ratio(schwartz(P, x)) / q_direction(P, x) - 1.0
+                assert -3e-3 <= rel <= 1.0 / 0.999 - 1.0
 
 
 class TestRounding:
