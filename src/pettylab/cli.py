@@ -7,8 +7,9 @@
                         [--track-ratio X,Y,Z] [--steps N (steiner)]
     pettylab fixtures --out DIR
 
-Exit codes: 0 success, 2 usage/parse error, 3 invalid body, 4 suite failure
-or a search result beyond a theorem limit.
+Exit codes: 0 success, 2 usage/parse error or an output file that cannot be
+written, 3 invalid body, 4 suite failure or a search result beyond a theorem
+limit.
 The environment variable PETTYLAB_SEED supplies the default seed; all
 numeric output uses 12 significant digits.  Output is byte-identical for
 identical command lines apart from the timestamp header (suppress with
@@ -16,8 +17,10 @@ identical command lines apart from the timestamp header (suppress with
 """
 
 import argparse
+import contextlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -46,6 +49,12 @@ GRID_MAX = 100_000
 SAMPLES_MAX = 1_000_000
 
 INVARIANTS = ("P", "M", "m", "Q")
+
+# Options that take a direction X,Y,Z.  argparse reads a value that starts
+# like a negative number (-1,0,0 or -.5,1,0) as an option; _join_vectors
+# attaches it to its option name first.
+VECTOR_OPTIONS = ("--direction", "--track-ratio")
+_NEGATIVE = re.compile(r"-[\d.]")
 
 
 def _int_in(lo, hi=math.inf):
@@ -154,11 +163,36 @@ def _parse_direction(text):
         raise BodyFileError(f"bad direction {text!r}: {exc}") from exc
 
 
+def _join_vectors(argv):
+    """`--direction -1,0,0` as `--direction=-1,0,0`, for every vector option.
+
+    Any unambiguous prefix of the option name counts, as argparse allows.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE.match(arg) and len(prev) > 2
+                and any(name.startswith(prev) for name in VECTOR_OPTIONS)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """A file that cannot be written to path is a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise BodyFileError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(rows, args, out=None):
     render = render_json if getattr(args, "format", "csv") == "json" else render_csv
     text = render(rows, timestamp=not args.no_timestamp)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -189,9 +223,11 @@ def cmd_search(args):
     run = optimize(args.objective, n=args.n, restarts=args.restarts, iters=args.iters,
                    seed=args.seed, start=args.start, threads=args.threads)
     if args.out:
-        run.save(args.out)
+        with _writing(args.out):
+            run.save(args.out)
     if args.log:
-        run.save_log(args.log)
+        with _writing(args.log):
+            run.save_log(args.log)
     extras = ""
     if run.diagnostics.get("near_equality"):
         if "parallel_pairs" in run.diagnostics:
@@ -226,14 +262,16 @@ def cmd_symmetrize(args):
         out_body = steiner(body, direction)
     print(f"volume before {fmt(v_before)} after {fmt(out_body.volume)}")
     if args.out:
-        save_body(out_body, args.out)
+        with _writing(args.out):
+            save_body(out_body, args.out)
     return EXIT_OK
 
 
 def cmd_fixtures(args):
-    os.makedirs(args.out, exist_ok=True)
-    for name, maker in fixture_mod.FIXTURES.items():
-        save_body(maker(), os.path.join(args.out, f"{name}.json"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        for name, maker in fixture_mod.FIXTURES.items():
+            save_body(maker(), os.path.join(args.out, f"{name}.json"))
     print(f"wrote {len(fixture_mod.FIXTURES)} fixtures to {args.out}")
     return EXIT_OK
 
@@ -250,7 +288,7 @@ _HANDLERS = {
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vectors(sys.argv[1:] if argv is None else argv))
         _check_args(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

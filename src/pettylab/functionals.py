@@ -30,7 +30,6 @@ from collections import namedtuple
 from functools import partial, wraps
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bodies import Ball
 from .errors import InputError, SymmetryError
@@ -271,6 +270,8 @@ def _chart_refine(fn, x0, v0, maximize, steps):
     """Polish an extremum on S^2 with Nelder-Mead in a local 2-D chart."""
     if steps <= 0:
         return x0, v0
+    # imported here: scipy.optimize takes ~0.1 s to load, and refine=0 runs never need it
+    from scipy.optimize import minimize
     x0 = unitize(x0)
     u, w = plane_basis(x0)  # orthonormal frame of the tangent plane at x0
     sign = -1.0 if maximize else 1.0

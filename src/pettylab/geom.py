@@ -2,8 +2,8 @@
 
 Everything downstream (zonotope calculus, invariants, symmetrization) sits on
 the primitives in this module: triangulated convex hulls with outward
-normals, support values, line chords and planar slices, and a deterministic
-sphere grid for extremization.
+normals (scipy's Qhull, imported at the first hull), support values, line
+chords and planar slices, and a deterministic sphere grid for extremization.
 
 All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
@@ -12,7 +12,6 @@ double) throughout, with tolerances stated per operation.
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import FlatBodyError, InputError
 
@@ -199,6 +198,8 @@ def convex_hull(points, symmetric=False):
         raise InputError("points must be an (n, 3) array")
     if pts.shape[0] < 4:
         raise InputError("need at least 4 points")
+    # imported here: scipy.spatial takes ~0.35 s to load, and many commands build no hull
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

@@ -18,7 +18,6 @@ Objectives:
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -280,12 +279,13 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
     """Simulated-annealing search; deterministic for a fixed seed.
 
     Restarts may run in parallel, on at most one worker per restart and per
-    CPU; the merged result is independent of the worker count (best-of by
-    value, ties to the lowest restart index).  A random start has n rows
-    within the objective's n_range; `start` may instead be an (n, 3) array
-    of rows (n >= 3 for a body, 5 for a tuple plus a direction; InputError
-    otherwise, or if they are degenerate) or the name of one of the
-    objective's fixed starts, whose antipodal vertex pairs become the rows.
+    CPU (the process pool is imported only then); the merged result is
+    independent of the worker count (best-of by value, ties to the lowest
+    restart index).  A random start has n rows within the objective's
+    n_range; `start` may instead be an (n, 3) array of rows (n >= 3 for a
+    body, 5 for a tuple plus a direction; InputError otherwise, or if they
+    are degenerate) or the name of one of the objective's fixed starts, whose
+    antipodal vertex pairs become the rows.
     """
     if objective not in RECORDS:
         raise InputError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
@@ -308,6 +308,8 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
     jobs = [(objective, n, iters, seed, r, start if r == 0 else None)
             for r in range(restarts)]
     if threads > 1:
+        # imported here: the process pool takes ~0.05 s to load, and serial runs never need it
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(threads, restarts, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_restart, jobs))

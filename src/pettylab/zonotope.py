@@ -25,7 +25,6 @@ import itertools
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import FlatBodyError, InputError
 from .geom import _chunks, _frames, as_vec
@@ -83,7 +82,8 @@ class GeneratorSet:
 
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
-        return np.sum(np.abs(self.gens @ np.asarray(X, float).T), axis=0)
+        dots = self.gens @ np.asarray(X, float).T
+        return np.sum(np.abs(dots, out=dots), axis=0)
 
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
@@ -170,9 +170,17 @@ def z_shadow_area(Z, X):
 
 def _pair_shadow(C, X):
     """4 * sum over the rows c of C of |<c, x>|, per row x of X."""
+    n = C.shape[0]
     out = np.empty(X.shape[0])
-    for sl in _chunks(X.shape[0], 8 * C.shape[0]):
-        out[sl] = 4.0 * np.sum(np.abs(C @ X[sl].T), axis=0)
+    # every chunk's products go into the first chunk's buffer: a fresh one
+    # per chunk is handed back to the kernel and faulted in again
+    buf = None
+    for sl in _chunks(X.shape[0], 8 * n):
+        Xc = X[sl]
+        if buf is None:
+            buf = np.empty(n * len(Xc))
+        dots = np.matmul(C, Xc.T, out=buf[:n * len(Xc)].reshape(n, len(Xc)))
+        out[sl] = 4.0 * np.sum(np.abs(dots, out=dots), axis=0)
     return out
 
 
@@ -305,7 +313,11 @@ def zonotope_vertices(Z):
 
     Summed one generator at a time; each partial sum keeps only the vertices
     of its hull in its affine span: at most k^2 - k + 2 for k generators.
+    The hulls are scipy's, in 1 to 3 dimensions, so geom.convex_hull cannot
+    take them.
     """
+    # imported here, as in geom.convex_hull: scipy.spatial takes ~0.35 s to load
+    from scipy.spatial import ConvexHull
     pts = np.zeros((1, 3))
     for x in as_set(Z).gens:
         pts = (pts[:, None, :] + np.array([-x, x])).reshape(-1, 3)

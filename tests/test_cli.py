@@ -389,6 +389,17 @@ class TestSymmetrizeCmd:
         start, end = float(line.split()[1]), float(line.split()[3])
         assert end < start
 
+    @pytest.mark.parametrize("option", ["--direction", "--dir"])
+    def test_negative_direction_two_words(self, fixture_dir, tmp_path, capsys, option):
+        # argparse reads "-1,0,0" as an option unless "=" attaches it to its name
+        def run(*argv):
+            out = tmp_path / "out.json"
+            assert main(["symmetrize", str(fixture_dir / "octahedron.json"),
+                         "--mode", "steiner", *argv, "--out", str(out)]) == 0
+            return capsys.readouterr().out, out.read_bytes()
+        joined = run("--direction=-1,0,0", "--track-ratio=-.5,1,0")
+        assert run(option, "-1,0,0", "--track-ratio", "-.5,1,0") == joined
+
 
 def test_fixtures_command(tmp_path):
     code, out, _ = run_cli("fixtures", "--out", str(tmp_path / "fx"))
@@ -426,3 +437,21 @@ def test_theorem_limit_exit4(monkeypatch, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max-M-zonoid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "CUBE", "--invariants", "P", "--out", "NOWHERE"],
+    ["verify", "berwald", "--samples", "5", "--out", "NOWHERE"],
+    ["symmetrize", "CUBE", "--mode", "steiner", "--out", "NOWHERE"],
+    ["search", "max-ts-ratio", "--restarts", "1", "--iters", "5", "--out", "NOWHERE"],
+    ["search", "max-ts-ratio", "--restarts", "1", "--iters", "5", "--log", "NOWHERE"],
+    ["fixtures", "--out", "UNDER-FILE"],
+], ids=["compute", "verify", "symmetrize", "search-out", "search-log", "fixtures"])
+def test_unwritable_output_exit2(fixture_dir, tmp_path, capsys, argv):
+    paths = {"CUBE": str(fixture_dir / "cube.json"),
+             "NOWHERE": str(tmp_path / "missing" / "out.txt"),
+             "UNDER-FILE": str(fixture_dir / "cube.json" / "fixtures")}
+    argv = [paths.get(a, a) for a in argv]
+    target = next(a for a in argv if a in (paths["NOWHERE"], paths["UNDER-FILE"]))
+    assert main(["--no-timestamp", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")

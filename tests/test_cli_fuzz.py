@@ -91,6 +91,18 @@ def command_lines(work):
         ["symmetrize", path, "--mode", "steiner", "--steps", "3", "--direction", "1,0,0"],
         ["symmetrize", path, "--mode", "steiner", "--direction", "1,2"],
         ["compute", os.path.join(work, "missing.json")],
+        ["symmetrize", path, "--mode", "schwartz", "--direction", "-1,0,0",
+         "--track-ratio", "-0.3,-0.2,1"],
+    ]
+    # output paths that cannot be written: a missing directory, a file as directory
+    nowhere = os.path.join(work, "missing", "out.json")
+    lines += [
+        ["compute", path, "--invariants", "P", "--out", nowhere],
+        ["verify", "berwald", "--samples", "5", "--out", nowhere],
+        ["symmetrize", path, "--mode", "steiner", "--out", nowhere],
+        ["search", "max-ts-ratio", "--restarts", "1", "--iters", "5", "--out", nowhere],
+        ["search", "max-ts-ratio", "--restarts", "1", "--iters", "5", "--log", nowhere],
+        ["fixtures", "--out", os.path.join(path, "fixtures")],
     ]
     return lines
 

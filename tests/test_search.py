@@ -178,15 +178,16 @@ class TestMinQ:
 
 
 def _record_workers(monkeypatch):
-    from pettylab import search
+    # optimize imports the pool class when it needs one, so patch its home
+    import concurrent.futures
     seen = []
 
-    class Recording(search.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             seen.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return seen
 
 

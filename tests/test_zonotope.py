@@ -321,6 +321,17 @@ def test_second_support_from_shadow_paths(seed, n):
     assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
 
 
+def test_pair_shadow_reuses_no_stale_products():
+    # the chunks share one buffer; each, the short last one too, must give
+    # its own products bit for bit
+    rng = np.random.default_rng(3)
+    C, X = rng.standard_normal((300, 3)), rng.standard_normal((1000, 3))
+    want = np.concatenate([4.0 * np.sum(np.abs(C @ X[sl].T), axis=0)
+                           for sl in zonotope._chunks(len(X), 8 * len(C))])
+    assert len(list(zonotope._chunks(len(X), 8 * len(C)))) == 3
+    assert np.array_equal(_pair_shadow(C, X), want)
+
+
 def test_volume_of_many_generators_by_increments():
     # V(Z + [-x, x]) = V(Z) + 2|x| V_2(Z | x^perp), one generator at a time
     rng = np.random.default_rng(33)
