@@ -219,7 +219,22 @@ def cmd_verify(args):
     return EXIT_SUITE if any_failed(rows) else EXIT_OK
 
 
+def _check_writable(path):
+    """Exit 2 now, not after the run, when path cannot be opened for writing.
+
+    An existing file is left as it is; a file the check creates is removed.
+    """
+    existed = os.path.exists(path)
+    with _writing(path):
+        open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_search(args):
+    for path in (args.out, args.log):
+        if path:
+            _check_writable(path)
     run = optimize(args.objective, n=args.n, restarts=args.restarts, iters=args.iters,
                    seed=args.seed, start=args.start, threads=args.threads)
     if args.out:

@@ -95,15 +95,19 @@ def ball():
     return Ball()
 
 
-def random_zonotope(rng, n_gens):
-    """Zonotope with Gaussian generators (resampled until solid)."""
+def random_generators(rng, n_gens):
+    """Gaussian (n_gens, 3) generators of a solid zonotope (resampled until solid)."""
     for _ in range(100):
         g = rng.standard_normal((n_gens, 3))
-        gs = GeneratorSet(g)
         sv = np.linalg.svd(g, compute_uv=False)
         if sv[2] > 1e-6 * sv[0]:
-            return gs
+            return g
     raise RuntimeError("could not draw a solid zonotope")
+
+
+def random_zonotope(rng, n_gens):
+    """Zonotope with Gaussian generators (resampled until solid)."""
+    return GeneratorSet(random_generators(rng, n_gens))
 
 
 def random_symmetric_polytope(rng, n_pairs):

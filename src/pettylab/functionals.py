@@ -36,7 +36,8 @@ from .errors import InputError, SymmetryError
 from .geom import (_NEXT, _PREV, Polytope, _chunks, as_vec, convex_hull,
                    fibonacci_sphere, plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, rev_to_polytope
-from .zonotope import GeneratorSet, z_shadow_area, zonotope_vertices
+from .zonotope import (GeneratorSet, _nonzero, _pair_path, _pair_shadow, cross_rows,
+                       pi2_rows, triple_dets, z_shadow_area, z_support, zonotope_vertices)
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 
@@ -161,7 +162,7 @@ def ratio(B, X):
         raise SymmetryError("direction ratio requires a symmetric body")
     num = z_shadow_area(B.pi_body, X)
     den = B.support(X) * B.volume
-    if np.any(den <= 0.0):
+    if (den <= 0.0).any():
         raise InputError("support must be positive in every requested direction")
     return num / den
 
@@ -264,6 +265,45 @@ def candidate_directions(B):
     norms = np.linalg.norm(arr, axis=1)
     arr = arr[norms > 0.0] / norms[norms > 0.0, None]
     return arr
+
+
+def grid_max_ratios(G, grid):
+    """Grid M of each zonotope of a stack G (b, n, 3), unrefined: shape (b,).
+
+    Each value is invariants(GeneratorSet(g), grid, refine=0, want="M").M
+    bit for bit: the largest ratio over fibonacci_sphere(grid) and the
+    body's candidate_directions, from the rows, supports and shadows of the
+    per-body path run on the stack.  A member the stack cannot take (flat,
+    with a zero cross or Pi^2 row, or shadowed by zonogon walks) is
+    evaluated on its own.
+    """
+    G = np.asarray(G, dtype=float)
+    b = G.shape[0]
+    C, D = cross_rows(G), triple_dets(G)
+    R = pi2_rows(G, D)
+    cands = np.concatenate([np.broadcast_to(np.eye(3), (b, 3, 3)), G, C], axis=1)
+    norms = np.linalg.norm(cands, axis=-1, keepdims=True)
+    # a zero cross leaves its member to the per-body path
+    X = np.concatenate([np.broadcast_to(fibonacci_sphere(grid), (b, grid, 3)),
+                        cands / np.where(norms > 0.0, norms, 1.0)], axis=1)
+    sv = np.linalg.svd(G, compute_uv=False)
+    # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
+    ok = ((sv[:, 2] > 1e-12 * sv[:, 0]) & np.all(_nonzero(C, G), axis=-1)
+          & np.all(_nonzero(R, 4.0 * C), axis=-1) & _pair_path(C.shape[1], X.shape[1]))
+    out = np.empty(b)
+    for i in np.nonzero(~ok)[0]:
+        out[i] = invariants(GeneratorSet(G[i]), grid=grid, refine=0, want=("M",)).M
+    if ok.any():
+        if not ok.all():
+            G, D, R, X = G[ok], D[ok], R[ok], X[ok]
+        den = z_support(G, X)
+        den *= (8.0 * np.sum(np.abs(D), axis=-1))[:, None]
+        if (den <= 0.0).any():
+            raise InputError("support must be positive in every requested direction")
+        num = _pair_shadow(R, X)
+        num /= den
+        out[ok] = np.max(num, axis=-1)
+    return out
 
 
 def _chart_refine(fn, x0, v0, maximize, steps):

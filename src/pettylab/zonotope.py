@@ -14,11 +14,22 @@ generator (area/2) * normal per triangle.  Either body keeps Pi K as its
 cached `pi_body`.
 
 Shadows are the one primitive (`z_shadow_area`): the support of Pi^2 K is
-the shadow of Pi K, and V(Z) = (2/3) sum_k V_2(Z | x_k^perp), since each
-generator triple appears once for each of its three members as direction.
-A shadow is summed over generator pairs, or, for many generators, walked
-as the zonogon boundary in angular order (O(n log n) per direction); both
-are exact, and both run over chunks of directions of bounded size.
+the shadow of Pi K.  A shadow is summed over generator pairs, or, for many
+generators, walked as the zonogon boundary in angular order (O(n log n) per
+direction); both are exact, and both run over chunks of directions of
+bounded size.
+
+The pairs of Pi Z's generators come in closed form from one table of triple
+determinants D_ijk = det(x_i, x_j, x_k) (`pi2_rows`).  With c_ij = x_i x x_j,
+pairs sharing an index are parallel to a generator, c_ij x c_ik = D_ijk x_i,
+so they merge into n rows W_i x_i with W_i = sum_{j<k; j,k != i} |D_ijk|;
+disjoint pairs follow from Binet-Cauchy, c_ij x c_kl = D_ijl x_k - D_ijk x_l,
+three pairings per 4-subset.  That is n + 3 C(n, 4) rows in place of
+C(C(n, 2), 2): 20 for 45 at n = 5, 218 for 378 at n = 8.  The same table
+gives the volume, so P, M and m of a zonotope round through one set of
+determinants.  Rows, supports and pair shadows also take stacks (b, n, 3)
+of zonotopes of one size, and give each member the values it has on its
+own, bit for bit.
 """
 
 import itertools
@@ -32,6 +43,11 @@ from .geom import _chunks, _frames, as_vec
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
 _PAIR_CACHE = {}
+
+# pi2_rows index tables are kept up to this many generators, about 80 kB in
+# all; larger ones (0.5 MB at 24) are built for each body that needs them
+_PI2_KEEP = 12
+_PI2_CACHE = {}
 
 # Sort axis of merge_parallel; any unit vector works, a generic one keeps the
 # windows of near-equal keys short for structured inputs.
@@ -47,6 +63,9 @@ class GeneratorSet:
     """
 
     symmetric = True
+    # for Pi Z, set by pi_body: the generators of Z, whose triple
+    # determinants give the pair rows (an array, so Z and Pi Z form no cycle)
+    _source = None
 
     def __init__(self, gens):
         g = np.asarray(gens, dtype=float)
@@ -72,18 +91,27 @@ class GeneratorSet:
 
     @cached_property
     def _crosses(self):
-        """Nonzero crosses x_i x x_j over i < j: Pi generators and pair-sum rows."""
-        return pair_crosses(self)
+        """Nonzero crosses x_i x x_j over i < j: Pi generators and pair-sum rows.
+
+        For Pi Z they are the merged rows pi2_rows of Z, which generate the
+        same zonotope.
+        """
+        if self._source is None:
+            return pair_crosses(self)
+        rows = pi2_rows(self._source, triple_dets(self._source))
+        keep = _nonzero(rows, self.gens)
+        return rows if keep.all() else rows[keep]
 
     @cached_property
     def pi_body(self):
         """Pi Z as a GeneratorSet, kept for P and the support of Pi^2 Z."""
-        return GeneratorSet(self.projection_generators())
+        pi = GeneratorSet(self.projection_generators())
+        pi._source = self.gens
+        return pi
 
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
-        dots = self.gens @ np.asarray(X, float).T
-        return np.sum(np.abs(dots, out=dots), axis=0)
+        return z_support(self.gens, X)
 
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
@@ -111,13 +139,96 @@ def _pairs(n):
     return _PAIR_CACHE[n]
 
 
+def z_support(G, X):
+    """h_Z(x) = sum_i |<x, x_i>| for generators G (..., n, 3).
+
+    One value per row of X (..., d, 3), or per stack member for one x.
+    """
+    X = np.asarray(X, dtype=float)
+    dots = G @ (X if X.ndim == 1 else X.swapaxes(-1, -2))
+    return np.add.reduce(np.abs(dots, out=dots), axis=-1 if X.ndim == 1 else -2)
+
+
+def cross_rows(G):
+    """Crosses x_i x x_j over i < j in index order, zero ones kept: (..., C(n, 2), 3)."""
+    i, j = _pairs(G.shape[-2])
+    return np.cross(np.take(G, i, axis=-2), np.take(G, j, axis=-2))
+
+
+def _nonzero(C, G):
+    """Which rows of C, products of two rows of G, are not zero to rounding.
+
+    A row counts when its length exceeds 1e-14 times the square of G's
+    largest |entry|.
+    """
+    scale = np.max(np.abs(G), axis=(-2, -1))
+    scale = np.where(scale > 0.0, scale, 1.0)[..., None]
+    return np.linalg.norm(C, axis=-1) > 1e-14 * scale * scale
+
+
 def pair_crosses(Z):
     """Nonzero cross products x_i x x_j over i < j, in index order."""
     g = as_set(Z).gens
-    i, j = _pairs(g.shape[0])
-    c = np.cross(g[i], g[j])
-    scale = float(np.max(np.abs(g))) or 1.0
-    return c[np.linalg.norm(c, axis=1) > 1e-14 * scale * scale]
+    c = cross_rows(g)
+    return c[_nonzero(c, g)]
+
+
+def triple_dets(G):
+    """det(x_i, x_j, x_k) = <x_i x x_j, x_k> over i < j < k, lexicographic, for G (..., n, 3)."""
+    n = G.shape[-2]
+    dots = cross_rows(G) @ G.swapaxes(-1, -2)
+    later = _pairs(n)[1][:, None] < np.arange(n)
+    return np.compress(later.ravel(), dots.reshape(dots.shape[:-2] + (-1,)), axis=-1)
+
+
+def _pi2_index(n):
+    """Index tables of pi2_rows for n generators.
+
+    Returns the triples through each generator, an (n, C(n-1, 2)) table, and
+    for each 4-subset a < b < c < d in lexicographic order the triples
+    (acd, abd, abc) and the generators (b, c, d), two (C(n, 4), 3) tables.
+    """
+    if n in _PI2_CACHE:
+        return _PI2_CACHE[n]
+    i, j = _pairs(n)
+    r = np.arange(n)
+    # the triples (i, j, k) in the order of triple_dets
+    p, k = np.nonzero(j[:, None] < r)
+    i, j = i[p], j[p]
+    member = (i == r[:, None]) | (j == r[:, None]) | (k == r[:, None])
+    through = np.nonzero(member)[1].reshape(n, -1)
+    tid = np.zeros((n, n, n), dtype=np.intp)
+    tid[i, j, k] = np.arange(k.size)
+    up = r[:, None] < r
+    a, b, c, d = np.nonzero(up[:, :, None, None] & up[:, :, None] & up)
+    tables = (through, np.column_stack([tid[a, c, d], tid[a, b, d], tid[a, b, c]]),
+              np.column_stack([b, c, d]))
+    for t in tables:
+        t.flags.writeable = False
+    if n <= _PI2_KEEP:
+        _PI2_CACHE[n] = tables
+    return tables
+
+
+def pi2_rows(G, D):
+    """Rows r with h_{Pi^2 Z}(x) = 4 sum_r |<r, x>|: the crosses of Pi Z's generators, merged.
+
+    G (..., n, 3) are generators and D (..., C(n, 3)) their triple_dets.
+    The n rows 16 W_i x_i stand for the pairs of Pi generators sharing the
+    index i; each 4-subset a < b < c < d gives its three disjoint pairings
+    16 (u_c - u_d), 16 (u_b + u_d), 16 (u_c - u_b) with u_b = D_acd x_b,
+    u_c = D_abd x_c, u_d = D_abc x_d.  Zero rows are kept.
+    """
+    through, tq, gq = _pi2_index(G.shape[-2])
+    # np.take keeps each stack member's values contiguous, so the sums below
+    # add in the same order for a stack as for one member
+    W = np.sum(np.take(np.abs(D), through, axis=-1), axis=-1)
+    u = np.take(D, tq, axis=-1)[..., None] * np.take(G, gq, axis=-2)
+    ub, uc, ud = u[..., 0, :], u[..., 1, :], u[..., 2, :]
+    disjoint = np.stack([uc - ud, ub + ud, uc - ub], axis=-2)
+    rows = np.concatenate([W[..., None] * G, disjoint.reshape(G.shape[:-2] + (-1, 3))],
+                          axis=-2)
+    return np.multiply(rows, 16.0, out=rows)
 
 
 def is_flat(Z):
@@ -132,13 +243,16 @@ def is_flat(Z):
 def z_volume(Z):
     """Volume 8 * sum over generator triples of |det|; zero iff coplanar.
 
-    Summed as (2/3) * sum_k V_2(Z | x_k^perp): O(n^2 log n) for many
-    generators.
+    Summed over the triple table for few generators; for many, as
+    (2/3) * sum_k V_2(Z | x_k^perp) by zonogon walks, in O(n^2 log n): each
+    triple appears once for each of its three members as direction.
     """
     Z = as_set(Z)
     if len(Z) < 3:
         return 0.0
-    return 2.0 * float(np.sum(z_shadow_area(Z, Z.gens))) / 3.0
+    if _pair_path(len(Z), len(Z)):
+        return 8.0 * float(np.sum(np.abs(triple_dets(Z.gens))))
+    return 2.0 * float(np.sum(_sorted_shadow(Z.gens, Z.gens))) / 3.0
 
 
 def _pair_path(n, d):
@@ -169,19 +283,31 @@ def z_shadow_area(Z, X):
 
 
 def _pair_shadow(C, X):
-    """4 * sum over the rows c of C of |<c, x>|, per row x of X."""
-    n = C.shape[0]
-    out = np.empty(X.shape[0])
-    # every chunk's products go into the first chunk's buffer: a fresh one
-    # per chunk is handed back to the kernel and faulted in again
+    """4 * sum over the rows c of C of |<c, x>|, per row x of X.
+
+    C (m, 3) and X (d, 3), or stacks C (b, m, 3) and X (b, d, 3).  Each
+    member's directions go in the chunks they take on their own, so it gets
+    its own values bit for bit; members share a pass up to about the bytes
+    of one chunk.
+    """
+    Cs, Xs = (C, X) if X.ndim == 3 else (C[None], X[None])
+    b, m, d = Cs.shape[0], Cs.shape[1], Xs.shape[1]
+    out = np.empty((b, d))
+    # every pass's products go into the first pass's buffer: a fresh one per
+    # pass is handed back to the kernel and faulted in again
     buf = None
-    for sl in _chunks(X.shape[0], 8 * n):
-        Xc = X[sl]
-        if buf is None:
-            buf = np.empty(n * len(Xc))
-        dots = np.matmul(C, Xc.T, out=buf[:n * len(Xc)].reshape(n, len(Xc)))
-        out[sl] = 4.0 * np.sum(np.abs(dots, out=dots), axis=0)
-    return out
+    for sl in _chunks(d, 8 * m):
+        XT = Xs[:, sl].transpose(0, 2, 1)
+        w = XT.shape[2]
+        for bs in _chunks(b, 8 * m * w):
+            Cb = Cs[bs]
+            k = len(Cb)
+            if buf is None:
+                buf = np.empty(k * m * w)
+            dots = np.matmul(Cb, XT[bs], out=buf[:k * m * w].reshape(k, m, w))
+            # np.add.reduce is np.sum without its ~4 us of Python dispatch
+            out[bs, sl] = 4.0 * np.add.reduce(np.abs(dots, out=dots), axis=1)
+    return out if X.ndim == 3 else out[0]
 
 
 def _line_units(U):
@@ -227,8 +353,9 @@ def second_proj_support(Z, x):
 
     The independent oracle of the projection-body pipeline: 64 * sum over
     pairs {(i, j), (k, l)} of generator pairs of |det(x_i x x_j, x_k x x_l, x)|,
-    enumerated here and not through pair_crosses, each term by Binet-Cauchy
-    as det(x_i, x_j, x_l) <x_k, x> - det(x_i, x_j, x_k) <x_l, x>.
+    enumerated here one term at a time and not through the index tables of
+    pair_crosses or pi2_rows, each term by Binet-Cauchy as
+    det(x_i, x_j, x_l) <x_k, x> - det(x_i, x_j, x_k) <x_l, x>.
     """
     if is_flat(Z):
         raise FlatBodyError("flat zonotope has no second projection body")

@@ -455,3 +455,31 @@ def test_unwritable_output_exit2(fixture_dir, tmp_path, capsys, argv):
     target = next(a for a in argv if a in (paths["NOWHERE"], paths["UNDER-FILE"]))
     assert main(["--no-timestamp", *argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_search_checks_outputs_before_running(monkeypatch, tmp_path, capsys, flag):
+    from pettylab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("optimize ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "optimize", never)
+    target = str(tmp_path / "missing" / "run.json")
+    assert main(["search", "max-ts-ratio", flag, target]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_search_output_check_leaves_files_alone(monkeypatch, tmp_path):
+    # a run that stops after the check leaves no new file and an old one as it was
+    from pettylab import cli
+
+    def stop(*args, **kwargs):
+        raise cli.LimitError("stopped")
+
+    monkeypatch.setattr(cli, "optimize", stop)
+    out, log = tmp_path / "run.json", tmp_path / "run.jsonl"
+    log.write_text("old\n")
+    assert main(["search", "max-ts-ratio", "--out", str(out), "--log", str(log)]) == 4
+    assert not out.exists()
+    assert log.read_text() == "old\n"

@@ -12,7 +12,7 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       invariants, mixed_volume, petty_value, polar_volume,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
                       ts_sums)
-from pettylab.functionals import BALL_RATIO, sqrt_quadratic_integral
+from pettylab.functionals import BALL_RATIO, grid_max_ratios, sqrt_quadratic_integral
 from pettylab import convex_hull, fixtures, slice_area
 from pettylab.revolution import rev_to_polytope
 
@@ -515,3 +515,14 @@ def test_petty_fixture_values(cube, octahedron, tetrahedron):
     assert petty_value(octahedron) == pytest.approx(9.0, abs=1e-12)
     assert petty_value(tetrahedron) == pytest.approx(18.0, abs=1e-9)
     assert petty_value(Ball()) == pytest.approx(BALL_RATIO, rel=1e-15)
+
+
+def test_grid_max_ratios_match_per_body_values():
+    # a stack of zonotopes of one size; member 2 has a zero cross product,
+    # so the stack leaves it to the per-body path
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((5, 6, 3))
+    G[2, 1] = 2.0 * G[2, 0]
+    assert len(GeneratorSet(G[2])._crosses) == 14
+    want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
+    assert np.array_equal(grid_max_ratios(G, 256), want)

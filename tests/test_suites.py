@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import fixtures, fibonacci_sphere, q_direction, ratio
+from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, functionals, invariants,
+                      q_direction, ratio, suites, zonotope)
 from pettylab.errors import InputError
-from pettylab.functionals import candidate_directions
+from pettylab.functionals import candidate_directions, grid_max_ratios
 from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
 from pettylab.suites import SUITES, _rng, _worst, run_suite
+from pettylab.zonotope import pi2_rows, triple_dets
 
 SMALL = {
     "ts-ratio": 2000,
@@ -122,3 +124,54 @@ def test_timestamp_header_toggle():
     rows = [Row("x", value=1.0, status="INFO")]
     assert render_csv(rows, timestamp=True).startswith("# generated ")
     assert not render_csv(rows, timestamp=False).startswith("#")
+
+
+def _draw_zonotope(seed, sample):
+    """The sample-th zonotope of theorem-1-1's stream at seed."""
+    rng = _rng(seed, "thm11")
+    for _ in range(sample + 1):
+        Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
+    return Z
+
+
+@pytest.mark.parametrize("seed, sample", [(1, 954), (2, 853)])
+def test_near_flat_witnesses_stay_within_8(seed, sample):
+    # near-flat parallelepipeds: their grid M read 8.0000000335 and
+    # 8.000000195 while the Pi^2 support and the volume rounded through
+    # different determinants
+    Z = _draw_zonotope(seed, sample)
+    M = invariants(Z, grid=1024, refine=0, want=("M",)).M
+    assert M <= 8.0 * (1.0 + 1e-9)
+
+
+def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
+    # one shadow-kernel call per block and generator count, the cube check
+    # aside, and the row value of per-body evaluation
+    calls = []
+    kernel = zonotope._pair_shadow
+
+    def counting(C, X):
+        calls.append(C.shape[:-2])
+        return kernel(C, X)
+
+    monkeypatch.setattr(zonotope, "_pair_shadow", counting)
+    monkeypatch.setattr(functionals, "_pair_shadow", counting)
+    monkeypatch.setattr(suites, "THM11_BLOCK", 128)
+    row = suites.suite_theorem_1_1(samples=300, seed=42)[0]
+    rng = _rng(42, "thm11")
+    gens = [fixtures.random_generators(rng, int(rng.integers(3, 9))) for _ in range(300)]
+    blocks = [[len(g) for g in gens[lo:lo + 128]] for lo in range(0, 300, 128)]
+    stacks = [c for c in calls if c]
+    assert len(stacks) == sum(len(set(sizes)) for sizes in blocks)
+    assert sum(c[0] for c in stacks) == 300
+    assert len(calls) == len(stacks) + 1
+    monkeypatch.undo()
+    M = [invariants(GeneratorSet(g), grid=1024, refine=0, want=("M",)).M for g in gens]
+    assert row.value == max(M)
+    for n in range(3, 9):
+        G = np.stack([g for g in gens if len(g) == n])
+        assert np.array_equal(grid_max_ratios(G, 1024),
+                              [m for g, m in zip(gens, M) if len(g) == n])
+        R = pi2_rows(G, triple_dets(G))
+        for g, r in zip(G, R):
+            assert np.array_equal(GeneratorSet(g).pi_body._crosses, r)

@@ -13,7 +13,8 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       z_shadow_area, z_volume)
 from pettylab.geom import plane_basis
 from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
-                               pair_crosses, zonogon_area, zonotope_vertices)
+                               pair_crosses, pi2_rows, triple_dets, zonogon_area,
+                               zonotope_vertices)
 from pettylab import fixtures, zonotope
 
 E1, E2, E3 = np.eye(3)
@@ -144,13 +145,14 @@ class TestSecondProjSupport:
             assert direct == pytest.approx(composed, rel=1e-9)
 
     def test_independent_of_pair_enumeration(self, monkeypatch, rng):
-        # with the shared pair index dropping its last pair, the composed
-        # support goes wrong and the oracle does not
+        # with the index table of the closed-form Pi^2 rows dropping its last
+        # 4-subset, the composed support goes wrong and the oracle does not
         Z = fixtures.random_zonotope(rng, 5)
         x = np.array([0.2, -0.5, 0.84])
         direct = second_proj_support(Z, x)
-        monkeypatch.setattr(zonotope, "_pairs",
-                            lambda n: tuple(ix[:-1] for ix in np.triu_indices(n, k=1)))
+        through, triples, gens = zonotope._pi2_index(5)
+        monkeypatch.setattr(zonotope, "_pi2_index",
+                            lambda n: (through, triples[:-1], gens[:-1]))
         fresh = GeneratorSet(Z.gens)
         assert second_proj_support(fresh, x) == direct
         assert z_shadow_area(fresh.pi_body, x) != pytest.approx(direct, rel=1e-9)
@@ -319,6 +321,29 @@ def test_second_support_from_shadow_paths(seed, n):
     assert _pair_shadow(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert _sorted_shadow(pi.gens, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12),
+       st.sampled_from(["generic", "parallel", "antiparallel", "doubled"]))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_pi2_rows_match_nested_crosses(seed, n, kind):
+    # Pi^2 rows from the triple table against the crosses of Pi Z's own
+    # generators; a pair of generators along one line zeroes some D_ijk
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, 3))
+    if n >= 4 and kind != "generic":
+        lam = {"parallel": rng.uniform(0.5, 2.0), "antiparallel": -rng.uniform(0.5, 2.0),
+               "doubled": 2.0}[kind]
+        G[1] = lam * G[0]
+        if n >= 5:
+            G[3] = -G[2]
+    Z = GeneratorSet(G)
+    pi = Z.pi_body
+    assert len(pi2_rows(G, triple_dets(G))) == n + 3 * math.comb(n, 4)
+    X = rng.standard_normal((40, 3))
+    nested = _pair_shadow(pair_crosses(pi.gens), X)
+    closed = _pair_shadow(pi._crosses, X)
+    assert np.all(np.abs(closed - nested) <= 1e-12 * nested)
 
 
 def test_pair_shadow_reuses_no_stale_products():
