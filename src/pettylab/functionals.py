@@ -27,7 +27,7 @@ the constant (8 = 6 * 4/3).
 
 import math
 from collections import namedtuple
-from functools import partial, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .errors import InputError, SymmetryError
 from .geom import (_NEXT, _PREV, Polytope, _chunks, as_vec, convex_hull,
                    fibonacci_sphere, plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody, rev_to_polytope
-from .zonotope import (GeneratorSet, _nonzero, _pair_path, _pair_shadow, cross_rows,
-                       pi2_rows, triple_dets, z_shadow_area, z_support, zonotope_vertices)
+from .zonotope import (GeneratorSet, _nonzero, _pair_path, _pair_rows, _pair_shadow,
+                       cross_rows, pi2_rows, triple_dets, z_shadow_area, z_support,
+                       zonotope_vertices)
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 
@@ -289,7 +290,8 @@ def grid_max_ratios(G, grid):
     sv = np.linalg.svd(G, compute_uv=False)
     # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
     ok = ((sv[:, 2] > 1e-12 * sv[:, 0]) & np.all(_nonzero(C, G), axis=-1)
-          & np.all(_nonzero(R, 4.0 * C), axis=-1) & _pair_path(C.shape[1], X.shape[1]))
+          & np.all(_nonzero(R, 4.0 * C), axis=-1)
+          & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
     out = np.empty(b)
     for i in np.nonzero(~ok)[0]:
         out[i] = invariants(GeneratorSet(G[i]), grid=grid, refine=0, want=("M",)).M
@@ -306,27 +308,148 @@ def grid_max_ratios(G, grid):
     return out
 
 
-def _chart_refine(fn, x0, v0, maximize, steps):
-    """Polish an extremum on S^2 with Nelder-Mead in a local 2-D chart."""
-    if steps <= 0:
-        return x0, v0
-    # imported here: scipy.optimize takes ~0.1 s to load, and refine=0 runs never need it
-    from scipy.optimize import minimize
-    x0 = unitize(x0)
-    u, w = plane_basis(x0)  # orthonormal frame of the tangent plane at x0
+# Half-angle (rad) of the cap about a chart's centre on which _chart_ratio
+# folds the rows whose planes miss it
+_CAP = 0.1
+_SIN_CAP, _TAN2_CAP = math.sin(_CAP), math.tan(_CAP) ** 2
+
+
+def _split_rows(A, F):
+    """Rows of A in the chart F, split at the cap: (kept, folded).
+
+    A row whose plane <a, x> = 0 misses the cap keeps its sign there, so
+    sum_a |<a, F t>| = sum |t @ kept| + <folded, t> on the cap.  kept holds
+    as columns the rows that may change sign, and folded is the signed sum
+    of the others.
+    """
+    AF = A @ F
+    a0 = AF[:, 0]
+    far = a0 * a0 > _SIN_CAP * _SIN_CAP * np.einsum("ij,ij->i", A, A)
+    # columns, so the sums over rows run along contiguous memory
+    return np.ascontiguousarray(AF[~far].T), np.where(far, np.sign(a0), 0.0) @ AF
+
+
+def _chart_ratio(B, F):
+    """evaluate(T): ratio(B, F t) for each row t = (1, t1, t2) of T, chart-locally.
+
+    On the cap, the directions within _CAP of x0 = F[:, 0], the shadow of Pi B
+    sums only its pair rows that can change sign there (typically 5-15% of
+    them), the others folded into one vector (_split_rows); a zonotope's
+    support splits its generators the same way, and a polytope's keeps the
+    vertices that can be maximal on the cap, the maximizer among them.  So
+    the values are exact, equal to ratio's to rounding.  Points outside the
+    cap go to ratio.  Pi B's pair rows are built only where one direction
+    would take the pair path; otherwise every point goes to ratio.
+    """
+    Pi = B.pi_body
+    if not _pair_path(len(Pi), 1, _pair_rows(Pi)):
+        return lambda T: ratio(B, T @ F.T)
+    rows, folded = _split_rows(Pi._crosses, F)
+    if isinstance(B, GeneratorSet):
+        gens, g_folded = _split_rows(B.gens, F)
+
+        def support(T, X):
+            return np.add.reduce(np.abs(T @ gens), axis=1) + T @ g_folded
+    else:
+        V = B.vertices
+        gap = V - V[np.argmax(V @ F[:, 0])]
+        # v maximal at some x of the cap: <top - v, x0> <= |v - top| |x - x0|,
+        # and |x - x0| <= _CAP
+        near = -(gap @ F[:, 0]) <= _CAP * np.linalg.norm(gap, axis=1)
+        verts = np.ascontiguousarray(V[near].T)
+
+        def support(T, X):
+            return np.max(X @ verts, axis=1)
+    vol = B.volume
+
+    def evaluate(T):
+        X = T @ F.T
+        inside = T[:, 1] * T[:, 1] + T[:, 2] * T[:, 2] <= _TAN2_CAP
+        out = np.empty(len(T))
+        if not inside.all():
+            out[~inside] = ratio(B, X[~inside])
+            T, X = T[inside], X[inside]
+        num = 4.0 * (np.add.reduce(np.abs(T @ rows), axis=1) + T @ folded)
+        out[inside] = num / (support(T, X) * vol)
+        return out
+    return evaluate
+
+
+def _chart(fn, B, x0):
+    """The chart at x0 and fn(B, .) on it: (F, evaluate).
+
+    F = [x0 u w] has the tangent plane's orthonormal frame (u, w) as its
+    last columns, and evaluate(T) is fn(B, F t) for each row t = (1, t1, t2)
+    of T.  ratio and q_direction are homogeneous of degree 0, so F t needs
+    no normalizing.  ratio is evaluated chart-locally (_chart_ratio).
+    """
+    u, w = plane_basis(unitize(x0))
+    F = np.column_stack([x0, u, w])
+    return F, (_chart_ratio(B, F) if fn is ratio else lambda T: fn(B, T @ F.T))
+
+
+def _nelder_mead(f, steps):
+    """Minimize f from the simplex (0, 0), (0.04, 0), (0, 0.04): (t, f(t)).
+
+    scipy's non-adaptive Nelder-Mead with xatol 1e-9, fatol 1e-12 and at
+    most steps - 1 iterations: the same points, compared in the same order,
+    so the same result for the same f.  f takes a list of points (t1, t2)
+    and returns their values.  Each iteration asks in one call for all four
+    moves c + s (c - worst), s = 1, 2, 1/2, -1/2 (reflection, expansion,
+    outside and inside contraction; c the centroid of the other two), and
+    takes the one scipy would; a shrink asks for its two new points in a
+    second call.
+    """
+    sim = [(0.0, 0.0), (0.04, 0.0), (0.0, 0.04)]
+    vals = f(sim)
+    for it in range(steps):
+        # stable, as numpy's argsort is on three values
+        order = sorted(range(3), key=vals.__getitem__)
+        sim, vals = [sim[k] for k in order], [vals[k] for k in order]
+        (b1, b2), (m1, m2), (w1, w2) = sim
+        if it == steps - 1 or (
+                max(abs(m1 - b1), abs(m2 - b2), abs(w1 - b1), abs(w2 - b2)) <= 1e-9
+                and max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])) <= 1e-12):
+            break
+        c1, c2 = (b1 + m1) / 2, (b2 + m2) / 2
+        moves = [(2 * c1 - w1, 2 * c2 - w2), (3 * c1 - 2 * w1, 3 * c2 - 2 * w2),
+                 (1.5 * c1 - 0.5 * w1, 1.5 * c2 - 0.5 * w2),
+                 (0.5 * c1 + 0.5 * w1, 0.5 * c2 + 0.5 * w2)]
+        fr, fe, fc, fcc = trial = f(moves)
+        if fr < vals[0]:
+            k = 1 if fe < fr else 0
+        elif fr < vals[1]:
+            k = 0
+        elif fr < vals[2]:
+            k = 2 if fc <= fr else None
+        else:
+            k = 3 if fcc < vals[2] else None
+        if k is None:  # shrink towards the best point
+            sim[1:] = [(b1 + 0.5 * (m1 - b1), b2 + 0.5 * (m2 - b2)),
+                       (b1 + 0.5 * (w1 - b1), b2 + 0.5 * (w2 - b2))]
+            vals[1:] = f(sim[1:])
+        else:
+            sim[2], vals[2] = moves[k], trial[k]
+    return sim[0], vals[0]
+
+
+def _chart_refine(fn, F, v0, maximize, steps):
+    """Polish the extremum v0 at F[:, 0] by Nelder-Mead in the chart F: (x, v).
+
+    fn evaluates a stack of chart points (_chart), and _nelder_mead runs on
+    sign * fn, four trial points a call.  The polished direction is kept
+    only when it strictly improves on v0; otherwise F[:, 0] and v0 come back.
+    """
     sign = -1.0 if maximize else 1.0
 
-    def obj(th):
-        return sign * fn(unitize(x0 + th[0] * u + th[1] * w))
+    def f(points):
+        return (sign * fn(np.array([(1.0, a, b) for a, b in points]))).tolist()
 
-    res = minimize(obj, np.zeros(2), method="Nelder-Mead",
-                   options={"maxiter": steps, "xatol": 1e-9, "fatol": 1e-12,
-                            "initial_simplex": np.array([[0.0, 0.0], [0.04, 0.0], [0.0, 0.04]])})
-    xr = unitize(x0 + res.x[0] * u + res.x[1] * w)
-    vr = sign * res.fun
-    if (vr > v0) if maximize else (vr < v0):
-        return xr, float(vr)
-    return x0, v0
+    (t1, t2), v = _nelder_mead(f, steps)
+    v *= sign
+    if (v > v0) if maximize else (v < v0):
+        return unitize(F @ (1.0, t1, t2)), v
+    return F[:, 0], v0
 
 
 class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir grid refine "
@@ -340,6 +463,8 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
     The grid is a Fibonacci sphere of the given resolution augmented with
     structured candidate directions (axes, normals, vertex rays, generator
     crosses), so symmetric fixtures attain their exact extremal directions.
+    Each grid extremum is then polished by at most refine - 1 Nelder-Mead
+    iterations in a chart about it (_chart_refine); refine=0 keeps it.
     M and m require a symmetric body.
     """
     want = set(want)
@@ -365,7 +490,11 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
             grid_vals[fn] = fn(body, X)
         vals = grid_vals[fn]
         i = int(np.argmax(vals) if maximize else np.argmin(vals))
-        found[name] = _chart_refine(partial(fn, body), X[i], float(vals[i]), maximize, refine)
+        x, v = X[i], float(vals[i])
+        if refine > 0:
+            F, evaluate = _chart(fn, body, x)
+            x, v = _chart_refine(evaluate, F, v, maximize, refine)
+        found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
     near = bool(m is not None and m < 6.0 + 1e-6)
     return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir, grid, refine, near)

@@ -255,15 +255,33 @@ def z_volume(Z):
     return 2.0 * float(np.sum(_sorted_shadow(Z.gens, Z.gens))) / 3.0
 
 
-def _pair_path(n, d):
-    """True when summing over pairs costs less than walking sorted zonogons.
+def _pair_path(n, d, rows=None):
+    """True when summing over pair rows costs less than walking sorted zonogons.
 
-    n generators, d directions.  Measured with numpy 2 on one core: the pair
-    sum costs ~2 ns per pair and direction, the sorted walk ~60 ns per
-    generator and direction plus ~80 us per call.  So many directions switch
-    to the walk from about 60 generators on, a single direction from ~350.
+    n generators, d directions, and the rows the pair sum runs over, by
+    default the C(n, 2) pairs (_pair_rows gives them for a body).  Measured
+    with numpy 2 on one core: the pair sum costs ~2 ns per row and direction,
+    the sorted walk ~60 ns per generator and direction plus ~80 us per call.
+    So many directions switch to the walk from about 60 generators on, a
+    single direction from ~350; Pi Z, with n + 3 C(n, 4) rows for C(n, 2)
+    generators, switches from 14 generators of Z on.
     """
-    return n * (n - 1) * d <= 60 * n * d + 80_000
+    if rows is None:
+        rows = n * (n - 1) // 2
+    return 2 * rows * d <= 60 * n * d + 80_000
+
+
+def _pair_rows(Z):
+    """How many rows Z's pair sum runs over, zero rows included.
+
+    n + 3 C(n, 4) for Pi of a zonotope of n generators (pi2_rows), else the
+    C(len(Z), 2) pairs; counted without building them.
+    """
+    if Z._source is None:
+        n = len(Z)
+        return n * (n - 1) // 2
+    n = len(Z._source)
+    return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
 def z_shadow_area(Z, X):
@@ -275,7 +293,7 @@ def z_shadow_area(Z, X):
     Z = as_set(Z)
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
-    if _pair_path(len(Z), Xs.shape[0]):
+    if _pair_path(len(Z), Xs.shape[0], _pair_rows(Z)):
         out = _pair_shadow(Z._crosses, Xs)
     else:
         out = _sorted_shadow(Z.gens, Xs)

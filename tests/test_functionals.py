@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       invariants, mixed_volume, petty_value, polar_volume,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
                       ts_sums)
-from pettylab.functionals import BALL_RATIO, grid_max_ratios, sqrt_quadratic_integral
+from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
+                                  grid_max_ratios, sqrt_quadratic_integral)
 from pettylab import convex_hull, fixtures, slice_area
 from pettylab.revolution import rev_to_polytope
+from pettylab.zonotope import _pair_path, _pair_rows
 
 E1, E2, E3 = np.eye(3)
 SHARP = 4.0 / 3.0
@@ -526,3 +529,101 @@ def test_grid_max_ratios_match_per_body_values():
     assert len(GeneratorSet(G[2])._crosses) == 14
     want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
     assert np.array_equal(grid_max_ratios(G, 256), want)
+
+
+# --- chart refinement -----------------------------------------------------------
+
+def _scipy_nelder_mead(g, steps):
+    """scipy's Nelder-Mead on g with the options of the chart refinement."""
+    return minimize(g, np.zeros(2), method="Nelder-Mead",
+                    options={"maxiter": steps, "xatol": 1e-9, "fatol": 1e-12,
+                             "initial_simplex": [[0.0, 0.0], [0.04, 0.0], [0.0, 0.04]]})
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 50, 400])
+@pytest.mark.parametrize("g", [
+    lambda p: (p[0] - 0.3) ** 2 + 2.0 * (p[1] + 0.1) ** 2,
+    lambda p: 100.0 * (p[1] - p[0] ** 2) ** 2 + (1.0 - p[0]) ** 2,
+    lambda p: abs(p[0] - 0.01) + 3.0 * abs(p[1] + 0.02),
+    lambda p: 1.0,
+    lambda p: np.floor(40.0 * (p[0] - 0.013)) ** 2 + np.floor(40.0 * (p[1] + 0.027)) ** 2,
+    lambda p: np.floor(100.0 * (p[0] ** 2 + p[1] ** 2)) - np.floor(30.0 * (p[0] + 2.0 * p[1])),
+], ids=["quadratic", "rosenbrock", "kinked", "constant", "terraced", "stairs"])
+def test_nelder_mead_takes_scipys_steps(g, steps):
+    # g gives a point the same value in a batch as alone, so every move and
+    # the result are scipy's to the bit: the constant takes only shrinks,
+    # the kinked function shrinks at its kinks, the terraced and stairs ones
+    # tie their trial values, the quadratic converges
+    calls, asked, scipy_asked = [], [], []
+
+    def f(points):
+        calls.append(len(points))
+        asked.extend(points)
+        return [g(np.array(p)) for p in points]
+
+    def g_alone(p):
+        scipy_asked.append(tuple(p))
+        return g(p)
+
+    t, v = _nelder_mead(f, steps)
+    res = _scipy_nelder_mead(g_alone, steps)
+    assert t == tuple(res.x) and v == res.fun
+    # scipy's points, in its order, among the trial points
+    rest = iter(asked)
+    assert all(p in rest for p in scipy_asked)
+    assert calls[0] == 3 and set(calls[1:]) <= {2, 4} and len(calls) <= 2 * steps - 1
+
+
+def _oracle_bodies():
+    rng = np.random.default_rng(2024)
+    bodies = [fixtures.cube(), fixtures.cube_zonotope(), fixtures.octahedron(),
+              fixtures.icosphere(1), rev_to_polytope(fixtures.cylinder_profile())]
+    bodies += [fixtures.random_zonotope(rng, n) for n in (4, 7, 12, 14)]
+    bodies += [fixtures.random_symmetric_polytope(rng, n) for n in (5, 12, 30)]
+    return bodies
+
+
+@pytest.mark.parametrize("B", _oracle_bodies(), ids=[
+    "cube", "cube-zonotope", "octahedron", "icosphere1", "cylinder",
+    "zonotope4", "zonotope7", "zonotope12", "zonotope14", "hull5", "hull12", "hull30"])
+def test_chart_refine_reaches_scipys_value(B):
+    # scipy's Nelder-Mead on the same chart function, one point a call, from
+    # the grid extrema of M and m, and of Q on the smaller bodies
+    rep = invariants(B, grid=256, refine=0, want=("M", "m", "Q"))
+    cases = [(ratio, B, rep.M_dir, True), (ratio, B, rep.m_dir, False)]
+    if len(B.pi_body) <= 12:
+        cases.append((q_direction, B, rep.Q_dir, True))
+    for fn, body, x0, maximize in cases:
+        F, evaluate = _chart(fn, body, x0)
+        sign = -1.0 if maximize else 1.0
+        res = _scipy_nelder_mead(lambda th: sign * evaluate(np.array([[1.0, *th]]))[0], 50)
+        x, v = _chart_refine(evaluate, F, sign * np.inf, maximize, 50)
+        assert v == pytest.approx(sign * res.fun, rel=1e-12)
+        assert fn(body, x) == pytest.approx(v, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zonotope", "hull", "revolution"]))
+@settings(max_examples=40, deadline=None)
+def test_chart_ratio_matches_ratio(seed, kind):
+    # chart points inside the cap, on a kink plane through its centre, and
+    # outside it; the chart is centred on the plane of one of Pi B's rows
+    rng = np.random.default_rng(seed)
+    if kind == "zonotope":
+        B = fixtures.random_zonotope(rng, int(rng.integers(3, 15)))
+    elif kind == "hull":
+        B = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 41)))
+    else:
+        B = rev_to_polytope(fixtures.random_concave_profile(rng, n_nodes=3))
+    Pi = B.pi_body
+    assert _pair_path(len(Pi), 1, _pair_rows(Pi))  # so the rows are split
+    r = Pi._crosses[rng.integers(len(Pi._crosses))]
+    F, evaluate = _chart(ratio, B, np.cross(r, rng.standard_normal(3)))
+    a = r @ F
+    cap = math.tan(0.1)
+    along = cap * np.array([-a[2], a[1]]) / math.hypot(a[1], a[2])
+    inside = rng.uniform(-cap, cap, (6, 2)) / math.sqrt(2.0)
+    out = rng.standard_normal((4, 2))
+    out *= rng.uniform(1.01 * cap, 0.6, (4, 1)) / np.linalg.norm(out, axis=1)[:, None]
+    t = np.vstack([[0.0, 0.0], 0.7 * along, -0.3 * along, inside, out])
+    T = np.column_stack([np.ones(len(t)), t])
+    assert evaluate(T) == pytest.approx(ratio(B, T @ F.T), rel=1e-13)

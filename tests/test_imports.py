@@ -45,3 +45,16 @@ def test_polytope_compute_loads_the_hull_only(tmp_path):
     save_body(fixtures.octahedron(), path)
     code = run_main("compute", path, "--invariants", "P,M", "--refine", "0")
     assert loaded_after(code) == {"scipy.spatial"}
+
+
+def test_zonotope_compute_at_default_refine_loads_nothing(tmp_path):
+    # the refinement is numpy's: no scipy.optimize
+    path = str(tmp_path / "cube-zonotope.json")
+    save_body(fixtures.cube_zonotope(), path)
+    assert loaded_after(run_main("compute", path, "--invariants", "P,M,m")) == set()
+
+
+def test_polytope_compute_at_default_refine_loads_the_hull_only(tmp_path):
+    path = str(tmp_path / "octahedron.json")
+    save_body(fixtures.octahedron(), path)
+    assert loaded_after(run_main("compute", path, "--grid", "256")) == {"scipy.spatial"}
