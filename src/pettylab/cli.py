@@ -28,7 +28,7 @@ import numpy as np
 from . import fixtures as fixture_mod
 from .bodies import load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
-from .functionals import invariants, q_direction, ratio
+from .functionals import INVARIANTS, invariants, q_direction, ratio
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
@@ -47,8 +47,6 @@ GRID_MAX = 100_000
 # Largest --samples.  The suites draw their samples up front; at this size
 # verify ts-ratio peaks near 0.22 GB, and larger counts exhaust memory.
 SAMPLES_MAX = 1_000_000
-
-INVARIANTS = ("P", "M", "m", "Q")
 
 # Options that take a direction X,Y,Z.  argparse reads a value that starts
 # like a negative number (-1,0,0 or -.5,1,0) as an option; _join_vectors

@@ -23,6 +23,9 @@ form, with 4 + 3 terms.  The bridging identity
 
 over ordered generator 4-tuples fixes the normalization; the cube calibrates
 the constant (8 = 6 * 4/3).
+
+Each body supplies what is derived from it (pi_body, candidates, hull, a
+revolution body's polytope); only the ball, with closed forms, is special.
 """
 
 import math
@@ -33,14 +36,15 @@ import numpy as np
 
 from .bodies import Ball
 from .errors import InputError, SymmetryError
-from .geom import (_NEXT, _PREV, Polytope, _chunks, as_vec, convex_hull,
-                   fibonacci_sphere, plane_basis, slice_quadratics, unitize)
-from .revolution import RevolutionBody, rev_to_polytope
-from .zonotope import (GeneratorSet, _nonzero, _pair_path, _pair_rows, _pair_shadow,
-                       cross_rows, pi2_rows, triple_dets, z_shadow_area, z_support,
-                       zonotope_vertices)
+from .geom import (_NEXT, _PREV, _chunks, as_vec, convex_hull, fibonacci_sphere,
+                   plane_basis, slice_quadratics, unitize)
+from .revolution import RevolutionBody
+from .zonotope import CAP, GeneratorSet, stack_ratios, z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
+INVARIANTS = ("P", "M", "m", "Q")
+# chart points t = (1, t1, t2) with t1^2 + t2^2 <= _TAN2_CAP lie in zonotope.CAP's cap
+_TAN2_CAP = math.tan(CAP) ** 2
 
 # the tuple without v_l, for l = 1..3, oriented so that w_0 = -(w_1 + w_2 + w_3)
 # in ts_sums
@@ -128,12 +132,8 @@ def polar_volume(B):
 # --- the direction ratio and its extrema --------------------------------------
 
 def _realized(B):
-    """The body the evaluators work on: a revolution body's 64-gon polytope.
-
-    The polytope agrees with the closed form axis_ratio to rounding at the
-    axis; rev_to_polytope raises InputError unless d = 3.
-    """
-    return rev_to_polytope(B) if isinstance(B, RevolutionBody) else B
+    """The body the evaluators work on: a revolution body's 64-gon polytope, else B."""
+    return B.polytope if isinstance(B, RevolutionBody) else B
 
 
 def _per_row(rows_fn):
@@ -166,13 +166,6 @@ def ratio(B, X):
     if (den <= 0.0).any():
         raise InputError("support must be positive in every requested direction")
     return num / den
-
-
-def _sliceable(B):
-    """The polytope the slice functional cuts: a zonotope's vertex hull, else B."""
-    if isinstance(B, GeneratorSet):
-        return convex_hull(zonotope_vertices(B), symmetric=True)
-    return B
 
 
 # 1/(2k+3), k = 1..24: the series phi(y) = sum_k (-y)^k/(2k+3) after its 1/3
@@ -229,10 +222,11 @@ def q_direction(B, X):
 
     Exact section quadratics (geom.slice_quadratics) integrated in closed
     form (sqrt_quadratic_integral, within 1e-12 relative), over chunks of
-    rows.  The ball is analytic (int sqrt(pi(1-s^2)) = sqrt(pi) pi/2); a
-    revolution body is evaluated on its polytopal realization.
+    rows, on B.hull (a zonotope's vertex hull).  The ball is analytic
+    (int sqrt(pi(1-s^2)) = sqrt(pi) pi/2); a revolution body is evaluated
+    on its polytopal realization.
     """
-    B = _sliceable(B)
+    B = B.hull
     out = np.empty(X.shape[0])
     # the pieces and their integrals take ~300 bytes per vertex and facet of B
     for sl in _chunks(X.shape[0], 8 * 48 * (B.vertices.shape[0] + B.facets.shape[0])):
@@ -252,127 +246,19 @@ def petty_value(B):
     return B.pi_body.volume / B.volume ** 2
 
 
-def candidate_directions(B):
-    """Structured candidate extremizers: axes, facet normals, vertex rays, crosses."""
-    cands = [np.eye(3)]
-    if isinstance(B, GeneratorSet):
-        g = B.gens
-        cands.append(g)
-        cands.append(B._crosses)
-    elif isinstance(B, Polytope):
-        cands.append(B.facet_normals)
-        cands.append(B.vertices)
-    arr = np.vstack(cands)
-    norms = np.linalg.norm(arr, axis=1)
-    arr = arr[norms > 0.0] / norms[norms > 0.0, None]
-    return arr
-
-
 def grid_max_ratios(G, grid):
     """Grid M of each zonotope of a stack G (b, n, 3), unrefined: shape (b,).
 
-    Each value is invariants(GeneratorSet(g), grid, refine=0, want="M").M
-    bit for bit: the largest ratio over fibonacci_sphere(grid) and the
-    body's candidate_directions, from the rows, supports and shadows of the
-    per-body path run on the stack.  A member the stack cannot take (flat,
-    with a zero cross or Pi^2 row, or shadowed by zonogon walks) is
-    evaluated on its own.
+    Each value is invariants(GeneratorSet(g), grid, refine=0, want=("M",)).M
+    bit for bit: the largest ratio over fibonacci_sphere(grid), the axes and
+    the body's candidates, from zonotope.stack_ratios.  A member the stack
+    cannot take is evaluated on its own.
     """
-    G = np.asarray(G, dtype=float)
-    b = G.shape[0]
-    C, D = cross_rows(G), triple_dets(G)
-    R = pi2_rows(G, D)
-    cands = np.concatenate([np.broadcast_to(np.eye(3), (b, 3, 3)), G, C], axis=1)
-    norms = np.linalg.norm(cands, axis=-1, keepdims=True)
-    # a zero cross leaves its member to the per-body path
-    X = np.concatenate([np.broadcast_to(fibonacci_sphere(grid), (b, grid, 3)),
-                        cands / np.where(norms > 0.0, norms, 1.0)], axis=1)
-    sv = np.linalg.svd(G, compute_uv=False)
-    # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
-    ok = ((sv[:, 2] > 1e-12 * sv[:, 0]) & np.all(_nonzero(C, G), axis=-1)
-          & np.all(_nonzero(R, 4.0 * C), axis=-1)
-          & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
-    out = np.empty(b)
+    values, ok = stack_ratios(G, np.vstack([fibonacci_sphere(grid), np.eye(3)]))
+    out = np.max(values, axis=-1)
     for i in np.nonzero(~ok)[0]:
         out[i] = invariants(GeneratorSet(G[i]), grid=grid, refine=0, want=("M",)).M
-    if ok.any():
-        if not ok.all():
-            G, D, R, X = G[ok], D[ok], R[ok], X[ok]
-        den = z_support(G, X)
-        den *= (8.0 * np.sum(np.abs(D), axis=-1))[:, None]
-        if (den <= 0.0).any():
-            raise InputError("support must be positive in every requested direction")
-        num = _pair_shadow(R, X)
-        num /= den
-        out[ok] = np.max(num, axis=-1)
     return out
-
-
-# Half-angle (rad) of the cap about a chart's centre on which _chart_ratio
-# folds the rows whose planes miss it
-_CAP = 0.1
-_SIN_CAP, _TAN2_CAP = math.sin(_CAP), math.tan(_CAP) ** 2
-
-
-def _split_rows(A, F):
-    """Rows of A in the chart F, split at the cap: (kept, folded).
-
-    A row whose plane <a, x> = 0 misses the cap keeps its sign there, so
-    sum_a |<a, F t>| = sum |t @ kept| + <folded, t> on the cap.  kept holds
-    as columns the rows that may change sign, and folded is the signed sum
-    of the others.
-    """
-    AF = A @ F
-    a0 = AF[:, 0]
-    far = a0 * a0 > _SIN_CAP * _SIN_CAP * np.einsum("ij,ij->i", A, A)
-    # columns, so the sums over rows run along contiguous memory
-    return np.ascontiguousarray(AF[~far].T), np.where(far, np.sign(a0), 0.0) @ AF
-
-
-def _chart_ratio(B, F):
-    """evaluate(T): ratio(B, F t) for each row t = (1, t1, t2) of T, chart-locally.
-
-    On the cap, the directions within _CAP of x0 = F[:, 0], the shadow of Pi B
-    sums only its pair rows that can change sign there (typically 5-15% of
-    them), the others folded into one vector (_split_rows); a zonotope's
-    support splits its generators the same way, and a polytope's keeps the
-    vertices that can be maximal on the cap, the maximizer among them.  So
-    the values are exact, equal to ratio's to rounding.  Points outside the
-    cap go to ratio.  Pi B's pair rows are built only where one direction
-    would take the pair path; otherwise every point goes to ratio.
-    """
-    Pi = B.pi_body
-    if not _pair_path(len(Pi), 1, _pair_rows(Pi)):
-        return lambda T: ratio(B, T @ F.T)
-    rows, folded = _split_rows(Pi._crosses, F)
-    if isinstance(B, GeneratorSet):
-        gens, g_folded = _split_rows(B.gens, F)
-
-        def support(T, X):
-            return np.add.reduce(np.abs(T @ gens), axis=1) + T @ g_folded
-    else:
-        V = B.vertices
-        gap = V - V[np.argmax(V @ F[:, 0])]
-        # v maximal at some x of the cap: <top - v, x0> <= |v - top| |x - x0|,
-        # and |x - x0| <= _CAP
-        near = -(gap @ F[:, 0]) <= _CAP * np.linalg.norm(gap, axis=1)
-        verts = np.ascontiguousarray(V[near].T)
-
-        def support(T, X):
-            return np.max(X @ verts, axis=1)
-    vol = B.volume
-
-    def evaluate(T):
-        X = T @ F.T
-        inside = T[:, 1] * T[:, 1] + T[:, 2] * T[:, 2] <= _TAN2_CAP
-        out = np.empty(len(T))
-        if not inside.all():
-            out[~inside] = ratio(B, X[~inside])
-            T, X = T[inside], X[inside]
-        num = 4.0 * (np.add.reduce(np.abs(T @ rows), axis=1) + T @ folded)
-        out[inside] = num / (support(T, X) * vol)
-        return out
-    return evaluate
 
 
 def _chart(fn, B, x0):
@@ -381,11 +267,27 @@ def _chart(fn, B, x0):
     F = [x0 u w] has the tangent plane's orthonormal frame (u, w) as its
     last columns, and evaluate(T) is fn(B, F t) for each row t = (1, t1, t2)
     of T.  ratio and q_direction are homogeneous of degree 0, so F t needs
-    no normalizing.  ratio is evaluated chart-locally (_chart_ratio).
+    no normalizing.  ratio is evaluated chart-locally: on the cap about x0,
+    as Pi B's cap_shadow over B's support, exact and equal to ratio's values
+    to rounding; points outside the cap go to ratio, and so do all points
+    where Pi B's shadow walks zonogons.
     """
     u, w = plane_basis(unitize(x0))
     F = np.column_stack([x0, u, w])
-    return F, (_chart_ratio(B, F) if fn is ratio else lambda T: fn(B, T @ F.T))
+    shadow = B.pi_body.cap_shadow(F) if fn is ratio else None
+    if shadow is None:
+        return F, lambda T: fn(B, T @ F.T)
+
+    def evaluate(T):
+        X = T @ F.T
+        inside = T[:, 1] * T[:, 1] + T[:, 2] * T[:, 2] <= _TAN2_CAP
+        out = np.empty(len(T))
+        if not inside.all():
+            out[~inside] = ratio(B, X[~inside])
+            T, X = T[inside], X[inside]
+        out[inside] = shadow(T) / (B.support(X) * B.volume)
+        return out
+    return F, evaluate
 
 
 def _nelder_mead(f, steps):
@@ -457,16 +359,22 @@ class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir g
     """P, M, m, Q of a body with attaining directions and search diagnostics."""
 
 
-def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
+def invariants(B, grid=2048, refine=50, want=INVARIANTS):
     """Invariant report: P exactly, M/m/Q extremized on a grid plus refinement.
 
     The grid is a Fibonacci sphere of the given resolution augmented with
-    structured candidate directions (axes, normals, vertex rays, generator
-    crosses), so symmetric fixtures attain their exact extremal directions.
-    Each grid extremum is then polished by at most refine - 1 Nelder-Mead
-    iterations in a chart about it (_chart_refine); refine=0 keeps it.
-    M and m require a symmetric body.
+    the axes and the body's candidates (facet normals and vertex rays, or
+    generators and their crosses), so symmetric fixtures attain their exact
+    extremal directions.  Each grid extremum is then polished by at most
+    refine - 1 Nelder-Mead iterations in a chart about it (_chart_refine);
+    refine=0 keeps it.  want is a sequence of names from INVARIANTS.  M and
+    m require a symmetric body.
     """
+    # a string would be read letter by letter
+    if type(want) is str or not set(want) <= set(INVARIANTS):
+        raise InputError(f"want must be a sequence of names from {INVARIANTS}, got {want!r}")
+    if refine < 0:
+        raise InputError(f"refine must be at least 0, got {refine}")
     want = set(want)
     B = _realized(B)
     if isinstance(B, Ball):
@@ -477,22 +385,20 @@ def invariants(B, grid=2048, refine=50, want=("P", "M", "m", "Q")):
 
     P = petty_value(B) if "P" in want else None
     # P alone reads no direction
-    X = (np.vstack([fibonacci_sphere(grid), candidate_directions(B)])
+    X = (np.vstack([fibonacci_sphere(grid), np.eye(3), B.candidates])
          if want & {"M", "m", "Q"} else None)
-    # a zonotope is sliced as its vertex hull, built here once
-    Bq = _sliceable(B) if "Q" in want else None
     found, grid_vals = {}, {}
-    for name, fn, body, maximize in (("M", ratio, B, True), ("m", ratio, B, False),
-                                     ("Q", q_direction, Bq, True)):
+    for name, fn, maximize in (("M", ratio, True), ("m", ratio, False),
+                               ("Q", q_direction, True)):
         if name not in want:
             continue
         if fn not in grid_vals:  # M and m share one evaluation of the grid
-            grid_vals[fn] = fn(body, X)
+            grid_vals[fn] = fn(B, X)
         vals = grid_vals[fn]
         i = int(np.argmax(vals) if maximize else np.argmin(vals))
         x, v = X[i], float(vals[i])
         if refine > 0:
-            F, evaluate = _chart(fn, body, x)
+            F, evaluate = _chart(fn, B, x)
             x, v = _chart_refine(evaluate, F, v, maximize, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")

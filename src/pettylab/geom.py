@@ -42,6 +42,14 @@ def unitize(x):
     return v / n
 
 
+def unit_rows(A):
+    """The nonzero rows of A, each scaled to unit length, as a read-only array."""
+    norms = np.linalg.norm(A, axis=1)
+    rows = A[norms > 0.0] / norms[norms > 0.0, None]
+    rows.flags.writeable = False
+    return rows
+
+
 def plane_basis(x):
     """Orthonormal pair (e1, e2) spanning the plane orthogonal to the unit x."""
     a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
@@ -96,8 +104,8 @@ class Polytope:
 
     Facet triples are oriented outward at construction; per-facet unit
     normals, areas and plane offsets are derived once and cached.  Like every
-    body type it answers volume, support(X), surface_measure() and
-    projection_generators().
+    body type it answers volume, support(X), surface_measure(),
+    projection_generators(), pi_body, candidates and hull.
     """
 
     def __init__(self, vertices, facets, symmetric=False):
@@ -178,6 +186,16 @@ class Polytope:
         """
         from .zonotope import GeneratorSet, merge_parallel  # zonotope imports geom
         return GeneratorSet(merge_parallel(self.projection_generators()))
+
+    @cached_property
+    def candidates(self):
+        """Unit facet normals, then unit vertex rays: directions where M, m and Q may sit."""
+        return unit_rows(np.vstack([self.facet_normals, self.vertices]))
+
+    @property
+    def hull(self):
+        """The body the slice functional cuts: P itself."""
+        return self
 
     def map_linear(self, mat):
         """Image under an orientation-preserving linear map (facets kept)."""

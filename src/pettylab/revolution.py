@@ -14,6 +14,7 @@ it equals cone_bound(d) = 2 d^{d-2} / (d-1)^{d-1} * w_{d-2}^{d-1} w_{d-1}^{3-d}.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class RevolutionBody:
     """Convex body of revolution: dimension, half-length, radial profile.
 
     The axis is the last coordinate.  Volume and support are exact; the
-    projection-body quantities need the polytopal realization
-    rev_to_polytope().
+    projection-body quantities need the polytopal realization `polytope`.
     """
 
     symmetric = True
@@ -97,6 +97,11 @@ class RevolutionBody:
 
     def scaled(self, lam):
         return RevolutionBody(self.d, lam * self.a, lam * self.s, lam * self.f)
+
+    @cached_property
+    def polytope(self):
+        """The 64-gon polytopal realization (rev_to_polytope), built once."""
+        return rev_to_polytope(self)
 
     @property
     def volume(self):

@@ -29,16 +29,17 @@ C(C(n, 2), 2): 20 for 45 at n = 5, 218 for 378 at n = 8.  The same table
 gives the volume, so P, M and m of a zonotope round through one set of
 determinants.  Rows, supports and pair shadows also take stacks (b, n, 3)
 of zonotopes of one size, and give each member the values it has on its
-own, bit for bit.
+own, bit for bit; `stack_ratios` runs the direction ratio that way.
 """
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _chunks, _frames, as_vec
+from .geom import _chunks, _frames, as_vec, convex_hull, unit_rows
 
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
@@ -54,12 +55,17 @@ _PI2_CACHE = {}
 _MERGE_AXIS = np.array([0.5488135, 0.71518937, 0.60276338])
 _MERGE_AXIS /= np.linalg.norm(_MERGE_AXIS)
 
+# Half-angle (rad) of the cap about a chart's centre on which cap_shadow
+# folds the rows whose planes miss it
+CAP = 0.1
+_SIN_CAP = math.sin(CAP)
+
 
 class GeneratorSet:
     """Generators x_1..x_n of the zonotope sum of [-x_i, x_i].
 
     Answers the body protocol (volume, support(X), surface_measure(),
-    projection_generators()) through the determinant sums of this module.
+    projection_generators(), the cached pi_body, candidates and hull).
     """
 
     symmetric = True
@@ -109,13 +115,46 @@ class GeneratorSet:
         pi._source = self.gens
         return pi
 
+    @cached_property
+    def candidates(self):
+        """Unit generators, then unit crosses (_crosses): directions where M and m may sit."""
+        return unit_rows(np.vstack([self.gens, self._crosses]))
+
+    @cached_property
+    def hull(self):
+        """Z as a Polytope, the hull of its vertices: the body the slice functional cuts."""
+        return convex_hull(zonotope_vertices(self), symmetric=True)
+
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
         return z_support(self.gens, X)
 
+    def cap_shadow(self, F):
+        """shadow(T): Z's shadow along F t for each row t = (1, t1, t2) of T in the cap.
+
+        The cap is the directions within CAP of x0 = F[:, 0].  A row a of
+        _crosses whose plane misses it keeps its sign there, so the pair sum
+        is 4 (sum |<kept, t>| + <folded, t>) over the rows that may change
+        sign (typically 5-15%) and the signed sum of the others: exact, equal
+        to z_shadow_area's to rounding.  None where _pair_path walks zonogons.
+        """
+        if not _pair_path(len(self), 1, _pair_rows(self)):
+            return None
+        A = self._crosses
+        AF = A @ F
+        a0 = AF[:, 0]
+        far = a0 * a0 > _SIN_CAP * _SIN_CAP * np.einsum("ij,ij->i", A, A)
+        # columns, so the sums over rows run along contiguous memory
+        kept = np.ascontiguousarray(AF[~far].T)
+        folded = np.where(far, np.sign(a0), 0.0) @ AF
+
+        def shadow(T):
+            return 4.0 * (np.add.reduce(np.abs(T @ kept), axis=1) + T @ folded)
+        return shadow
+
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
-        if is_flat(self):
+        if is_flat(self.gens):
             raise FlatBodyError("projection body of a flat zonotope is degenerate")
         return 4.0 * self._crosses
 
@@ -231,13 +270,12 @@ def pi2_rows(G, D):
     return np.multiply(rows, 16.0, out=rows)
 
 
-def is_flat(Z):
-    """True when all generators lie in a plane (the zonotope has no interior)."""
-    g = as_set(Z).gens
-    if g.shape[0] < 3:
-        return True
-    sv = np.linalg.svd(g, compute_uv=False)
-    return bool(sv[2] <= 1e-12 * sv[0])
+def is_flat(G):
+    """Which generator sets G (..., n, 3) lie in a plane: singular values s_3 <= 1e-12 s_1."""
+    if G.shape[-2] < 3:
+        return np.ones(G.shape[:-2], dtype=bool)
+    sv = np.linalg.svd(G, compute_uv=False)
+    return sv[..., 2] <= 1e-12 * sv[..., 0]
 
 
 def z_volume(Z):
@@ -328,6 +366,39 @@ def _pair_shadow(C, X):
     return out if X.ndim == 3 else out[0]
 
 
+def stack_ratios(G, U):
+    """Direction ratios of each zonotope of a stack G (b, n, 3): (values, ok).
+
+    Row i of values is functionals.ratio(Z, vstack([U, Z.candidates])) for
+    Z = GeneratorSet(G[i]), bit for bit: the stack runs the rows, supports
+    and pair shadows of that per-body path.  A member it cannot take (flat,
+    with a zero cross or Pi^2 row, or whose shadows walk zonogons) has
+    ok[i] False and a row of NaN.
+    """
+    G = np.asarray(G, dtype=float)
+    C, D = cross_rows(G), triple_dets(G)
+    R = pi2_rows(G, D)
+    cands = np.concatenate([G, C], axis=1)
+    norms = np.linalg.norm(cands, axis=-1, keepdims=True)
+    # a zero cross leaves its member to the per-body path
+    X = np.concatenate([np.broadcast_to(U, (len(G),) + U.shape),
+                        cands / np.where(norms > 0.0, norms, 1.0)], axis=1)
+    # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
+    ok = (~is_flat(G) & np.all(_nonzero(C, G), axis=-1) & np.all(_nonzero(R, 4.0 * C), axis=-1)
+          & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
+    if not ok.all():
+        G, D, R, X = G[ok], D[ok], R[ok], X[ok]
+    den = z_support(G, X)
+    den *= (8.0 * np.sum(np.abs(D), axis=-1))[:, None]
+    if (den <= 0.0).any():
+        raise InputError("support must be positive in every requested direction")
+    num = _pair_shadow(R, X)
+    num /= den
+    values = np.full((len(ok), num.shape[1]), np.nan)
+    values[ok] = num
+    return values, ok
+
+
 def _line_units(U):
     """Rows of U times the sign of their first nonzero coordinate.
 
@@ -375,9 +446,9 @@ def second_proj_support(Z, x):
     pair_crosses or pi2_rows, each term by Binet-Cauchy as
     det(x_i, x_j, x_l) <x_k, x> - det(x_i, x_j, x_k) <x_l, x>.
     """
-    if is_flat(Z):
-        raise FlatBodyError("flat zonotope has no second projection body")
     g = as_set(Z).gens
+    if is_flat(g):
+        raise FlatBodyError("flat zonotope has no second projection body")
     pairs = itertools.combinations(itertools.combinations(range(len(g)), 2), 2)
     (i, j), (k, l) = (np.array(side).T for side in zip(*pairs))
     gij, gx = np.cross(g[i], g[j]), g @ as_vec(x, 3)

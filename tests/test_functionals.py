@@ -15,7 +15,7 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       ts_sums)
 from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
                                   grid_max_ratios, sqrt_quadratic_integral)
-from pettylab import convex_hull, fixtures, slice_area
+from pettylab import convex_hull, fixtures, revolution, slice_area, zonotope
 from pettylab.revolution import rev_to_polytope
 from pettylab.zonotope import _pair_path, _pair_rows
 
@@ -441,6 +441,40 @@ class TestInvariants:
         r2 = invariants(Z, grid=1024, refine=20, want=("M", "m"))
         assert r2.M >= r1.M - 1e-6
         assert r2.m <= r1.m + 1e-6
+
+    @pytest.mark.parametrize("kwargs", [
+        {"want": ("X",)}, {"want": ("M", "Q", "p")}, {"want": "Q,M"}, {"want": "M"},
+        {"refine": -3}])
+    def test_bad_arguments_rejected(self, kwargs):
+        # an unknown name, a bare string (read letter by letter) and a
+        # negative refinement count are errors, not empty or partial reports
+        with pytest.raises(InputError):
+            invariants(fixtures.cube_zonotope(), grid=64, **kwargs)
+
+
+def test_zonotope_hull_is_built_once(monkeypatch):
+    calls = []
+    build = zonotope.zonotope_vertices
+    monkeypatch.setattr(zonotope, "zonotope_vertices", lambda Z: calls.append(1) or build(Z))
+    Z = fixtures.random_zonotope(np.random.default_rng(5), 6)
+    values = [q_direction(Z, E1 + k * E3) for k in range(3)]
+    invariants(Z, grid=64, refine=3, want=("Q",))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert values == [q_direction(GeneratorSet(Z.gens), E1 + k * E3) for k in range(3)]
+
+
+def test_revolution_polytope_is_built_once(monkeypatch):
+    calls = []
+    build = revolution.rev_to_polytope
+    monkeypatch.setattr(revolution, "rev_to_polytope", lambda R: calls.append(1) or build(R))
+    R = fixtures.cylinder_profile()
+    for _ in range(3):
+        ratio(R, E1)
+        q_direction(R, E1)
+        petty_value(R)
+        polar_volume(R)
+    assert len(calls) == 1
 
 
 class TestSLInvariance:

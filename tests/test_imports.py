@@ -1,9 +1,12 @@
-"""Start-up cost: a command loads only the heavy modules it runs.
+"""Start-up cost and module structure.
 
-Each case starts a fresh interpreter, so modules loaded by this test
-process do not count.
+A command loads only the heavy modules it runs: each case starts a fresh
+interpreter, so modules loaded by this test process do not count.  The
+structure checks read the source with ast, in place of a linter.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -58,3 +61,36 @@ def test_polytope_compute_at_default_refine_loads_the_hull_only(tmp_path):
     path = str(tmp_path / "octahedron.json")
     save_body(fixtures.octahedron(), path)
     assert loaded_after(run_main("compute", path, "--grid", "256")) == {"scipy.spatial"}
+
+
+def _tree(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+MODULES = sorted(glob.glob(os.path.join(SRC, "pettylab", "*.py")))
+FUNCTIONALS = os.path.join(SRC, "pettylab", "functionals.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if not p.endswith("__init__.py")],
+                         ids=os.path.basename)
+def test_modules_use_every_name_they_import(path):
+    # __init__ imports to export
+    tree = _tree(path)
+    imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)
+
+
+def test_functionals_leaves_zonotope_internals_and_body_types_alone():
+    # zonotope rules stay behind zonotope's public names, and a body answers
+    # for itself: only the ball and a revolution body are told apart
+    tree = _tree(FUNCTIONALS)
+    private = [a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "zonotope"
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+    checked = [ast.unparse(node.args[1]) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
+    assert checked and set(checked) <= {"Ball", "RevolutionBody"}, checked

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, functionals, invariants,
+from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, invariants,
                       q_direction, ratio, suites, zonotope)
 from pettylab.errors import InputError
-from pettylab.functionals import candidate_directions, grid_max_ratios
+from pettylab.functionals import grid_max_ratios
 from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
 from pettylab.suites import SUITES, _rng, _worst, run_suite
@@ -66,7 +66,7 @@ def test_run_suite_needs_a_sample(samples):
 
 
 def _grid_ratios(B):
-    return ratio(B, np.vstack([fibonacci_sphere(1024), candidate_directions(B)]))
+    return ratio(B, np.vstack([fibonacci_sphere(1024), np.eye(3), B.candidates]))
 
 
 def _max_ratio(rng):
@@ -155,7 +155,6 @@ def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
         return kernel(C, X)
 
     monkeypatch.setattr(zonotope, "_pair_shadow", counting)
-    monkeypatch.setattr(functionals, "_pair_shadow", counting)
     monkeypatch.setattr(suites, "THM11_BLOCK", 128)
     row = suites.suite_theorem_1_1(samples=300, seed=42)[0]
     rng = _rng(42, "thm11")

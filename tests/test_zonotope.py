@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
-                      convex_hull, mixed_volume, second_proj_support,
-                      z_shadow_area, z_volume)
+                      convex_hull, fibonacci_sphere, mixed_volume, ratio,
+                      second_proj_support, z_shadow_area, z_volume)
 from pettylab.geom import plane_basis
 from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
-                               pair_crosses, pi2_rows, triple_dets, zonogon_area,
-                               zonotope_vertices)
+                               pair_crosses, pi2_rows, stack_ratios, triple_dets,
+                               zonogon_area, zonotope_vertices)
 from pettylab import fixtures, zonotope
 
 E1, E2, E3 = np.eye(3)
@@ -410,3 +410,33 @@ def test_protocol_agrees_with_vertex_hull(seed):
     for K in (Ball(), Z):
         assert mixed_volume(K, P) == pytest.approx(mixed_volume(K, Z), rel=1e-9)
     assert P.pi_body.support(X) == pytest.approx(Z.pi_body.support(X), rel=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8),
+       st.lists(st.sampled_from(["generic", "zero-cross", "flat", "coplanar-four"]),
+                min_size=1, max_size=5),
+       st.sampled_from([16, 300, 1024]))
+@settings(max_examples=60, deadline=None)
+def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds, grid):
+    # every direction's value, not only the max; a member with a zero cross,
+    # with all generators in a plane or with a zero Pi^2 row (four coplanar
+    # generators) is left out of the stack
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((len(kinds), n, 3))
+    for g, kind in zip(G, kinds):
+        if kind == "zero-cross":
+            g[1] = -2.0 * g[0]
+        elif kind == "flat":  # to the 1e-12 of is_flat, not exactly
+            g[:, 2] *= 1e-13
+        elif kind == "coplanar-four":
+            g[:4, 2] = 0.0
+    U = np.vstack([fibonacci_sphere(grid), np.eye(3)])
+    values, ok = stack_ratios(G, U)
+    assert values.shape == (len(G), len(U) + n + n * (n - 1) // 2)
+    assert list(ok) == [kind == "generic" for kind in kinds]
+    for g, row, good in zip(G, values, ok):
+        if good:
+            Z = GeneratorSet(g)
+            assert np.array_equal(row, ratio(Z, np.vstack([U, Z.candidates])))
+        else:
+            assert np.isnan(row).all()
