@@ -36,7 +36,7 @@ import numpy as np
 
 from .bodies import Ball
 from .errors import InputError, SymmetryError
-from .geom import (_NEXT, _PREV, _chunks, as_vec, convex_hull, fibonacci_sphere,
+from .geom import (_NEXT, _PREV, _chunks, _count, as_vec, convex_hull, fibonacci_sphere,
                    plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody
 from .zonotope import CAP, GeneratorSet, stack_ratios, z_shadow_area
@@ -220,16 +220,21 @@ def sqrt_quadratic_integral(a, b, c):
 def q_direction(B, X):
     """q(B, x) = 4 (int sqrt(V_2(slice)) ds)^2 / (h_B(x) V(B)), one x or per row of X.
 
-    Exact section quadratics (geom.slice_quadratics) integrated in closed
-    form (sqrt_quadratic_integral, within 1e-12 relative), over chunks of
-    rows, on B.hull (a zonotope's vertex hull).  The ball is analytic
+    Section quadratics from prefix sums over the vertex heights
+    (geom.slice_quadratics, exact up to its stated rounding) integrated in
+    closed form (sqrt_quadratic_integral, within 1e-12 relative), over
+    chunks of rows, on B.hull (a zonotope's vertex hull).  The ball is analytic
     (int sqrt(pi(1-s^2)) = sqrt(pi) pi/2); a revolution body is evaluated
     on its polytopal realization.
     """
     B = B.hull
     out = np.empty(X.shape[0])
-    # the pieces and their integrals take ~300 bytes per vertex and facet of B
-    for sl in _chunks(X.shape[0], 8 * 48 * (B.vertices.shape[0] + B.facets.shape[0])):
+    # a direction's quadratics take ~700 bytes per facet of B and their
+    # integrals ~500 per vertex, however many pieces each facet spans;
+    # chunks of about four _CHUNK_BYTES of them (4 MiB: 54 directions of
+    # icosphere1, 13 of icosphere2) ran fastest
+    row_bytes = (700 * B.facets.shape[0] + 500 * B.vertices.shape[0]) // 4
+    for sl in _chunks(X.shape[0], row_bytes):
         H, C = slice_quadratics(B, X[sl])
         pieces = sqrt_quadratic_integral(C[..., 0], C[..., 1], C[..., 2])
         integral = np.sum(np.diff(H, axis=1) * pieces, axis=1)
@@ -373,6 +378,7 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
     # a string would be read letter by letter
     if type(want) is str or not set(want) <= set(INVARIANTS):
         raise InputError(f"want must be a sequence of names from {INVARIANTS}, got {want!r}")
+    grid, refine = _count(grid, "grid"), _count(refine, "refine")
     if refine < 0:
         raise InputError(f"refine must be at least 0, got {refine}")
     want = set(want)

@@ -9,6 +9,7 @@ All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
 """
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,6 +32,14 @@ def as_vec(x, d=None):
     if d is not None and v.shape[0] != d:
         raise InputError(f"expected dimension {d}, got {v.shape[0]}")
     return v
+
+
+def _count(v, name):
+    """v as a Python int via operator.index; InputError for a float or other non-integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {v!r}") from None
 
 
 def unitize(x):
@@ -57,6 +66,16 @@ def plane_basis(x):
     return e1, np.cross(x, e1)
 
 
+# slice_quadratics sums a segment by prefix sums when (1 + W/g)(1 + W/g') <=
+# (1 + 1/_TAU)^2, g and g' its edges' height gaps and W the height of a band,
+# so that its terms stay within 121 R^2 (its rounding bound).  With one band
+# at 1/32 (1089 R^2), q drifted up to 6e-13 from the per-piece sum on small
+# hulls and failed the 1e-12 SL(3) covariance test on 2 of 3,000 draws; at
+# 1/10 the worst of 7,000 draws used 0.89 of that tolerance
+_TAU = 1.0 / 10.0
+# one band per _BAND vertices, rounded up: fewer bands cost less per call, more
+# keep more segments wide (icospheres 1, 2 and 3 take 1, 3 and 11)
+_BAND = 64
 # Bytes of per-direction temporaries one chunk of a batched evaluation holds.
 _CHUNK_BYTES = 2**20
 
@@ -80,12 +99,14 @@ def _frames(U):
             np.stack([b, s + y * y * a, -y], axis=1))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def fibonacci_sphere(n):
     """Deterministic, approximately equidistributed grid of n unit vectors.
 
-    Returns a cached, read-only (n, 3) array.
+    Returns a cached, read-only (n, 3) array; n must be an integer (a float
+    such as 100.0 too is an error, cached or not).
     """
+    n = _count(n, "sphere grid size")
     if n < 2:
         raise InputError("sphere grid needs at least 2 points")
     i = np.arange(n, dtype=float)
@@ -310,70 +331,142 @@ def slice_area(P, x, s):
     return max(float(np.sum(terms[n_found >= 2])), 0.0)
 
 
+def _at_pieces(coef, sigma, w):
+    """(a, b, c) of alpha + beta s + gamma s^2 on the piece s = sigma + t w, t in [0, 1]."""
+    al, be, ga = coef
+    return np.stack([al + sigma * (be + sigma * ga), w * (be + 2.0 * sigma * ga), w * w * ga])
+
+
 def slice_quadratics(P, X):
     """Section areas of P along each row of X as exact quadratics per piece.
 
     Returns (H, C): H[i] the vertex heights along u_i = x_i/|x_i|, sorted,
     and C[i, k] = (a, b, c), the area at height H[i, k] + t (H[i, k+1] -
     H[i, k]) being a + b t + c t^2 for t in [0, 1]; one direction gives H of
-    shape (V,) and C of (V-1, 3).  Each facet adds (1/2) sigma det(A, B, u)
-    to the pieces between its lowest and highest vertex, A and B its cut
-    points, which move along edges at (edge vector)/(edge height gap); no
-    piece an edge spans is wider than its gap, so no coefficient grows as
-    pieces shrink.  Pieces of zero width get zero coefficients.  Temporaries
-    grow with the rows of X times the facets; q_direction passes chunks of
-    rows.
+    shape (V,) and C of (V-1, 3).  Pieces of zero width get zero
+    coefficients.
+
+    A facet cut at height s adds (1/2) sigma det(A, B, u), A and B its cut
+    points, which move along its edges at (edge vector)/(edge height gap).
+    A runs on the long edge, from the lowest to the highest vertex, and B on
+    the short edge of one of the facet's two segments: lowest to middle
+    vertex, then middle to highest.  The heights split into bands, one per
+    _BAND vertices rounded up, each w/bands high (w = h(u) + h(-u) the
+    width); a piece is in the band of its lowest height, and W is the band
+    height or the widest piece if wider.  A segment whose short and long
+    edges have height gaps g and g' is wide when (1 + W/g)(1 + W/g') <= (1 +
+    1/_TAU)^2; every segment with g >= _TAU W is.  A wide segment's term, a
+    quadratic in s - c about the center c of the band of its first piece,
+    enters a difference array at that piece and leaves after its last piece
+    in the band; in each later band it reaches it enters again, shifted to
+    that band's center.  One prefix sum over the vertex heights then gives
+    every piece its quadratic about its band's center: O(F + V log V) per
+    direction, and one more entry for each band a segment crosses.  A narrow
+    segment adds its term to each piece it spans, expanded about that
+    piece's lowest height, so no coefficient grows as gaps shrink.
+
+    Rounding: on its own heights a segment's cut points lie within R, the
+    largest vertex radius in the plane.  A wide segment is expanded about a
+    center within W/2 of its heights, and every piece reads its sums within
+    W/2 of its band's center and is at most W wide; at slopes of at most
+    2R/g and 2R/g', each term is then at most (1 + W/g)(1 + W/g') R^2 <=
+    (1 + 1/_TAU)^2 R^2 = 121 R^2.  The bound is quadratic in 1/_TAU, as both
+    cut points are carried away from their edges.  A piece's sums hold two
+    terms per wide segment and band it reached before, at most 4F bands
+    terms (F facets), so its area is off by at most about 4F bands (1 +
+    1/_TAU)^2 eps R^2, or 1.1e-13 F R^2 with one band; narrow terms round as
+    single terms.  Temporaries grow with the rows of X times the facets;
+    q_direction passes chunks of rows.
     """
     U = np.atleast_2d(np.asarray(X, dtype=float))
     norms = np.sqrt(np.sum(U * U, axis=1))
     if U.shape[1] != 3 or not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise InputError("directions must be nonzero finite 3-vectors")
     U = U / norms[:, None]
-    d, V = U.shape[0], P.vertices.shape[0]
+    d, V, F = U.shape[0], P.vertices.shape[0], P.facets.shape[0]
+    n = d * V
     e1, e2 = _frames(U)
     h = U @ P.vertices.T
+    # vertex j of direction i goes to i V + (its rank in height)
     order = np.argsort(h, axis=1)
-    flat = order + V * np.arange(d)[:, None]
-    H = h.ravel()[flat].reshape(d, V)
-    Hf = H.ravel()
+    order += V * np.arange(d)[:, None]
+    order = order.ravel()
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    H = h.ravel()[order]
     # plane coordinates as complex numbers: det(p, q, u) = Im(conj(p) q)
-    z = ((e1 + 1j * e2) @ P.vertices.T).ravel()[flat.ravel()]
-    r = np.argsort(order, axis=1)[:, P.facets]
+    z = ((e1 + 1j * e2) @ P.vertices.T).ravel()[order]
+    r0, r1, r2 = rank.reshape(d, V)[:, P.facets.T].transpose(1, 0, 2)
     # facet corners run counter-clockwise about the outward normal; sorting
     # them by height with an odd permutation reverses the cut segment
-    odd = (r[..., 0] > r[..., 1]) ^ (r[..., 1] > r[..., 2]) ^ (r[..., 0] > r[..., 2])
-    r.sort(axis=2)
-    r += V * np.arange(d)[:, None, None]
-    hr, zr = Hf[r], z[r]
-    # A = a + (s - h_lo) g on the long edge, B = b + (s - h_b) m on the edge
-    # from the lowest to the middle vertex (first segment of pieces) or from
-    # the middle to the highest (second segment); the area term is
-    # det(A, B) = c0 + (s - h_b) c1 + (s - h_lo) (c2 + (s - h_b) c3)
-    half = np.where(odd, -0.5, 0.5)[..., None]
-    # a gap of zero height spans no piece: its slope is never used, set it 0
-    slope = lambda dz, gap: dz * np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0.0)
-    a, b = half * zr[..., :1], zr[..., :2]
-    g = half * slope(zr[..., 2:] - zr[..., :1], hr[..., 2:] - hr[..., :1])
-    m = slope(np.diff(zr, axis=2), np.diff(hr, axis=2))
-    lh, bh = np.repeat(hr[..., 0].ravel(), 2), hr[..., :2].ravel()
-    start, count = r[..., :2].ravel(), np.diff(r, axis=2).ravel()
-    c0, c1, c2, c3 = ((p.conj() * q).imag.ravel() for p, q in ((a, b), (a, m), (g, b), (g, m)))
-    dH = np.diff(H, axis=1, append=H[:, -1:]).ravel()
-    out = np.zeros((3, d * V))
-    # (facet, piece) pairs go in groups whose dozen arrays fill about a chunk
-    cum, group = np.cumsum(count), _CHUNK_BYTES // 128
-    cuts = np.searchsorted(cum, np.arange(group, cum[-1], group), side="right")
-    bounds = np.concatenate(([0], cuts, [count.size]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n = count[lo:hi]
-        idx = np.repeat(start[lo:hi] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        rep = lambda v: np.repeat(v[lo:hi], n)
-        w, dl, db = dH[idx], Hf[idx] - rep(lh), Hf[idx] - rep(bh)
-        k1, k2, k3 = rep(c1), rep(c2), rep(c3)
-        coef = (rep(c0) + db * k1 + dl * (k2 + db * k3), w * (k1 + k2 + (dl + db) * k3),
-                w * w * k3)
-        for row, c in zip(out, coef):
-            row += np.bincount(idx, weights=c, minlength=d * V)
-    C = out.T.reshape(d, V, 3)[:, :-1]
-    C[dH.reshape(d, V)[:, :-1] == 0.0] = 0.0
+    half = 0.5 - ((r0 > r1) ^ (r1 > r2) ^ (r0 > r2))
+    lo, hi = np.minimum(np.minimum(r0, r1), r2), np.maximum(np.maximum(r0, r1), r2)
+    c = np.stack([lo, r0 + r1 + r2 - lo - hi, hi])
+    hc, zc = H[c], z[c]
+    # the segments' short edges, lowest-middle and middle-highest, and the
+    # long edge, lowest-highest; a gap of zero height spans no piece and gets
+    # slope 0
+    gap, long_gap = hc[1:] - hc[:2], hc[2] - hc[0]
+    inv = lambda x: np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
+    m = (zc[1:] - zc[:2]) * inv(gap)
+    g = ((zc[2] - zc[0]) * (half * inv(long_gap))).conj()
+    H = H.reshape(d, V)
+    dH = np.diff(H, axis=1, append=H[:, -1:])
+    # the heights split into bands, one per _BAND vertices rounded up; a
+    # piece belongs to the band of its lowest height
+    bands = -(-V // _BAND)
+    step = (H[:, -1:] - H[:, :1]) / bands
+    band = np.minimum(((H - H[:, :1]) / step).astype(np.intp), bands - 1)
+    # (1 + W/g)(1 + W/g_long) <= (1 + 1/_TAU)^2, W the band height or the
+    # widest piece: see the rounding bound
+    W = np.maximum(step, dH.max(axis=1, keepdims=True))
+    wide = (gap + W) * (long_gap + W) <= (1.0 + 1.0 / _TAU) ** 2 * gap * long_gap
+    # a wide segment is expanded about the center of the band of its first
+    # piece, a narrow one about its lowest height h_b
+    start, stop = c[:2].ravel(), c[1:].ravel()
+    center = H[:, :1] + (band + 0.5) * step
+    ref = np.where(wide, center.ravel()[c[:2]], hc[:2])
+    # A = a + (s - h_lo) g, B = b + (s - h_b) m: det(A, B) = alpha + beta
+    # (s - ref) + gamma (s - ref)^2, from conj(A), conj(g), B and m at ref
+    A, B = (half * zc[0]).conj() + (ref - hc[0]) * g, zc[:2] + (ref - hc[:2]) * m
+    al, Am, gB, ga = ((p * q).imag for p in (A, g) for q in (B, m))
+    coef = np.stack([al, Am + gB, ga]).reshape(3, -1)
+    # a wide segment enters a difference array at its first piece and leaves
+    # after its last piece in that band; in each later band it reaches (none
+    # with one band) it enters again at the band's first piece, shifted to
+    # the band's center
+    enter, leave, w = start, stop, np.where(wide.ravel(), coef, 0.0)
+    if bands > 1:
+        edges = V * np.arange(d)[:, None] + (band[:, :-1, None] < np.arange(bands + 1)).sum(axis=1)
+        b0 = band.ravel()[c[:2]]
+        leave = np.minimum(stop, edges[np.arange(d)[:, None], b0 + 1].ravel())
+        count = np.where(wide, band.ravel()[c[1:] - 1] - b0, 0).ravel()
+        seg = np.repeat(np.arange(count.size), count)
+        later = np.repeat(count - np.cumsum(count), count) + np.arange(seg.size) + 1
+        row, bb = seg % (d * F) // F, b0.ravel()[seg] + later
+        enter = np.concatenate([enter, edges[row, bb]])
+        leave = np.concatenate([leave, np.minimum(stop[seg], edges[row, bb + 1])])
+        w = np.concatenate([w, _at_pieces(w[:, seg], later * step[row, 0], 1.0)], axis=1)
+    diff = np.empty((3, d, V))
+    for acc, wk in zip(diff, w):
+        acc.flat = np.bincount(enter, wk, minlength=n) - np.bincount(leave, wk, minlength=n)
+    out = _at_pieces(np.cumsum(diff, axis=2), H - center, dH).reshape(3, n)
+    # each narrow segment adds its term to every piece k it spans, at
+    # s - h_b = (H[k] - h_b) + t dH[k], in groups of about a chunk's worth
+    # of (segment, piece) pairs
+    narrow = np.flatnonzero(~wide & (gap > 0.0))
+    coef, ref, first = coef[:, narrow], ref.ravel()[narrow], start[narrow]
+    span = stop[narrow] - first
+    cum = np.cumsum(span)
+    bounds = np.unique(np.searchsorted(cum, np.arange(0, cum[-1:].sum(), _CHUNK_BYTES // 128),
+                                       side="right")).tolist() if narrow.size else []
+    for i, j in zip(bounds, bounds[1:] + [narrow.size]):
+        k = np.repeat(first[i:j] + span[i:j] - cum[i:j], span[i:j])
+        k += np.arange(cum[i] - span[i], cum[j - 1])
+        seg = np.repeat(np.arange(i, j), span[i:j])
+        terms = _at_pieces(coef[:, seg], H.ravel()[k] - ref[seg], dH.ravel()[k])
+        out += np.bincount((k + n * np.arange(3)[:, None]).ravel(), terms.ravel(),
+                           minlength=3 * n).reshape(3, n)
+    C = out.reshape(3, d, V).transpose(1, 2, 0)[:, :-1]
+    C[dH[:, :-1] == 0.0] = 0.0
     return (H[0], C[0]) if np.ndim(X) == 1 else (H, C)

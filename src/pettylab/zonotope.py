@@ -425,9 +425,11 @@ def _sorted_shadow(G, X):
         e1, e2 = _frames(_line_units(X[sl] / np.where(nx > 0.0, nx, 1.0)[:, None]))
         p, q = e1 @ G.T, e2 @ G.T
         # the seam: q = 0 with p < 0 flips to angle 0, like q < 0
-        flip = (q < 0.0) | ((q == 0.0) & (p < 0.0))
-        np.negative(p, out=p, where=flip)
-        np.negative(q, out=q, where=flip)
+        # (one multiply by +-1 is exact, -0.0 included, and much cheaper
+        # than a masked negation)
+        sign = np.where((q < 0.0) | ((q == 0.0) & (p < 0.0)), -1.0, 1.0)
+        p *= sign
+        q *= sign
         order = np.argsort(np.arctan2(q, p), axis=1)
         p = np.take_along_axis(p, order, axis=1)
         q = np.take_along_axis(q, order, axis=1)

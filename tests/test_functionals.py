@@ -325,6 +325,11 @@ class TestQAgainstSlicing:
                 assert rep.Q == pytest.approx(_sliced_q(P, rep.Q_dir), rel=1e-10)
                 assert rep.Q <= rep.P
 
+    def test_segments_at_the_prefix_sum_threshold(self, threshold_bipyramid):
+        for x in (E3, np.array([0.01, 0.02, 1.0])):
+            q = q_direction(threshold_bipyramid, x)
+            assert q == pytest.approx(_sliced_q(threshold_bipyramid, x), rel=1e-10)
+
     def test_batch_rows_match_single_directions(self, rng):
         P = fixtures.random_symmetric_polytope(rng, 7)
         X = rng.standard_normal((40, 3))
@@ -334,15 +339,15 @@ class TestQAgainstSlicing:
 
 def test_Q_is_no_lower_bound_for_P():
     # P is the mean of the ratio over the cone-volume measure, so m <= P <= M;
-    # q is at most the ratio in each direction, so Q <= M, yet Q may exceed P
+    # q is at most the ratio in each direction, so Q <= M, for every n; yet
+    # Q may exceed P, as it does at 14 generators
     rng = np.random.default_rng(0)
     for n in (3, 4, 6, 8, 10, 12, 14):
-        g = rng.standard_normal((n, 3))
-    Z = GeneratorSet(g)
-    rep = invariants(Z, grid=512, refine=20)
-    assert rep.m <= rep.P <= rep.M
-    assert rep.Q <= rep.M
-    assert q_direction(Z, rep.Q_dir) <= ratio(Z, rep.Q_dir)
+        Z = GeneratorSet(rng.standard_normal((n, 3)))
+        rep = invariants(Z, grid=512, refine=20)
+        assert rep.m <= rep.P <= rep.M
+        assert rep.Q <= rep.M
+        assert q_direction(Z, rep.Q_dir) <= ratio(Z, rep.Q_dir)
     assert rep.Q > rep.P
 
 
@@ -444,12 +449,22 @@ class TestInvariants:
 
     @pytest.mark.parametrize("kwargs", [
         {"want": ("X",)}, {"want": ("M", "Q", "p")}, {"want": "Q,M"}, {"want": "M"},
-        {"refine": -3}])
+        {"refine": -3}, {"refine": 2.5}, {"refine": 2.0}, {"grid": 100.5},
+        {"grid": 64.0}, {"grid": "64"}])
     def test_bad_arguments_rejected(self, kwargs):
-        # an unknown name, a bare string (read letter by letter) and a
-        # negative refinement count are errors, not empty or partial reports
+        # an unknown name, a bare string (read letter by letter), a negative
+        # refinement count and a grid or refinement count that is no integer
+        # are errors, not empty, partial or silently rounded reports
+        kwargs = {"grid": 64, **kwargs}
         with pytest.raises(InputError):
-            invariants(fixtures.cube_zonotope(), grid=64, **kwargs)
+            invariants(fixtures.cube_zonotope(), **kwargs)
+
+    def test_integer_like_counts_accepted(self):
+        # numpy integers pass operator.index and are reported as ints
+        rep = invariants(fixtures.cube_zonotope(), grid=np.int64(64), refine=np.int32(2),
+                         want=("M",))
+        assert (rep.grid, rep.refine) == (64, 2)
+        assert type(rep.grid) is int and type(rep.refine) is int
 
 
 def test_zonotope_hull_is_built_once(monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from pettylab import (FlatBodyError, InputError, chords, convex_hull,
-                      fibonacci_sphere, slice_area, z_volume)
-from pettylab.geom import slice_quadratics
+                      fibonacci_sphere, fixtures, slice_area, z_volume)
+from pettylab.geom import _BAND, _TAU, plane_basis, slice_quadratics
 from pettylab.zonotope import pair_crosses
 
 E1, E2, E3 = np.eye(3)
@@ -265,6 +265,99 @@ class TestSliceArea:
                         _slice_area_loop(P, x, s), rel=1e-14, abs=1e-14 * scale ** 2)
 
 
+def _per_piece_quadratics(P, x):
+    """Per-(facet, piece) reference for slice_quadratics along one direction x.
+
+    Every facet adds (1/2) sigma det(A, B, u) to each piece it spans,
+    expanded about that piece's lowest height: A on the edge from its lowest
+    to its highest vertex, B on the edge of the segment (lowest to middle
+    vertex, or middle to highest) the piece lies in, sigma the parity of the
+    corners' order by height.  One facet and one piece at a time, no sums
+    over vertex heights.
+    """
+    u = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    e1, e2 = plane_basis(u)
+    h = P.vertices @ u
+    z = P.vertices @ e1 + 1j * (P.vertices @ e2)
+    order = np.argsort(h, kind="stable")
+    H = h[order]
+    rank = np.argsort(order)
+    det = lambda a, b: (a.conjugate() * b).imag
+    C = np.zeros((len(H) - 1, 3))
+    for tri in P.facets:
+        perm = np.argsort(rank[tri])
+        sigma = 0.5 * round(np.linalg.det(np.eye(3)[perm]))
+        lo, mid, hi = tri[perm]
+        along = (z[hi] - z[lo]) / (h[hi] - h[lo]) if h[hi] > h[lo] else 0.0
+        for p, q in ((lo, mid), (mid, hi)):
+            edge = (z[q] - z[p]) / (h[q] - h[p]) if h[q] > h[p] else 0.0
+            for k in range(rank[p], rank[q]):
+                w = H[k + 1] - H[k]
+                if w == 0.0:
+                    continue
+                A, B = z[lo] + (H[k] - h[lo]) * along, z[p] + (H[k] - h[p]) * edge
+                C[k] += sigma * np.array([det(A, B), w * (det(A, edge) + det(along, B)),
+                                          w * w * det(along, edge)])
+    return H, C
+
+
+def _rounding_bound(P):
+    """slice_quadratics' stated bound: 4 F bands (1 + 1/_TAU)^2 eps R^2."""
+    R2 = float(np.max(np.sum(P.vertices ** 2, axis=1)))
+    bands = -(-len(P.vertices) // _BAND)
+    return 4 * len(P.facets) * bands * (1.0 + 1.0 / _TAU) ** 2 * np.finfo(float).eps * R2
+
+
+class TestSliceQuadratics:
+    """The prefix-sum quadratics against the per-(facet, piece) reference."""
+
+    def _check(self, P, X):
+        H, C = slice_quadratics(P, X)
+        bound = _rounding_bound(P)
+        scale = float(np.max(np.abs(P.vertices)))
+        for x, h, c in zip(X, H, C):
+            h_ref, c_ref = _per_piece_quadratics(P, x)
+            # heights round alike up to the order of the dot products
+            assert np.max(np.abs(h - h_ref)) <= 4 * np.finfo(float).eps * scale
+            assert np.max(np.abs(c - c_ref)) <= bound
+            assert np.all(c[np.diff(h) == 0.0] == 0.0)
+
+    def test_random_hulls(self, rng):
+        for n in (5, 12, 30):
+            self._check(convex_hull(rng.standard_normal((n, 3))), rng.standard_normal((6, 3)))
+
+    def test_icosphere1_nearly_tied_heights(self):
+        # pieces about 1e-7 wide, and segments on both sides of the threshold
+        self._check(fixtures.icosphere(1), np.array([[-9.3e-8, -0.934, -0.357], [0.3, 0.2, 1.0]]))
+
+    def test_several_bands(self, rng):
+        # icosphere2 (162 vertices) and a 150-point hull take three bands,
+        # icosphere3 eleven: segments shifted across band edges
+        self._check(fixtures.icosphere(2), np.array([[0.3, 0.2, 1.0], [-9.3e-8, -0.934, -0.357]]))
+        p = rng.standard_normal((150, 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        self._check(convex_hull(p), rng.standard_normal((2, 3)))
+        self._check(fixtures.icosphere(3), np.array([[0.1, -0.7, 0.4]]))
+
+    def test_tied_heights_along_axes(self, cube, octahedron):
+        # zero-width pieces between tied vertex heights
+        for P in (cube, octahedron):
+            self._check(P, np.eye(3))
+
+    def test_segments_at_the_threshold(self, threshold_bipyramid):
+        # gaps just below (narrow) and just above (wide) the threshold
+        P = threshold_bipyramid
+        a = np.unique(P.vertices[:, 2])[-2]
+        assert (1.0 + 2.0 / a) * 3.0 == pytest.approx((1.0 + 1.0 / _TAU) ** 2, rel=1e-8)
+        self._check(P, np.array([E3, [0.01, 0.02, 1.0]]))
+        H, C = slice_quadratics(P, E3)
+        for k in np.nonzero(np.diff(H) > 0.0)[0]:
+            for t in (0.25, 0.5, 0.75):
+                area = C[k, 0] + t * (C[k, 1] + t * C[k, 2])
+                s = H[k] + t * (H[k + 1] - H[k])
+                assert area == pytest.approx(slice_area(P, E3, s), rel=1e-10, abs=1e-12)
+
+
 class TestFibonacciSphere:
     def test_two_points(self):
         g = fibonacci_sphere(2)
@@ -286,6 +379,13 @@ class TestFibonacciSphere:
     def test_too_few(self):
         with pytest.raises(InputError):
             fibonacci_sphere(1)
+
+    @pytest.mark.parametrize("n", [100.5, 128.0, "128", None])
+    def test_non_integer_rejected(self, n):
+        # 128.0 too, even with fibonacci_sphere(128) already cached
+        fibonacci_sphere(128)
+        with pytest.raises(InputError):
+            fibonacci_sphere(n)
 
     def test_deterministic(self):
         # a fresh build, bypassing the cache, equals the cached grid
