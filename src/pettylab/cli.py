@@ -40,8 +40,9 @@ EXIT_USAGE = 2
 EXIT_BODY = 3
 EXIT_SUITE = 4
 
-# Largest --grid.  compute builds a (vertices x grid) support matrix; at this
-# size icosphere3's M peaks near 0.6 GB, and larger grids exhaust memory.
+# Largest --grid.  Supports and shadows run in chunks of directions, so at
+# this size icosphere3's M peaks near 80 MB, but it takes about 5 s, and the
+# time and the grid's own arrays grow with the grid.
 GRID_MAX = 100_000
 
 # Largest --samples.  The suites draw their samples up front; at this size

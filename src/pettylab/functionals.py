@@ -39,12 +39,10 @@ from .errors import InputError, SymmetryError
 from .geom import (_NEXT, _PREV, _chunks, _count, as_vec, convex_hull, fibonacci_sphere,
                    plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody
-from .zonotope import CAP, GeneratorSet, stack_ratios, z_shadow_area
+from .zonotope import GeneratorSet, stack_ratios, z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
-# chart points t = (1, t1, t2) with t1^2 + t2^2 <= _TAN2_CAP lie in zonotope.CAP's cap
-_TAN2_CAP = math.tan(CAP) ** 2
 
 # the tuple without v_l, for l = 1..3, oriented so that w_0 = -(w_1 + w_2 + w_3)
 # in ts_sums
@@ -272,27 +270,12 @@ def _chart(fn, B, x0):
     F = [x0 u w] has the tangent plane's orthonormal frame (u, w) as its
     last columns, and evaluate(T) is fn(B, F t) for each row t = (1, t1, t2)
     of T.  ratio and q_direction are homogeneous of degree 0, so F t needs
-    no normalizing.  ratio is evaluated chart-locally: on the cap about x0,
-    as Pi B's cap_shadow over B's support, exact and equal to ratio's values
-    to rounding; points outside the cap go to ratio, and so do all points
-    where Pi B's shadow walks zonogons.
+    no normalizing.  The few points of a refinement step cost ratio about
+    2 ns per pair row of Pi B and point (zonotope._pair_shadow).
     """
     u, w = plane_basis(unitize(x0))
     F = np.column_stack([x0, u, w])
-    shadow = B.pi_body.cap_shadow(F) if fn is ratio else None
-    if shadow is None:
-        return F, lambda T: fn(B, T @ F.T)
-
-    def evaluate(T):
-        X = T @ F.T
-        inside = T[:, 1] * T[:, 1] + T[:, 2] * T[:, 2] <= _TAN2_CAP
-        out = np.empty(len(T))
-        if not inside.all():
-            out[~inside] = ratio(B, X[~inside])
-            T, X = T[inside], X[inside]
-        out[inside] = shadow(T) / (B.support(X) * B.volume)
-        return out
-    return F, evaluate
+    return F, lambda T: fn(B, T @ F.T)
 
 
 def _nelder_mead(f, steps):

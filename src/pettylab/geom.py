@@ -187,8 +187,21 @@ class Polytope:
         return float(max(0.0, np.max(outside)))
 
     def support(self, X):
-        """Support values max over vertices of <x, v>, per row of X (or for one x)."""
-        return np.max(self.vertices @ np.asarray(X, dtype=float).T, axis=0)
+        """Support values max over vertices of <x, v>, per row of X (or for one x).
+
+        The products go in chunks of rows of about _CHUNK_BYTES.  The max is
+        exact, but BLAS may round a product by its place in the call, so a
+        value can differ in its last bit from one in a call of another size.
+        """
+        X = np.asarray(X, dtype=float)
+        V = self.vertices
+        if X.ndim == 1 or 8 * V.shape[0] * X.shape[0] <= _CHUNK_BYTES:
+            # np.maximum.reduce is np.max without its Python dispatch
+            return np.maximum.reduce(V @ X.T, axis=0)
+        out = np.empty(X.shape[0])
+        for sl in _chunks(X.shape[0], 8 * V.shape[0]):
+            out[sl] = np.maximum.reduce(V @ X[sl].T, axis=0)
+        return out
 
     def surface_measure(self):
         """Unit outward facet normals and the facet areas they carry."""

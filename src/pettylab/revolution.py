@@ -55,14 +55,14 @@ def validate_profile(s, f):
         raise InputError("profile nodes must be strictly increasing")
     a = s[-1]
     scale = max(float(np.max(np.abs(f))), 1e-300)
-    if abs(s[0] + a) > _EVEN_TOL * max(a, 1.0):
+    if abs(s[0] + a) > _EVEN_TOL * abs(a):
         raise InputError("profile domain must be symmetric [-a, a]")
     if np.any(f < -_EVEN_TOL * scale):
         raise InputError("profile must be nonnegative")
     if np.max(f) <= 0.0:
         raise InputError("profile is identically zero")
     # evenness: reversed nodes must match
-    if (np.max(np.abs(s + s[::-1])) > _EVEN_TOL * max(a, 1.0)
+    if (np.max(np.abs(s + s[::-1])) > _EVEN_TOL * abs(a)
             or np.max(np.abs(f - f[::-1])) > _EVEN_TOL * scale):
         raise InputError("profile must be even")
     # concavity of the node sequence

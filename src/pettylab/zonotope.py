@@ -33,13 +33,12 @@ own, bit for bit; `stack_ratios` runs the direction ratio that way.
 """
 
 import itertools
-import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _chunks, _frames, as_vec, convex_hull, unit_rows
+from .geom import _CHUNK_BYTES, _chunks, _frames, as_vec, convex_hull, unit_rows
 
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
@@ -55,10 +54,12 @@ _PI2_CACHE = {}
 _MERGE_AXIS = np.array([0.5488135, 0.71518937, 0.60276338])
 _MERGE_AXIS /= np.linalg.norm(_MERGE_AXIS)
 
-# Half-angle (rad) of the cap about a chart's centre on which cap_shadow
-# folds the rows whose planes miss it
-CAP = 0.1
-_SIN_CAP = math.sin(CAP)
+# Below this many directions _pair_shadow sums each direction along its own
+# contiguous row of products.  The (m, d) layout reduces across rows instead,
+# strided: over 1,500-32,000 rows, 2-16 directions took 1.7-7 times as long
+# that way (numpy 2, one core), and near 64 directions the two cost the
+# same.  Grids, 195 directions and more, keep the (m, d) layout.
+_FEW_DIRECTIONS = 64
 
 
 class GeneratorSet:
@@ -69,8 +70,8 @@ class GeneratorSet:
     """
 
     symmetric = True
-    # for Pi Z, set by pi_body: the generators of Z, whose triple
-    # determinants give the pair rows (an array, so Z and Pi Z form no cycle)
+    # for Pi Z, set by pi_body: the generators of Z and their triple_dets,
+    # which give the pair rows (arrays, so Z and Pi Z form no cycle)
     _source = None
 
     def __init__(self, gens):
@@ -96,6 +97,16 @@ class GeneratorSet:
         return z_volume(self)
 
     @cached_property
+    def _cross_rows(self):
+        """cross_rows of the generators, formed once for pair_crosses and _dets."""
+        return cross_rows(self.gens)
+
+    @cached_property
+    def _dets(self):
+        """triple_dets of the generators: Z's volume and Pi Z's pair rows."""
+        return triple_dets(self.gens, self._cross_rows)
+
+    @cached_property
     def _crosses(self):
         """Nonzero crosses x_i x x_j over i < j: Pi generators and pair-sum rows.
 
@@ -104,7 +115,7 @@ class GeneratorSet:
         """
         if self._source is None:
             return pair_crosses(self)
-        rows = pi2_rows(self._source, triple_dets(self._source))
+        rows = pi2_rows(*self._source)
         keep = _nonzero(rows, self.gens)
         return rows if keep.all() else rows[keep]
 
@@ -112,7 +123,7 @@ class GeneratorSet:
     def pi_body(self):
         """Pi Z as a GeneratorSet, kept for P and the support of Pi^2 Z."""
         pi = GeneratorSet(self.projection_generators())
-        pi._source = self.gens
+        pi._source = self.gens, self._dets
         return pi
 
     @cached_property
@@ -128,29 +139,6 @@ class GeneratorSet:
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
         return z_support(self.gens, X)
-
-    def cap_shadow(self, F):
-        """shadow(T): Z's shadow along F t for each row t = (1, t1, t2) of T in the cap.
-
-        The cap is the directions within CAP of x0 = F[:, 0].  A row a of
-        _crosses whose plane misses it keeps its sign there, so the pair sum
-        is 4 (sum |<kept, t>| + <folded, t>) over the rows that may change
-        sign (typically 5-15%) and the signed sum of the others: exact, equal
-        to z_shadow_area's to rounding.  None where _pair_path walks zonogons.
-        """
-        if not _pair_path(len(self), 1, _pair_rows(self)):
-            return None
-        A = self._crosses
-        AF = A @ F
-        a0 = AF[:, 0]
-        far = a0 * a0 > _SIN_CAP * _SIN_CAP * np.einsum("ij,ij->i", A, A)
-        # columns, so the sums over rows run along contiguous memory
-        kept = np.ascontiguousarray(AF[~far].T)
-        folded = np.where(far, np.sign(a0), 0.0) @ AF
-
-        def shadow(T):
-            return 4.0 * (np.add.reduce(np.abs(T @ kept), axis=1) + T @ folded)
-        return shadow
 
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
@@ -207,15 +195,17 @@ def _nonzero(C, G):
 
 def pair_crosses(Z):
     """Nonzero cross products x_i x x_j over i < j, in index order."""
-    g = as_set(Z).gens
-    c = cross_rows(g)
-    return c[_nonzero(c, g)]
+    Z = as_set(Z)
+    return Z._cross_rows[_nonzero(Z._cross_rows, Z.gens)]
 
 
-def triple_dets(G):
-    """det(x_i, x_j, x_k) = <x_i x x_j, x_k> over i < j < k, lexicographic, for G (..., n, 3)."""
+def triple_dets(G, C=None):
+    """det(x_i, x_j, x_k) = <x_i x x_j, x_k> over i < j < k, lexicographic, for G (..., n, 3).
+
+    C, if given, is cross_rows(G), so that crosses formed once serve both.
+    """
     n = G.shape[-2]
-    dots = cross_rows(G) @ G.swapaxes(-1, -2)
+    dots = (cross_rows(G) if C is None else C) @ G.swapaxes(-1, -2)
     later = _pairs(n)[1][:, None] < np.arange(n)
     return np.compress(later.ravel(), dots.reshape(dots.shape[:-2] + (-1,)), axis=-1)
 
@@ -289,7 +279,7 @@ def z_volume(Z):
     if len(Z) < 3:
         return 0.0
     if _pair_path(len(Z), len(Z)):
-        return 8.0 * float(np.sum(np.abs(triple_dets(Z.gens))))
+        return 8.0 * float(np.sum(np.abs(Z._dets)))
     return 2.0 * float(np.sum(_sorted_shadow(Z.gens, Z.gens))) / 3.0
 
 
@@ -299,7 +289,8 @@ def _pair_path(n, d, rows=None):
     n generators, d directions, and the rows the pair sum runs over, by
     default the C(n, 2) pairs (_pair_rows gives them for a body).  Measured
     with numpy 2 on one core: the pair sum costs ~2 ns per row and direction,
-    the sorted walk ~60 ns per generator and direction plus ~80 us per call.
+    for a refinement step's few directions as for a grid (_pair_shadow), the
+    sorted walk ~60 ns per generator and direction plus ~80 us per call.
     So many directions switch to the walk from about 60 generators on, a
     single direction from ~350; Pi Z, with n + 3 C(n, 4) rows for C(n, 2)
     generators, switches from 14 generators of Z on.
@@ -318,7 +309,7 @@ def _pair_rows(Z):
     if Z._source is None:
         n = len(Z)
         return n * (n - 1) // 2
-    n = len(Z._source)
+    n = len(Z._source[0])
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
@@ -344,25 +335,40 @@ def _pair_shadow(C, X):
     C (m, 3) and X (d, 3), or stacks C (b, m, 3) and X (b, d, 3).  Each
     member's directions go in the chunks they take on their own, so it gets
     its own values bit for bit; members share a pass up to about the bytes
-    of one chunk.
+    of one chunk.  Fewer than _FEW_DIRECTIONS directions are summed along
+    contiguous rows of products (d, m), more over the rows of (m, d): the
+    two orders agree to rounding, not bit for bit.  Either costs about 2 ns
+    per row and direction (_pair_path).
     """
     Cs, Xs = (C, X) if X.ndim == 3 else (C[None], X[None])
     b, m, d = Cs.shape[0], Cs.shape[1], Xs.shape[1]
+    few = d < _FEW_DIRECTIONS
+
+    def sums(Cb, Xb, buf=None):
+        """The sums of one pass, its products put in buf if one is given."""
+        k, w = Xb.shape[:2]
+        if few:  # each direction's products along one contiguous row
+            L, R, shape = Xb, Cb.transpose(0, 2, 1), (k, w, m)
+        else:
+            L, R, shape = Cb, Xb.transpose(0, 2, 1), (k, m, w)
+        dots = np.matmul(L, R, out=None if buf is None else buf[:k * m * w].reshape(shape))
+        # np.add.reduce is np.sum without its ~4 us of Python dispatch
+        return 4.0 * np.add.reduce(np.abs(dots, out=dots), axis=2 if few else 1)
+
+    if 8 * b * m * d <= _CHUNK_BYTES:  # the one pass the chunks below would make
+        out = sums(Cs, Xs)
+        return out if X.ndim == 3 else out[0]
     out = np.empty((b, d))
     # every pass's products go into the first pass's buffer: a fresh one per
     # pass is handed back to the kernel and faulted in again
     buf = None
     for sl in _chunks(d, 8 * m):
-        XT = Xs[:, sl].transpose(0, 2, 1)
-        w = XT.shape[2]
+        Xw = Xs[:, sl]
+        w = Xw.shape[1]
         for bs in _chunks(b, 8 * m * w):
-            Cb = Cs[bs]
-            k = len(Cb)
             if buf is None:
-                buf = np.empty(k * m * w)
-            dots = np.matmul(Cb, XT[bs], out=buf[:k * m * w].reshape(k, m, w))
-            # np.add.reduce is np.sum without its ~4 us of Python dispatch
-            out[bs, sl] = 4.0 * np.add.reduce(np.abs(dots, out=dots), axis=1)
+                buf = np.empty(len(Xw[bs]) * m * w)
+            out[bs, sl] = sums(Cs[bs], Xw[bs], buf)
     return out if X.ndim == 3 else out[0]
 
 
@@ -376,7 +382,8 @@ def stack_ratios(G, U):
     ok[i] False and a row of NaN.
     """
     G = np.asarray(G, dtype=float)
-    C, D = cross_rows(G), triple_dets(G)
+    C = cross_rows(G)
+    D = triple_dets(G, C)
     R = pi2_rows(G, D)
     cands = np.concatenate([G, C], axis=1)
     norms = np.linalg.norm(cands, axis=-1, keepdims=True)
@@ -511,7 +518,8 @@ def zonogon_area(gens2d):
     if g.ndim != 2 or g.shape[1] != 2:
         raise InputError("expected (n, 2) generators")
     norms = np.hypot(g[:, 0], g[:, 1])
-    g = g[norms > 1e-15 * max(float(norms.max(initial=0.0)), 1.0)]
+    # generators shorter than 1e-15 of the longest are below its rounding
+    g = g[norms > 1e-15 * norms.max(initial=0.0)]
     if g.shape[0] == 0:
         return 0.0
     flip = (g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))

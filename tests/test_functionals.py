@@ -17,7 +17,6 @@ from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mea
                                   grid_max_ratios, sqrt_quadratic_integral)
 from pettylab import convex_hull, fixtures, revolution, slice_area, zonotope
 from pettylab.revolution import rev_to_polytope
-from pettylab.zonotope import _pair_path, _pair_rows
 
 E1, E2, E3 = np.eye(3)
 SHARP = 4.0 / 3.0
@@ -649,30 +648,3 @@ def test_chart_refine_reaches_scipys_value(B):
         x, v = _chart_refine(evaluate, F, sign * np.inf, maximize, 50)
         assert v == pytest.approx(sign * res.fun, rel=1e-12)
         assert fn(body, x) == pytest.approx(v, rel=1e-12)
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["zonotope", "hull", "revolution"]))
-@settings(max_examples=40, deadline=None)
-def test_chart_ratio_matches_ratio(seed, kind):
-    # chart points inside the cap, on a kink plane through its centre, and
-    # outside it; the chart is centred on the plane of one of Pi B's rows
-    rng = np.random.default_rng(seed)
-    if kind == "zonotope":
-        B = fixtures.random_zonotope(rng, int(rng.integers(3, 15)))
-    elif kind == "hull":
-        B = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 41)))
-    else:
-        B = rev_to_polytope(fixtures.random_concave_profile(rng, n_nodes=3))
-    Pi = B.pi_body
-    assert _pair_path(len(Pi), 1, _pair_rows(Pi))  # so the rows are split
-    r = Pi._crosses[rng.integers(len(Pi._crosses))]
-    F, evaluate = _chart(ratio, B, np.cross(r, rng.standard_normal(3)))
-    a = r @ F
-    cap = math.tan(0.1)
-    along = cap * np.array([-a[2], a[1]]) / math.hypot(a[1], a[2])
-    inside = rng.uniform(-cap, cap, (6, 2)) / math.sqrt(2.0)
-    out = rng.standard_normal((4, 2))
-    out *= rng.uniform(1.01 * cap, 0.6, (4, 1)) / np.linalg.norm(out, axis=1)[:, None]
-    t = np.vstack([[0.0, 0.0], 0.7 * along, -0.3 * along, inside, out])
-    T = np.column_stack([np.ones(len(t)), t])
-    assert evaluate(T) == pytest.approx(ratio(B, T @ F.T), rel=1e-13)

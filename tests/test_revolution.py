@@ -13,6 +13,8 @@ from pettylab import (InputError, RevolutionBody, axis_ratio, ball_volume,
 from pettylab.revolution import (ball_petty_value, ball_volumes,
                                  profile_power_integral, rev_to_polytope)
 from pettylab import fixtures
+from pettylab.bodies import body_from_dict, body_to_dict
+from pettylab.symmetrize import schwartz
 
 SQ_E_2PI = math.sqrt(math.e / (2.0 * math.pi))
 
@@ -59,6 +61,26 @@ class TestProfileValidation:
     def test_low_dimension_rejected(self):
         with pytest.raises(InputError):
             RevolutionBody(2, 1.0, [-1.0, 1.0], [1.0, 1.0])
+
+    def test_tiny_half_profile_rejected(self):
+        # a profile on [0, a], not [-a, a]: below unit size a tolerance of a
+        # fixed 1e-12 took it, and its axis ratio read 3, under the sharp 6
+        with pytest.raises(InputError):
+            RevolutionBody(3, 1e-13, [0.0, 5e-14, 1e-13], [0.0, 1e-13, 0.0])
+
+    @pytest.mark.parametrize("kind", ["double-cone", "schwartz"])
+    def test_scaled_profiles_load(self, kind):
+        # the tolerances scale with the body: a valid profile and a Schwartz
+        # symmetral still load at 1e-13 times their size, with the same ratio
+        if kind == "double-cone":
+            R = fixtures.double_cone_profile()
+        else:
+            R = schwartz(fixtures.icosphere(1), np.array([0.3, 0.2, 1.0]))
+        doc = body_to_dict(R)
+        doc["a"] *= 1e-13
+        doc["profile"] = (1e-13 * np.array(doc["profile"])).tolist()
+        small = body_from_dict(doc)
+        assert axis_ratio(small) == pytest.approx(axis_ratio(R), rel=1e-9)
 
 
 class TestVolume:

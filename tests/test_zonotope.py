@@ -96,6 +96,17 @@ class TestShadow:
             val = z_shadow_area(Z, x)
             assert val == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-16, 1e-20])
+    def test_zonogon_oracle_scales_with_its_generators(self, scale):
+        # the short-generator cut is relative to the longest generator, so a
+        # tiny zonogon keeps its generators: 4 (1 + 1 + 1) scale^2
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert zonogon_area(g) == pytest.approx(12.0, rel=1e-14)
+        # approx's default absolute tolerance would pass 0.0
+        want = pytest.approx(12.0 * scale ** 2, rel=1e-14, abs=0.0)
+        assert zonogon_area(scale * g) == want
+        assert z_shadow_area(np.column_stack([scale * g, np.zeros(3)]), E3) == want
+
 
 class TestProjectionBody:
     def test_cube(self):
@@ -355,6 +366,42 @@ def test_pair_shadow_reuses_no_stale_products():
                            for sl in zonotope._chunks(len(X), 8 * len(C))])
     assert len(list(zonotope._chunks(len(X), 8 * len(C)))) == 3
     assert np.array_equal(_pair_shadow(C, X), want)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, zonotope._FEW_DIRECTIONS - 1),
+       st.sampled_from([1, 7, 218, 1497, 20_000]), st.sampled_from(["generic", "seam"]))
+@settings(max_examples=60, deadline=None)
+def test_few_directions_match_the_grid_layout(seed, d, m, kind):
+    # fewer directions than _FEW_DIRECTIONS sum contiguous rows of products,
+    # more sum across them; the same directions at the head of a grid-sized
+    # call take the other order.  A 3-term product is off by at most 3 u
+    # times sum_i |c_i x_i| (u = eps / 2), and a sum of m nonnegative terms
+    # by (m - 1) u, so each order is within (m + 2) u of the exact value,
+    # relative to A = 4 sum over rows and coordinates of |c_i x_i|, and the
+    # two differ by at most (m + 2) eps A
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((m, 3)) * rng.uniform(0.1, 10.0, (m, 1))
+    X = rng.standard_normal((d, 3))
+    if kind == "seam":  # directions in the planes of some rows: terms cancel to ~0
+        k = min(m, d // 2 + 1)
+        X[:k] = np.cross(C[:k], rng.standard_normal(3))
+    few = _pair_shadow(C, X)
+    grid = _pair_shadow(C, np.vstack([X, rng.standard_normal((64, 3))]))[:d]
+    A = 4.0 * (np.abs(X) @ np.abs(C).T).sum(axis=1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(few - grid) <= (m + 2) * eps * A)
+
+
+@pytest.mark.parametrize("d", [1, zonotope._FEW_DIRECTIONS - 1, zonotope._FEW_DIRECTIONS, 300])
+@pytest.mark.parametrize("m, b", [(20, 40), (2_000, 3), (20_000, 2)])
+def test_pair_shadow_stack_members_keep_their_bits(d, m, b):
+    # on either side of _FEW_DIRECTIONS, in one pass or in chunks of
+    # directions and of members, a member of a stack gets its values alone
+    rng = np.random.default_rng(d * m + b)
+    C, X = rng.standard_normal((b, m, 3)), rng.standard_normal((b, d, 3))
+    got = _pair_shadow(C, X)
+    for i in range(b):
+        assert np.array_equal(got[i], _pair_shadow(C[i], X[i]))
 
 
 def test_volume_of_many_generators_by_increments():
