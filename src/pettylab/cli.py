@@ -134,13 +134,18 @@ def _check_args(parser, args):
             parser.error(f"argument --invariants: must list distinct names from "
                          f"{','.join(INVARIANTS)}, got {args.invariants!r}")
         args.invariants = wanted
-    if args.command == "symmetrize" and args.steps > 1:
-        if args.mode == "schwartz":
+    if args.command == "symmetrize":
+        if args.steps > 1 and args.mode == "schwartz":
             parser.error("argument --steps: only --mode steiner iterates, "
                          f"got {args.steps} with --mode schwartz")
-        if args.direction is not None:
+        if args.steps > 1 and args.direction is not None:
             parser.error("argument --direction: iterated Steiner steps draw their "
                          "own directions; drop --direction or --steps")
+        # parsed here, so that a bad direction exits before the body file is read
+        args.axis = _parse_direction(parser, "--direction",
+                                     "0,0,1" if args.direction is None else args.direction)
+        args.track = (_parse_direction(parser, "--track-ratio", args.track_ratio)
+                      if args.track_ratio else None)
     if args.command == "search":
         lo, hi = RECORDS[args.objective].n_range
         if not lo <= args.n <= hi:
@@ -152,14 +157,15 @@ def _check_args(parser, args):
                          f"{', '.join(starts) or 'no named start'}, got {args.start!r}")
 
 
-def _parse_direction(text):
+def _parse_direction(parser, option, text):
+    """The unit vector of an X,Y,Z option value; a bad one exits 2 naming the option."""
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != 3:
-        raise BodyFileError(f"direction must have 3 components, got {text!r}")
     try:
+        if len(parts) != 3:
+            raise ValueError(f"expected 3 components, got {len(parts)}")
         return unitize(np.array([float(p) for p in parts]))
     except ValueError as exc:
-        raise BodyFileError(f"bad direction {text!r}: {exc}") from exc
+        parser.error(f"argument {option}: bad direction {text!r}: {exc}")
 
 
 def _join_vectors(argv):
@@ -260,8 +266,7 @@ def cmd_symmetrize(args):
     body = load_body(args.body)
     if not isinstance(body, Polytope):
         raise GeometryError("symmetrization needs a polytope body file")
-    direction = _parse_direction("0,0,1" if args.direction is None else args.direction)
-    track = _parse_direction(args.track_ratio) if args.track_ratio else None
+    direction, track = args.axis, args.track
     v_before = body.volume
     if track is not None:
         # after Schwartz symmetrization about x the ratio is q(body, x)

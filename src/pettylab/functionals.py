@@ -271,7 +271,7 @@ def _chart(fn, B, x0):
     last columns, and evaluate(T) is fn(B, F t) for each row t = (1, t1, t2)
     of T.  ratio and q_direction are homogeneous of degree 0, so F t needs
     no normalizing.  The few points of a refinement step cost ratio about
-    2 ns per pair row of Pi B and point (zonotope._pair_shadow).
+    2 ns per pair row of Pi B and point (zonotope._abs_dot_sums).
     """
     u, w = plane_basis(unitize(x0))
     F = np.column_stack([x0, u, w])

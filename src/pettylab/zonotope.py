@@ -17,7 +17,9 @@ Shadows are the one primitive (`z_shadow_area`): the support of Pi^2 K is
 the shadow of Pi K.  A shadow is summed over generator pairs, or, for many
 generators, walked as the zonogon boundary in angular order (O(n log n) per
 direction); both are exact, and both run over chunks of directions of
-bounded size.
+bounded size.  A pair shadow and a support are the same sum, of |<c, x>|
+over the pair rows or over the generators, and one kernel takes both
+(`_abs_dot_sums`).
 
 The pairs of Pi Z's generators come in closed form from one table of triple
 determinants D_ijk = det(x_i, x_j, x_k) (`pi2_rows`).  With c_ij = x_i x x_j,
@@ -27,9 +29,9 @@ disjoint pairs follow from Binet-Cauchy, c_ij x c_kl = D_ijl x_k - D_ijk x_l,
 three pairings per 4-subset.  That is n + 3 C(n, 4) rows in place of
 C(C(n, 2), 2): 20 for 45 at n = 5, 218 for 378 at n = 8.  The same table
 gives the volume, so P, M and m of a zonotope round through one set of
-determinants.  Rows, supports and pair shadows also take stacks (b, n, 3)
-of zonotopes of one size, and give each member the values it has on its
-own, bit for bit; `stack_ratios` runs the direction ratio that way.
+determinants.  Crosses, determinants, rows and flatness also take stacks
+(b, n, 3) of zonotopes of one size; `stack_ratios` forms them once for a
+stack and sums each member on its own, so each gets its own ratio.
 """
 
 import itertools
@@ -54,7 +56,7 @@ _PI2_CACHE = {}
 _MERGE_AXIS = np.array([0.5488135, 0.71518937, 0.60276338])
 _MERGE_AXIS /= np.linalg.norm(_MERGE_AXIS)
 
-# Below this many directions _pair_shadow sums each direction along its own
+# Below this many directions _abs_dot_sums sums each direction along its own
 # contiguous row of products.  The (m, d) layout reduces across rows instead,
 # strided: over 1,500-32,000 rows, 2-16 directions took 1.7-7 times as long
 # that way (numpy 2, one core), and near 64 directions the two cost the
@@ -116,7 +118,7 @@ class GeneratorSet:
         if self._source is None:
             return pair_crosses(self)
         rows = pi2_rows(*self._source)
-        keep = _nonzero(rows, self.gens)
+        keep = _nonzero(rows)
         return rows if keep.all() else rows[keep]
 
     @cached_property
@@ -138,7 +140,9 @@ class GeneratorSet:
 
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
-        return z_support(self.gens, X)
+        X = np.asarray(X, dtype=float)
+        out = _abs_dot_sums(self.gens, np.atleast_2d(X))
+        return out[0] if X.ndim == 1 else out
 
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
@@ -166,37 +170,25 @@ def _pairs(n):
     return _PAIR_CACHE[n]
 
 
-def z_support(G, X):
-    """h_Z(x) = sum_i |<x, x_i>| for generators G (..., n, 3).
-
-    One value per row of X (..., d, 3), or per stack member for one x.
-    """
-    X = np.asarray(X, dtype=float)
-    dots = G @ (X if X.ndim == 1 else X.swapaxes(-1, -2))
-    return np.add.reduce(np.abs(dots, out=dots), axis=-1 if X.ndim == 1 else -2)
-
-
 def cross_rows(G):
     """Crosses x_i x x_j over i < j in index order, zero ones kept: (..., C(n, 2), 3)."""
     i, j = _pairs(G.shape[-2])
     return np.cross(np.take(G, i, axis=-2), np.take(G, j, axis=-2))
 
 
-def _nonzero(C, G):
-    """Which rows of C, products of two rows of G, are not zero to rounding.
+def _nonzero(C):
+    """Which rows of C (..., m, 3) are not exactly zero.
 
-    A row counts when its length exceeds 1e-14 times the square of G's
-    largest |entry|.
+    A short row counts: near a flat body's thin axis every real row is
+    short, and without them m reads below 6.
     """
-    scale = np.max(np.abs(G), axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)[..., None]
-    return np.linalg.norm(C, axis=-1) > 1e-14 * scale * scale
+    return np.any(C != 0.0, axis=-1)
 
 
 def pair_crosses(Z):
     """Nonzero cross products x_i x x_j over i < j, in index order."""
     Z = as_set(Z)
-    return Z._cross_rows[_nonzero(Z._cross_rows, Z.gens)]
+    return Z._cross_rows[_nonzero(Z._cross_rows)]
 
 
 def triple_dets(G, C=None):
@@ -289,7 +281,7 @@ def _pair_path(n, d, rows=None):
     n generators, d directions, and the rows the pair sum runs over, by
     default the C(n, 2) pairs (_pair_rows gives them for a body).  Measured
     with numpy 2 on one core: the pair sum costs ~2 ns per row and direction,
-    for a refinement step's few directions as for a grid (_pair_shadow), the
+    for a refinement step's few directions as for a grid (_abs_dot_sums), the
     sorted walk ~60 ns per generator and direction plus ~80 us per call.
     So many directions switch to the walk from about 60 generators on, a
     single direction from ~350; Pi Z, with n + 3 C(n, 4) rows for C(n, 2)
@@ -323,63 +315,54 @@ def z_shadow_area(Z, X):
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
     if _pair_path(len(Z), Xs.shape[0], _pair_rows(Z)):
-        out = _pair_shadow(Z._crosses, Xs)
+        out = 4.0 * _abs_dot_sums(Z._crosses, Xs)
     else:
         out = _sorted_shadow(Z.gens, Xs)
     return out[0] if X.ndim == 1 else out
 
 
-def _pair_shadow(C, X):
-    """4 * sum over the rows c of C of |<c, x>|, per row x of X.
+def _abs_dot_sums(C, X):
+    """sum over the rows c of C (m, 3) of |<c, x>|, per row x of X (d, 3).
 
-    C (m, 3) and X (d, 3), or stacks C (b, m, 3) and X (b, d, 3).  Each
-    member's directions go in the chunks they take on their own, so it gets
-    its own values bit for bit; members share a pass up to about the bytes
-    of one chunk.  Fewer than _FEW_DIRECTIONS directions are summed along
-    contiguous rows of products (d, m), more over the rows of (m, d): the
-    two orders agree to rounding, not bit for bit.  Either costs about 2 ns
-    per row and direction (_pair_path).
+    Fewer than _FEW_DIRECTIONS directions are summed along contiguous rows
+    of products (d, m), more over the rows of (m, d): the two orders agree
+    to rounding, not bit for bit.  Either costs about 2 ns per row and
+    direction (_pair_path).  Products beyond about _CHUNK_BYTES go in chunks
+    of directions.
     """
-    Cs, Xs = (C, X) if X.ndim == 3 else (C[None], X[None])
-    b, m, d = Cs.shape[0], Cs.shape[1], Xs.shape[1]
+    m, d = C.shape[0], X.shape[0]
     few = d < _FEW_DIRECTIONS
 
-    def sums(Cb, Xb, buf=None):
+    def sums(Xw, buf=None):
         """The sums of one pass, its products put in buf if one is given."""
-        k, w = Xb.shape[:2]
-        if few:  # each direction's products along one contiguous row
-            L, R, shape = Xb, Cb.transpose(0, 2, 1), (k, w, m)
-        else:
-            L, R, shape = Cb, Xb.transpose(0, 2, 1), (k, m, w)
-        dots = np.matmul(L, R, out=None if buf is None else buf[:k * m * w].reshape(shape))
+        w = Xw.shape[0]
+        L, R, shape = (Xw, C.T, (w, m)) if few else (C, Xw.T, (m, w))
+        dots = np.matmul(L, R, out=None if buf is None else buf[:m * w].reshape(shape))
         # np.add.reduce is np.sum without its ~4 us of Python dispatch
-        return 4.0 * np.add.reduce(np.abs(dots, out=dots), axis=2 if few else 1)
+        return np.add.reduce(np.abs(dots, out=dots), axis=1 if few else 0)
 
-    if 8 * b * m * d <= _CHUNK_BYTES:  # the one pass the chunks below would make
-        out = sums(Cs, Xs)
-        return out if X.ndim == 3 else out[0]
-    out = np.empty((b, d))
+    if 8 * m * d <= _CHUNK_BYTES:  # the one pass the chunks below would make
+        return sums(X)
+    out = np.empty(d)
     # every pass's products go into the first pass's buffer: a fresh one per
     # pass is handed back to the kernel and faulted in again
     buf = None
     for sl in _chunks(d, 8 * m):
-        Xw = Xs[:, sl]
-        w = Xw.shape[1]
-        for bs in _chunks(b, 8 * m * w):
-            if buf is None:
-                buf = np.empty(len(Xw[bs]) * m * w)
-            out[bs, sl] = sums(Cs[bs], Xw[bs], buf)
-    return out if X.ndim == 3 else out[0]
+        if buf is None:
+            buf = np.empty(m * len(X[sl]))
+        out[sl] = sums(X[sl], buf)
+    return out
 
 
 def stack_ratios(G, U):
     """Direction ratios of each zonotope of a stack G (b, n, 3): (values, ok).
 
     Row i of values is functionals.ratio(Z, vstack([U, Z.candidates])) for
-    Z = GeneratorSet(G[i]), bit for bit: the stack runs the rows, supports
-    and pair shadows of that per-body path.  A member it cannot take (flat,
-    with a zero cross or Pi^2 row, or whose shadows walk zonogons) has
-    ok[i] False and a row of NaN.
+    Z = GeneratorSet(G[i]), bit for bit: the stack forms the crosses,
+    determinants, Pi^2 rows and candidates of all members at once, and
+    sums each member's support and pair shadow alone, as that body would.
+    A member it cannot take (flat, with a zero cross or Pi^2 row, or whose
+    shadows walk zonogons) has ok[i] False and a row of NaN.
     """
     G = np.asarray(G, dtype=float)
     C = cross_rows(G)
@@ -391,18 +374,14 @@ def stack_ratios(G, U):
     X = np.concatenate([np.broadcast_to(U, (len(G),) + U.shape),
                         cands / np.where(norms > 0.0, norms, 1.0)], axis=1)
     # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
-    ok = (~is_flat(G) & np.all(_nonzero(C, G), axis=-1) & np.all(_nonzero(R, 4.0 * C), axis=-1)
+    ok = (~is_flat(G) & np.all(_nonzero(C), axis=-1) & np.all(_nonzero(R), axis=-1)
           & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
-    if not ok.all():
-        G, D, R, X = G[ok], D[ok], R[ok], X[ok]
-    den = z_support(G, X)
-    den *= (8.0 * np.sum(np.abs(D), axis=-1))[:, None]
-    if (den <= 0.0).any():
-        raise InputError("support must be positive in every requested direction")
-    num = _pair_shadow(R, X)
-    num /= den
-    values = np.full((len(ok), num.shape[1]), np.nan)
-    values[ok] = num
+    values = np.full(X.shape[:2], np.nan)
+    for i in np.flatnonzero(ok):
+        den = _abs_dot_sums(G[i], X[i]) * (8.0 * np.sum(np.abs(D[i])))
+        if (den <= 0.0).any():
+            raise InputError("support must be positive in every requested direction")
+        values[i] = 4.0 * _abs_dot_sums(R[i], X[i]) / den
     return values, ok
 
 

@@ -338,11 +338,20 @@ class TestSearchCmd:
     (["compute", "CUBE", "--invariants", ","], "--invariants"),
     (["compute", "CUBE", "--invariants", "P,P"], "--invariants"),
     (["compute", "CUBE", "--invariants", "P,V"], "--invariants"),
+    (["symmetrize", "missing.json", "--mode", "steiner", "--direction", "0,0,0"],
+     "--direction"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--direction", "nan,0,1"], "--direction"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--direction", "1,0"], "--direction"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--track-ratio", "0,0,0"], "--track-ratio"),
+    (["symmetrize", "missing.json", "--mode", "steiner", "--track-ratio", "0,nan,1"],
+     "--track-ratio"),
+    (["symmetrize", "CUBE", "--mode", "steiner", "--track-ratio", "0,1"], "--track-ratio"),
 ], ids=["grid-1", "grid-3e9", "refine-negative", "zonoid-n2", "hull-n2", "zonoid-n9",
         "seed-negative", "samples-0", "samples-3e9",
         "zonoid-named-start", "threads-negative", "threads-0", "steps-negative",
         "schwartz-steps", "steps-with-direction", "invariants-empty",
-        "invariants-repeated", "invariants-unknown"])
+        "invariants-repeated", "invariants-unknown", "direction-zero", "direction-nan",
+        "direction-two", "track-zero", "track-nan", "track-two"])
 def test_bad_option_exit2(fixture_dir, capsys, argv, flag):
     argv = [str(fixture_dir / "cube.json") if a == "CUBE" else a for a in argv]
     assert main(argv) == 2

@@ -3,8 +3,11 @@
 Run as a script (`python tests/test_cli_fuzz.py DIR`), it writes seeded body
 files to DIR, runs about 100 command lines through pettylab.cli.main in this
 one process, and prints one line per command line: its exit code, or
-"traceback" when main raised.  The test runs the script in a child process
-whose address space is capped, so running out of memory is a traceback too.
+"traceback" when main raised, and for a `compute` that exits 0 the body's
+kind and the `M` and `m` it reports, as JSON after a tab.  The test runs the
+script in a child process whose address space is capped, so running out of
+memory is a traceback too, and holds every reported `m` to Theorem 1.2's
+`m >= 6` and every zonotope's `M` to Theorem 1.1's `M <= 8`.
 """
 
 import contextlib
@@ -48,6 +51,13 @@ def _bodies(rng):
                              "generators": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0]]}
     docs["parallel-zonotope"] = {"kind": "zonotope",
                                  "generators": [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    # flattened to aspect 1e-8: every cross near the thin axis is short
+    docs["thin-hull"] = {"kind": "polytope", "symmetric": True,
+                         "vertices": [[x, y, 1e-8 * z] for x, y, z in cube]}
+    docs["thin-zonotope-3"] = {"kind": "zonotope",
+                               "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1e-8]]}
+    docs["thin-zonotope-4"] = {"kind": "zonotope", "generators": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1e-8], [1, 1, 1e-8]]}
     docs["non-concave"] = {"kind": "revolution", "dimension": 3, "a": 1.0,
                            "profile": [[-1, 1], [0, 0.2], [1, 1]]}
     docs["cone-d4"] = {"kind": "revolution", "dimension": 4, "a": 1.0,
@@ -107,17 +117,31 @@ def command_lines(work):
     return lines
 
 
+def _reported(path, text):
+    """The body's kind and the M and m of a compute report (CSV or JSON)."""
+    if text.startswith("{"):
+        rows = [(r["name"], r["value"]) for r in json.loads(text)["rows"]]
+    else:
+        rows = [line.split(",")[:2] for line in text.splitlines()[1:]]
+    with open(path, encoding="utf-8") as fh:
+        values = {"kind": json.load(fh)["kind"]}
+    values.update((name, float(value)) for name, value in rows if name in ("M", "m"))
+    return values
+
+
 def main(work):
     from pettylab.cli import main as cli_main
     for argv in command_lines(work):
-        argv = ["--no-timestamp", *argv]
-        sink = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                code = str(cli_main(argv))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = str(cli_main(["--no-timestamp", *argv]))
         except BaseException as exc:  # every escape from main is a finding
             code = f"traceback:{type(exc).__name__}"
-        print(code, " ".join(os.path.basename(a) for a in argv), flush=True)
+        line = f"{code} --no-timestamp {' '.join(os.path.basename(a) for a in argv)}"
+        if code == "0" and argv[0] == "compute":
+            line += "\t" + json.dumps(_reported(argv[1], out.getvalue()))
+        print(line, flush=True)
 
 
 def test_cli_fuzz_exit_codes(tmp_path):
@@ -134,6 +158,13 @@ def test_cli_fuzz_exit_codes(tmp_path):
     assert len(results) >= 100
     bad = [(code, line) for code, line in results if code not in EXIT_CODES]
     assert not bad, bad
+    reports = [(line, json.loads(line.partition("\t")[2]))
+               for _, line in results if "\t" in line]
+    assert any(r["kind"] == "zonotope" and "M" in r for _, r in reports)
+    breaches = [(line, r) for line, r in reports
+                if r.get("m", 6.0) < 6.0 * (1.0 - 1e-9)
+                or (r["kind"] == "zonotope" and r.get("M", 8.0) > 8.0 * (1.0 + 1e-9))]
+    assert not breaches, breaches
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,7 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       ts_sums)
 from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
                                   grid_max_ratios, sqrt_quadratic_integral)
-from pettylab import convex_hull, fixtures, revolution, slice_area, zonotope
+from pettylab import convex_hull, fibonacci_sphere, fixtures, revolution, slice_area, zonotope
 from pettylab.revolution import rev_to_polytope
 
 E1, E2, E3 = np.eye(3)
@@ -246,6 +247,15 @@ class TestRatio:
         with pytest.raises(SymmetryError):
             ratio(tetrahedron, np.eye(3))
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+    def test_flattened_zonotope_keeps_its_ratio(self, t):
+        # ratio(T Z, T^-T x) = ratio(Z, x): the short Pi^2 rows of T Z count
+        Z = GeneratorSet([E1, E2, E3, [1.0, 1.0, 1.0]])
+        x = np.array([1.0, -1.0, -1.0]) / math.sqrt(3.0)
+        T = np.diag([1.0, 1.0, t])
+        assert ratio(Z, x) == pytest.approx(7.0, rel=1e-12)
+        assert ratio(Z.map_linear(T), np.linalg.inv(T).T @ x) == pytest.approx(7.0, rel=1e-12)
+
     def test_zonotope_polytope_agree(self, rng):
         from pettylab import convex_hull
         from pettylab.zonotope import zonotope_vertices
@@ -297,7 +307,6 @@ def _sliced_q(P, x):
     Independent of the piece quadratics: the integrand is the scalar section
     area, integrated between consecutive distinct vertex heights.
     """
-    mpmath = pytest.importorskip("mpmath")
     u = np.asarray(x, dtype=float) / np.linalg.norm(x)
     h = np.unique(P.vertices @ u)
     f = lambda s: math.sqrt(slice_area(P, u, float(s)))
@@ -388,7 +397,6 @@ def _pieces(draw):
 @settings(max_examples=400, deadline=None)
 @given(_pieces())
 def test_sqrt_quadratic_integral_against_mpmath(piece):
-    mpmath = pytest.importorskip("mpmath")
     a, b, c = piece
     with mpmath.workdps(40):
         # mpmath's error target is absolute: integrate at unit scale
@@ -457,6 +465,19 @@ class TestInvariants:
         kwargs = {"grid": 64, **kwargs}
         with pytest.raises(InputError):
             invariants(fixtures.cube_zonotope(), **kwargs)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_flat_box_m_is_8(self, t):
+        # a box is a parallelepiped, ratio 8 in every direction: its crosses
+        # near the thin axis are short, but real
+        box = convex_hull(np.array(list(itertools.product([-1.0, 1.0], [-1.0, 1.0],
+                                                          [-t, t]))), symmetric=True)
+        assert invariants(box, want=("m",)).m == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-7, 1e-9, 1e-11])
+    def test_flat_parallelepiped_m_is_8(self, t):
+        Z = GeneratorSet(np.diag([1.0, 1.0, t]))
+        assert invariants(Z, want=("m",)).m == pytest.approx(8.0, rel=1e-12)
 
     def test_integer_like_counts_accepted(self):
         # numpy integers pass operator.index and are reported as ints
@@ -575,6 +596,24 @@ def test_grid_max_ratios_match_per_body_values():
     G = rng.standard_normal((5, 6, 3))
     G[2, 1] = 2.0 * G[2, 0]
     assert len(GeneratorSet(G[2])._crosses) == 14
+    want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
+    assert np.array_equal(grid_max_ratios(G, 256), want)
+
+
+@pytest.mark.parametrize("kind", ["pair-rows", "walks"])
+def test_grid_max_ratios_of_a_stack_it_takes_none_of(kind):
+    # zonotopes with a zero cross or a zero Pi^2 row (four coplanar
+    # generators), or of 14 generators, whose Pi^2 supports walk zonogons:
+    # every member goes to the per-body path and gets its own value
+    rng = np.random.default_rng(13)
+    if kind == "walks":
+        G = rng.standard_normal((2, 14, 3))
+    else:
+        G = rng.standard_normal((3, 6, 3))
+        G[0, 1] = -2.0 * G[0, 0]
+        G[1:, :4, 2] = 0.0
+    values, ok = zonotope.stack_ratios(G, np.vstack([fibonacci_sphere(256), np.eye(3)]))
+    assert not ok.any() and np.isnan(values).all()
     want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
     assert np.array_equal(grid_max_ratios(G, 256), want)
 

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, invariants,
-                      q_direction, ratio, suites, zonotope)
+from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, functionals, invariants,
+                      q_direction, ratio, suites)
 from pettylab.errors import InputError
 from pettylab.functionals import grid_max_ratios
 from pettylab.geom import unitize
@@ -145,25 +145,23 @@ def test_near_flat_witnesses_stay_within_8(seed, sample):
 
 
 def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
-    # one shadow-kernel call per block and generator count, the cube check
-    # aside, and the row value of per-body evaluation
+    # one stack_ratios call per block and generator count, and the row value
+    # of per-body evaluation
     calls = []
-    kernel = zonotope._pair_shadow
+    stack = functionals.stack_ratios
 
-    def counting(C, X):
-        calls.append(C.shape[:-2])
-        return kernel(C, X)
+    def counting(G, U):
+        calls.append(len(G))
+        return stack(G, U)
 
-    monkeypatch.setattr(zonotope, "_pair_shadow", counting)
+    monkeypatch.setattr(functionals, "stack_ratios", counting)
     monkeypatch.setattr(suites, "THM11_BLOCK", 128)
     row = suites.suite_theorem_1_1(samples=300, seed=42)[0]
     rng = _rng(42, "thm11")
     gens = [fixtures.random_generators(rng, int(rng.integers(3, 9))) for _ in range(300)]
     blocks = [[len(g) for g in gens[lo:lo + 128]] for lo in range(0, 300, 128)]
-    stacks = [c for c in calls if c]
-    assert len(stacks) == sum(len(set(sizes)) for sizes in blocks)
-    assert sum(c[0] for c in stacks) == 300
-    assert len(calls) == len(stacks) + 1
+    assert len(calls) == sum(len(set(sizes)) for sizes in blocks)
+    assert sum(calls) == 300
     monkeypatch.undo()
     M = [invariants(GeneratorSet(g), grid=1024, refine=0, want=("M",)).M for g in gens]
     assert row.value == max(M)

@@ -1,6 +1,7 @@
 """Zonotope calculus: support/volume/shadow formulas and projection bodies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       convex_hull, fibonacci_sphere, mixed_volume, ratio,
                       second_proj_support, z_shadow_area, z_volume)
 from pettylab.geom import plane_basis
-from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
+from pettylab.zonotope import (_abs_dot_sums, _pair_path, _sorted_shadow, merge_parallel,
                                pair_crosses, pi2_rows, stack_ratios, triple_dets,
                                zonogon_area, zonotope_vertices)
 from pettylab import fixtures, zonotope
@@ -309,7 +310,7 @@ def test_shadow_paths_agree(seed, n, kind):
     X[1] = G[-1]            # a generator direction: its own row projects to 0
     Z = GeneratorSet(G)
     assert _pair_path(n, len(X)) == (n < 50)
-    pair = _pair_shadow(pair_crosses(G), X)
+    pair = 4.0 * _abs_dot_sums(pair_crosses(G), X)
     oracle = np.array([_shadow_oracle(G, x) for x in X])
     # 1e-12 relative, or of the area scale where parallel rows cancel to ~0
     tol = 1e-12 * np.maximum(np.abs(pair), np.sum(np.linalg.norm(G, axis=1)) ** 2
@@ -329,7 +330,7 @@ def test_second_support_from_shadow_paths(seed, n):
     X = rng.standard_normal((70, 3))
     pi = Z.pi_body
     direct = np.array([second_proj_support(Z, x) for x in X[:3]])
-    assert _pair_shadow(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
+    assert 4.0 * _abs_dot_sums(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert _sorted_shadow(pi.gens, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
 
@@ -352,8 +353,8 @@ def test_closed_form_pi2_rows_match_nested_crosses(seed, n, kind):
     pi = Z.pi_body
     assert len(pi2_rows(G, triple_dets(G))) == n + 3 * math.comb(n, 4)
     X = rng.standard_normal((40, 3))
-    nested = _pair_shadow(pair_crosses(pi.gens), X)
-    closed = _pair_shadow(pi._crosses, X)
+    nested = _abs_dot_sums(pair_crosses(pi.gens), X)
+    closed = _abs_dot_sums(pi._crosses, X)
     assert np.all(np.abs(closed - nested) <= 1e-12 * nested)
 
 
@@ -362,10 +363,27 @@ def test_pair_shadow_reuses_no_stale_products():
     # its own products bit for bit
     rng = np.random.default_rng(3)
     C, X = rng.standard_normal((300, 3)), rng.standard_normal((1000, 3))
-    want = np.concatenate([4.0 * np.sum(np.abs(C @ X[sl].T), axis=0)
+    want = np.concatenate([np.sum(np.abs(C @ X[sl].T), axis=0)
                            for sl in zonotope._chunks(len(X), 8 * len(C))])
     assert len(list(zonotope._chunks(len(X), 8 * len(C)))) == 3
-    assert np.array_equal(_pair_shadow(C, X), want)
+    assert np.array_equal(_abs_dot_sums(C, X), want)
+
+
+def test_support_memory_is_bounded():
+    # 300 generators times 100,000 directions are 240 MB of products at
+    # once; chunked they stay near 1 MiB, beside the 0.8 MB of values
+    rng = np.random.default_rng(4)
+    Z, X = GeneratorSet(rng.standard_normal((300, 3))), fibonacci_sphere(100_000)
+    tracemalloc.start()
+    try:
+        vals = Z.support(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    want = np.concatenate([np.sum(np.abs(Z.gens @ X[i:i + 1000].T), axis=0)
+                           for i in range(0, len(X), 1000)])
+    assert vals == pytest.approx(want, rel=1e-15)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, zonotope._FEW_DIRECTIONS - 1),
@@ -377,7 +395,7 @@ def test_few_directions_match_the_grid_layout(seed, d, m, kind):
     # call take the other order.  A 3-term product is off by at most 3 u
     # times sum_i |c_i x_i| (u = eps / 2), and a sum of m nonnegative terms
     # by (m - 1) u, so each order is within (m + 2) u of the exact value,
-    # relative to A = 4 sum over rows and coordinates of |c_i x_i|, and the
+    # relative to A = sum over rows and coordinates of |c_i x_i|, and the
     # two differ by at most (m + 2) eps A
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((m, 3)) * rng.uniform(0.1, 10.0, (m, 1))
@@ -385,23 +403,11 @@ def test_few_directions_match_the_grid_layout(seed, d, m, kind):
     if kind == "seam":  # directions in the planes of some rows: terms cancel to ~0
         k = min(m, d // 2 + 1)
         X[:k] = np.cross(C[:k], rng.standard_normal(3))
-    few = _pair_shadow(C, X)
-    grid = _pair_shadow(C, np.vstack([X, rng.standard_normal((64, 3))]))[:d]
-    A = 4.0 * (np.abs(X) @ np.abs(C).T).sum(axis=1)
+    few = _abs_dot_sums(C, X)
+    grid = _abs_dot_sums(C, np.vstack([X, rng.standard_normal((64, 3))]))[:d]
+    A = (np.abs(X) @ np.abs(C).T).sum(axis=1)
     eps = np.finfo(float).eps
     assert np.all(np.abs(few - grid) <= (m + 2) * eps * A)
-
-
-@pytest.mark.parametrize("d", [1, zonotope._FEW_DIRECTIONS - 1, zonotope._FEW_DIRECTIONS, 300])
-@pytest.mark.parametrize("m, b", [(20, 40), (2_000, 3), (20_000, 2)])
-def test_pair_shadow_stack_members_keep_their_bits(d, m, b):
-    # on either side of _FEW_DIRECTIONS, in one pass or in chunks of
-    # directions and of members, a member of a stack gets its values alone
-    rng = np.random.default_rng(d * m + b)
-    C, X = rng.standard_normal((b, m, 3)), rng.standard_normal((b, d, 3))
-    got = _pair_shadow(C, X)
-    for i in range(b):
-        assert np.array_equal(got[i], _pair_shadow(C[i], X[i]))
 
 
 def test_volume_of_many_generators_by_increments():
