@@ -8,8 +8,8 @@
     pettylab fixtures --out DIR
 
 Exit codes: 0 success, 2 usage/parse error or an output file that cannot be
-written, 3 invalid body, 4 suite failure or a search result beyond a theorem
-limit.
+written, 3 invalid body, 4 suite failure, or a search result or computed
+invariant beyond a theorem limit.
 The environment variable PETTYLAB_SEED supplies the default seed; all
 numeric output uses 12 significant digits.  Output is byte-identical for
 identical command lines apart from the timestamp header (suppress with
@@ -34,6 +34,7 @@ from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
 from .suites import SUITES, run_suite
 from .symmetrize import schwartz, steiner, steiner_rounding_run
+from .zonotope import GeneratorSet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,7 +42,7 @@ EXIT_BODY = 3
 EXIT_SUITE = 4
 
 # Largest --grid.  Supports and shadows run in chunks of directions, so at
-# this size icosphere3's M peaks near 80 MB, but it takes about 5 s, and the
+# this size icosphere3's m peaks near 80 MB, but it takes about 5 s, and the
 # time and the grid's own arrays grow with the grid.
 GRID_MAX = 100_000
 
@@ -77,8 +78,10 @@ def build_parser():
     c = sub.add_parser("compute", help="invariants of a body file")
     c.add_argument("body")
     c.add_argument("--invariants", default=",".join(INVARIANTS))
-    c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=2048)
-    c.add_argument("--refine", type=_int_in(0), default=50)
+    c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=2048,
+                   help="sphere grid of m and Q (P and M are exact)")
+    c.add_argument("--refine", type=_int_in(0), default=50,
+                   help="Nelder-Mead steps polishing m and Q (0: none)")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out")
 
@@ -205,12 +208,16 @@ def _emit(rows, args, out=None):
 def cmd_compute(args):
     body = load_body(args.body)
     rep = invariants(body, grid=args.grid, refine=args.refine, want=args.invariants)
-    rows = []
-    dirs = {"M": rep.M_dir, "m": rep.m_dir, "Q": rep.Q_dir}
+    # beyond m >= 6 (symmetric bodies) or M <= 8 (zonotopes) by 1e-9: an evaluator bug
+    if rep.m is not None and rep.m < 6.0 * (1.0 - 1e-9):
+        raise LimitError(f"m = {fmt(rep.m)} < 6 on a symmetric body: evaluator bug")
+    if rep.M is not None and isinstance(body, GeneratorSet) and rep.M > 8.0 * (1.0 + 1e-9):
+        raise LimitError(f"M = {fmt(rep.M)} > 8 on a zonotope: evaluator bug")
+    rows, where = [], {"M": "closed form" if rep.M_dir is None else "max over facet normals"}
     for name in args.invariants:
-        rows.append(Row(name, value=getattr(rep, name), direction=dirs.get(name),
-                        status="INFO",
-                        detail=f"grid={rep.grid} refine={rep.refine}"))
+        rows.append(Row(name, value=getattr(rep, name), status="INFO",
+                        direction=getattr(rep, f"{name}_dir", None),
+                        detail=where.get(name, f"grid={rep.grid} refine={rep.refine}")))
     if rep.near_cone_equality:
         rows.append(Row("near-lower-equality", value=rep.m, status="INFO",
                         detail="ratio within 1e-6 of the sharp bound 6"))
@@ -302,10 +309,13 @@ _HANDLERS = {
     "symmetrize": cmd_symmetrize,
     "fixtures": cmd_fixtures,
 }
+_PARSER = []  # main's parser, built once: building it takes about 1.4 ms
 
 
 def main(argv=None):
-    parser = build_parser()
+    if not _PARSER:
+        _PARSER.append(build_parser())
+    parser = _PARSER[0]
     try:
         args = parser.parse_args(_join_vectors(sys.argv[1:] if argv is None else argv))
         _check_args(parser, args)

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: file/parse problems are usage errors
 (exit 2), geometric invalidity (flat body, missing symmetry, bad argument)
-is exit 3, a search result beyond a theorem limit is exit 4.
+is exit 3, a search or compute result beyond a theorem limit is exit 4.
 """
 
 

@@ -36,10 +36,10 @@ import numpy as np
 
 from .bodies import Ball
 from .errors import InputError, SymmetryError
-from .geom import (_NEXT, _PREV, _chunks, _count, as_vec, convex_hull, fibonacci_sphere,
-                   plane_basis, slice_quadratics, unitize)
+from .geom import (_chunks, _count, as_vec, convex_hull, cross, fibonacci_sphere, plane_basis,
+                   slice_quadratics, unitize)
 from .revolution import RevolutionBody
-from .zonotope import GeneratorSet, stack_ratios, z_shadow_area
+from .zonotope import z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
@@ -91,8 +91,7 @@ def ts_sums(V, X):
     for sl in _chunks(Xs.shape[0], 1024):
         T = V[sl][:, _TRIPLES]
         a, b, c = T[:, :, 0], T[:, :, 1], T[:, :, 2]
-        det = np.sum(a * (b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]),
-                     axis=-1)
+        det = np.sum(a * cross(b, c), axis=-1)
         w1, w2, w3 = (det * np.sum(V[sl, 1:] * Xs[sl, None, :], axis=-1)).T
         s[sl] = 6.0 * (np.abs(w1 + w2 + w3) + np.abs(w1) + np.abs(w2) + np.abs(w3))
         t[sl] = 8.0 * (np.abs(w2 + w3) + np.abs(w1 + w3) + np.abs(w1 + w2))
@@ -249,21 +248,6 @@ def petty_value(B):
     return B.pi_body.volume / B.volume ** 2
 
 
-def grid_max_ratios(G, grid):
-    """Grid M of each zonotope of a stack G (b, n, 3), unrefined: shape (b,).
-
-    Each value is invariants(GeneratorSet(g), grid, refine=0, want=("M",)).M
-    bit for bit: the largest ratio over fibonacci_sphere(grid), the axes and
-    the body's candidates, from zonotope.stack_ratios.  A member the stack
-    cannot take is evaluated on its own.
-    """
-    values, ok = stack_ratios(G, np.vstack([fibonacci_sphere(grid), np.eye(3)]))
-    out = np.max(values, axis=-1)
-    for i in np.nonzero(~ok)[0]:
-        out[i] = invariants(GeneratorSet(G[i]), grid=grid, refine=0, want=("M",)).M
-    return out
-
-
 def _chart(fn, B, x0):
     """The chart at x0 and fn(B, .) on it: (F, evaluate).
 
@@ -348,15 +332,14 @@ class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir g
 
 
 def invariants(B, grid=2048, refine=50, want=INVARIANTS):
-    """Invariant report: P exactly, M/m/Q extremized on a grid plus refinement.
+    """Invariant report: P and M exactly, m and Q extremized on a grid plus refinement.
 
-    The grid is a Fibonacci sphere of the given resolution augmented with
-    the axes and the body's candidates (facet normals and vertex rays, or
-    generators and their crosses), so symmetric fixtures attain their exact
-    extremal directions.  Each grid extremum is then polished by at most
-    refine - 1 Nelder-Mead iterations in a chart about it (_chart_refine);
-    refine=0 keeps it.  want is a sequence of names from INVARIANTS.  M and
-    m require a symmetric body.
+    M is the largest ratio at B's candidates, which hold its facet normals:
+    on the normal cone of a vertex v the ratio on <v, x> = 1 is the convex
+    h_{Pi^2 B} / V(B), largest at a ray, a facet normal.  m and Q take the
+    axes, the candidates and a Fibonacci sphere of `grid` points, and polish
+    the extremum by at most refine - 1 Nelder-Mead steps in a chart about it
+    (_chart_refine).  want names some of INVARIANTS; M and m need symmetry.
     """
     # a string would be read letter by letter
     if type(want) is str or not set(want) <= set(INVARIANTS):
@@ -373,17 +356,17 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
-    # P alone reads no direction
-    X = (np.vstack([fibonacci_sphere(grid), np.eye(3), B.candidates])
-         if want & {"M", "m", "Q"} else None)
-    found, grid_vals = {}, {}
-    for name, fn, maximize in (("M", ratio, True), ("m", ratio, False),
-                               ("Q", q_direction, True)):
+    # P and M read no grid; the candidates are the grid's tail
+    C, found = B.candidates, {}
+    X = np.vstack([fibonacci_sphere(grid), np.eye(3), C]) if want & {"m", "Q"} else C
+    if want & {"M", "m"}:
+        ratios = ratio(B, X if "m" in want else C)  # shared by M and m
+        tail = ratios[len(ratios) - len(C):]
+        found["M"] = C[np.argmax(tail)], float(np.max(tail))
+    for name, fn, maximize in (("m", ratio, False), ("Q", q_direction, True)):
         if name not in want:
             continue
-        if fn not in grid_vals:  # M and m share one evaluation of the grid
-            grid_vals[fn] = fn(B, X)
-        vals = grid_vals[fn]
+        vals = ratios if fn is ratio else fn(B, X)
         i = int(np.argmax(vals) if maximize else np.argmin(vals))
         x, v = X[i], float(vals[i])
         if refine > 0:
@@ -391,20 +374,17 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
             x, v = _chart_refine(evaluate, F, v, maximize, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
-    near = bool(m is not None and m < 6.0 + 1e-6)
+    near = bool(m is not None and abs(m - 6.0) <= 1e-6)
     return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir, grid, refine, near)
 
 
 def sl_invariance_check(B, T, grid=2048, refine=50):
-    """Max relative deviation of M and m under a volume-preserving linear map."""
+    """Max relative deviation of M and m (grid and refine: m's) under a map of det 1."""
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")
     if not hasattr(B, "map_linear"):
         raise InputError("invariance check needs a polytope or zonotope")
-    TB = B.map_linear(T)
-    r0 = invariants(B, grid=grid, refine=refine, want=("M", "m"))
-    r1 = invariants(TB, grid=grid, refine=refine, want=("M", "m"))
-    dev_M = abs(r1.M - r0.M) / abs(r0.M)
-    dev_m = abs(r1.m - r0.m) / abs(r0.m)
-    return max(dev_M, dev_m)
+    r0, r1 = (invariants(K, grid=grid, refine=refine, want=("M", "m"))
+              for K in (B, B.map_linear(T)))
+    return max(abs(r1.M - r0.M) / abs(r0.M), abs(r1.m - r0.m) / abs(r0.m))

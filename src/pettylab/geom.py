@@ -59,11 +59,16 @@ def unit_rows(A):
     return rows
 
 
+def cross(u, w):
+    """u x w over the last axis, broadcast: np.cross to the bit, without its axis handling."""
+    return np.subtract(u[..., _NEXT] * w[..., _PREV], u[..., _PREV] * w[..., _NEXT])
+
+
 def plane_basis(x):
     """Orthonormal pair (e1, e2) spanning the plane orthogonal to the unit x."""
     a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = unitize(np.cross(x, a))
-    return e1, np.cross(x, e1)
+    e1 = unitize(cross(x, a))
+    return e1, cross(x, e1)
 
 
 # slice_quadratics sums a segment by prefix sums when (1 + W/g)(1 + W/g') <=
@@ -158,11 +163,10 @@ class Polytope:
         inner = v.mean(axis=0)
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         u, w = b - a, c - a
-        # u x w = p - q, row-major as np.cross forms it; a flip swaps p and q
-        p, q = u[:, _NEXT] * w[:, _PREV], u[:, _PREV] * w[:, _NEXT]
-        cr = np.subtract(p, q, order="C")
+        cr = cross(u, w)
         flip = np.einsum("ij,ij->i", cr, a - inner) < 0.0
-        cr[flip] = q[flip] - p[flip]
+        # w x u rather than -(u x w), which differs from it in the sign of zeros
+        cr[flip] = cross(w[flip], u[flip])
         t = t.copy()
         t[flip] = t[flip][:, [0, 2, 1]]
         self.facets = t
@@ -173,7 +177,7 @@ class Polytope:
             self.facet_normals = np.where(two_areas[:, None] > 0.0, cr / two_areas[:, None], 0.0)
         # plane offset <n, y> = c for each facet
         self.facet_offsets = np.einsum("ij,ij->i", self.facet_normals, a)
-        self.volume = float(np.einsum("ij,ij->i", np.cross(a, b), c).sum() / 6.0)
+        self.volume = float(np.einsum("ij,ij->i", cross(a, b), c).sum() / 6.0)
 
     def _symmetry_defect(self):
         """How far the reflected vertex set pokes outside the facet planes.
@@ -263,9 +267,11 @@ def convex_hull(points, symmetric=False):
     # dense hulls can triangulate merged facets into zero-area slivers; they
     # carry no surface measure and would only trip the facet validation
     a, b, c = (pts[simplices[:, k]] for k in range(3))
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    areas = 0.5 * np.linalg.norm(cross(b - a, c - a), axis=1)
     solid = simplices[areas > 1e-13 * scale * scale]
-    keep = np.unique(solid)
+    used = np.zeros(pts.shape[0], dtype=bool)
+    used[solid] = True
+    keep = np.flatnonzero(used)
     remap = np.full(pts.shape[0], -1, dtype=int)
     remap[keep] = np.arange(keep.size)
     return Polytope(pts[keep], remap[solid], symmetric=symmetric)
@@ -332,7 +338,7 @@ def slice_area(P, x, s):
     pts = np.where(on[..., None], vi, vi + t[..., None] * (np.roll(vi, -1, axis=1) - vi))
     found = on | cuts
     # the chord's ends are the extreme points along the facet's in-plane tangent
-    proj = np.einsum("fij,fj->fi", pts, np.cross(u, P.facet_normals))
+    proj = np.einsum("fij,fj->fi", pts, cross(u, P.facet_normals))
     rows = np.arange(pts.shape[0])
     a = pts[rows, np.argmin(np.where(found, proj, np.inf), axis=1)]
     b = pts[rows, np.argmax(np.where(found, proj, -np.inf), axis=1)]
@@ -340,7 +346,7 @@ def slice_area(P, x, s):
     # each side contributes it at half weight
     n_found = found.sum(axis=1)
     weight = np.where((on.sum(axis=1) == 2) & (n_found == 2), 0.5, 1.0)
-    terms = weight * 0.5 * np.einsum("fj,j->f", np.cross(a, b), u)
+    terms = weight * 0.5 * np.einsum("fj,j->f", cross(a, b), u)
     return max(float(np.sum(terms[n_found >= 2])), 0.0)
 
 

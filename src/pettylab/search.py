@@ -39,10 +39,11 @@ class Objective:
     random start); the body is scored as built, and the rows are rescaled
     to volume 1.  build is None for a 4-tuple plus a direction, whose five
     rows are scaled to unit length and scored so (n unused).
-    quantity is the invariant extremized, without refinement, over `grid`
-    Fibonacci directions plus the structured candidates, or "t/s".  A best
-    value beyond `limit` in the objective's sense is an evaluator bug; one
-    within 1e-3 of `sharp` is flagged as near equality, with hints(config).
+    quantity is the invariant extremized, or "t/s": M exactly (grid None),
+    m and Q unrefined over `grid` Fibonacci directions plus the structured
+    candidates.  A best value beyond `limit` in the objective's sense is an
+    evaluator bug; one within 1e-3 of `sharp` is flagged as near equality,
+    with hints(config).
     A run reports its gap to `conjectured`, an unproven optimum, when set.
     starts maps the names of fixed starting bodies to their vertices.
     """
@@ -80,7 +81,7 @@ def _cylinder_hints(config):
 
 # the sharp theorem constants are the limits: crossing one reveals an evaluator bug
 RECORDS = {o.name: o for o in (
-    Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", 192, True, limit=8.0, sharp=8.0,
+    Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", None, True, limit=8.0, sharp=8.0,
               hints=_cylinder_hints),
     Objective("min-m-symmetric", _symmetric_hull, (3, 20), "m", 192, False,
               limit=6.0, sharp=6.0),
@@ -154,15 +155,15 @@ def evaluate_config(objective, config):
 def _evaluate(obj, config, body):
     """Objective value of a configuration whose body is already built.
 
-    Grid-only extremization: the structured candidate directions contain the
-    exact extremizers of cylinder- and cone-like configurations, so the sharp
+    M is exact; m and Q are grid-only: the structured candidate directions
+    contain the exact extremizers of cone-like configurations, so the sharp
     constants stay reachable without per-step refinement.
     """
     if obj.quantity == "t/s":
         s_tot, t_tot = ts_sums(config[:4], config[4])
         return t_tot / s_tot if s_tot > 0.0 else 0.0
-    rep = invariants(body, grid=obj.grid, refine=0, want=(obj.quantity,))
-    return getattr(rep, obj.quantity)
+    grid = {} if obj.grid is None else {"grid": obj.grid}
+    return getattr(invariants(body, refine=0, want=(obj.quantity,), **grid), obj.quantity)
 
 
 def _step(obj, config):

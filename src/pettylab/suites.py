@@ -13,13 +13,14 @@ import numpy as np
 
 from . import fixtures
 from .errors import InputError
-from .functionals import (grid_max_ratios, invariants, mixed_volume, petty_value,
-                          polar_volume, q_direction, ratio, sl_invariance_check, ts_sums)
+from .functionals import (invariants, mixed_volume, petty_value, polar_volume, q_direction,
+                          ratio, sl_invariance_check, ts_sums)
 from .geom import plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import steiner_projection_monotonicity
-from .zonotope import second_proj_support, z_shadow_area, zonogon_area
+from .zonotope import (GeneratorSet, second_proj_support, stack_ratios, z_shadow_area,
+                       zonogon_area)
 
 SHARP_TS = 4.0 / 3.0
 
@@ -124,16 +125,15 @@ def suite_fubini(samples, seed):
         rhs = mixed_volume(K.pi_body.pi_body, L)
         rels.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
     worst, witness = _worst(seed, rels)
-    rows = [check("fubini-identity", worst <= 1e-9, value=worst, tolerance=1e-9,
-                  detail=witness)]
     cube_z = fixtures.cube_zonotope()
     tet = fixtures.tetrahedron()
     lhs = mixed_volume(tet.pi_body, cube_z.pi_body)
     rhs = mixed_volume(cube_z.pi_body.pi_body, tet)
     ok = abs(lhs - 64.0) <= 1e-9 and abs(rhs - 64.0) <= 1e-9
-    rows.append(check("fubini-cube-tetrahedron", ok, value=lhs, tolerance=1e-9,
-                      detail=f"both sides should be 64, got {lhs:.12g}/{rhs:.12g}"))
-    return rows
+    return [check("fubini-identity", worst <= 1e-9, value=worst, tolerance=1e-9,
+                  detail=witness),
+            check("fubini-cube-tetrahedron", ok, value=lhs, tolerance=1e-9,
+                  detail=f"both sides should be 64, got {lhs:.12g}/{rhs:.12g}")]
 
 
 def suite_minkowski(samples, seed):
@@ -209,7 +209,7 @@ def suite_berwald(samples, seed):
     worst, witness = _worst(seed, gaps)
     tent = fixtures.double_cone_profile()
     res = berwald_check(tent.s, tent.f, 1.0, 2.0)
-    rows = [
+    return [
         check("berwald-inequality", worst <= 1e-12, value=worst, tolerance=1e-12,
               detail=witness),
         check("berwald-equality-only-linear", false_equal == 0, value=false_equal,
@@ -217,7 +217,6 @@ def suite_berwald(samples, seed):
         check("berwald-tent-equality", res.equality and abs(res.lhs - res.rhs) < 1e-10,
               value=res.lhs - res.rhs, tolerance=1e-10),
     ]
-    return rows
 
 
 def _is_tent(R):
@@ -241,27 +240,30 @@ def suite_zhang_petty(samples, seed):
     lo_seen, witness = _worst(seed, vals, lowest=True)
     hi_seen = max(vals)
     ok = lo_seen >= lo_band * (1.0 - 1e-9) and hi_seen <= hi_band * (1.0 + 1e-9)
-    rows = [check("zhang-petty-band", ok, value=lo_seen, tolerance=lo_band,
-                  detail=f"range [{lo_seen:.6g}, {hi_seen:.6g}] in "
-                         f"[{lo_band:.6g}, {hi_band:.6g}] (1e-9); {witness}")]
     # simplex attains the lower end
     tet = fixtures.tetrahedron()
     val = polar_volume(tet.pi_body) * tet.volume ** 2
-    rows.append(check("zhang-simplex-extremal", abs(val - lo_band) <= 1e-9 * lo_band,
-                      value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27"))
-    return rows
+    return [check("zhang-petty-band", ok, value=lo_seen, tolerance=lo_band,
+                  detail=f"range [{lo_seen:.6g}, {hi_seen:.6g}] in "
+                         f"[{lo_band:.6g}, {hi_band:.6g}] (1e-9); {witness}"),
+            check("zhang-simplex-extremal", abs(val - lo_band) <= 1e-9 * lo_band,
+                  value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27")]
 
 
-def _grid_extremum(B, name):
-    """M or m of B on the 1024-point grid plus candidates, unrefined."""
-    return getattr(invariants(B, grid=1024, refine=0, want=(name,)), name)
+def _stack_M(G):
+    """Exact M of each zonotope of a stack G (b, n, 3); invariants takes what the stack cannot."""
+    values, ok = stack_ratios(G)
+    M = np.max(values, axis=-1)
+    for i in np.flatnonzero(~ok):
+        M[i] = invariants(GeneratorSet(G[i]), want=("M",)).M
+    return M
 
 
 def suite_theorem_1_1(samples, seed):
     """Zonoid upper bound: ratio <= 8 in every direction, cube attains 8.
 
-    Each sample's M is its unrefined value on the 1024-point grid plus
-    candidates (grid_max_ratios), as _grid_extremum would give it.
+    Each sample's M is exact, the largest ratio over its candidates, which
+    hold its facet normals (functionals.invariants).
     """
     rng = _rng(seed, "thm11")
     M = np.empty(samples)
@@ -270,42 +272,45 @@ def suite_theorem_1_1(samples, seed):
                 for _ in range(min(THM11_BLOCK, samples - lo))]
         for n in sorted({len(g) for g in gens}):
             idx = [i for i, g in enumerate(gens) if len(g) == n]
-            M[[lo + i for i in idx]] = grid_max_ratios(np.stack([gens[i] for i in idx]), 1024)
+            M[[lo + i for i in idx]] = _stack_M(np.stack([gens[i] for i in idx]))
     worst, witness = _worst(seed, M)
-    rows = [check("zonoid-ratio-upper", worst <= 8.0 * (1.0 + 1e-9), value=worst,
-                  tolerance=8.0, detail=witness)]
     cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
-    rows.append(check("cube-attains-8", abs(cube_val - 8.0) <= 1e-9,
-                      value=cube_val, tolerance=1e-9))
-    return rows
+    return [check("zonoid-ratio-upper", worst <= 8.0 * (1.0 + 1e-9), value=worst,
+                  tolerance=8.0, detail=witness),
+            check("cube-attains-8", abs(cube_val - 8.0) <= 1e-9, value=cube_val,
+                  tolerance=1e-9)]
 
 
 def suite_theorem_1_2(samples, seed):
     """Symmetric lower bound: ratio >= 6 in every direction; octahedron attains 6."""
     rng = _rng(seed, "thm12")
-    m = [_grid_extremum(fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13))), "m")
+    # m on the 1024-point grid plus candidates, unrefined
+    m = [invariants(fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13))),
+                    grid=1024, refine=0, want=("m",)).m
          for _ in range(samples)]
     worst, witness = _worst(seed, m, lowest=True)
-    rows = [check("symmetric-ratio-lower", worst >= 6.0 * (1.0 - 1e-9), value=worst,
-                  tolerance=6.0, detail=witness)]
     oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
-    rows.append(check("octahedron-attains-6", abs(oct_val - 6.0) <= 1e-6,
-                      value=oct_val, tolerance=1e-6, direction=(0, 0, 1)))
-    return rows
+    return [check("symmetric-ratio-lower", worst >= 6.0 * (1.0 - 1e-9), value=worst,
+                  tolerance=6.0, detail=witness),
+            check("octahedron-attains-6", abs(oct_val - 6.0) <= 1e-6, value=oct_val,
+                  tolerance=1e-6, direction=(0, 0, 1))]
 
 
-def suite_sl_invariance(samples, seed):
-    """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
+def _sl_cases(samples, seed):
+    """sl-invariance's (body, map) cases: four fixed ones, then seeded random ones."""
     rng = _rng(seed, "sl")
     bodies = [fixtures.cube_zonotope(), fixtures.octahedron()]
     maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             np.diag([2.0, 0.5, 1.0])]
     cases = [(b, T) for b in bodies for T in maps]
     while len(cases) < samples:
-        B = _random_body(rng)
-        T = _random_unimodular(rng)
-        cases.append((B, T))
-    devs = [sl_invariance_check(B, T, grid=2048, refine=60) for B, T in cases[:samples]]
+        cases.append((_random_body(rng), _random_unimodular(rng)))
+    return cases[:samples]
+
+
+def suite_sl_invariance(samples, seed):
+    """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
+    devs = [sl_invariance_check(B, T, grid=2048, refine=60) for B, T in _sl_cases(samples, seed)]
     worst, witness = _worst(seed, devs, label="case")
     return [check("sl-invariance", worst <= 1e-4, value=worst, tolerance=1e-4,
                   detail=witness)]

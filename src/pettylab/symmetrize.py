@@ -18,7 +18,7 @@ functionals.q_direction evaluates exactly without building it.
 import numpy as np
 
 from .errors import FlatBodyError, InputError, SymmetryError
-from .geom import chords, convex_hull, plane_basis, slice_quadratics, unitize
+from .geom import chords, convex_hull, cross, plane_basis, slice_quadratics, unitize
 from .revolution import RevolutionBody
 from .zonotope import z_shadow_area
 
@@ -192,7 +192,7 @@ def steiner_projection_monotonicity(P, nu, h_second):
     if np.linalg.norm(perp) < 1e-9:
         raise InputError("second direction must be independent of nu")
     # the shadow on H = span(nu, e2) is the shadow along the normal nu x e2
-    w = np.cross(nu, unitize(perp))
+    w = cross(nu, unitize(perp))
     before = z_shadow_area(P.pi_body, w)
     after = z_shadow_area(steiner(P, nu).pi_body, w)
     return float(before), float(after)

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _CHUNK_BYTES, _chunks, _frames, as_vec, convex_hull, unit_rows
+from .geom import _CHUNK_BYTES, _chunks, _frames, as_vec, convex_hull, cross, unit_rows
 
 # Pair-index cache keyed by generator count; the i<j enumeration order is
 # fixed so determinant sums are reproducible bit for bit.
@@ -173,7 +173,7 @@ def _pairs(n):
 def cross_rows(G):
     """Crosses x_i x x_j over i < j in index order, zero ones kept: (..., C(n, 2), 3)."""
     i, j = _pairs(G.shape[-2])
-    return np.cross(np.take(G, i, axis=-2), np.take(G, j, axis=-2))
+    return cross(np.take(G, i, axis=-2), np.take(G, j, axis=-2))
 
 
 def _nonzero(C):
@@ -354,13 +354,12 @@ def _abs_dot_sums(C, X):
     return out
 
 
-def stack_ratios(G, U):
-    """Direction ratios of each zonotope of a stack G (b, n, 3): (values, ok).
+def stack_ratios(G):
+    """Direction ratios of each zonotope of a stack G (b, n, 3) at its candidates: (values, ok).
 
-    Row i of values is functionals.ratio(Z, vstack([U, Z.candidates])) for
-    Z = GeneratorSet(G[i]), bit for bit: the stack forms the crosses,
-    determinants, Pi^2 rows and candidates of all members at once, and
-    sums each member's support and pair shadow alone, as that body would.
+    Row i is functionals.ratio(Z, Z.candidates) for Z = GeneratorSet(G[i]),
+    bit for bit: crosses, determinants, Pi^2 rows and candidates are formed
+    for the stack, and each member's support and shadow are summed alone.
     A member it cannot take (flat, with a zero cross or Pi^2 row, or whose
     shadows walk zonogons) has ok[i] False and a row of NaN.
     """
@@ -368,11 +367,10 @@ def stack_ratios(G, U):
     C = cross_rows(G)
     D = triple_dets(G, C)
     R = pi2_rows(G, D)
-    cands = np.concatenate([G, C], axis=1)
-    norms = np.linalg.norm(cands, axis=-1, keepdims=True)
+    X = np.concatenate([G, C], axis=1)
+    norms = np.linalg.norm(X, axis=-1, keepdims=True)
     # a zero cross leaves its member to the per-body path
-    X = np.concatenate([np.broadcast_to(U, (len(G),) + U.shape),
-                        cands / np.where(norms > 0.0, norms, 1.0)], axis=1)
+    X /= np.where(norms > 0.0, norms, 1.0)
     # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
     ok = (~is_flat(G) & np.all(_nonzero(C), axis=-1) & np.all(_nonzero(R), axis=-1)
           & _pair_path(C.shape[1], X.shape[1], R.shape[1]))

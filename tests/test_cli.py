@@ -194,6 +194,41 @@ class TestCompute:
         direction = np.abs(np.array([float(c) for c in row[2].split("/")]))
         assert np.max(np.abs(np.sort(direction) - np.array([0, 0, 1]))) < 1e-3
 
+    def test_octahedron_equality_row_and_exact_M(self, fixture_dir, capsys):
+        # m = 6 is the sharp bound, flagged; M is read at the facet normals
+        code = main(["--no-timestamp", "compute", str(fixture_dir / "octahedron.json"),
+                     "--invariants", "M,m", "--grid", "64", "--refine", "3"])
+        assert code == 0
+        rows = {r.split(",")[0]: r.split(",") for r in capsys.readouterr().out.splitlines()}
+        assert float(rows["near-lower-equality"][1]) == pytest.approx(6.0, abs=1e-12)
+        assert rows["M"][-1] == "max over facet normals"
+        assert rows["m"][-1] == "grid=64 refine=3"
+
+    @pytest.mark.parametrize("name, invariant, scale", [
+        ("octahedron", "m", 1.0 - 1e-8), ("octahedron", "m", 0.9),
+        ("cube-zonotope", "M", 1.0 + 1e-8), ("cube", "m", 0.7)])
+    def test_bound_breach_exit4(self, fixture_dir, monkeypatch, capsys, name, invariant,
+                                scale):
+        # a ratio evaluator off by scale puts m below 6 or a zonotope's M
+        # above 8: a theorem limit crossed, as in search, not an equality
+        from pettylab import functionals
+
+        true_ratio = functionals.ratio
+        monkeypatch.setattr(functionals, "ratio", lambda B, X: scale * true_ratio(B, X))
+        code = main(["--no-timestamp", "compute", str(fixture_dir / f"{name}.json"),
+                     "--invariants", invariant, "--grid", "64", "--refine", "3"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and invariant in err
+
+    def test_zonoid_bound_only_for_zonotopes(self, fixture_dir, capsys):
+        # the octahedron's M is 9: no zonoid, no upper bound
+        code = main(["--no-timestamp", "compute", str(fixture_dir / "octahedron.json"),
+                     "--invariants", "M"])
+        assert code == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) == \
+            pytest.approx(9.0, rel=1e-12)
+
     def test_ball_petty(self, fixture_dir):
         code, out, _ = run_cli("--no-timestamp", "compute",
                                str(fixture_dir / "ball.json"), "--invariants", "P",

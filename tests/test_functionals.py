@@ -15,8 +15,9 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
                       ts_sums)
 from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
-                                  grid_max_ratios, sqrt_quadratic_integral)
-from pettylab import convex_hull, fibonacci_sphere, fixtures, revolution, slice_area, zonotope
+                                  sqrt_quadratic_integral)
+from pettylab import convex_hull, fixtures, functionals, revolution, slice_area, zonotope
+from pettylab.suites import _sl_cases
 from pettylab.revolution import rev_to_polytope
 
 E1, E2, E3 = np.eye(3)
@@ -487,6 +488,70 @@ class TestInvariants:
         assert type(rep.grid) is int and type(rep.refine) is int
 
 
+# --- exact M ---------------------------------------------------------------------
+
+def _exact_M_bodies():
+    """Random zonotopes of at most 8 generators and hulls of at most 12 pairs,
+    the cylinder, and a flattened zonotope."""
+    rng = np.random.default_rng(21)
+    bodies = [fixtures.random_zonotope(rng, n) for n in (3, 5, 8, 8)]
+    bodies += [fixtures.random_symmetric_polytope(rng, n) for n in (4, 7, 12, 12)]
+    bodies.append(fixtures.cylinder_profile())
+    bodies.append(GeneratorSet([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-8],
+                                [1.0, 1.0, 1e-8]]))
+    return bodies
+
+
+_EXACT_M_IDS = ["zonotope3", "zonotope5", "zonotope8a", "zonotope8b", "hull4", "hull7",
+                "hull12a", "hull12b", "cylinder", "flattened"]
+
+
+@pytest.mark.parametrize("B", _exact_M_bodies(), ids=_EXACT_M_IDS)
+def test_M_is_the_max_at_the_candidates(B, monkeypatch):
+    # M reads no grid and no refinement: it is the largest ratio at the
+    # candidates, which hold every facet normal, and M_dir attains it
+    def never(*args):
+        raise AssertionError("M alone evaluated a grid or refined")
+
+    monkeypatch.setattr(functionals, "fibonacci_sphere", never)
+    monkeypatch.setattr(functionals, "_chart_refine", never)
+    rep = invariants(B, want=("M",))
+    cands = functionals._realized(B).candidates
+    assert rep.M == np.max(ratio(B, cands))
+    assert any(np.array_equal(rep.M_dir, c) for c in cands)
+    assert ratio(B, rep.M_dir) == pytest.approx(rep.M, rel=1e-14)
+
+
+@pytest.mark.parametrize("B", _exact_M_bodies(), ids=_EXACT_M_IDS)
+def test_no_direction_exceeds_M(B):
+    # the ratio peaks at a facet normal, so 200,000 random directions never
+    # read above M beyond rounding; the flattened zonotope stays within the
+    # zonoid bound 8
+    M = invariants(B, want=("M",)).M
+    X = np.random.default_rng(5).standard_normal((200_000, 3))
+    assert np.max(ratio(B, X)) <= M * (1.0 + 1e-12)
+    if isinstance(B, GeneratorSet):
+        assert M <= 8.0 * (1.0 + 1e-9)
+
+
+def test_M_with_m_reads_the_grids_candidate_rows():
+    # M from the tail of the grid that m shares agrees with M alone
+    rng = np.random.default_rng(8)
+    for B in (fixtures.random_zonotope(rng, 7), fixtures.random_symmetric_polytope(rng, 9)):
+        both, alone = invariants(B, grid=256, want=("M", "m")), invariants(B, want=("M",))
+        assert both.M == pytest.approx(alone.M, rel=1e-15)
+        assert np.array_equal(both.M_dir, alone.M_dir)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_M_is_sl3_invariant_on_the_suite_cases(case):
+    # sl-invariance's seed-1 cases: a facet normal maps to a facet normal,
+    # so exact M keeps its value to rounding
+    B, T = _sl_cases(12, 1)[case]
+    M0, M1 = (invariants(K, want=("M",)).M for K in (B, B.map_linear(T)))
+    assert abs(M1 - M0) <= 1e-12 * M0
+
+
 def test_zonotope_hull_is_built_once(monkeypatch):
     calls = []
     build = zonotope.zonotope_vertices
@@ -587,35 +652,6 @@ def test_petty_fixture_values(cube, octahedron, tetrahedron):
     assert petty_value(octahedron) == pytest.approx(9.0, abs=1e-12)
     assert petty_value(tetrahedron) == pytest.approx(18.0, abs=1e-9)
     assert petty_value(Ball()) == pytest.approx(BALL_RATIO, rel=1e-15)
-
-
-def test_grid_max_ratios_match_per_body_values():
-    # a stack of zonotopes of one size; member 2 has a zero cross product,
-    # so the stack leaves it to the per-body path
-    rng = np.random.default_rng(11)
-    G = rng.standard_normal((5, 6, 3))
-    G[2, 1] = 2.0 * G[2, 0]
-    assert len(GeneratorSet(G[2])._crosses) == 14
-    want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
-    assert np.array_equal(grid_max_ratios(G, 256), want)
-
-
-@pytest.mark.parametrize("kind", ["pair-rows", "walks"])
-def test_grid_max_ratios_of_a_stack_it_takes_none_of(kind):
-    # zonotopes with a zero cross or a zero Pi^2 row (four coplanar
-    # generators), or of 14 generators, whose Pi^2 supports walk zonogons:
-    # every member goes to the per-body path and gets its own value
-    rng = np.random.default_rng(13)
-    if kind == "walks":
-        G = rng.standard_normal((2, 14, 3))
-    else:
-        G = rng.standard_normal((3, 6, 3))
-        G[0, 1] = -2.0 * G[0, 0]
-        G[1:, :4, 2] = 0.0
-    values, ok = zonotope.stack_ratios(G, np.vstack([fibonacci_sphere(256), np.eye(3)]))
-    assert not ok.any() and np.isnan(values).all()
-    want = [invariants(GeneratorSet(g), grid=256, refine=0, want=("M",)).M for g in G]
-    assert np.array_equal(grid_max_ratios(G, 256), want)
 
 
 # --- chart refinement -----------------------------------------------------------

@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, functionals, invariants,
+from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, invariants,
                       q_direction, ratio, suites)
 from pettylab.errors import InputError
-from pettylab.functionals import grid_max_ratios
 from pettylab.geom import unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
-from pettylab.suites import SUITES, _rng, _worst, run_suite
-from pettylab.zonotope import pi2_rows, triple_dets
+from pettylab.suites import SUITES, _rng, _stack_M, _worst, run_suite
+from pettylab.zonotope import pi2_rows, stack_ratios, triple_dets
 
 SMALL = {
     "ts-ratio": 2000,
@@ -70,7 +69,8 @@ def _grid_ratios(B):
 
 
 def _max_ratio(rng):
-    return float(np.max(_grid_ratios(fixtures.random_zonotope(rng, int(rng.integers(3, 9))))))
+    Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
+    return float(np.max(ratio(Z, Z.candidates)))
 
 
 def _min_ratio(rng):
@@ -148,13 +148,12 @@ def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
     # one stack_ratios call per block and generator count, and the row value
     # of per-body evaluation
     calls = []
-    stack = functionals.stack_ratios
 
-    def counting(G, U):
+    def counting(G):
         calls.append(len(G))
-        return stack(G, U)
+        return stack_ratios(G)
 
-    monkeypatch.setattr(functionals, "stack_ratios", counting)
+    monkeypatch.setattr(suites, "stack_ratios", counting)
     monkeypatch.setattr(suites, "THM11_BLOCK", 128)
     row = suites.suite_theorem_1_1(samples=300, seed=42)[0]
     rng = _rng(42, "thm11")
@@ -163,12 +162,41 @@ def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
     assert len(calls) == sum(len(set(sizes)) for sizes in blocks)
     assert sum(calls) == 300
     monkeypatch.undo()
-    M = [invariants(GeneratorSet(g), grid=1024, refine=0, want=("M",)).M for g in gens]
+    M = [invariants(GeneratorSet(g), want=("M",)).M for g in gens]
     assert row.value == max(M)
     for n in range(3, 9):
         G = np.stack([g for g in gens if len(g) == n])
-        assert np.array_equal(grid_max_ratios(G, 1024),
-                              [m for g, m in zip(gens, M) if len(g) == n])
+        assert np.array_equal(_stack_M(G), [m for g, m in zip(gens, M) if len(g) == n])
         R = pi2_rows(G, triple_dets(G))
         for g, r in zip(G, R):
             assert np.array_equal(GeneratorSet(g).pi_body._crosses, r)
+
+
+def test_stack_M_matches_per_body_values():
+    # a stack of zonotopes of one size; member 2 has a zero cross product,
+    # so the stack leaves it to the per-body path
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((5, 6, 3))
+    G[2, 1] = 2.0 * G[2, 0]
+    assert len(GeneratorSet(G[2])._crosses) == 14
+    want = [invariants(GeneratorSet(g), want=("M",)).M for g in G]
+    assert np.array_equal(_stack_M(G), want)
+
+
+@pytest.mark.parametrize("kind", ["pair-rows", "walks"])
+def test_stack_M_of_a_stack_it_takes_none_of(kind):
+    # zonotopes with a zero cross or a zero Pi^2 row (four coplanar
+    # generators), or of 16 generators, whose Pi^2 supports at their 136
+    # candidates walk zonogons: every member goes to the per-body path and
+    # gets its own value
+    rng = np.random.default_rng(13)
+    if kind == "walks":
+        G = rng.standard_normal((2, 16, 3))
+    else:
+        G = rng.standard_normal((3, 6, 3))
+        G[0, 1] = -2.0 * G[0, 0]
+        G[1:, :4, 2] = 0.0
+    values, ok = stack_ratios(G)
+    assert not ok.any() and np.isnan(values).all()
+    want = [invariants(GeneratorSet(g), want=("M",)).M for g in G]
+    assert np.array_equal(_stack_M(G), want)

@@ -467,11 +467,10 @@ def test_protocol_agrees_with_vertex_hull(seed):
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 8),
        st.lists(st.sampled_from(["generic", "zero-cross", "flat", "coplanar-four"]),
-                min_size=1, max_size=5),
-       st.sampled_from([16, 300, 1024]))
+                min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds, grid):
-    # every direction's value, not only the max; a member with a zero cross,
+def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds):
+    # every candidate's value, not only the max; a member with a zero cross,
     # with all generators in a plane or with a zero Pi^2 row (four coplanar
     # generators) is left out of the stack
     rng = np.random.default_rng(seed)
@@ -483,13 +482,12 @@ def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds, grid):
             g[:, 2] *= 1e-13
         elif kind == "coplanar-four":
             g[:4, 2] = 0.0
-    U = np.vstack([fibonacci_sphere(grid), np.eye(3)])
-    values, ok = stack_ratios(G, U)
-    assert values.shape == (len(G), len(U) + n + n * (n - 1) // 2)
+    values, ok = stack_ratios(G)
+    assert values.shape == (len(G), n + n * (n - 1) // 2)
     assert list(ok) == [kind == "generic" for kind in kinds]
     for g, row, good in zip(G, values, ok):
         if good:
             Z = GeneratorSet(g)
-            assert np.array_equal(row, ratio(Z, np.vstack([U, Z.candidates])))
+            assert np.array_equal(row, ratio(Z, Z.candidates))
         else:
             assert np.isnan(row).all()
