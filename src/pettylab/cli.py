@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import fixtures as fixture_mod
-from .bodies import load_body, save_body
+from .bodies import Ball, load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import INVARIANTS, invariants, q_direction, ratio
 from .geom import Polytope, unitize
@@ -213,11 +213,13 @@ def cmd_compute(args):
         raise LimitError(f"m = {fmt(rep.m)} < 6 on a symmetric body: evaluator bug")
     if rep.M is not None and isinstance(body, GeneratorSet) and rep.M > 8.0 * (1.0 + 1e-9):
         raise LimitError(f"M = {fmt(rep.M)} > 8 on a zonotope: evaluator bug")
-    rows, where = [], {"M": "closed form" if rep.M_dir is None else "max over facet normals"}
-    for name in args.invariants:
-        rows.append(Row(name, value=getattr(rep, name), status="INFO",
-                        direction=getattr(rep, f"{name}_dir", None),
-                        detail=where.get(name, f"grid={rep.grid} refine={rep.refine}")))
+    # where each value came from: the ball's are closed forms
+    searched = f"grid={rep.grid} refine={rep.refine}"
+    where = (dict.fromkeys(INVARIANTS, "closed form") if isinstance(body, Ball) else
+             {"P": "exact", "M": "max over facet normals", "m": searched, "Q": searched})
+    rows = [Row(name, value=getattr(rep, name), status="INFO",
+                direction=getattr(rep, f"{name}_dir", None), detail=where[name])
+            for name in args.invariants]
     if rep.near_cone_equality:
         rows.append(Row("near-lower-equality", value=rep.m, status="INFO",
                         detail="ratio within 1e-6 of the sharp bound 6"))

@@ -81,6 +81,14 @@ _TAU = 1.0 / 10.0
 # one band per _BAND vertices, rounded up: fewer bands cost less per call, more
 # keep more segments wide (icospheres 1, 2 and 3 take 1, 3 and 11)
 _BAND = 64
+# up to this many (segment, piece) pairs in a call, slice_quadratics sums
+# every segment piece by piece, with no bands, difference array or prefix
+# sum.  Measured with numpy 2 on one core: the per-piece pass costs ~50 ns
+# per pair, the bands' set-up ~60 us per call plus less per segment than a
+# segment's pieces cost, and the two meet at 4,000-6,000 pairs (a few
+# directions of icosphere1, a refinement step of any body up to about 100
+# vertices, a grid chunk of the octahedron)
+_PER_PIECE_PAIRS = 4096
 # Bytes of per-direction temporaries one chunk of a batched evaluation holds.
 _CHUNK_BYTES = 2**20
 
@@ -100,8 +108,11 @@ def _frames(U):
     s = np.copysign(1.0, z)
     a = -1.0 / (s + z)
     b = x * y * a
-    return (np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=1),
-            np.stack([b, s + y * y * a, -y], axis=1))
+    # columns filled in place: np.stack costs more than the arithmetic on few rows
+    e1, e2 = np.empty((2,) + U.shape)
+    e1[:, 0], e1[:, 1], e1[:, 2] = 1.0 + s * x * x * a, s * b, -s * x
+    e2[:, 0], e2[:, 1], e2[:, 2] = b, s + y * y * a, -y
+    return e1, e2
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -382,7 +393,9 @@ def slice_quadratics(P, X):
     every piece its quadratic about its band's center: O(F + V log V) per
     direction, and one more entry for each band a segment crosses.  A narrow
     segment adds its term to each piece it spans, expanded about that
-    piece's lowest height, so no coefficient grows as gaps shrink.
+    piece's lowest height, so no coefficient grows as gaps shrink.  A call
+    whose segments span at most _PER_PIECE_PAIRS (segment, piece) pairs in
+    all takes every segment as narrow: one per-piece pass, no bands.
 
     Rounding: on its own heights a segment's cut points lie within R, the
     largest vertex radius in the plane.  A wide segment is expanded about a
@@ -398,8 +411,8 @@ def slice_quadratics(P, X):
     q_direction passes chunks of rows.
     """
     U = np.atleast_2d(np.asarray(X, dtype=float))
-    norms = np.sqrt(np.sum(U * U, axis=1))
-    if U.shape[1] != 3 or not np.all(np.isfinite(norms) & (norms > 0.0)):
+    norms = np.sqrt(np.add.reduce(U * U, axis=1))
+    if U.shape[1] != 3 or not (np.isfinite(norms) & (norms > 0.0)).all():
         raise InputError("directions must be nonzero finite 3-vectors")
     U = U / norms[:, None]
     d, V, F = U.shape[0], P.vertices.shape[0], P.facets.shape[0]
@@ -419,8 +432,11 @@ def slice_quadratics(P, X):
     # facet corners run counter-clockwise about the outward normal; sorting
     # them by height with an odd permutation reverses the cut segment
     half = 0.5 - ((r0 > r1) ^ (r1 > r2) ^ (r0 > r2))
-    lo, hi = np.minimum(np.minimum(r0, r1), r2), np.maximum(np.maximum(r0, r1), r2)
-    c = np.stack([lo, r0 + r1 + r2 - lo - hi, hi])
+    c = np.empty((3, d, F), dtype=np.intp)
+    lo, mid, hi = c
+    np.minimum(np.minimum(r0, r1), r2, out=lo)
+    np.maximum(np.maximum(r0, r1), r2, out=hi)
+    np.subtract(r0 + r1 + r2 - lo, hi, out=mid)
     hc, zc = H[c], z[c]
     # the segments' short edges, lowest-middle and middle-highest, and the
     # long edge, lowest-highest; a gap of zero height spans no piece and gets
@@ -430,62 +446,85 @@ def slice_quadratics(P, X):
     m = (zc[1:] - zc[:2]) * inv(gap)
     g = ((zc[2] - zc[0]) * (half * inv(long_gap))).conj()
     H = H.reshape(d, V)
-    dH = np.diff(H, axis=1, append=H[:, -1:])
-    # the heights split into bands, one per _BAND vertices rounded up; a
-    # piece belongs to the band of its lowest height
-    bands = -(-V // _BAND)
-    step = (H[:, -1:] - H[:, :1]) / bands
-    band = np.minimum(((H - H[:, :1]) / step).astype(np.intp), bands - 1)
-    # (1 + W/g)(1 + W/g_long) <= (1 + 1/_TAU)^2, W the band height or the
-    # widest piece: see the rounding bound
-    W = np.maximum(step, dH.max(axis=1, keepdims=True))
-    wide = (gap + W) * (long_gap + W) <= (1.0 + 1.0 / _TAU) ** 2 * gap * long_gap
-    # a wide segment is expanded about the center of the band of its first
-    # piece, a narrow one about its lowest height h_b
+    dH = np.zeros((d, V))
+    np.subtract(H[:, 1:], H[:, :-1], out=dH[:, :-1])
     start, stop = c[:2].ravel(), c[1:].ravel()
-    center = H[:, :1] + (band + 0.5) * step
-    ref = np.where(wide, center.ravel()[c[:2]], hc[:2])
+    # below the crossover every segment is narrow: one per-piece pass costs
+    # less than the bands' set-up
+    banded = int((hi - lo).sum()) > _PER_PIECE_PAIRS
+    if banded:
+        # the heights split into bands, one per _BAND vertices rounded up; a
+        # piece belongs to the band of its lowest height
+        bands = -(-V // _BAND)
+        step = (H[:, -1:] - H[:, :1]) / bands
+        band = np.minimum(((H - H[:, :1]) / step).astype(np.intp), bands - 1)
+        # (1 + W/g)(1 + W/g_long) <= (1 + 1/_TAU)^2, W the band height or the
+        # widest piece: see the rounding bound
+        W = np.maximum(step, dH.max(axis=1, keepdims=True))
+        wide = (gap + W) * (long_gap + W) <= (1.0 + 1.0 / _TAU) ** 2 * gap * long_gap
+        # a wide segment is expanded about the center of the band of its
+        # first piece, a narrow one about its lowest height h_b
+        center = H[:, :1] + (band + 0.5) * step
+        ref = np.where(wide, center.ravel()[c[:2]], hc[:2])
+    else:
+        ref = hc[:2]
     # A = a + (s - h_lo) g, B = b + (s - h_b) m: det(A, B) = alpha + beta
     # (s - ref) + gamma (s - ref)^2, from conj(A), conj(g), B and m at ref
     A, B = (half * zc[0]).conj() + (ref - hc[0]) * g, zc[:2] + (ref - hc[:2]) * m
     al, Am, gB, ga = ((p * q).imag for p in (A, g) for q in (B, m))
     coef = np.stack([al, Am + gB, ga]).reshape(3, -1)
-    # a wide segment enters a difference array at its first piece and leaves
-    # after its last piece in that band; in each later band it reaches (none
-    # with one band) it enters again at the band's first piece, shifted to
-    # the band's center
-    enter, leave, w = start, stop, np.where(wide.ravel(), coef, 0.0)
-    if bands > 1:
-        edges = V * np.arange(d)[:, None] + (band[:, :-1, None] < np.arange(bands + 1)).sum(axis=1)
-        b0 = band.ravel()[c[:2]]
-        leave = np.minimum(stop, edges[np.arange(d)[:, None], b0 + 1].ravel())
-        count = np.where(wide, band.ravel()[c[1:] - 1] - b0, 0).ravel()
-        seg = np.repeat(np.arange(count.size), count)
-        later = np.repeat(count - np.cumsum(count), count) + np.arange(seg.size) + 1
-        row, bb = seg % (d * F) // F, b0.ravel()[seg] + later
-        enter = np.concatenate([enter, edges[row, bb]])
-        leave = np.concatenate([leave, np.minimum(stop[seg], edges[row, bb + 1])])
-        w = np.concatenate([w, _at_pieces(w[:, seg], later * step[row, 0], 1.0)], axis=1)
-    diff = np.empty((3, d, V))
-    for acc, wk in zip(diff, w):
-        acc.flat = np.bincount(enter, wk, minlength=n) - np.bincount(leave, wk, minlength=n)
-    out = _at_pieces(np.cumsum(diff, axis=2), H - center, dH).reshape(3, n)
+    ref, first = ref.ravel(), start
+    if banded:
+        # a wide segment enters a difference array at its first piece and
+        # leaves after its last piece in that band; in each later band it
+        # reaches (none with one band) it enters again at the band's first
+        # piece, shifted to the band's center
+        enter, leave, w = start, stop, np.where(wide.ravel(), coef, 0.0)
+        if bands > 1:
+            edges = V * np.arange(d)[:, None] + (band[:, :-1, None] < np.arange(bands + 1)).sum(axis=1)
+            b0 = band.ravel()[c[:2]]
+            leave = np.minimum(stop, edges[np.arange(d)[:, None], b0 + 1].ravel())
+            count = np.where(wide, band.ravel()[c[1:] - 1] - b0, 0).ravel()
+            seg = np.repeat(np.arange(count.size), count)
+            later = np.repeat(count - np.cumsum(count), count) + np.arange(seg.size) + 1
+            row, bb = seg % (d * F) // F, b0.ravel()[seg] + later
+            enter = np.concatenate([enter, edges[row, bb]])
+            leave = np.concatenate([leave, np.minimum(stop[seg], edges[row, bb + 1])])
+            w = np.concatenate([w, _at_pieces(w.take(seg, axis=1), later * step[row, 0], 1.0)], axis=1)
+        diff = np.empty((3, d, V))
+        for acc, wk in zip(diff, w):
+            acc.flat = np.bincount(enter, wk, minlength=n) - np.bincount(leave, wk, minlength=n)
+        out = _at_pieces(np.cumsum(diff, axis=2), H - center, dH).reshape(3, n)
+        narrow = np.flatnonzero(~wide & (gap > 0.0))
+        coef, ref, first, stop = coef.take(narrow, axis=1), ref[narrow], first[narrow], stop[narrow]
     # each narrow segment adds its term to every piece k it spans, at
-    # s - h_b = (H[k] - h_b) + t dH[k], in groups of about a chunk's worth
-    # of (segment, piece) pairs
-    narrow = np.flatnonzero(~wide & (gap > 0.0))
-    coef, ref, first = coef[:, narrow], ref.ravel()[narrow], start[narrow]
-    span = stop[narrow] - first
+    # s - h_b = sigma + t dH[k], sigma = H[k] - h_b: a piece sums alpha +
+    # beta sigma + gamma sigma^2, beta + 2 gamma sigma and gamma over its
+    # segments, in groups of about a chunk's worth of (segment, piece)
+    # pairs, and scales the last two sums by dH[k] and dH[k]^2
+    span = stop - first
     cum = np.cumsum(span)
-    bounds = np.unique(np.searchsorted(cum, np.arange(0, cum[-1:].sum(), _CHUNK_BYTES // 128),
-                                       side="right")).tolist() if narrow.size else []
-    for i, j in zip(bounds, bounds[1:] + [narrow.size]):
+    group = _CHUNK_BYTES // 128
+    if cum[-1:].sum() > group:
+        bounds = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], group), side="right")).tolist()
+    else:
+        bounds = [0] if span.size else []
+    sums = np.zeros((3, n))
+    for i, j in zip(bounds, bounds[1:] + [span.size]):
         k = np.repeat(first[i:j] + span[i:j] - cum[i:j], span[i:j])
         k += np.arange(cum[i] - span[i], cum[j - 1])
         seg = np.repeat(np.arange(i, j), span[i:j])
-        terms = _at_pieces(coef[:, seg], H.ravel()[k] - ref[seg], dH.ravel()[k])
-        out += np.bincount((k + n * np.arange(3)[:, None]).ravel(), terms.ravel(),
-                           minlength=3 * n).reshape(3, n)
-    C = out.reshape(3, d, V).transpose(1, 2, 0)[:, :-1]
+        sigma = H.ravel()[k] - ref[seg]
+        # take: indexing a later axis with an array is several times slower
+        al, be, ga = coef.take(seg, axis=1)
+        be += sigma * ga
+        for acc, term in zip(sums, (al + sigma * be, be + sigma * ga, ga)):
+            acc += np.bincount(k, term, minlength=n)
+    w = dH.ravel()
+    sums[1] *= w
+    sums[2] *= w * w
+    if banded:
+        sums += out
+    C = sums.reshape(3, d, V).transpose(1, 2, 0)[:, :-1]
     C[dH[:, :-1] == 0.0] = 0.0
     return (H[0], C[0]) if np.ndim(X) == 1 else (H, C)

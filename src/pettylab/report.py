@@ -12,12 +12,17 @@ STATUSES = ("PASS", "FAIL", "INFO")
 
 
 def fmt(x):
-    """12-significant-digit rendering used for all numeric CLI output."""
+    """12-significant-digit rendering used for all numeric CLI output; -0.0 prints as 0."""
     if x is None:
         return "-"
     if isinstance(x, (int,)) and not isinstance(x, bool):
         return str(x)
-    return f"{float(x):.12g}"
+    return f"{float(x) + 0.0:.12g}"
+
+
+def _plain(x):
+    """x for JSON, a float without the sign of a zero (-0.0 + 0.0 is 0.0)."""
+    return float(x) + 0.0 if isinstance(x, float) else x
 
 
 class Row:
@@ -41,9 +46,10 @@ class Row:
                 self.status, self.detail]
 
     def as_dict(self):
-        return {"name": self.name, "value": self.value,
-                "direction": None if self.direction is None else [float(c) for c in self.direction],
-                "tolerance": self.tolerance, "status": self.status,
+        return {"name": self.name, "value": _plain(self.value),
+                "direction": (None if self.direction is None
+                              else [float(c) + 0.0 for c in self.direction]),
+                "tolerance": _plain(self.tolerance), "status": self.status,
                 "detail": self.detail}
 
 

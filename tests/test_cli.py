@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pettylab import (BodyFileError, GeneratorSet, GeometryError, bodies, convex_hull,
                       fixtures, load_body, save_body)
 from pettylab.cli import main
+from pettylab.report import Row, fmt, render_json
 
 
 def run_cli(*args):
@@ -203,6 +204,29 @@ class TestCompute:
         assert float(rows["near-lower-equality"][1]) == pytest.approx(6.0, abs=1e-12)
         assert rows["M"][-1] == "max over facet normals"
         assert rows["m"][-1] == "grid=64 refine=3"
+
+    def test_row_details_name_the_source(self, fixture_dir, capsys):
+        # P reads no direction; the ball's values are closed forms
+        details = {}
+        for name in ("cube", "ball"):
+            assert main(["--no-timestamp", "compute", str(fixture_dir / f"{name}.json"),
+                         "--grid", "64", "--refine", "3"]) == 0
+            details[name] = {r.split(",")[0]: r.split(",")[-1]
+                             for r in capsys.readouterr().out.splitlines()[1:]}
+        assert details["cube"] == {"P": "exact", "M": "max over facet normals",
+                                   "m": "grid=64 refine=3", "Q": "grid=64 refine=3"}
+        assert details["ball"] == dict.fromkeys("PMmQ", "closed form")
+
+    def test_no_signed_zeros(self, fixture_dir, capsys):
+        # the cube's facet normals carry -0.0 (outward w x u on flipped facets)
+        cube = str(fixture_dir / "cube.json")
+        assert main(["--no-timestamp", "compute", cube, "--invariants", "M"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0/0/-1"
+        assert main(["--no-timestamp", "compute", cube, "--invariants", "M",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert json.loads(out)["rows"][0]["direction"] == [0.0, 0.0, -1.0]
 
     @pytest.mark.parametrize("name, invariant, scale", [
         ("octahedron", "m", 1.0 - 1e-8), ("octahedron", "m", 0.9),
@@ -527,3 +551,13 @@ def test_search_output_check_leaves_files_alone(monkeypatch, tmp_path):
     assert main(["search", "max-ts-ratio", "--out", str(out), "--log", str(log)]) == 4
     assert not out.exists()
     assert log.read_text() == "old\n"
+
+
+def test_report_drops_the_sign_of_zero():
+    row = Row("x", value=-0.0, direction=np.array([-0.0, 0.0, -1.0]), tolerance=-0.0)
+    assert fmt(-0.0) == "0" and fmt(np.float64(-0.0)) == "0" and fmt(-1e-300) == "-1e-300"
+    assert row.as_list()[1:4] == ["0", "0/0/-1", "0"]
+    doc = row.as_dict()
+    assert [math.copysign(1.0, v) for v in (doc["value"], doc["tolerance"], *doc["direction"])] \
+        == [1.0, 1.0, 1.0, 1.0, -1.0]
+    assert '"-0.0"' not in render_json([row]) and "-0.0" not in render_json([row])

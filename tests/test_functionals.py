@@ -16,7 +16,8 @@ from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
                       ts_sums)
 from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
                                   sqrt_quadratic_integral)
-from pettylab import convex_hull, fixtures, functionals, revolution, slice_area, zonotope
+from pettylab import (convex_hull, fibonacci_sphere, fixtures, functionals, revolution,
+                      slice_area, zonotope)
 from pettylab.suites import _sl_cases
 from pettylab.revolution import rev_to_polytope
 
@@ -409,6 +410,106 @@ def test_sqrt_quadratic_integral_against_mpmath(piece):
         ref = mpmath.sqrt(m) * mpmath.quad(lambda t: mpmath.sqrt(max(q(t), 0)), cuts)
     got = float(sqrt_quadratic_integral(a, b, c))
     assert abs(got - float(ref)) <= 1e-12 * float(ref)
+
+
+class TestSqrtQuadraticIntegralShapes:
+    """Output shape and values when the series and the closed form split a batch."""
+
+    # linear pieces (c = 0) all take the series; these arcs (c < 0) and
+    # hyperbolas (c > 0) all take the closed form
+    SERIES = ([1.0, 2.0, 0.5, 3.0], [1.0, -1.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0])
+    CLOSED = ([1.0, 1.0, 0.0, 4.0, 0.5, 1.0], [2.0, 0.0, 4.0, -4.0, -2.0, -4.0],
+              [-3.0, -1.0, -4.0, 4.0, 2.0, 8.0])
+
+    @staticmethod
+    def _reference(a, b, c):
+        with mpmath.workdps(40):
+            return float(mpmath.quad(lambda t: mpmath.sqrt(max(a + b * t + c * t * t, 0)),
+                                     [0, 0.5, 1]))
+
+    @pytest.mark.parametrize("batch", ["series", "closed", "mixed"])
+    def test_scalar_flat_and_grid_shapes(self, batch):
+        rows = {"series": self.SERIES, "closed": self.CLOSED,
+                "mixed": [s + c for s, c in zip(self.SERIES, self.CLOSED)]}[batch]
+        a, b, c = (np.array(v) for v in rows)
+        flat = sqrt_quadratic_integral(a, b, c)
+        assert flat.shape == a.shape
+        for i in range(a.size):
+            one = sqrt_quadratic_integral(a[i], b[i], c[i])
+            assert np.shape(one) == () and one == flat[i]
+            assert one == pytest.approx(self._reference(a[i], b[i], c[i]), rel=1e-12)
+        # (d, V-1), as q_direction passes it, and a scalar broadcast against it
+        grid = sqrt_quadratic_integral(*(np.tile(v, (3, 1)) for v in (a, b, c)))
+        assert grid.shape == (3, a.size) and np.array_equal(grid, np.tile(flat, (3, 1)))
+        assert sqrt_quadratic_integral(a, b, 0.0).shape == a.shape
+
+
+def _pruning_bodies():
+    """The fixtures, 20 seeded symmetric hulls of 4-20 pairs and 3 zonotopes."""
+    bodies = [("octahedron", fixtures.octahedron()), ("cube", fixtures.cube()),
+              ("icosphere1", fixtures.icosphere(1)), ("cylinder", fixtures.cylinder_profile()),
+              ("double-cone", fixtures.double_cone_profile())]
+    for seed in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 22]))
+        n = 4 + seed * 16 // 19
+        bodies.append((f"hull{n}-seed{seed}", fixtures.random_symmetric_polytope(rng, n)))
+    for n in (4, 6, 8):
+        bodies.append((f"zonotope{n}", fixtures.random_zonotope(np.random.default_rng(n), n)))
+    return [pytest.param(B, id=name) for name, B in bodies]
+
+
+class TestPrunedQGrid:
+    """Q on the grid evaluates q only where the ratio, its upper bound, can still win."""
+
+    @pytest.mark.parametrize("refine", [0, 50])
+    @pytest.mark.parametrize("B", _pruning_bodies())
+    def test_pruned_grid_equals_full_grid(self, monkeypatch, B, refine):
+        monkeypatch.setattr(functionals, "_PRUNE_MIN", 0)
+        pruned = invariants(B, refine=refine, want=("Q",))
+        monkeypatch.setattr(functionals, "_PRUNE_MIN", math.inf)
+        full = invariants(B, refine=refine, want=("Q",))
+        assert pruned.Q == pytest.approx(full.Q, rel=1e-12)
+        # a moved direction may only trade places with one of equal q
+        if not np.array_equal(pruned.Q_dir, full.Q_dir):
+            assert q_direction(B, pruned.Q_dir) == pytest.approx(
+                q_direction(B, full.Q_dir), rel=1e-14)
+
+    def test_ties_keep_the_first_row(self, monkeypatch, rng):
+        # q in steps of 0.1 ties on many rows; the bound orders them otherwise
+        step_q = lambda B, Y: np.round(np.atleast_2d(Y)[:, 2] ** 2, 1)
+        monkeypatch.setattr(functionals, "q_direction", step_q)
+        X = fibonacci_sphere(500)
+        q = step_q(None, X)
+        # a bound above q, a constant one and q itself
+        for bound in (q + rng.uniform(0.0, 0.05, len(q)), np.ones(len(q)), q):
+            assert functionals._grid_max_q(None, X, bound) == (int(np.argmax(q)), float(np.max(q)))
+
+    def _q_rows(self, monkeypatch):
+        """Count the directions q_direction is asked for."""
+        rows, q = [], functionals.q_direction
+        monkeypatch.setattr(functionals, "q_direction",
+                            lambda B, X: rows.append(len(np.atleast_2d(X))) or q(B, X))
+        return rows
+
+    def test_icosphere1_evaluates_under_a_third_of_its_grid(self, monkeypatch):
+        rows = self._q_rows(monkeypatch)
+        B = fixtures.icosphere(1)
+        rep = invariants(B, refine=0, want=("P", "Q"))
+        assert sum(rows) < (2048 + 3 + len(B.candidates)) / 3
+        assert rep.Q == pytest.approx(7.532643233918394, rel=1e-12)
+
+    def test_tetrahedron_takes_the_full_grid(self, monkeypatch, tetrahedron):
+        # an asymmetric body has no ratio to bound q with
+        rows = self._q_rows(monkeypatch)
+
+        def no_ratio(B, X):
+            raise AssertionError("ratio evaluated on an asymmetric body")
+
+        monkeypatch.setattr(functionals, "ratio", no_ratio)
+        rep = invariants(tetrahedron, grid=512, refine=0, want=("Q",))
+        assert rows == [512 + 3 + len(tetrahedron.candidates)]
+        X = np.vstack([fibonacci_sphere(512), np.eye(3), tetrahedron.candidates])
+        assert rep.Q == np.max(q_direction(tetrahedron, X))
 
 
 class TestInvariants:

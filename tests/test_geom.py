@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from pettylab import (FlatBodyError, InputError, chords, convex_hull,
-                      fibonacci_sphere, fixtures, slice_area, z_volume)
+                      fibonacci_sphere, fixtures, geom, slice_area, z_volume)
 from pettylab.geom import _BAND, _TAU, plane_basis, slice_quadratics
 from pettylab.zonotope import pair_crosses
 
@@ -376,6 +376,35 @@ class TestSliceQuadratics:
                 area = C[k, 0] + t * (C[k, 1] + t * C[k, 2])
                 s = H[k] + t * (H[k + 1] - H[k])
                 assert area == pytest.approx(slice_area(P, E3, s), rel=1e-10, abs=1e-12)
+
+
+class TestPerPiecePass:
+    """Both sides of _PER_PIECE_PAIRS against the per-(facet, piece) reference."""
+
+    @pytest.mark.parametrize("pairs", [-1, 10**9], ids=["banded", "per-piece"])
+    def test_both_paths_within_the_bound(self, monkeypatch, rng, cube, octahedron,
+                                         threshold_bipyramid, pairs):
+        # small bodies take the per-piece pass by default, grids of large ones
+        # the bands; each is forced here onto the other's inputs
+        monkeypatch.setattr(geom, "_PER_PIECE_PAIRS", pairs)
+        check = TestSliceQuadratics()._check
+        for P in (cube, octahedron):
+            check(P, np.eye(3))
+        check(threshold_bipyramid, np.array([E3, [0.01, 0.02, 1.0]]))
+        check(convex_hull(rng.standard_normal((12, 3))), rng.standard_normal((6, 3)))
+        check(fixtures.icosphere(1), np.array([[-9.3e-8, -0.934, -0.357], [0.3, 0.2, 1.0]]))
+        check(fixtures.icosphere(2), np.array([[0.3, 0.2, 1.0]]))
+
+    def test_paths_agree(self, monkeypatch, rng):
+        P = fixtures.random_symmetric_polytope(rng, 8)
+        X = rng.standard_normal((40, 3))
+        out = []
+        for pairs in (-1, 10**9):
+            monkeypatch.setattr(geom, "_PER_PIECE_PAIRS", pairs)
+            out.append(slice_quadratics(P, X))
+        (H0, C0), (H1, C1) = out
+        assert np.array_equal(H0, H1)
+        assert np.max(np.abs(C0 - C1)) <= _rounding_bound(P)
 
 
 class TestFibonacciSphere:
