@@ -29,7 +29,7 @@ class Ball:
 
     radius = 1.0
     d = 3
-    symmetric = True
+    symmetric = zonoid = True
     volume = 4.0 * math.pi / 3.0
 
     def support(self, X):

@@ -28,13 +28,12 @@ import numpy as np
 from . import fixtures as fixture_mod
 from .bodies import Ball, load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
-from .functionals import INVARIANTS, invariants, q_direction, ratio
+from .functionals import INVARIANTS, LIMITS, check_limit, invariants, q_direction, ratio
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
 from .suites import SUITES, run_suite
 from .symmetrize import schwartz, steiner, steiner_rounding_run
-from .zonotope import GeneratorSet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,21 +207,19 @@ def _emit(rows, args, out=None):
 def cmd_compute(args):
     body = load_body(args.body)
     rep = invariants(body, grid=args.grid, refine=args.refine, want=args.invariants)
-    # beyond m >= 6 (symmetric bodies) or M <= 8 (zonotopes) by 1e-9: an evaluator bug
-    if rep.m is not None and rep.m < 6.0 * (1.0 - 1e-9):
-        raise LimitError(f"m = {fmt(rep.m)} < 6 on a symmetric body: evaluator bug")
-    if rep.M is not None and isinstance(body, GeneratorSet) and rep.M > 8.0 * (1.0 + 1e-9):
-        raise LimitError(f"M = {fmt(rep.M)} > 8 on a zonotope: evaluator bug")
+    for name in args.invariants:
+        check_limit(name, getattr(rep, name), body)
     # where each value came from: the ball's are closed forms
-    searched = f"grid={rep.grid} refine={rep.refine}"
+    searched = f"grid={args.grid} refine={args.refine}"
     where = (dict.fromkeys(INVARIANTS, "closed form") if isinstance(body, Ball) else
              {"P": "exact", "M": "max over facet normals", "m": searched, "Q": searched})
     rows = [Row(name, value=getattr(rep, name), status="INFO",
                 direction=getattr(rep, f"{name}_dir", None), detail=where[name])
             for name in args.invariants]
-    if rep.near_cone_equality:
+    sharp = LIMITS["m"].constant
+    if rep.m is not None and abs(rep.m - sharp) <= 1e-6:
         rows.append(Row("near-lower-equality", value=rep.m, status="INFO",
-                        detail="ratio within 1e-6 of the sharp bound 6"))
+                        detail=f"ratio within 1e-6 of the sharp bound {fmt(sharp)}"))
     _emit(rows, args, args.out)
     return EXIT_OK
 

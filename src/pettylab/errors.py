@@ -27,4 +27,4 @@ class BodyFileError(ValueError):
 
 
 class LimitError(ArithmeticError):
-    """A computed value crossed a sharp theorem constant: an evaluator bug."""
+    """A computed value crossed a theorem limit (functionals.LIMITS): an evaluator bug."""

@@ -35,7 +35,7 @@ from functools import wraps
 import numpy as np
 
 from .bodies import Ball
-from .errors import InputError, SymmetryError
+from .errors import InputError, LimitError, SymmetryError
 from .geom import (_chunks, _count, as_vec, convex_hull, cross, fibonacci_sphere, plane_basis,
                    slice_quadratics, unitize)
 from .revolution import RevolutionBody
@@ -43,6 +43,29 @@ from .zonotope import z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
+
+# Pi^2 K in 8 V(K) K for zonoids and 6 V(K) K in Pi^2 K for symmetric K as
+# limits on the invariants, each on the bodies whose class flag holds_for is
+# set: a value beyond its constant by more than LIMIT_MARGIN is a bug
+Limit = namedtuple("Limit", "constant upper holds_for")
+LIMITS = {"M": Limit(8.0, True, "zonoid"), "m": Limit(6.0, False, "symmetric"),
+          "Q": Limit(6.0, False, "symmetric")}
+LIMIT_MARGIN = 1e-9
+
+
+def check_limit(name, value, body=None, label=""):
+    """Raise LimitError, one line led by label, where value crosses LIMITS[name].
+
+    NaN crosses.  A name without an entry passes, and so does a body without
+    the entry's flag; body None stands for a caller whose bodies all have it.
+    """
+    limit = LIMITS.get(name)
+    if limit and value is not None and (body is None or getattr(body, limit.holds_for, False)):
+        c, op = limit.constant, ">" if limit.upper else "<"
+        if not (value <= c + LIMIT_MARGIN if limit.upper else value >= c - LIMIT_MARGIN):
+            raise LimitError(f"{label}{name} = {value:.12g} {op} {c:g} on a "
+                             f"{limit.holds_for} body: evaluator bug")
+
 
 # the tuple without v_l, for l = 1..3, oriented so that w_0 = -(w_1 + w_2 + w_3)
 # in ts_sums
@@ -358,6 +381,8 @@ _Q_MARGIN = 1e-9
 # at 95 rows (8 pairs, grid 48) 0.80 and at 125 (5 pairs, grid 96) 0.86; at
 # 1,000 rows and more it takes half or less.  With m the ratios are there.
 _PRUNE_MIN = 96
+# the grid and refinement steps of m in sl_invariance_check
+SL_GRID, SL_REFINE = 2048, 60
 
 
 def _grid_max_q(B, X, bound=None):
@@ -389,9 +414,8 @@ def _grid_max_q(B, X, bound=None):
     return i, float(q[i])
 
 
-class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir grid refine "
-                                                     "near_cone_equality")):
-    """P, M, m, Q of a body with attaining directions and search diagnostics."""
+class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")):
+    """P, M, m, Q of a body with their attaining directions."""
 
 
 def invariants(B, grid=2048, refine=50, want=INVARIANTS):
@@ -416,7 +440,7 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
     B = _realized(B)
     if isinstance(B, Ball):
         v = BALL_RATIO
-        return InvariantReport(v, v, v, v, None, None, None, grid, refine, False)
+        return InvariantReport(v, v, v, v, None, None, None)
     if ("M" in want or "m" in want) and not B.symmetric:
         raise SymmetryError("M and m are defined for symmetric bodies")
 
@@ -445,17 +469,17 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
             x, v = _chart_refine(evaluate, F, v, maximize, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
-    near = bool(m is not None and abs(m - 6.0) <= 1e-6)
-    return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir, grid, refine, near)
+    return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir)
 
 
-def sl_invariance_check(B, T, grid=2048, refine=50):
-    """Max relative deviation of M and m (grid and refine: m's) under a map of det 1."""
+
+def sl_invariance_check(B, T):
+    """Max relative deviation of M and m under a map of det 1 (m on SL_GRID, SL_REFINE)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")
     if not hasattr(B, "map_linear"):
         raise InputError("invariance check needs a polytope or zonotope")
-    r0, r1 = (invariants(K, grid=grid, refine=refine, want=("M", "m"))
+    r0, r1 = (invariants(K, grid=SL_GRID, refine=SL_REFINE, want=("M", "m"))
               for K in (B, B.map_linear(T)))
     return max(abs(r1.M - r0.M) / abs(r0.M), abs(r1.m - r0.m) / abs(r0.m))

@@ -18,12 +18,13 @@ Objectives:
 import json
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import GeometryError, InputError, LimitError
+from .errors import GeometryError, InputError
 from .fixtures import icosphere, cube
-from .functionals import BALL_RATIO, invariants, ts_sums
+from .functionals import BALL_RATIO, LIMITS, check_limit, invariants, ts_sums
 from .geom import convex_hull
 from .zonotope import GeneratorSet, _line_units
 
@@ -32,7 +33,8 @@ def _symmetric_hull(config):
     return convex_hull(np.vstack([config, -config]), symmetric=True)
 
 
-class Objective:
+class Objective(namedtuple("Objective", "name build n_range quantity grid maximize sharp "
+                                        "conjectured hints starts", defaults=(None,) * 3 + ({},))):
     """One search objective: everything the search reads about it.
 
     build makes the body of a configuration of n rows (n in n_range for a
@@ -41,27 +43,16 @@ class Objective:
     rows are scaled to unit length and scored so (n unused).
     quantity is the invariant extremized, or "t/s": M exactly (grid None),
     m and Q unrefined over `grid` Fibonacci directions plus the structured
-    candidates.  A best value beyond `limit` in the objective's sense is an
-    evaluator bug; one within 1e-3 of `sharp` is flagged as near equality,
-    with hints(config).
+    candidates.  The bodies set the class flag of their quantity's limit in
+    functionals.LIMITS, and a best value beyond it is an evaluator bug
+    (LimitError); one within 1e-3 of `sharp` is flagged, with hints(config).
     A run reports its gap to `conjectured`, an unproven optimum, when set.
     starts maps the names of fixed starting bodies to their vertices.
     """
 
-    def __init__(self, name, build, n_range, quantity, grid, maximize,
-                 limit=None, sharp=None, conjectured=None, hints=None, starts=None):
-        self.name = name
-        self.build = build
-        self.n_range = n_range
-        self.quantity = quantity
-        self.grid = grid
-        self.maximize = maximize
-        self.sign = 1.0 if maximize else -1.0
-        self.limit = limit
-        self.sharp = sharp
-        self.conjectured = conjectured
-        self.hints = hints
-        self.starts = starts or {}
+    @property
+    def sign(self):
+        return 1.0 if self.maximize else -1.0
 
     def better(self, a, b):
         """True when a beats b in the objective's sense."""
@@ -79,14 +70,12 @@ def _cylinder_hints(config):
             "coplanarity_gap": float(sv[2] / sv[0])}
 
 
-# the sharp theorem constants are the limits: crossing one reveals an evaluator bug
 RECORDS = {o.name: o for o in (
-    Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", None, True, limit=8.0, sharp=8.0,
-              hints=_cylinder_hints),
+    Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", None, True,
+              sharp=LIMITS["M"].constant, hints=_cylinder_hints),
     Objective("min-m-symmetric", _symmetric_hull, (3, 20), "m", 192, False,
-              limit=6.0, sharp=6.0),
-    Objective("min-Q-symmetric", _symmetric_hull, (3, 20), "Q", 48, False,
-              limit=6.0, conjectured=BALL_RATIO,
+              sharp=LIMITS["m"].constant),
+    Objective("min-Q-symmetric", _symmetric_hull, (3, 20), "Q", 48, False, conjectured=BALL_RATIO,
               starts={"icosphere": lambda: icosphere(1).vertices, "cube": lambda: cube().vertices}),
     Objective("max-ts-ratio", None, (1, math.inf), "t/s", None, True, sharp=4.0 / 3.0),
 )}
@@ -94,30 +83,13 @@ RECORDS = {o.name: o for o in (
 OBJECTIVES = tuple(RECORDS)
 
 
-class SearchRun:
+class SearchRun(namedtuple("SearchRun", "objective seed n restarts iters best_value "
+                                        "best_config trace diagnostics")):
     """Outcome of one optimize() call: best configuration, value, trace."""
 
-    def __init__(self, objective, seed, n, restarts, iters, best_value,
-                 best_config, trace, diagnostics):
-        self.objective = objective
-        self.seed = seed
-        self.n = n
-        self.restarts = restarts
-        self.iters = iters
-        self.best_value = best_value
-        self.best_config = best_config
-        self.trace = trace
-        self.diagnostics = diagnostics
-
     def as_dict(self):
-        return {
-            "objective": self.objective, "seed": self.seed, "n": self.n,
-            "restarts": self.restarts, "iters": self.iters,
-            "best_value": self.best_value,
-            "best_config": np.asarray(self.best_config).tolist(),
-            "trace": [list(t) for t in self.trace],
-            "diagnostics": self.diagnostics,
-        }
+        return dict(self._asdict(), best_config=np.asarray(self.best_config).tolist(),
+                    trace=[list(t) for t in self.trace])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -139,6 +111,7 @@ class SearchRun:
                   doc["iters"], doc["best_value"], np.array(doc["best_config"]),
                   [tuple(t) for t in doc["trace"]], doc.get("diagnostics", {}))
         check = evaluate_config(run.objective, run.best_config)
+        check_limit(RECORDS[run.objective].quantity, check, label=f"{run.objective}: ")
         if not math.isclose(check, run.best_value, rel_tol=1e-9, abs_tol=1e-12):
             raise InputError(f"stored best value {run.best_value} does not re-evaluate "
                              f"({check})")
@@ -264,12 +237,6 @@ def _polish(obj, config, value, rounds=60):
     return flat.reshape(config.shape), value
 
 
-def _check_limits(obj, value):
-    if obj.limit is not None and obj.better(value, obj.limit + obj.sign * 1e-9):
-        raise LimitError(f"{obj.name} produced {value} {'>' if obj.maximize else '<'} "
-                         f"{obj.limit}: evaluator bug")
-
-
 def _run_restart(args):
     objective, n, iters, seed, ridx, start = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ridx,)))
@@ -318,7 +285,7 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
         results = [_run_restart(j) for j in jobs]
     # the first best restart wins ties
     best_config, best_value, trace = (max if obj.maximize else min)(results, key=lambda r: r[1])
-    _check_limits(obj, best_value)
+    check_limit(obj.quantity, best_value, label=f"{obj.name}: ")
     diagnostics = _diagnose(obj, best_config, best_value)
     return SearchRun(objective, seed, n, restarts, iters, float(best_value),
                      best_config, trace, diagnostics)

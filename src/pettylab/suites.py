@@ -12,9 +12,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import fixtures
-from .errors import InputError
-from .functionals import (invariants, mixed_volume, petty_value, polar_volume, q_direction,
-                          ratio, sl_invariance_check, ts_sums)
+from .errors import InputError, LimitError
+from .functionals import (LIMITS, check_limit, invariants, mixed_volume, petty_value,
+                          polar_volume, q_direction, ratio, sl_invariance_check, ts_sums)
 from .geom import plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
@@ -181,14 +181,16 @@ def suite_steiner_monotone(samples, seed):
 
 
 def suite_schwartz_monotone(samples, seed):
-    """Schwartz symmetrization never raises the ratio: q(P, x) <= ratio(P, x), exact."""
+    """Schwartz symmetrization never raises the ratio: q(P, x) <= ratio(P, x), exact.
+
+    Equality first (the cube's axes, the cylinder's), then seeded random hulls.
+    """
     rng = _rng(seed, "schwartz")
-    gaps = []
-    for _ in range(samples):
-        P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
-        x = unitize(rng.standard_normal(3))
-        gaps.append(q_direction(P, x) - ratio(P, x))
-    worst, witness = _worst(seed, gaps)
+    cases = [*zip([fixtures.cube()] * 3, np.eye(3)), (fixtures.cylinder_profile(), np.eye(3)[2])]
+    while len(cases) < samples:
+        cases.append((fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11))),
+                      unitize(rng.standard_normal(3))))
+    worst, witness = _worst(seed, [q_direction(P, x) - ratio(P, x) for P, x in cases[:samples]])
     return [check("schwartz-ratio-monotone", worst <= 1e-9, value=worst,
                   tolerance=1e-9, detail=witness)]
 
@@ -250,6 +252,16 @@ def suite_zhang_petty(samples, seed):
                   value=val, tolerance=lo_band, detail="tetrahedron, expect 20/27")]
 
 
+def _limit_row(row, name, worst, witness):
+    """PASS where worst, the worst sample's invariant name, is within its limit (check_limit)."""
+    ok = True
+    try:
+        check_limit(name, worst)
+    except LimitError:
+        ok = False
+    return check(row, ok, value=worst, tolerance=LIMITS[name].constant, detail=witness)
+
+
 def _stack_M(G):
     """Exact M of each zonotope of a stack G (b, n, 3); invariants takes what the stack cannot."""
     values, ok = stack_ratios(G)
@@ -275,9 +287,8 @@ def suite_theorem_1_1(samples, seed):
             M[[lo + i for i in idx]] = _stack_M(np.stack([gens[i] for i in idx]))
     worst, witness = _worst(seed, M)
     cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
-    return [check("zonoid-ratio-upper", worst <= 8.0 * (1.0 + 1e-9), value=worst,
-                  tolerance=8.0, detail=witness),
-            check("cube-attains-8", abs(cube_val - 8.0) <= 1e-9, value=cube_val,
+    return [_limit_row("zonoid-ratio-upper", "M", worst, witness),
+            check("cube-attains-8", abs(cube_val - LIMITS["M"].constant) <= 1e-9, value=cube_val,
                   tolerance=1e-9)]
 
 
@@ -290,10 +301,9 @@ def suite_theorem_1_2(samples, seed):
          for _ in range(samples)]
     worst, witness = _worst(seed, m, lowest=True)
     oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
-    return [check("symmetric-ratio-lower", worst >= 6.0 * (1.0 - 1e-9), value=worst,
-                  tolerance=6.0, detail=witness),
-            check("octahedron-attains-6", abs(oct_val - 6.0) <= 1e-6, value=oct_val,
-                  tolerance=1e-6, direction=(0, 0, 1))]
+    return [_limit_row("symmetric-ratio-lower", "m", worst, witness),
+            check("octahedron-attains-6", abs(oct_val - LIMITS["m"].constant) <= 1e-6,
+                  value=oct_val, tolerance=1e-6, direction=(0, 0, 1))]
 
 
 def _sl_cases(samples, seed):
@@ -310,7 +320,7 @@ def _sl_cases(samples, seed):
 
 def suite_sl_invariance(samples, seed):
     """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
-    devs = [sl_invariance_check(B, T, grid=2048, refine=60) for B, T in _sl_cases(samples, seed)]
+    devs = [sl_invariance_check(B, T) for B, T in _sl_cases(samples, seed)]
     worst, witness = _worst(seed, devs, label="case")
     return [check("sl-invariance", worst <= 1e-4, value=worst, tolerance=1e-4,
                   detail=witness)]

@@ -71,7 +71,7 @@ class GeneratorSet:
     projection_generators(), the cached pi_body, candidates and hull).
     """
 
-    symmetric = True
+    symmetric = zonoid = True
     # for Pi Z, set by pi_body: the generators of Z and their triple_dets,
     # which give the pair rows (arrays, so Z and Pi Z form no cycle)
     _source = None

@@ -22,7 +22,8 @@ from pettylab.suites import (suite_class_reduction, suite_formula_coherence,
                              suite_schwartz_monotone, suite_steiner_monotone,
                              suite_theorem_1_1, suite_theorem_1_2,
                              suite_ts_ratio, suite_zhang_petty)
-from pettylab import fixtures
+from pettylab import fixtures, save_body
+from pettylab.cli import main
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -48,18 +49,21 @@ def test_criterion_01_zonoid_upper_bound():
            f"worst={rows[0].value:.12g} cube={cube_val:.9f} {elapsed:.1f}s {bad}")
 
 
-def test_criterion_02_symmetric_lower_bound():
+def test_criterion_02_symmetric_lower_bound(tmp_path, capsys):
     t0 = time.monotonic()
     rows = suite_theorem_1_2(samples=1000, seed=37)
     elapsed = time.monotonic() - t0
     ok, bad = all_pass(rows)
     oct_ = fixtures.octahedron()
     oct_val = float(ratio(oct_, E3[None, :])[0])
-    rep = invariants(oct_, grid=256, refine=20, want=("m",))
-    ok = (ok and abs(oct_val - 6.0) <= 1e-6 and rep.near_cone_equality
-          and elapsed < 300.0)
+    # compute flags the octahedron's m as an equality
+    save_body(oct_, tmp_path / "octahedron.json")
+    code = main(["--no-timestamp", "compute", str(tmp_path / "octahedron.json"),
+                 "--invariants", "m", "--grid", "256", "--refine", "20"])
+    flagged = code == 0 and "\nnear-lower-equality,6," in capsys.readouterr().out
+    ok = ok and abs(oct_val - 6.0) <= 1e-6 and flagged and elapsed < 300.0
     report(2, "symmetric ratio >= 6 on 1e3 hulls", ok,
-           f"worst={rows[0].value:.12g} oct={oct_val:.9f} flagged={rep.near_cone_equality} "
+           f"worst={rows[0].value:.12g} oct={oct_val:.9f} flagged={flagged} "
            f"{elapsed:.1f}s {bad}")
 
 

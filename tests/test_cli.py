@@ -230,15 +230,17 @@ class TestCompute:
 
     @pytest.mark.parametrize("name, invariant, scale", [
         ("octahedron", "m", 1.0 - 1e-8), ("octahedron", "m", 0.9),
-        ("cube-zonotope", "M", 1.0 + 1e-8), ("cube", "m", 0.7)])
+        ("cube-zonotope", "M", 1.0 + 1e-8), ("cube", "m", 0.7), ("octahedron", "Q", 0.7)])
     def test_bound_breach_exit4(self, fixture_dir, monkeypatch, capsys, name, invariant,
                                 scale):
         # a ratio evaluator off by scale puts m below 6 or a zonotope's M
-        # above 8: a theorem limit crossed, as in search, not an equality
+        # above 8, and a q evaluator Q below 6 (the octahedron's Q is 7.97):
+        # a theorem limit crossed, as in search, not an equality
         from pettylab import functionals
 
-        true_ratio = functionals.ratio
-        monkeypatch.setattr(functionals, "ratio", lambda B, X: scale * true_ratio(B, X))
+        fn = "q_direction" if invariant == "Q" else "ratio"
+        true_fn = getattr(functionals, fn)
+        monkeypatch.setattr(functionals, fn, lambda B, X: scale * true_fn(B, X))
         code = main(["--no-timestamp", "compute", str(fixture_dir / f"{name}.json"),
                      "--invariants", invariant, "--grid", "64", "--refine", "3"])
         assert code == 4
@@ -505,6 +507,34 @@ def test_theorem_limit_exit4(monkeypatch, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max-M-zonoid" in err
+
+
+@pytest.mark.parametrize("change", ["constant", "margin"])
+def test_one_limit_table(fixture_dir, monkeypatch, capsys, change):
+    # compute, search and the theorem-1-1 row read the same entry: moving
+    # M's limit below 8, or its margin below 0, breaches in all three
+    from pettylab import functionals, optimize
+    from pettylab.errors import LimitError
+    from pettylab.suites import run_suite
+
+    def three():
+        code = main(["--no-timestamp", "compute", str(fixture_dir / "cube-zonotope.json"),
+                     "--invariants", "M"])
+        capsys.readouterr()
+        try:
+            optimize("max-M-zonoid", n=3, restarts=1, iters=5, seed=1)
+            raised = False
+        except LimitError:
+            raised = True
+        return code, raised, run_suite("theorem-1-1", samples=20, seed=1)[0].status
+
+    assert three() == (0, False, "PASS")
+    if change == "constant":
+        entry = functionals.LIMITS["M"]
+        monkeypatch.setitem(functionals.LIMITS, "M", entry._replace(constant=7.99))
+    else:
+        monkeypatch.setattr(functionals, "LIMIT_MARGIN", -1e-6)
+    assert three() == (4, True, "FAIL")
 
 
 @pytest.mark.parametrize("argv", [

@@ -162,8 +162,8 @@ def test_cli_fuzz_exit_codes(tmp_path):
                for _, line in results if "\t" in line]
     assert any(r["kind"] == "zonotope" and "M" in r for _, r in reports)
     breaches = [(line, r) for line, r in reports
-                if r.get("m", 6.0) < 6.0 * (1.0 - 1e-9)
-                or (r["kind"] == "zonotope" and r.get("M", 8.0) > 8.0 * (1.0 + 1e-9))]
+                if r.get("m", 6.0) < 6.0 - 1e-9
+                or (r["kind"] == "zonotope" and r.get("M", 8.0) > 8.0 + 1e-9)]
     assert not breaches, breaches
 
 

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from pettylab import (Ball, GeneratorSet, InputError, SymmetryError,
-                      invariants, mixed_volume, petty_value, polar_volume,
+from pettylab import (Ball, GeneratorSet, InputError, InvariantReport, LimitError,
+                      SymmetryError, invariants, mixed_volume, petty_value, polar_volume,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
                       ts_sums)
-from pettylab.functionals import (BALL_RATIO, _chart, _chart_refine, _nelder_mead,
-                                  sqrt_quadratic_integral)
+from pettylab.functionals import (BALL_RATIO, LIMIT_MARGIN, LIMITS, _chart, _chart_refine,
+                                  _nelder_mead, check_limit, sqrt_quadratic_integral)
 from pettylab import (convex_hull, fibonacci_sphere, fixtures, functionals, revolution,
                       slice_area, zonotope)
 from pettylab.suites import _sl_cases
@@ -531,7 +531,8 @@ class TestInvariants:
         assert rep.m == pytest.approx(6.0, abs=1e-6)
         assert np.max(np.abs(np.abs(rep.m_dir) - np.array([1, 0, 0]))) < 1e-6 \
             or np.max(np.abs(np.sort(np.abs(rep.m_dir)) - np.array([0, 0, 1]))) < 1e-6
-        assert rep.near_cone_equality
+        # the window of compute's near-lower-equality row
+        assert abs(rep.m - 6.0) <= 1e-6
 
     def test_sanity_chain(self, rng):
         # P >= m - 1e-6 and P >= Q - 1e-6 on random symmetric bodies
@@ -582,11 +583,13 @@ class TestInvariants:
         assert invariants(Z, want=("m",)).m == pytest.approx(8.0, rel=1e-12)
 
     def test_integer_like_counts_accepted(self):
-        # numpy integers pass operator.index and are reported as ints
+        # numpy integers pass operator.index
         rep = invariants(fixtures.cube_zonotope(), grid=np.int64(64), refine=np.int32(2),
-                         want=("M",))
-        assert (rep.grid, rep.refine) == (64, 2)
-        assert type(rep.grid) is int and type(rep.refine) is int
+                         want=("M", "m"))
+        assert rep.M == pytest.approx(8.0, abs=1e-9) and rep.m == pytest.approx(8.0, abs=1e-9)
+
+    def test_report_holds_values_and_directions(self):
+        assert InvariantReport._fields == ("P", "M", "m", "Q", "M_dir", "m_dir", "Q_dir")
 
 
 # --- exact M ---------------------------------------------------------------------
@@ -678,19 +681,51 @@ def test_revolution_polytope_is_built_once(monkeypatch):
     assert len(calls) == 1
 
 
+class TestLimits:
+    def test_table(self):
+        assert {k: (v.constant, v.upper) for k, v in LIMITS.items()} == \
+            {"M": (8.0, True), "m": (6.0, False), "Q": (6.0, False)}
+        assert LIMIT_MARGIN == 1e-9
+
+    @pytest.mark.parametrize("name, value", [
+        ("M", 8.0), ("M", 8.0 + 1e-9), ("M", 5.0), ("m", 6.0 - 1e-9), ("m", 9.0),
+        ("Q", 6.0 - 1e-9), ("P", 1.0), ("t/s", 2.0), ("m", None)])
+    def test_within_passes(self, name, value):
+        check_limit(name, value, fixtures.cube_zonotope())
+
+    @pytest.mark.parametrize("name, value", [
+        ("M", 8.0 + 2e-9), ("m", 6.0 - 2e-9), ("Q", 5.0), ("M", math.nan), ("m", math.nan)])
+    def test_beyond_raises_one_line(self, name, value):
+        with pytest.raises(LimitError) as exc:
+            check_limit(name, value, fixtures.cube_zonotope(), label="run: ")
+        msg = str(exc.value)
+        assert "\n" not in msg and msg.startswith(f"run: {name} = ")
+        assert f" {LIMITS[name].constant:g} on " in msg
+
+    def test_class_of_the_body(self, octahedron, tetrahedron):
+        # M <= 8 holds for bodies flagged zonoid (zonotopes, the ball), m >= 6
+        # and Q >= 6 for symmetric ones; no body stands for one of the class
+        assert GeneratorSet(np.eye(3)).zonoid and Ball().zonoid
+        assert not hasattr(octahedron, "zonoid") and not tetrahedron.symmetric
+        check_limit("M", 9.0, octahedron)
+        check_limit("Q", 5.0, tetrahedron)
+        for name, value in (("M", 9.0), ("Q", 5.0)):
+            with pytest.raises(LimitError):
+                check_limit(name, value)
+
+
 class TestSLInvariance:
     def test_identity_map(self):
-        dev = sl_invariance_check(fixtures.cube_zonotope(), np.eye(3), grid=256, refine=20)
+        dev = sl_invariance_check(fixtures.cube_zonotope(), np.eye(3))
         assert dev == 0.0
 
     def test_cube_shear(self):
         T = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        dev = sl_invariance_check(fixtures.cube_zonotope(), T, grid=2048, refine=60)
+        dev = sl_invariance_check(fixtures.cube_zonotope(), T)
         assert dev < 1e-4
 
     def test_octahedron_diag(self, octahedron):
-        dev = sl_invariance_check(octahedron, np.diag([2.0, 0.5, 1.0]), grid=2048,
-                                  refine=60)
+        dev = sl_invariance_check(octahedron, np.diag([2.0, 0.5, 1.0]))
         assert dev < 1e-4
 
     def test_non_unimodular_rejected(self):

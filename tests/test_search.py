@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pettylab import InputError, optimize
+from pettylab import InputError, LimitError, optimize
 from pettylab.search import OBJECTIVES, RECORDS, SearchRun, _step, evaluate_config
 
 SHARP_TS = 4.0 / 3.0
@@ -41,6 +41,18 @@ class TestReproducibility:
         doc["best_value"] = 99.0
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
+            SearchRun.load(path)
+
+    def test_load_checks_the_limit(self, tmp_path, monkeypatch):
+        # a stored run whose re-evaluated best crosses its theorem limit
+        # reveals an evaluator bug, before any mismatch with the stored value
+        from pettylab import search
+        run = optimize("max-M-zonoid", n=3, restarts=1, iters=5, seed=3)
+        path = tmp_path / "run.json"
+        run.save(path)
+        monkeypatch.setattr(search, "_evaluate", lambda obj, config, body: 8.0 + 2e-9)
+        with pytest.raises(LimitError,
+                           match=r"^max-M-zonoid: M = 8\.000000002 > 8 on a zonoid body"):
             SearchRun.load(path)
 
     def test_log_jsonl(self, tmp_path):

@@ -84,12 +84,19 @@ def _schwartz_gap(rng):
     return q_direction(P, x) - ratio(P, x)
 
 
+def _schwartz_equalities():
+    # the cube's axes and the cylinder's axis, where q = ratio
+    cube, cylinder = fixtures.cube(), fixtures.cylinder_profile()
+    pairs = [(cube, x) for x in np.eye(3)] + [(cylinder, np.array([0.0, 0.0, 1.0]))]
+    return [q_direction(B, x) - ratio(B, x) for B, x in pairs]
+
+
 # suite -> (its stream's tag, one sample drawn from the stream and valued,
-# whether the worst value is the lowest)
+# whether the worst value is the lowest, the values of its fixed first samples)
 REPLAYS = {
-    "theorem-1-1": ("thm11", _max_ratio, False),
-    "theorem-1-2": ("thm12", _min_ratio, True),
-    "schwartz-monotone": ("schwartz", _schwartz_gap, False),
+    "theorem-1-1": ("thm11", _max_ratio, False, list),
+    "theorem-1-2": ("thm12", _min_ratio, True, list),
+    "schwartz-monotone": ("schwartz", _schwartz_gap, False, _schwartz_equalities),
 }
 
 
@@ -97,16 +104,26 @@ REPLAYS = {
                                            ("schwartz-monotone", 6)])
 @pytest.mark.parametrize("seed", [1, 42])
 def test_witness_replays_to_row_value(name, samples, seed):
-    tag, sample, lowest = REPLAYS[name]
+    tag, sample, lowest, fixed = REPLAYS[name]
     row = run_suite(name, samples=samples, seed=seed)[0]
     witness = re.fullmatch(rf"seed={seed} sample=(\d+)", row.detail)
     assert witness, row.detail
     rng = _rng(seed, tag)
-    vals = [sample(rng) for _ in range(samples)]
+    vals = fixed()
+    vals += [sample(rng) for _ in range(samples - len(vals))]
     k = int(witness.group(1))
     assert row.value == vals[k]
     # the witness is the first sample attaining the worst value
     assert k == (int(np.argmin(vals)) if lowest else int(np.argmax(vals)))
+
+
+def test_schwartz_monotone_starts_at_equality():
+    # q - ratio is 0 on the cube's axes and rounding on the cylinder's, so
+    # the worst sample sits on the 1e-9 margin that pruning Q's grid rests on
+    row = run_suite("schwartz-monotone", samples=4, seed=1)[0]
+    vals = _schwartz_equalities()
+    assert vals[:3] == [0.0, 0.0, 0.0] and abs(vals[3]) <= 1e-13
+    assert (row.value, row.detail, row.status) == (0.0, "seed=1 sample=0", "PASS")
 
 
 def test_render_csv_and_json():
