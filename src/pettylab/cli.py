@@ -28,7 +28,8 @@ import numpy as np
 from . import fixtures as fixture_mod
 from .bodies import Ball, load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
-from .functionals import INVARIANTS, LIMITS, check_limit, invariants, q_direction, ratio
+from .functionals import (GRID, INVARIANTS, LIMITS, REFINE, check_limit, invariants,
+                          q_direction, ratio)
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
@@ -77,9 +78,9 @@ def build_parser():
     c = sub.add_parser("compute", help="invariants of a body file")
     c.add_argument("body")
     c.add_argument("--invariants", default=",".join(INVARIANTS))
-    c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=2048,
+    c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=GRID,
                    help="sphere grid of m and Q (P and M are exact)")
-    c.add_argument("--refine", type=_int_in(0), default=50,
+    c.add_argument("--refine", type=_int_in(0), default=REFINE,
                    help="Nelder-Mead steps polishing m and Q (0: none)")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out")

@@ -30,7 +30,7 @@ revolution body's polytope); only the ball, with closed forms, is special.
 
 import math
 from collections import namedtuple
-from functools import wraps
+from functools import partial, wraps
 
 import numpy as np
 
@@ -291,20 +291,6 @@ def petty_value(B):
     return B.pi_body.volume / B.volume ** 2
 
 
-def _chart(fn, B, x0):
-    """The chart at x0 and fn(B, .) on it: (F, evaluate).
-
-    F = [x0 u w] has the tangent plane's orthonormal frame (u, w) as its
-    last columns, and evaluate(T) is fn(B, F t) for each row t = (1, t1, t2)
-    of T.  ratio and q_direction are homogeneous of degree 0, so F t needs
-    no normalizing.  The few points of a refinement step cost ratio about
-    2 ns per pair row of Pi B and point (zonotope._abs_dot_sums).
-    """
-    u, w = plane_basis(unitize(x0))
-    F = np.column_stack([x0, u, w])
-    return F, lambda T: fn(B, T @ F.T)
-
-
 def _nelder_mead(f, steps):
     """Minimize f from the simplex (0, 0), (0.04, 0), (0, 0.04): (t, f(t)).
 
@@ -350,17 +336,25 @@ def _nelder_mead(f, steps):
     return sim[0], vals[0]
 
 
-def _chart_refine(fn, F, v0, maximize, steps):
-    """Polish the extremum v0 at F[:, 0] by Nelder-Mead in the chart F: (x, v).
+def _chart_refine(fn, x0, v0, maximize, steps):
+    """Polish the extremum v0 = fn(x0) by Nelder-Mead in a chart about x0: (x, v).
 
-    fn evaluates a stack of chart points (_chart), and _nelder_mead runs on
-    sign * fn, four trial points a call.  The polished direction is kept
-    only when it strictly improves on v0; otherwise F[:, 0] and v0 come back.
+    fn evaluates rows of directions, as ratio(B, .) and q_direction(B, .)
+    do.  The chart F = [x0 u w] has the tangent plane's orthonormal frame
+    (u, w) as its last columns, and the point t = (t1, t2) is the direction
+    F (1, t1, t2); both functions are homogeneous of degree 0, so it needs
+    no normalizing.  _nelder_mead runs on sign * fn, four trial points a
+    call, which cost ratio about 2 ns per pair row of Pi B and point
+    (geom._reduce_dots).  The polished direction is kept only when it
+    strictly improves on v0; otherwise F[:, 0] and v0 come back.
     """
+    u, w = plane_basis(unitize(x0))
+    F = np.column_stack([x0, u, w])
     sign = -1.0 if maximize else 1.0
 
     def f(points):
-        return (sign * fn(np.array([(1.0, a, b) for a, b in points]))).tolist()
+        T = np.array([(1.0, a, b) for a, b in points])
+        return (sign * fn(T @ F.T)).tolist()
 
     (t1, t2), v = _nelder_mead(f, steps)
     v *= sign
@@ -381,6 +375,8 @@ _Q_MARGIN = 1e-9
 # at 95 rows (8 pairs, grid 48) 0.80 and at 125 (5 pairs, grid 96) 0.86; at
 # 1,000 rows and more it takes half or less.  With m the ratios are there.
 _PRUNE_MIN = 96
+# the grid and refinement steps of m and Q in invariants, and compute's defaults
+GRID, REFINE = 2048, 50
 # the grid and refinement steps of m in sl_invariance_check
 SL_GRID, SL_REFINE = 2048, 60
 
@@ -418,7 +414,7 @@ class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")
     """P, M, m, Q of a body with their attaining directions."""
 
 
-def invariants(B, grid=2048, refine=50, want=INVARIANTS):
+def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     """Invariant report: P and M exactly, m and Q extremized on a grid plus refinement.
 
     M is the largest ratio at B's candidates, which hold its facet normals:
@@ -465,8 +461,7 @@ def invariants(B, grid=2048, refine=50, want=INVARIANTS):
             v = float(ratios[i])
         x = X[i]
         if refine > 0:
-            F, evaluate = _chart(fn, B, x)
-            x, v = _chart_refine(evaluate, F, v, maximize, refine)
+            x, v = _chart_refine(partial(fn, B), x, v, maximize, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
     return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir)

@@ -18,8 +18,8 @@ the shadow of Pi K.  A shadow is summed over generator pairs, or, for many
 generators, walked as the zonogon boundary in angular order (O(n log n) per
 direction); both are exact, and both run over chunks of directions of
 bounded size.  A pair shadow and a support are the same sum, of |<c, x>|
-over the pair rows or over the generators, and one kernel takes both
-(`_abs_dot_sums`).
+over the pair rows or over the generators, and geom's one kernel of
+reductions over rows takes both (`_reduce_dots`).
 
 The pairs of Pi Z's generators come in closed form from one table of triple
 determinants D_ijk = det(x_i, x_j, x_k) (`pi2_rows`).  With c_ij = x_i x x_j,
@@ -35,33 +35,17 @@ stack and sums each member on its own, so each gets its own ratio.
 """
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _CHUNK_BYTES, _chunks, _frames, as_vec, convex_hull, cross, unit_rows
-
-# Pair-index cache keyed by generator count; the i<j enumeration order is
-# fixed so determinant sums are reproducible bit for bit.
-_PAIR_CACHE = {}
-
-# pi2_rows index tables are kept up to this many generators, about 80 kB in
-# all; larger ones (0.5 MB at 24) are built for each body that needs them
-_PI2_KEEP = 12
-_PI2_CACHE = {}
+from .geom import _chunks, _frames, _reduce_dots, as_vec, convex_hull, cross, unit_rows
 
 # Sort axis of merge_parallel; any unit vector works, a generic one keeps the
 # windows of near-equal keys short for structured inputs.
 _MERGE_AXIS = np.array([0.5488135, 0.71518937, 0.60276338])
 _MERGE_AXIS /= np.linalg.norm(_MERGE_AXIS)
-
-# Below this many directions _abs_dot_sums sums each direction along its own
-# contiguous row of products.  The (m, d) layout reduces across rows instead,
-# strided: over 1,500-32,000 rows, 2-16 directions took 1.7-7 times as long
-# that way (numpy 2, one core), and near 64 directions the two cost the
-# same.  Grids, 195 directions and more, keep the (m, d) layout.
-_FEW_DIRECTIONS = 64
 
 
 class GeneratorSet:
@@ -139,10 +123,8 @@ class GeneratorSet:
         return convex_hull(zonotope_vertices(self), symmetric=True)
 
     def support(self, X):
-        """Support values sum_i |<x, x_i>|, per row of X (or for one x)."""
-        X = np.asarray(X, dtype=float)
-        out = _abs_dot_sums(self.gens, np.atleast_2d(X))
-        return out[0] if X.ndim == 1 else out
+        """Support values sum_i |<x, x_i>|, per row of X (or for one x): _reduce_dots."""
+        return _reduce_dots(self.gens, np.asarray(X, dtype=float))
 
     def projection_generators(self):
         """Generators 4 (x_i x x_j) of Pi Z, zero cross products skipped."""
@@ -163,11 +145,18 @@ def as_set(Z):
     return Z if isinstance(Z, GeneratorSet) else GeneratorSet(Z)
 
 
+# the index tables of the 16 generator counts used last are kept; those of
+# pi2_rows take 41 kB at 13 generators and 0.5 MB at 24
+@lru_cache(maxsize=16)
 def _pairs(n):
-    if n not in _PAIR_CACHE:
-        idx = np.triu_indices(n, k=1)
-        _PAIR_CACHE[n] = idx
-    return _PAIR_CACHE[n]
+    """Read-only indices (i, j) of the pairs i < j of n generators.
+
+    The order is fixed, so determinant sums are reproducible bit for bit.
+    """
+    pairs = np.triu_indices(n, k=1)
+    for t in pairs:
+        t.flags.writeable = False
+    return pairs
 
 
 def cross_rows(G):
@@ -202,15 +191,14 @@ def triple_dets(G, C=None):
     return np.compress(later.ravel(), dots.reshape(dots.shape[:-2] + (-1,)), axis=-1)
 
 
+@lru_cache(maxsize=16)
 def _pi2_index(n):
-    """Index tables of pi2_rows for n generators.
+    """Read-only index tables of pi2_rows for n generators.
 
     Returns the triples through each generator, an (n, C(n-1, 2)) table, and
     for each 4-subset a < b < c < d in lexicographic order the triples
     (acd, abd, abc) and the generators (b, c, d), two (C(n, 4), 3) tables.
     """
-    if n in _PI2_CACHE:
-        return _PI2_CACHE[n]
     i, j = _pairs(n)
     r = np.arange(n)
     # the triples (i, j, k) in the order of triple_dets
@@ -226,8 +214,6 @@ def _pi2_index(n):
               np.column_stack([b, c, d]))
     for t in tables:
         t.flags.writeable = False
-    if n <= _PI2_KEEP:
-        _PI2_CACHE[n] = tables
     return tables
 
 
@@ -281,7 +267,7 @@ def _pair_path(n, d, rows=None):
     n generators, d directions, and the rows the pair sum runs over, by
     default the C(n, 2) pairs (_pair_rows gives them for a body).  Measured
     with numpy 2 on one core: the pair sum costs ~2 ns per row and direction,
-    for a refinement step's few directions as for a grid (_abs_dot_sums), the
+    for a refinement step's few directions as for a grid (_reduce_dots), the
     sorted walk ~60 ns per generator and direction plus ~80 us per call.
     So many directions switch to the walk from about 60 generators on, a
     single direction from ~350; Pi Z, with n + 3 C(n, 4) rows for C(n, 2)
@@ -315,43 +301,10 @@ def z_shadow_area(Z, X):
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
     if _pair_path(len(Z), Xs.shape[0], _pair_rows(Z)):
-        out = 4.0 * _abs_dot_sums(Z._crosses, Xs)
+        out = 4.0 * _reduce_dots(Z._crosses, Xs)
     else:
         out = _sorted_shadow(Z.gens, Xs)
     return out[0] if X.ndim == 1 else out
-
-
-def _abs_dot_sums(C, X):
-    """sum over the rows c of C (m, 3) of |<c, x>|, per row x of X (d, 3).
-
-    Fewer than _FEW_DIRECTIONS directions are summed along contiguous rows
-    of products (d, m), more over the rows of (m, d): the two orders agree
-    to rounding, not bit for bit.  Either costs about 2 ns per row and
-    direction (_pair_path).  Products beyond about _CHUNK_BYTES go in chunks
-    of directions.
-    """
-    m, d = C.shape[0], X.shape[0]
-    few = d < _FEW_DIRECTIONS
-
-    def sums(Xw, buf=None):
-        """The sums of one pass, its products put in buf if one is given."""
-        w = Xw.shape[0]
-        L, R, shape = (Xw, C.T, (w, m)) if few else (C, Xw.T, (m, w))
-        dots = np.matmul(L, R, out=None if buf is None else buf[:m * w].reshape(shape))
-        # np.add.reduce is np.sum without its ~4 us of Python dispatch
-        return np.add.reduce(np.abs(dots, out=dots), axis=1 if few else 0)
-
-    if 8 * m * d <= _CHUNK_BYTES:  # the one pass the chunks below would make
-        return sums(X)
-    out = np.empty(d)
-    # every pass's products go into the first pass's buffer: a fresh one per
-    # pass is handed back to the kernel and faulted in again
-    buf = None
-    for sl in _chunks(d, 8 * m):
-        if buf is None:
-            buf = np.empty(m * len(X[sl]))
-        out[sl] = sums(X[sl], buf)
-    return out
 
 
 def stack_ratios(G):
@@ -376,10 +329,10 @@ def stack_ratios(G):
           & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
     values = np.full(X.shape[:2], np.nan)
     for i in np.flatnonzero(ok):
-        den = _abs_dot_sums(G[i], X[i]) * (8.0 * np.sum(np.abs(D[i])))
+        den = _reduce_dots(G[i], X[i]) * (8.0 * np.sum(np.abs(D[i])))
         if (den <= 0.0).any():
             raise InputError("support must be positive in every requested direction")
-        values[i] = 4.0 * _abs_dot_sums(R[i], X[i]) / den
+        values[i] = 4.0 * _reduce_dots(R[i], X[i]) / den
     return values, ok
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, determinism, round-trips."""
 
+import inspect
 import json
 import math
 import os
@@ -13,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pettylab import (BodyFileError, GeneratorSet, GeometryError, bodies, convex_hull,
-                      fixtures, load_body, save_body)
-from pettylab.cli import main
+                      fixtures, invariants, load_body, save_body)
+from pettylab.cli import build_parser, main
 from pettylab.report import Row, fmt, render_json
 
 
@@ -216,6 +217,10 @@ class TestCompute:
         assert details["cube"] == {"P": "exact", "M": "max over facet normals",
                                    "m": "grid=64 refine=3", "Q": "grid=64 refine=3"}
         assert details["ball"] == dict.fromkeys("PMmQ", "closed form")
+        # without the options, the grid and refinement are invariants' own defaults
+        args = build_parser().parse_args(["compute", "body.json"])
+        own = inspect.signature(invariants).parameters
+        assert (args.grid, args.refine) == (own["grid"].default, own["refine"].default)
 
     def test_no_signed_zeros(self, fixture_dir, capsys):
         # the cube's facet normals carry -0.0 (outward w x u on flipped facets)

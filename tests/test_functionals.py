@@ -14,8 +14,9 @@ from pettylab import (Ball, GeneratorSet, InputError, InvariantReport, LimitErro
                       SymmetryError, invariants, mixed_volume, petty_value, polar_volume,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
                       ts_sums)
-from pettylab.functionals import (BALL_RATIO, LIMIT_MARGIN, LIMITS, _chart, _chart_refine,
+from pettylab.functionals import (BALL_RATIO, LIMIT_MARGIN, LIMITS, _chart_refine,
                                   _nelder_mead, check_limit, sqrt_quadratic_integral)
+from pettylab.geom import plane_basis, unitize
 from pettylab import (convex_hull, fibonacci_sphere, fixtures, functionals, revolution,
                       slice_area, zonotope)
 from pettylab.suites import _sl_cases
@@ -846,16 +847,18 @@ def _oracle_bodies():
     "cube", "cube-zonotope", "octahedron", "icosphere1", "cylinder",
     "zonotope4", "zonotope7", "zonotope12", "zonotope14", "hull5", "hull12", "hull30"])
 def test_chart_refine_reaches_scipys_value(B):
-    # scipy's Nelder-Mead on the same chart function, one point a call, from
-    # the grid extrema of M and m, and of Q on the smaller bodies
+    # scipy's Nelder-Mead on the same chart function, built here from
+    # plane_basis, one point a call, from the grid extrema of M and m, and of
+    # Q on the smaller bodies
     rep = invariants(B, grid=256, refine=0, want=("M", "m", "Q"))
     cases = [(ratio, B, rep.M_dir, True), (ratio, B, rep.m_dir, False)]
     if len(B.pi_body) <= 12:
         cases.append((q_direction, B, rep.Q_dir, True))
     for fn, body, x0, maximize in cases:
-        F, evaluate = _chart(fn, body, x0)
+        F = np.column_stack([x0, *plane_basis(unitize(x0))])
         sign = -1.0 if maximize else 1.0
-        res = _scipy_nelder_mead(lambda th: sign * evaluate(np.array([[1.0, *th]]))[0], 50)
-        x, v = _chart_refine(evaluate, F, sign * np.inf, maximize, 50)
+        res = _scipy_nelder_mead(lambda th: sign * fn(body, np.array([[1.0, *th]]) @ F.T)[0],
+                                 50)
+        x, v = _chart_refine(lambda X: fn(body, X), x0, sign * np.inf, maximize, 50)
         assert v == pytest.approx(sign * res.fun, rel=1e-12)
         assert fn(body, x) == pytest.approx(v, rel=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from pettylab import (FlatBodyError, InputError, chords, convex_hull,
+from pettylab import (FlatBodyError, InputError, Polytope, chords, convex_hull,
                       fibonacci_sphere, fixtures, geom, slice_area, z_volume)
 from pettylab.geom import _BAND, _TAU, plane_basis, slice_quadratics
 from pettylab.zonotope import pair_crosses
@@ -157,6 +157,41 @@ class TestSupport:
                                for i in range(0, len(X), 1000)])
         assert vals == pytest.approx(want, rel=1e-15)
         assert np.array_equal(P.support(np.empty((0, 3))), np.empty(0))
+
+
+class TestSymmetryCheck:
+    """A polytope flagged symmetric holds -v for each vertex v, to 1e-9 of its scale."""
+
+    def test_threshold(self):
+        # pushing a vertex out along its ray by 1e-8 of the scale takes the
+        # reflection of its antipode past the facets there by 5.5e-9 of it;
+        # 1e-10 stays within the tolerance
+        P = fixtures.random_symmetric_polytope(np.random.default_rng(6), 30)
+        scale = float(np.max(np.abs(P.vertices)))
+        for shift in (1e-10, 1e-8):
+            V = P.vertices.copy()
+            V[0] += shift * scale * V[0] / np.linalg.norm(V[0])
+            if shift < 1e-9:
+                Polytope(V, P.facets, symmetric=True)
+            else:
+                with pytest.raises(InputError, match="not centrally symmetric"):
+                    Polytope(V, P.facets, symmetric=True)
+
+    def test_memory_is_bounded(self):
+        # 2,000 pairs on the sphere give 4,000 vertices and 7,996 facets: their
+        # vertex-by-facet products, less the offsets, took 488 MiB at once; the
+        # check runs in the support's chunks of about 1 MiB
+        p = np.random.default_rng(2000).standard_normal((2000, 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        P = convex_hull(np.vstack([p, -p]))
+        tracemalloc.start()
+        try:
+            defect = P._symmetry_defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert defect <= 1e-9
 
 
 class TestChord:

@@ -12,10 +12,10 @@ from scipy.spatial import ConvexHull
 from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       convex_hull, fibonacci_sphere, mixed_volume, ratio,
                       second_proj_support, z_shadow_area, z_volume)
-from pettylab.geom import plane_basis
-from pettylab.zonotope import (_abs_dot_sums, _pair_path, _sorted_shadow, merge_parallel,
-                               pair_crosses, pi2_rows, stack_ratios, triple_dets,
-                               zonogon_area, zonotope_vertices)
+from pettylab.geom import _FEW_DIRECTIONS, _chunks, _reduce_dots, plane_basis
+from pettylab.zonotope import (_pair_path, _sorted_shadow, merge_parallel, pair_crosses,
+                               pi2_rows, stack_ratios, triple_dets, zonogon_area,
+                               zonotope_vertices)
 from pettylab import fixtures, zonotope
 
 E1, E2, E3 = np.eye(3)
@@ -310,7 +310,7 @@ def test_shadow_paths_agree(seed, n, kind):
     X[1] = G[-1]            # a generator direction: its own row projects to 0
     Z = GeneratorSet(G)
     assert _pair_path(n, len(X)) == (n < 50)
-    pair = 4.0 * _abs_dot_sums(pair_crosses(G), X)
+    pair = 4.0 * _reduce_dots(pair_crosses(G), X)
     oracle = np.array([_shadow_oracle(G, x) for x in X])
     # 1e-12 relative, or of the area scale where parallel rows cancel to ~0
     tol = 1e-12 * np.maximum(np.abs(pair), np.sum(np.linalg.norm(G, axis=1)) ** 2
@@ -330,7 +330,7 @@ def test_second_support_from_shadow_paths(seed, n):
     X = rng.standard_normal((70, 3))
     pi = Z.pi_body
     direct = np.array([second_proj_support(Z, x) for x in X[:3]])
-    assert 4.0 * _abs_dot_sums(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
+    assert 4.0 * _reduce_dots(pi._crosses, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert _sorted_shadow(pi.gens, X[:3]) == pytest.approx(direct, rel=1e-12)
     assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
 
@@ -353,20 +353,21 @@ def test_closed_form_pi2_rows_match_nested_crosses(seed, n, kind):
     pi = Z.pi_body
     assert len(pi2_rows(G, triple_dets(G))) == n + 3 * math.comb(n, 4)
     X = rng.standard_normal((40, 3))
-    nested = _abs_dot_sums(pair_crosses(pi.gens), X)
-    closed = _abs_dot_sums(pi._crosses, X)
+    nested = _reduce_dots(pair_crosses(pi.gens), X)
+    closed = _reduce_dots(pi._crosses, X)
     assert np.all(np.abs(closed - nested) <= 1e-12 * nested)
 
 
 def test_pair_shadow_reuses_no_stale_products():
     # the chunks share one buffer; each, the short last one too, must give
-    # its own products bit for bit
+    # its own products bit for bit, summed or, as for a polytope, maximized
     rng = np.random.default_rng(3)
     C, X = rng.standard_normal((300, 3)), rng.standard_normal((1000, 3))
-    want = np.concatenate([np.sum(np.abs(C @ X[sl].T), axis=0)
-                           for sl in zonotope._chunks(len(X), 8 * len(C))])
-    assert len(list(zonotope._chunks(len(X), 8 * len(C)))) == 3
-    assert np.array_equal(_abs_dot_sums(C, X), want)
+    assert len(list(_chunks(len(X), 8 * len(C)))) == 3
+    for maximum, reduce in ((False, lambda dots: np.sum(np.abs(dots), axis=0)),
+                            (True, lambda dots: np.max(dots, axis=0))):
+        want = np.concatenate([reduce(C @ X[sl].T) for sl in _chunks(len(X), 8 * len(C))])
+        assert np.array_equal(_reduce_dots(C, X, maximum), want)
 
 
 def test_support_memory_is_bounded():
@@ -386,28 +387,31 @@ def test_support_memory_is_bounded():
     assert vals == pytest.approx(want, rel=1e-15)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, zonotope._FEW_DIRECTIONS - 1),
-       st.sampled_from([1, 7, 218, 1497, 20_000]), st.sampled_from(["generic", "seam"]))
+@given(st.integers(0, 2**32 - 1), st.integers(1, _FEW_DIRECTIONS - 1),
+       st.sampled_from([1, 7, 218, 1497, 20_000]), st.sampled_from(["generic", "seam"]),
+       st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_few_directions_match_the_grid_layout(seed, d, m, kind):
-    # fewer directions than _FEW_DIRECTIONS sum contiguous rows of products,
-    # more sum across them; the same directions at the head of a grid-sized
-    # call take the other order.  A 3-term product is off by at most 3 u
-    # times sum_i |c_i x_i| (u = eps / 2), and a sum of m nonnegative terms
-    # by (m - 1) u, so each order is within (m + 2) u of the exact value,
-    # relative to A = sum over rows and coordinates of |c_i x_i|, and the
-    # two differ by at most (m + 2) eps A
+def test_few_directions_match_the_grid_layout(seed, d, m, kind, maximum):
+    # fewer directions than _FEW_DIRECTIONS reduce contiguous rows of
+    # products, more reduce across them; the same directions at the head of
+    # a grid-sized call take the other order.  A 3-term product is off by at
+    # most 3 u times sum_i |c_i x_i| (u = eps / 2), and a sum of m
+    # nonnegative terms by (m - 1) u, so each order is within (m + 2) u of
+    # the exact value, relative to A = sum over rows and coordinates of
+    # |c_i x_i|, and the two differ by at most (m + 2) eps A.  A max is one
+    # product, within gamma_3 A < 2 eps A of its exact value in either order,
+    # so the two maxima differ by less than 4 eps A
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((m, 3)) * rng.uniform(0.1, 10.0, (m, 1))
     X = rng.standard_normal((d, 3))
     if kind == "seam":  # directions in the planes of some rows: terms cancel to ~0
         k = min(m, d // 2 + 1)
         X[:k] = np.cross(C[:k], rng.standard_normal(3))
-    few = _abs_dot_sums(C, X)
-    grid = _abs_dot_sums(C, np.vstack([X, rng.standard_normal((64, 3))]))[:d]
+    few = _reduce_dots(C, X, maximum)
+    grid = _reduce_dots(C, np.vstack([X, rng.standard_normal((64, 3))]), maximum)[:d]
     A = (np.abs(X) @ np.abs(C).T).sum(axis=1)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(few - grid) <= (m + 2) * eps * A)
+    assert np.all(np.abs(few - grid) <= (4 if maximum else m + 2) * eps * A)
 
 
 def test_volume_of_many_generators_by_increments():
