@@ -36,10 +36,10 @@ import numpy as np
 
 from .bodies import Ball
 from .errors import InputError, LimitError, SymmetryError
-from .geom import (_chunks, _count, as_vec, convex_hull, cross, fibonacci_sphere, plane_basis,
-                   slice_quadratics, unitize)
+from .geom import (_chunks, _count, _reduce_dots, as_vec, convex_hull, cross, fibonacci_sphere,
+                   plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody
-from .zonotope import z_shadow_area
+from .zonotope import z_shadow_area, z_shadow_vertices
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
@@ -363,11 +363,12 @@ def _chart_refine(fn, x0, v0, maximize, steps):
     return F[:, 0], v0
 
 
-# Q on the grid evaluates q in descending order of the ratio, in batches of
-# _FIRST_BATCH rows, then twice as many each time, and stops where the
-# ratio, an upper bound of q, falls below the best q by the margin
+# Q on the grid evaluates q in descending order of the ratio, and m alone the
+# ratio in ascending order of a lower bound, in batches of _FIRST_BATCH rows,
+# then twice as many each time, and each stops where the bound passes the
+# best value by the margin
 _FIRST_BATCH = 64
-_Q_MARGIN = 1e-9
+_PRUNE_MARGIN = 1e-9
 # fewest grid rows at which Q alone evaluates the ratios to prune its grid.
 # They cost Pi B (when P has not built it) and a shadow per row.  Measured
 # with numpy 2 on one core, over fresh symmetric hulls: at 77 rows (5 pairs,
@@ -375,6 +376,20 @@ _Q_MARGIN = 1e-9
 # at 95 rows (8 pairs, grid 48) 0.80 and at 125 (5 pairs, grid 96) 0.86; at
 # 1,000 rows and more it takes half or less.  With m the ratios are there.
 _PRUNE_MIN = 96
+# m alone evaluates the ratio exactly at _COARSE rows spread over the grid,
+# the axes and the candidates, with the vertices of Pi^2 B supporting them,
+# and bounds the other rows by those vertices (_grid_ratios), from
+# _M_PRUNE_MIN generators of Pi B on.  Measured with numpy 2 on one core,
+# invariants(want=P,M,m) on the 2,048-point grid against the full grid
+# (median of 31 alternating runs): symmetric hulls of 20-28 pairs of unit
+# vectors (38-54 generators) took 1.25-0.97 times as long, falling with
+# size, a Gaussian zonotope of 11 generators (55) 1.01, a hull of 30 pairs
+# (58), the double cone (64) and a zonotope of 12 (66) 0.72-0.80,
+# icosphere2 (160) and zonotopes of 14-24 generators 0.52-0.67.  A body
+# whose ratio is nearly constant keeps every row: the cylinder (33), whose
+# ratio is 8 everywhere, would take 1.48 times as long.
+_COARSE = 128
+_M_PRUNE_MIN = 56
 # the grid and refinement steps of m and Q in invariants, and compute's defaults
 GRID, REFINE = 2048, 50
 # the grid and refinement steps of m in sl_invariance_check
@@ -388,7 +403,7 @@ def _grid_max_q(B, X, bound=None):
     Schwartz symmetrization about x never raises the ratio, and the
     symmetral's ratio at its axis is q (verify schwartz-monotone checks it).
     The rows go in descending order of bound, in growing batches, until
-    bound (1 + _Q_MARGIN) is below the best q so far; every row left has a
+    bound (1 + _PRUNE_MARGIN) is below the best q so far; every row left has a
     smaller q, so the value and the first index of a tie are those of the
     full grid.  The margin covers the rounding of both evaluators.
     """
@@ -396,7 +411,7 @@ def _grid_max_q(B, X, bound=None):
         q = q_direction(B, X)
     else:
         order = np.argsort(-bound, kind="stable")
-        cap = bound[order] * (1.0 + _Q_MARGIN)
+        cap = bound[order] * (1.0 + _PRUNE_MARGIN)
         q = np.full(len(X), -np.inf)
         done, size, best = 0, _FIRST_BATCH, -np.inf
         while done < len(X) and cap[done] >= best:
@@ -408,6 +423,55 @@ def _grid_max_q(B, X, bound=None):
             done, size = stop, 2 * size
     i = int(np.argmax(q))
     return i, float(q[i])
+
+
+def _grid_ratios(B, X, grid):
+    """ratio(B, X) at the rows of X that may hold its minimum, +inf at the others.
+
+    X is a grid of `grid` rows, then the axes and the candidates.  The
+    ratio is exact at _COARSE rows spread over the grid and at every row
+    after it, and the vertices v(y) of Pi^2 B supporting those rows come
+    with it (z_shadow_vertices).  A support function is the max of <v, x>
+    over its body, so h_{Pi^2 B}(x) >= max_y <v(y), x>, and dividing by
+    h_B(x) V(B) bounds the ratio of every other grid row from below.  Those
+    rows go in ascending order of bound, in growing batches, until bound
+    (1 - _PRUNE_MARGIN) is above the least ratio so far: every row left has
+    a larger ratio, so the minimum and the first index of a tie are those of
+    the full grid.  The margin covers the rounding of the vertices and of
+    the shadows.
+    """
+    h = B.support(X)
+    if (h <= 0.0).any():
+        raise InputError("support must be positive in every requested direction")
+    step = max(1, grid // _COARSE)
+    coarse = np.r_[0:grid:step, grid:len(X)]
+    # every part takes the path of one call over X, so its ratios are those
+    # of the full grid
+    num, V = z_shadow_vertices(B.pi_body, X[coarse], len(X))
+    found = [(coarse, num / (h[coarse] * B.volume))]
+    best = float(np.min(found[0][1]))
+    cap = _reduce_dots(V, X[:grid], True)
+    cap *= (1.0 - _PRUNE_MARGIN) / B.volume
+    cap /= h[:grid]
+    cap[::step] = np.inf
+    # best only falls, so a row whose cap is above it now never wins; the
+    # rest are few, and only they are sorted
+    live = np.flatnonzero(cap <= best)
+    cap = cap[live]
+    order = np.argsort(cap, kind="stable")
+    live, cap = live[order], cap[order]
+    done, size = 0, _FIRST_BATCH
+    while done < len(live) and cap[done] <= best:
+        # rows at and past the first cap above best cannot win
+        stop = min(done + size, int(np.searchsorted(cap, best, side="right")))
+        rows = live[done:stop]
+        found.append((rows, z_shadow_area(B.pi_body, X[rows], len(X)) / (h[rows] * B.volume)))
+        best = min(best, float(np.min(found[-1][1])))
+        done, size = stop, 2 * size
+    out = np.full(len(X), np.inf)
+    for rows, values in found:
+        out[rows] = values
+    return out
 
 
 class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")):
@@ -423,8 +487,11 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     axes, the candidates and a Fibonacci sphere of `grid` points, and polish
     the extremum by at most refine - 1 Nelder-Mead steps in a chart about it
     (_chart_refine).  On a symmetric body Q's grid skips the rows where the
-    ratio, an upper bound of q, cannot beat the best q (_grid_max_q).  want
-    names some of INVARIANTS; M and m need symmetry.
+    ratio, an upper bound of q, cannot beat the best q (_grid_max_q).  m
+    without Q skips, from _M_PRUNE_MIN generators of Pi B on, the rows where
+    a lower bound of the ratio by vertices of Pi^2 B cannot beat the best
+    ratio (_grid_ratios); either way the grid value and its row are the full
+    grid's.  want names some of INVARIANTS; M and m need symmetry.
     """
     # a string would be read letter by letter
     if type(want) is str or not set(want) <= set(INVARIANTS):
@@ -446,7 +513,9 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     X = np.vstack([fibonacci_sphere(grid), np.eye(3), C]) if want & {"m", "Q"} else C
     # the grid's ratios bound q there; Q alone pays for them from _PRUNE_MIN rows
     prune = "Q" in want and B.symmetric and ("m" in want or len(X) >= _PRUNE_MIN)
-    if want & {"M", "m"} or prune:
+    if "m" in want and "Q" not in want and len(B.pi_body) >= _M_PRUNE_MIN:
+        ratios = _grid_ratios(B, X, grid)  # exact at the candidates, for M
+    elif want & {"M", "m"} or prune:
         ratios = ratio(B, X if "m" in want or prune else C)  # shared by M, m and Q
     if want & {"M", "m"}:
         tail = ratios[len(ratios) - len(C):]

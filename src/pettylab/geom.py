@@ -118,33 +118,41 @@ def _reduce_dots(C, X, maximum=False):
     """sum over the rows c of C (m, 3) of |<c, x>|, or with maximum the max of <c, x>.
 
     One value per row x of X (d, 3), or one for a single x (3,): the sum is
-    a zonotope's support or a pair shadow, the max a polytope's support.
-    Fewer than _FEW_DIRECTIONS directions reduce contiguous rows of products
-    (d, m), more the rows of (m, d).  The max is exact, but BLAS may round a
-    product by its place in the call, and sums add in another order, so the
-    two layouts, or a chunk and a whole call, agree to rounding, not bit for
-    bit.  Either costs about 2 ns per row and direction.  Products beyond
-    about _CHUNK_BYTES go in chunks of directions.
+    a zonotope's support or a pair shadow, the max a polytope's support.  A
+    stack C (b, m, 3) with X (b, d, 3) gives each member its row of values,
+    bit for bit those of a call of its own: the members go through the same
+    products, in groups of about _CHUNK_BYTES.  Fewer than _FEW_DIRECTIONS
+    directions reduce contiguous rows of products (d, m), more the rows of
+    (m, d).  The max is exact, but BLAS may round a product by its place in
+    the call, and sums add in another order, so the two layouts, or a chunk
+    and a whole call, agree to rounding, not bit for bit.  Either costs
+    about 2 ns per row and direction.  Products beyond about _CHUNK_BYTES
+    go in chunks of directions.
     """
     # the axis goes by position: a keyword costs more than a small reduction's arithmetic
     reduce = _MAX if maximum else _abs_sum
     if X.ndim == 1:
         return reduce(C @ X, 0)
-    m, d = C.shape[0], X.shape[0]
+    m, d = C.shape[-2], X.shape[-2]
     few = d < _FEW_DIRECTIONS
-    if 8 * m * d <= _CHUNK_BYTES:  # the one pass of the chunks below
+    if C.ndim == 2 and 8 * m * d <= _CHUNK_BYTES:  # the one pass of the chunks below
         return reduce(X @ C.T, 1) if few else reduce(C @ X.T, 0)
-    out = np.empty(d)
+    Cs, Xs = (C, X) if C.ndim == 3 else (C[None], X[None])
+    out = np.empty(Xs.shape[:2])
     # every pass's products go into the first pass's buffer: a fresh one per
     # pass is handed back to the kernel and faulted in again
     buf = None
-    for sl in _chunks(d, 8 * m):
-        L, R = (X[sl], C.T) if few else (C, X[sl].T)
-        if buf is None:
-            buf = np.empty(L.shape[0] * R.shape[1])
-        dots = buf[:L.shape[0] * R.shape[1]].reshape(L.shape[0], R.shape[1])
-        out[sl] = reduce(np.matmul(L, R, out=dots), 1 if few else 0)
-    return out
+    # as many members a pass as one chunk of directions of each fills
+    for grp in _chunks(len(Xs), 8 * m * min(d, max(1, _CHUNK_BYTES // (8 * m)))):
+        for sl in _chunks(d, 8 * m):
+            Cg, Xg = Cs[grp], Xs[grp, sl]
+            L, R = (Xg, Cg.swapaxes(1, 2)) if few else (Cg, Xg.swapaxes(1, 2))
+            shape = L.shape[:2] + R.shape[2:]
+            if buf is None:
+                buf = np.empty(shape[0] * shape[1] * shape[2])
+            dots = buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
+            out[grp, sl] = reduce(np.matmul(L, R, out=dots), 2 if few else 1)
+    return out if C.ndim == 3 else out[0]
 
 
 def _frames(U):
@@ -329,25 +337,31 @@ def chords(P, bases, direction):
     """Clip the lines base + t*direction against every facet half-space.
 
     Returns arrays (f, g) with one entry per row of bases, NaN where the line
-    misses P; endpoints lie on the boundary to ~1e-9 of the body scale.
+    misses P; endpoints lie on the boundary to ~1e-9 of the body scale.  The
+    bases go in chunks of about _CHUNK_BYTES of (base, facet) arrays, in one
+    pass when they fit.
     """
     den = P.facet_normals @ direction                            # (F,)
-    num = P.facet_offsets[None, :] - bases @ P.facet_normals.T   # (N, F)
     scale = float(np.max(np.abs(P.vertices))) or 1.0
     # den is a cosine times |direction|, whatever the body's size
     tol = 1e-12 * float(np.linalg.norm(direction))
-    lo = np.full(bases.shape[0], -np.inf)
-    hi = np.full(bases.shape[0], np.inf)
     pos = den > tol
     neg = den < -tol
     par = ~pos & ~neg
-    if np.any(pos):
-        hi = np.min(num[:, pos] / den[pos], axis=1)
-    if np.any(neg):
-        lo = np.max(num[:, neg] / den[neg], axis=1)
-    miss = ~np.isfinite(lo) | ~np.isfinite(hi) | (lo > hi + 1e-9 * scale)
-    if np.any(par):
-        miss |= np.any(num[:, par] < -1e-9 * scale, axis=1)
+    n = bases.shape[0]
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    miss = np.zeros(n, dtype=bool)
+    # the offsets less the products, and their quotients by den: ~24 bytes a facet
+    for sl in _chunks(n, 24 * den.size):
+        num = P.facet_offsets[None, :] - bases[sl] @ P.facet_normals.T   # (N, F)
+        if np.any(pos):
+            hi[sl] = np.min(num[:, pos] / den[pos], axis=1)
+        if np.any(neg):
+            lo[sl] = np.max(num[:, neg] / den[neg], axis=1)
+        if np.any(par):
+            miss[sl] = np.any(num[:, par] < -1e-9 * scale, axis=1)
+    miss |= ~np.isfinite(lo) | ~np.isfinite(hi) | (lo > hi + 1e-9 * scale)
     mid = 0.5 * (lo + hi)
     lo = np.minimum(lo, mid)
     hi = np.maximum(hi, mid)

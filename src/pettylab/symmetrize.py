@@ -18,7 +18,7 @@ functionals.q_direction evaluates exactly without building it.
 import numpy as np
 
 from .errors import FlatBodyError, InputError, SymmetryError
-from .geom import chords, convex_hull, cross, plane_basis, slice_quadratics, unitize
+from .geom import _chunks, chords, convex_hull, cross, plane_basis, slice_quadratics, unitize
 from .revolution import RevolutionBody
 from .zonotope import z_shadow_area
 
@@ -65,25 +65,34 @@ def _roof_floor_edges(P, nu):
 
 
 def _projected_edge_crossings(P, nu, e1, e2):
-    """2-D transversal intersections of projected roof and floor edges."""
+    """2-D transversal intersections of projected roof and floor edges.
+
+    Roof edges go against all floor edges in chunks of about _CHUNK_BYTES of
+    (roof, floor) arrays, in order, so the points are those of one pass.
+    """
     verts2 = np.column_stack([P.vertices @ e1, P.vertices @ e2])
     roof, floor = _roof_floor_edges(P, nu)
     if roof.shape[0] == 0 or floor.shape[0] == 0:
         return np.empty((0, 2))
-    a1 = verts2[roof[:, 0]][:, None, :]
-    d1 = (verts2[roof[:, 1]] - verts2[roof[:, 0]])[:, None, :]
+    a1_all = verts2[roof[:, 0]]
+    d1_all = verts2[roof[:, 1]] - verts2[roof[:, 0]]
     a2 = verts2[floor[:, 0]][None, :, :]
     d2 = (verts2[floor[:, 1]] - verts2[floor[:, 0]])[None, :, :]
-    rhs = a2 - a1
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     scale = float(np.max(np.abs(verts2))) or 1.0
-    ok = np.abs(det) > 1e-12 * scale * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rhs[..., 0] * d2[..., 1] - rhs[..., 1] * d2[..., 0]) / det
-        s = (rhs[..., 0] * d1[..., 1] - rhs[..., 1] * d1[..., 0]) / det
-    ok &= (t > 1e-12) & (t < 1.0 - 1e-12) & (s > 1e-12) & (s < 1.0 - 1e-12)
-    ri, fi = np.nonzero(ok)
-    return (a1[:, 0, :][ri] + t[ok][:, None] * d1[:, 0, :][ri])
+    points = []
+    # rhs, det, t, s and their masks: ~100 bytes a pair
+    for sl in _chunks(roof.shape[0], 100 * floor.shape[0]):
+        a1, d1 = a1_all[sl][:, None, :], d1_all[sl][:, None, :]
+        rhs = a2 - a1
+        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        ok = np.abs(det) > 1e-12 * scale * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rhs[..., 0] * d2[..., 1] - rhs[..., 1] * d2[..., 0]) / det
+            s = (rhs[..., 0] * d1[..., 1] - rhs[..., 1] * d1[..., 0]) / det
+        ok &= (t > 1e-12) & (t < 1.0 - 1e-12) & (s > 1e-12) & (s < 1.0 - 1e-12)
+        ri, _ = np.nonzero(ok)
+        points.append(a1[:, 0, :][ri] + t[ok][:, None] * d1[:, 0, :][ri])
+    return np.concatenate(points)
 
 
 def chord_profile(P, nu):

@@ -17,9 +17,12 @@ Shadows are the one primitive (`z_shadow_area`): the support of Pi^2 K is
 the shadow of Pi K.  A shadow is summed over generator pairs, or, for many
 generators, walked as the zonogon boundary in angular order (O(n log n) per
 direction); both are exact, and both run over chunks of directions of
-bounded size.  A pair shadow and a support are the same sum, of |<c, x>|
-over the pair rows or over the generators, and geom's one kernel of
-reductions over rows takes both (`_reduce_dots`).
+bounded size.  Either gives, from the same evaluation, the vertex of the
+projection body that supports the direction (`z_shadow_vertices`), which
+bounds the shadow in every other direction from below.  A pair shadow and a
+support are the same sum, of |<c, x>| over the pair rows or over the
+generators, and geom's one kernel of reductions over rows takes both
+(`_reduce_dots`).
 
 The pairs of Pi Z's generators come in closed form from one table of triple
 determinants D_ijk = det(x_i, x_j, x_k) (`pi2_rows`).  With c_ij = x_i x x_j,
@@ -31,7 +34,8 @@ C(C(n, 2), 2): 20 for 45 at n = 5, 218 for 378 at n = 8.  The same table
 gives the volume, so P, M and m of a zonotope round through one set of
 determinants.  Crosses, determinants, rows and flatness also take stacks
 (b, n, 3) of zonotopes of one size; `stack_ratios` forms them once for a
-stack and sums each member on its own, so each gets its own ratio.
+stack and sums all members in one product, each as on its own, so each gets
+its own ratio.
 """
 
 import itertools
@@ -40,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _chunks, _frames, _reduce_dots, as_vec, convex_hull, cross, unit_rows
+from .geom import _abs_sum, _chunks, _frames, _reduce_dots, as_vec, convex_hull, cross, unit_rows
 
 # Sort axis of merge_parallel; any unit vector works, a generic one keeps the
 # windows of near-equal keys short for structured inputs.
@@ -291,20 +295,41 @@ def _pair_rows(Z):
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
-def z_shadow_area(Z, X):
+def z_shadow_area(Z, X, d=None):
     """Shadow areas V_2(Z | x^perp) = 4 * sum over pairs of |det(x_i, x_j, x)|.
 
     One value per row of X, or one value for a single direction x; the value
-    scales with |x|.  Exact on either path (see _pair_path).
+    scales with |x|.  Exact on either path (see _pair_path), which is priced
+    for d directions, by default the rows of X: rows of one grid evaluated
+    in parts pass the grid's size, so each part takes the grid's path.
     """
     Z = as_set(Z)
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
-    if _pair_path(len(Z), Xs.shape[0], _pair_rows(Z)):
+    if _pair_path(len(Z), Xs.shape[0] if d is None else d, _pair_rows(Z)):
         out = 4.0 * _reduce_dots(Z._crosses, Xs)
     else:
         out = _sorted_shadow(Z.gens, Xs)
     return out[0] if X.ndim == 1 else out
+
+
+def z_shadow_vertices(Z, X, d=None):
+    """Shadows z_shadow_area(Z, X) and the vertices of Pi Z that support them: (values, V).
+
+    V[i] is a vertex v of Pi Z with <v, X[i]> = h_{Pi Z}(X[i]), the shadow,
+    so h_{Pi Z}(y) >= <v, y> for every y (a support function is the max of
+    <v, y> over its body): each vertex bounds every other shadow from below.
+    Pi Z is the zonotope of the 4 x_i x x_j, and v = 4 sum_{i<j}
+    sign(det(x_i, x_j, x)) x_i x x_j, from the signs of the pair products or
+    from the prefix sums of the zonogon walk (_sorted_shadow), on the path
+    z_shadow_area(Z, X, d) takes.  The values are z_shadow_area's, to the
+    last-bit rounding by which BLAS can tell chunks of other widths apart.
+    """
+    Z = as_set(Z)
+    X = np.asarray(X, dtype=float)
+    if _pair_path(len(Z), X.shape[0] if d is None else d, _pair_rows(Z)):
+        return _pair_shadow(Z._crosses, X)
+    return _sorted_shadow(Z.gens, X, vertices=True)
 
 
 def stack_ratios(G):
@@ -312,7 +337,9 @@ def stack_ratios(G):
 
     Row i is functionals.ratio(Z, Z.candidates) for Z = GeneratorSet(G[i]),
     bit for bit: crosses, determinants, Pi^2 rows and candidates are formed
-    for the stack, and each member's support and shadow are summed alone.
+    for the stack, and the supports and shadows of all members are summed
+    by one stacked _reduce_dots each, which gives every member the values of
+    a call of its own.
     A member it cannot take (flat, with a zero cross or Pi^2 row, or whose
     shadows walk zonogons) has ok[i] False and a row of NaN.
     """
@@ -328,11 +355,12 @@ def stack_ratios(G):
     ok = (~is_flat(G) & np.all(_nonzero(C), axis=-1) & np.all(_nonzero(R), axis=-1)
           & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
     values = np.full(X.shape[:2], np.nan)
-    for i in np.flatnonzero(ok):
-        den = _reduce_dots(G[i], X[i]) * (8.0 * np.sum(np.abs(D[i])))
+    if ok.any():
+        X = X[ok]
+        den = _reduce_dots(G[ok], X) * (8.0 * np.sum(np.abs(D[ok]), axis=-1))[:, None]
         if (den <= 0.0).any():
             raise InputError("support must be positive in every requested direction")
-        values[i] = 4.0 * _reduce_dots(R[i], X[i]) / den
+        values[ok] = 4.0 * _reduce_dots(R[ok], X) / den
     return values, ok
 
 
@@ -346,20 +374,31 @@ def _line_units(U):
     return U * sign[:, None]
 
 
-def _sorted_shadow(G, X):
+def _sorted_shadow(G, X, vertices=False):
     """Zonogon areas of G projected along each row of X, by angular order.
 
     With the projected generators v_i flipped into the upper half-plane and
     sorted by angle, det(v_i, v_j) >= 0 for i < j, so the pair sum is
     sum_j det(v_1 + ... + v_{j-1}, v_j): one prefix sum per direction.
+
+    With vertices, also the vertex of Pi Z supporting each row (see
+    z_shadow_vertices), from the same walk: in the frame (e1, e2, u) of the
+    line of x the flipped generators in that order are w = p e1 + q e2 + r u,
+    and 4 sum_b P_{b-1} x w_b, with P the prefix sums of w, is 4 (A u + B e1
+    + C e2): A the area and B, C the prefix sums of (q, r) and (r, p) taken
+    as A is of (p, q).  Returns (areas, V) then.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     out = np.empty(X.shape[0])
-    # about a dozen float rows of length n live per direction
-    for sl in _chunks(X.shape[0], 96 * G.shape[0]):
+    V = np.empty(X.shape) if vertices else None
+    # about a dozen float rows of length n live per direction, six more for
+    # the vertices
+    for sl in _chunks(X.shape[0], (144 if vertices else 96) * G.shape[0]):
         nx = norms[sl]
+        dirs = X[sl] / np.where(nx > 0.0, nx, 1.0)[:, None]
         # x and -x share one frame, so their shadows agree to the last bit
-        e1, e2 = _frames(_line_units(X[sl] / np.where(nx > 0.0, nx, 1.0)[:, None]))
+        u = _line_units(dirs)
+        e1, e2 = _frames(u)
         p, q = e1 @ G.T, e2 @ G.T
         # the seam: q = 0 with p < 0 flips to angle 0, like q < 0
         # (one multiply by +-1 is exact, -0.0 included, and much cheaper
@@ -367,13 +406,40 @@ def _sorted_shadow(G, X):
         sign = np.where((q < 0.0) | ((q == 0.0) & (p < 0.0)), -1.0, 1.0)
         p *= sign
         q *= sign
+        # each row's angular order as indices into the flattened rows, one
+        # gather per array (np.take_along_axis builds its index per call)
         order = np.argsort(np.arctan2(q, p), axis=1)
-        p = np.take_along_axis(p, order, axis=1)
-        q = np.take_along_axis(q, order, axis=1)
+        order += np.arange(0, order.size, G.shape[0])[:, None]
+        p, q = p.take(order), q.take(order)
         sp, sq = np.cumsum(p, axis=1), np.cumsum(q, axis=1)
         area = np.sum(sp[:, :-1] * q[:, 1:] - sq[:, :-1] * p[:, 1:], axis=1)
         out[sl] = 4.0 * area * nx
-    return out
+        if vertices:
+            r = ((u @ G.T) * sign).take(order)
+            # sum_{a<b} (q_a r_b - r_a q_b) = sum_b r_b (sq_{b-1} + sq_b - sq_n)
+            # with sq_{b-1} = sq_b - q_b, and alike in p: no prefix sum of r
+            b, c = (np.einsum("ij,ij->i", r, 2.0 * s - t - s[:, -1:])
+                    for s, t in ((sq, q), (sp, p)))
+            # u is x/|x| or -x/|x|, and the vertex follows x
+            side = 4.0 * np.sign(np.einsum("ij,ij->i", u, dirs))
+            V[sl] = side[:, None] * (area[:, None] * u + b[:, None] * e1 - c[:, None] * e2)
+    return (out, V) if vertices else out
+
+
+def _pair_shadow(C, X):
+    """(4 sum_r |<r, x>|, 4 sum_r sign(<r, x>) r) per row x of X (d, 3) over the rows r of C.
+
+    The pair shadow and the vertex supporting it, from one set of products
+    in _reduce_dots' (m, d) layout, over chunks of directions of about
+    _CHUNK_BYTES (products and their signs).
+    """
+    out = np.empty(X.shape[0])
+    V = np.empty(X.shape)
+    for sl in _chunks(X.shape[0], 16 * C.shape[0]):
+        dots = C @ X[sl].T
+        V[sl] = 4.0 * (np.sign(dots).T @ C)
+        out[sl] = 4.0 * _abs_sum(dots, 0)
+    return out, V
 
 
 def second_proj_support(Z, x):

@@ -513,6 +513,106 @@ class TestPrunedQGrid:
         assert rep.Q == np.max(q_direction(tetrahedron, X))
 
 
+def _sphere_hull(seed, n):
+    """Symmetric hull of n seeded pairs of unit vectors: every point a vertex."""
+    p = np.random.default_rng(seed).standard_normal((n, 3))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    return convex_hull(np.vstack([p, -p]), symmetric=True)
+
+
+def _m_pruning_bodies():
+    """The fixtures, a rotated cube, seeded symmetric hulls of 30-100 pairs, zonotopes of 12-24."""
+    rot = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    rot *= np.sign(np.linalg.det(rot))
+    bodies = [("cube", fixtures.cube()), ("cube-zonotope", fixtures.cube_zonotope()),
+              ("rotated-cube", fixtures.cube_zonotope().map_linear(rot)),
+              ("octahedron", fixtures.octahedron()), ("icosphere2", fixtures.icosphere(2)),
+              ("cylinder", fixtures.cylinder_profile()),
+              ("double-cone", fixtures.double_cone_profile())]
+    for n in (30, 45, 60, 80, 100):
+        bodies.append((f"hull{n}", _sphere_hull(n, n)))
+    for n in (12, 16, 20, 24):
+        bodies.append((f"zonotope{n}", fixtures.random_zonotope(np.random.default_rng(n), n)))
+    return [pytest.param(B, id=name) for name, B in bodies]
+
+
+class TestPrunedMGrid:
+    """m alone evaluates the ratio only where its lower bound by vertices of Pi^2 B can win."""
+
+    @pytest.mark.parametrize("B", _m_pruning_bodies())
+    def test_rows_that_can_win_are_exact(self, B):
+        B = functionals._realized(B)
+        X = np.vstack([fibonacci_sphere(2048), np.eye(3), B.candidates])
+        full = ratio(B, X)
+        pruned = functionals._grid_ratios(B, X, 2048)
+        exact = np.isfinite(pruned)
+        # the axes and candidates always, for M; a skipped row is above the minimum
+        assert exact[2048:].all()
+        assert pruned[exact] == pytest.approx(full[exact], rel=1e-14)
+        assert exact[full <= np.min(full) * (1.0 + 1e-12)].all()
+        # the first row of a tie, or one whose ratio equals it to rounding
+        i, j = int(np.argmin(full)), int(np.argmin(pruned))
+        assert pruned[j] == pytest.approx(full[i], rel=1e-14)
+        if i != j:
+            assert full[j] == pytest.approx(full[i], rel=1e-14)
+
+    @pytest.mark.parametrize("refine", [0, 50])
+    @pytest.mark.parametrize("B", _m_pruning_bodies())
+    def test_pruned_grid_equals_full_grid(self, monkeypatch, B, refine):
+        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", 0)
+        pruned = invariants(B, refine=refine, want=("M", "m"))
+        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", math.inf)
+        full = invariants(B, refine=refine, want=("M", "m"))
+        assert pruned.M == pytest.approx(full.M, rel=1e-14)
+        assert pruned.m == pytest.approx(full.m, rel=1e-14)
+        if not np.array_equal(pruned.m_dir, full.m_dir):
+            assert ratio(B, pruned.m_dir) == pytest.approx(ratio(B, full.m_dir), rel=1e-14)
+
+    def _rows(self, monkeypatch):
+        """Count the directions of exact ratios and of vertices asked for."""
+        rows = {"exact": [], "vertices": []}
+        shadow, vertices = functionals.z_shadow_area, functionals.z_shadow_vertices
+        monkeypatch.setattr(functionals, "z_shadow_area",
+                            lambda Z, X, *d: rows["exact"].append(len(np.atleast_2d(X)))
+                            or shadow(Z, X, *d))
+        monkeypatch.setattr(functionals, "z_shadow_vertices",
+                            lambda Z, X, *d: rows["vertices"].append(len(X))
+                            or vertices(Z, X, *d))
+        return rows
+
+    @pytest.mark.parametrize("name, B, most", [
+        ("icosphere2", fixtures.icosphere(2), 200),
+        ("zonotope24", fixtures.random_zonotope(np.random.default_rng(24), 24), 100),
+        ("hull100", _sphere_hull(100, 100), 100)])
+    def test_few_grid_rows_left_to_evaluate(self, monkeypatch, name, B, most):
+        rows = self._rows(monkeypatch)
+        rep = invariants(B, refine=0, want=("P", "M", "m"))
+        assert rows["vertices"] == [functionals._COARSE + 3 + len(B.candidates)]
+        assert sum(rows["exact"]) <= most
+        X = np.vstack([fibonacci_sphere(2048), np.eye(3), B.candidates])
+        assert rep.m == pytest.approx(np.min(ratio(B, X)), rel=1e-14)
+
+    def test_cylinder_keeps_every_row(self, monkeypatch):
+        # its ratio is 8 in every direction, to rounding: no bound can drop a row
+        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", 0)
+        rows = self._rows(monkeypatch)
+        invariants(fixtures.cylinder_profile(), refine=0, want=("m",))
+        assert sum(rows["exact"]) == 2048 - functionals._COARSE
+
+    @pytest.mark.parametrize("want", [("m",), ("m", "Q")])
+    def test_small_bodies_and_Q_take_the_full_grid(self, monkeypatch, want):
+        # below _M_PRUNE_MIN generators of Pi B, and with Q, whose bound is
+        # the ratio on every row, the grid's ratios come in one call
+        rows = self._rows(monkeypatch)
+        small = fixtures.random_symmetric_polytope(np.random.default_rng(6), 6)
+        assert len(small.pi_body) < functionals._M_PRUNE_MIN
+        invariants(small, grid=256, refine=0, want=("m",))
+        large = fixtures.icosphere(2)
+        invariants(large, grid=256, refine=0, want=want)
+        assert rows["vertices"] == ([] if "Q" in want else [256 // (256 // functionals._COARSE)
+                                                             + 3 + len(large.candidates)])
+
+
 class TestInvariants:
     def test_cube_all_eight(self):
         rep = invariants(fixtures.cube_zonotope(), grid=512, refine=20)

@@ -1,6 +1,7 @@
 """Steiner/Schwartz symmetrization: exactness, monotonicity, rounding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from pettylab import (FlatBodyError, InputError, SymmetryError, axis_ratio,
 from pettylab.geom import unitize
 from pettylab.revolution import rev_volume
 from pettylab.suites import _rng
-from pettylab.symmetrize import roundness, steiner_rounding_run
-from pettylab import fixtures
+from pettylab.symmetrize import _projected_edge_crossings, roundness, steiner_rounding_run
+from pettylab import fixtures, geom
 
 E1, E2, E3 = np.eye(3)
 
@@ -89,6 +90,26 @@ class TestSteiner:
         assert S2.volume == pytest.approx(S1.volume, rel=1e-9)
         d = np.sqrt(((S2.vertices[:, None, :] - S1.vertices[None, :, :]) ** 2).sum(-1))
         assert d.min(axis=1).max() <= 1e-7
+
+    def test_memory_is_bounded(self, monkeypatch):
+        # the roof-by-floor crossings and the base-by-facet chords go in
+        # chunks: 300 pairs of unit vectors peaked at ~50 MiB in one pass
+        p = np.random.default_rng(300).standard_normal((300, 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        P = convex_hull(np.vstack([p, -p]), symmetric=True)
+        tracemalloc.start()
+        try:
+            S = steiner(P, E3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert S.volume == pytest.approx(P.volume, rel=1e-9)
+        # the chunks' crossings are those of one pass, in order, bit for bit
+        e1, e2 = np.eye(3)[:2]
+        chunked = _projected_edge_crossings(P, E3, e1, e2)
+        monkeypatch.setattr(geom, "_CHUNK_BYTES", 2**40)
+        assert np.array_equal(chunked, _projected_edge_crossings(P, E3, e1, e2))
 
     def test_flat_rejected(self):
         with pytest.raises((FlatBodyError, InputError)):

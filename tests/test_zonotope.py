@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -13,9 +13,9 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       convex_hull, fibonacci_sphere, mixed_volume, ratio,
                       second_proj_support, z_shadow_area, z_volume)
 from pettylab.geom import _FEW_DIRECTIONS, _chunks, _reduce_dots, plane_basis
-from pettylab.zonotope import (_pair_path, _sorted_shadow, merge_parallel, pair_crosses,
-                               pi2_rows, stack_ratios, triple_dets, zonogon_area,
-                               zonotope_vertices)
+from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
+                               pair_crosses, pi2_rows, stack_ratios, triple_dets,
+                               z_shadow_vertices, zonogon_area, zonotope_vertices)
 from pettylab import fixtures, zonotope
 
 E1, E2, E3 = np.eye(3)
@@ -321,6 +321,50 @@ def test_shadow_paths_agree(seed, n, kind):
         assert np.all(np.abs(got - oracle[:m]) <= tol[:m])
 
 
+def _vertex_paths(G, X):
+    """(values, V) of the pair sum and of the walk over the generators G at X."""
+    return _pair_shadow(pair_crosses(G), X), _sorted_shadow(G, X, vertices=True)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([4, 7, 30, 90]),
+       st.sampled_from(["generic", "parallel", "along-x", "seam"]))
+@settings(max_examples=40, deadline=None)
+def test_shadow_vertices_support_their_shadows(seed, n, kind):
+    # on both paths v(x) is a point of Pi Z where <., x> reaches the shadow,
+    # so <v(y), x> stays below the shadow at x for every y
+    rng = np.random.default_rng(seed)
+    G = _degenerate(rng, rng.standard_normal((n, 3)), kind)
+    X = rng.standard_normal((80, 3))
+    X[0] = [0.0, 0.0, 2.5]             # non-unit x on the seam of the rows above
+    X[1] = G[-1]                       # a generator direction
+    X[2] = 0.3 * G[0] - 1.7 * G[1]     # in the plane of two generators
+    X[3] = -X[2]
+    Y = rng.standard_normal((50, 3))
+    Y[:4] = X[:4]
+    h = 4.0 * _reduce_dots(pair_crosses(G), X)
+    # of the area scale where parallel rows cancel to ~0, as in a flat body
+    slack = 1e-14 * np.sum(np.linalg.norm(G, axis=1)) ** 2 * np.linalg.norm(X, axis=1)
+    for (values, V), (_, VY) in zip(_vertex_paths(G, X), _vertex_paths(G, Y)):
+        assert np.all(np.abs(values - h) <= np.maximum(1e-14 * h, slack))
+        assert np.all(np.abs(np.einsum("ij,ij->i", V, X) - h) <= np.maximum(1e-14 * h, slack))
+        assert np.all(X @ VY.T <= (h * (1.0 + 1e-12) + slack)[:, None])
+
+
+@pytest.mark.parametrize("n", [5, 12, 16])
+def test_shadow_vertices_of_pi2(n):
+    # Pi Z's rows are pi2_rows, merged: 5 and 12 generators take the pair
+    # sum, 16 the walk; a polytope's Pi has merged facet generators
+    rng = np.random.default_rng(n)
+    X, Y = rng.standard_normal((300, 3)), rng.standard_normal((200, 3))
+    for B in (GeneratorSet(rng.standard_normal((n, 3))),
+              fixtures.random_symmetric_polytope(rng, 2 * n)):
+        h = z_shadow_area(B.pi_body, X)
+        values, V = z_shadow_vertices(B.pi_body, X)
+        assert values == pytest.approx(h, rel=1e-14)
+        assert np.einsum("ij,ij->i", V, X) == pytest.approx(h, rel=1e-14)
+        assert np.all(X @ z_shadow_vertices(B.pi_body, Y)[1].T <= h[:, None] * (1.0 + 1e-12))
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 12]))
 @settings(max_examples=15, deadline=None)
 def test_second_support_from_shadow_paths(seed, n):
@@ -469,14 +513,18 @@ def test_protocol_agrees_with_vertex_hull(seed):
     assert P.pi_body.support(X) == pytest.approx(Z.pi_body.support(X), rel=1e-9)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(3, 8),
+@given(st.integers(0, 2**32 - 1), st.integers(3, 13),
        st.lists(st.sampled_from(["generic", "zero-cross", "flat", "coplanar-four"]),
                 min_size=1, max_size=5))
+@example(7, 11, ["generic", "zero-cross", "generic"])
+@example(7, 13, ["generic", "generic", "flat", "generic"])
 @settings(max_examples=60, deadline=None)
 def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds):
     # every candidate's value, not only the max; a member with a zero cross,
     # with all generators in a plane or with a zero Pi^2 row (four coplanar
-    # generators) is left out of the stack
+    # generators) is left out of the stack.  From 11 generators on the 66 and
+    # more candidates take the (rows, directions) layout, and at 13 the
+    # shadow's products go in two chunks of directions
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((len(kinds), n, 3))
     for g, kind in zip(G, kinds):
