@@ -42,8 +42,8 @@ EXIT_BODY = 3
 EXIT_SUITE = 4
 
 # Largest --grid.  Supports and shadows run in chunks of directions, so at
-# this size icosphere3's m peaks near 80 MB, but it takes about 5 s, and the
-# time and the grid's own arrays grow with the grid.
+# this size icosphere3's m peaks near 78 MB and takes about 0.7 s (one core,
+# in-process), but the time and the grid's own arrays grow with the grid.
 GRID_MAX = 100_000
 
 # Largest --samples.  The suites draw their samples up front; at this size

@@ -39,7 +39,7 @@ from .errors import InputError, LimitError, SymmetryError
 from .geom import (_chunks, _count, _reduce_dots, as_vec, convex_hull, cross, fibonacci_sphere,
                    plane_basis, slice_quadratics, unitize)
 from .revolution import RevolutionBody
-from .zonotope import z_shadow_area, z_shadow_vertices
+from .zonotope import z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
@@ -363,10 +363,9 @@ def _chart_refine(fn, x0, v0, maximize, steps):
     return F[:, 0], v0
 
 
-# Q on the grid evaluates q in descending order of the ratio, and m alone the
-# ratio in ascending order of a lower bound, in batches of _FIRST_BATCH rows,
-# then twice as many each time, and each stops where the bound passes the
-# best value by the margin
+# _scan's batches: _FIRST_BATCH rows, then twice as many each time; a lower
+# bound less _PRUNE_MARGIN of its size covers the rounding of the bound and
+# of the value
 _FIRST_BATCH = 64
 _PRUNE_MARGIN = 1e-9
 # fewest grid rows at which Q alone evaluates the ratios to prune its grid.
@@ -376,86 +375,40 @@ _PRUNE_MARGIN = 1e-9
 # at 95 rows (8 pairs, grid 48) 0.80 and at 125 (5 pairs, grid 96) 0.86; at
 # 1,000 rows and more it takes half or less.  With m the ratios are there.
 _PRUNE_MIN = 96
-# m alone evaluates the ratio exactly at _COARSE rows spread over the grid,
-# the axes and the candidates, with the vertices of Pi^2 B supporting them,
-# and bounds the other rows by those vertices (_grid_ratios), from
-# _M_PRUNE_MIN generators of Pi B on.  Measured with numpy 2 on one core,
-# invariants(want=P,M,m) on the 2,048-point grid against the full grid
-# (median of 31 alternating runs): symmetric hulls of 20-28 pairs of unit
-# vectors (38-54 generators) took 1.25-0.97 times as long, falling with
-# size, a Gaussian zonotope of 11 generators (55) 1.01, a hull of 30 pairs
-# (58), the double cone (64) and a zonotope of 12 (66) 0.72-0.80,
-# icosphere2 (160) and zonotopes of 14-24 generators 0.52-0.67.  A body
-# whose ratio is nearly constant keeps every row: the cylinder (33), whose
-# ratio is 8 everywhere, would take 1.48 times as long.
-_COARSE = 128
+# m alone evaluates the ratio exactly at the axes and the candidates, with
+# the vertices of Pi^2 B supporting them, and bounds the grid's rows by
+# those vertices (_grid_ratios), from _M_PRUNE_MIN generators of Pi B on.
+# Measured with numpy 2 on one core, invariants(want=P,M,m) on the 2,048-point
+# grid against the full grid (median of 21 alternating runs): symmetric hulls
+# of 20-30 pairs of unit vectors (38-58 generators) took 0.58-0.73 times as
+# long, a Gaussian zonotope of 11 generators (55) 0.81, the double cone (64)
+# 0.61, icosphere2 (160) and zonotopes of 12-24 generators 0.48-0.68; the
+# cylinder (33), whose ratio is 8 everywhere, keeps every row and took 1.22
+# times as long.  The tiny bodies of the suites and searches keep the
+# crossover this high: pruning every body took verify theorem-1-2 22%
+# longer and a min-m-symmetric search on 6 pairs 13%.
 _M_PRUNE_MIN = 56
 # the grid and refinement steps of m and Q in invariants, and compute's defaults
 GRID, REFINE = 2048, 50
-# the grid and refinement steps of m in sl_invariance_check
-SL_GRID, SL_REFINE = 2048, 60
+# the refinement steps of m in sl_invariance_check
+SL_REFINE = 60
 
 
-def _grid_max_q(B, X, bound=None):
-    """(i, q) of the largest q_direction over the rows of X, at np.argmax's index.
+def _scan(fn, lower, out):
+    """out with fn(rows) filled in where its lower bound can still reach the least value.
 
-    bound, if given, holds ratio(B, x) per row, an upper bound of q(B, x):
-    Schwartz symmetrization about x never raises the ratio, and the
-    symmetral's ratio at its axis is q (verify schwartz-monotone checks it).
-    The rows go in descending order of bound, in growing batches, until
-    bound (1 + _PRUNE_MARGIN) is below the best q so far; every row left has a
-    smaller q, so the value and the first index of a tie are those of the
-    full grid.  The margin covers the rounding of both evaluators.
+    out holds the values known already and +inf at the other rows; lower
+    bounds fn's value at each row, +inf at the known ones.  The rows go in
+    ascending order of lower (1 - _PRUNE_MARGIN sign(lower)), in batches of
+    _FIRST_BATCH rows, then twice as many each time, until that is above the
+    least value so far: every row left has a larger value, so the minimum
+    and its first row on a tie are those of the full evaluation, and every
+    row that ties the minimum is evaluated.  The others keep +inf.
     """
-    if bound is None:
-        q = q_direction(B, X)
-    else:
-        order = np.argsort(-bound, kind="stable")
-        cap = bound[order] * (1.0 + _PRUNE_MARGIN)
-        q = np.full(len(X), -np.inf)
-        done, size, best = 0, _FIRST_BATCH, -np.inf
-        while done < len(X) and cap[done] >= best:
-            # rows at and past the first cap below best cannot win
-            stop = min(done + size, int(np.searchsorted(-cap, -best, side="right")))
-            rows = order[done:stop]
-            q[rows] = q_direction(B, X[rows])
-            best = max(best, float(np.max(q[rows])))
-            done, size = stop, 2 * size
-    i = int(np.argmax(q))
-    return i, float(q[i])
-
-
-def _grid_ratios(B, X, grid):
-    """ratio(B, X) at the rows of X that may hold its minimum, +inf at the others.
-
-    X is a grid of `grid` rows, then the axes and the candidates.  The
-    ratio is exact at _COARSE rows spread over the grid and at every row
-    after it, and the vertices v(y) of Pi^2 B supporting those rows come
-    with it (z_shadow_vertices).  A support function is the max of <v, x>
-    over its body, so h_{Pi^2 B}(x) >= max_y <v(y), x>, and dividing by
-    h_B(x) V(B) bounds the ratio of every other grid row from below.  Those
-    rows go in ascending order of bound, in growing batches, until bound
-    (1 - _PRUNE_MARGIN) is above the least ratio so far: every row left has
-    a larger ratio, so the minimum and the first index of a tie are those of
-    the full grid.  The margin covers the rounding of the vertices and of
-    the shadows.
-    """
-    h = B.support(X)
-    if (h <= 0.0).any():
-        raise InputError("support must be positive in every requested direction")
-    step = max(1, grid // _COARSE)
-    coarse = np.r_[0:grid:step, grid:len(X)]
-    # every part takes the path of one call over X, so its ratios are those
-    # of the full grid
-    num, V = z_shadow_vertices(B.pi_body, X[coarse], len(X))
-    found = [(coarse, num / (h[coarse] * B.volume))]
-    best = float(np.min(found[0][1]))
-    cap = _reduce_dots(V, X[:grid], True)
-    cap *= (1.0 - _PRUNE_MARGIN) / B.volume
-    cap /= h[:grid]
-    cap[::step] = np.inf
+    best = float(np.min(out))
+    cap = lower * (1.0 - _PRUNE_MARGIN * np.sign(lower))
     # best only falls, so a row whose cap is above it now never wins; the
-    # rest are few, and only they are sorted
+    # rest are sorted
     live = np.flatnonzero(cap <= best)
     cap = cap[live]
     order = np.argsort(cap, kind="stable")
@@ -465,13 +418,33 @@ def _grid_ratios(B, X, grid):
         # rows at and past the first cap above best cannot win
         stop = min(done + size, int(np.searchsorted(cap, best, side="right")))
         rows = live[done:stop]
-        found.append((rows, z_shadow_area(B.pi_body, X[rows], len(X)) / (h[rows] * B.volume)))
-        best = min(best, float(np.min(found[-1][1])))
+        out[rows] = fn(rows)
+        best = min(best, float(np.min(out[rows])))
         done, size = stop, 2 * size
-    out = np.full(len(X), np.inf)
-    for rows, values in found:
-        out[rows] = values
     return out
+
+
+def _grid_ratios(B, X, grid):
+    """ratio(B, X) at the rows of X that may hold its minimum, +inf at the others.
+
+    X is a grid of `grid` rows, then the axes and the candidates.  The
+    ratio is exact at the rows after the grid, and the vertices v(y) of
+    Pi^2 B supporting them come with it (z_shadow_area with vertices).  A
+    support function is the max of <v, x> over its body, so h_{Pi^2 B}(x)
+    >= max_y <v(y), x>, and dividing by h_B(x) V(B) bounds the ratio of
+    every grid row from below; _scan evaluates the rows that bound can
+    leave in the running.  Every part takes the path of one call over X, so
+    its ratios are those of the full grid.
+    """
+    h = B.support(X)
+    if (h <= 0.0).any():
+        raise InputError("support must be positive in every requested direction")
+    hv = h * B.volume
+    out, lower = np.full(len(X), np.inf), np.full(len(X), np.inf)
+    num, V = z_shadow_area(B.pi_body, X[grid:], len(X), vertices=True)
+    out[grid:] = num / hv[grid:]
+    lower[:grid] = _reduce_dots(V, X[:grid], True) / hv[:grid]
+    return _scan(lambda rows: z_shadow_area(B.pi_body, X[rows], len(X)) / hv[rows], lower, out)
 
 
 class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")):
@@ -487,7 +460,7 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     axes, the candidates and a Fibonacci sphere of `grid` points, and polish
     the extremum by at most refine - 1 Nelder-Mead steps in a chart about it
     (_chart_refine).  On a symmetric body Q's grid skips the rows where the
-    ratio, an upper bound of q, cannot beat the best q (_grid_max_q).  m
+    ratio, an upper bound of q, cannot beat the best q (_scan on -q).  m
     without Q skips, from _M_PRUNE_MIN generators of Pi B on, the rows where
     a lower bound of the ratio by vertices of Pi^2 B cannot beat the best
     ratio (_grid_ratios); either way the grid value and its row are the full
@@ -520,30 +493,34 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     if want & {"M", "m"}:
         tail = ratios[len(ratios) - len(C):]
         found["M"] = C[np.argmax(tail)], float(np.max(tail))
-    for name, fn, maximize in (("m", ratio, False), ("Q", q_direction, True)):
+    for name, fn, sign in (("m", ratio, 1.0), ("Q", q_direction, -1.0)):
         if name not in want:
             continue
-        if maximize:
-            i, v = _grid_max_q(B, X, ratios if prune else None)
+        if name == "m":
+            values = ratios
+        elif prune:
+            # Schwartz symmetrization about x never raises the ratio, and the
+            # symmetral's ratio at its axis is q (verify schwartz-monotone)
+            values = _scan(lambda rows: -q_direction(B, X[rows]), -ratios,
+                           np.full(len(X), np.inf))
         else:
-            i = int(np.argmin(ratios))
-            v = float(ratios[i])
-        x = X[i]
+            values = -q_direction(B, X)
+        i = int(np.argmin(values))
+        x, v = X[i], sign * float(values[i])
         if refine > 0:
-            x, v = _chart_refine(partial(fn, B), x, v, maximize, refine)
+            x, v = _chart_refine(partial(fn, B), x, v, sign < 0.0, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
     return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir)
 
 
-
 def sl_invariance_check(B, T):
-    """Max relative deviation of M and m under a map of det 1 (m on SL_GRID, SL_REFINE)."""
+    """Max relative deviation of M and m under a map of det 1 (m on GRID, SL_REFINE)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")
     if not hasattr(B, "map_linear"):
         raise InputError("invariance check needs a polytope or zonotope")
-    r0, r1 = (invariants(K, grid=SL_GRID, refine=SL_REFINE, want=("M", "m"))
+    r0, r1 = (invariants(K, refine=SL_REFINE, want=("M", "m"))
               for K in (B, B.map_linear(T)))
     return max(abs(r1.M - r0.M) / abs(r0.M), abs(r1.m - r0.m) / abs(r0.m))

@@ -105,11 +105,26 @@ class SearchRun(namedtuple("SearchRun", "objective seed n restarts iters best_va
 
     @classmethod
     def load(cls, path):
+        """The run stored at path, re-evaluated; InputError naming a malformed field."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        run = cls(doc["objective"], doc["seed"], doc["n"], doc["restarts"],
-                  doc["iters"], doc["best_value"], np.array(doc["best_config"]),
-                  [tuple(t) for t in doc["trace"]], doc.get("diagnostics", {}))
+        if not isinstance(doc, dict):
+            raise InputError("stored run: expected a JSON object")
+        for field in cls._fields[:-1]:
+            if field not in doc:
+                raise InputError(f"stored run: {field} is missing")
+        if doc["objective"] not in RECORDS:
+            raise InputError(f"objective: unknown {doc['objective']!r}; choose from {OBJECTIVES}")
+        value = doc["best_value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"best_value: expected a number, got {value!r}")
+        trace = doc["trace"]
+        if not isinstance(trace, list) or not all(isinstance(t, list) and len(t) == 3
+                                                  for t in trace):
+            raise InputError("trace: expected a list of [iteration, value, temperature]")
+        config = _config_rows(RECORDS[doc["objective"]], doc["best_config"], "best_config")
+        run = cls(doc["objective"], doc["seed"], doc["n"], doc["restarts"], doc["iters"],
+                  value, config, [tuple(t) for t in trace], doc.get("diagnostics", {}))
         check = evaluate_config(run.objective, run.best_config)
         check_limit(RECORDS[run.objective].quantity, check, label=f"{run.objective}: ")
         if not math.isclose(check, run.best_value, rel_tol=1e-9, abs_tol=1e-12):
@@ -266,11 +281,8 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
         start = _pair_representatives(obj.starts[start]())
     lo, hi = obj.n_range
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        n = len(start) if start.ndim == 2 and start.shape[1] == 3 else 0
-        if not (n >= 3 if obj.build else n == 5) or not np.all(np.isfinite(start)):
-            raise InputError(f"{objective} takes a start of {'at least 3' if obj.build else 5} "
-                             f"finite rows of 3, got shape {start.shape}")
+        start = _config_rows(obj, start, "start")
+        n = len(start)
     elif not lo <= n <= hi:
         raise InputError(f"{objective} searches take n from {lo} to {hi}")
     jobs = [(objective, n, iters, seed, r, start if r == 0 else None)
@@ -289,6 +301,22 @@ def optimize(objective, n=5, restarts=2, iters=1500, seed=0, start=None, threads
     diagnostics = _diagnose(obj, best_config, best_value)
     return SearchRun(objective, seed, n, restarts, iters, float(best_value),
                      best_config, trace, diagnostics)
+
+
+def _config_rows(obj, rows, field):
+    """rows as the float array of a configuration of obj; InputError naming field if not one.
+
+    A body takes at least 3 finite rows of 3, a tuple plus a direction 5.
+    """
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{field}: expected rows of 3 numbers") from None
+    n = len(rows) if rows.ndim == 2 and rows.shape[1] == 3 else 0
+    if not (n >= 3 if obj.build else n == 5) or not np.all(np.isfinite(rows)):
+        raise InputError(f"{field}: {obj.name} takes {'at least 3' if obj.build else 5} "
+                         f"finite rows of 3, got shape {rows.shape}")
+    return rows
 
 
 def _diagnose(obj, config, value):

@@ -18,11 +18,11 @@ the shadow of Pi K.  A shadow is summed over generator pairs, or, for many
 generators, walked as the zonogon boundary in angular order (O(n log n) per
 direction); both are exact, and both run over chunks of directions of
 bounded size.  Either gives, from the same evaluation, the vertex of the
-projection body that supports the direction (`z_shadow_vertices`), which
-bounds the shadow in every other direction from below.  A pair shadow and a
-support are the same sum, of |<c, x>| over the pair rows or over the
-generators, and geom's one kernel of reductions over rows takes both
-(`_reduce_dots`).
+projection body that supports the direction (`z_shadow_area` with
+vertices), which bounds the shadow in every other direction from below.  A
+pair shadow and a support are the same sum, of |<c, x>| over the pair rows
+or over the generators, and geom's one kernel of reductions over rows takes
+both (`_reduce_dots`).
 
 The pairs of Pi Z's generators come in closed form from one table of triple
 determinants D_ijk = det(x_i, x_j, x_k) (`pi2_rows`).  With c_ij = x_i x x_j,
@@ -295,41 +295,33 @@ def _pair_rows(Z):
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
-def z_shadow_area(Z, X, d=None):
+def z_shadow_area(Z, X, d=None, vertices=False):
     """Shadow areas V_2(Z | x^perp) = 4 * sum over pairs of |det(x_i, x_j, x)|.
 
     One value per row of X, or one value for a single direction x; the value
     scales with |x|.  Exact on either path (see _pair_path), which is priced
     for d directions, by default the rows of X: rows of one grid evaluated
     in parts pass the grid's size, so each part takes the grid's path.
+    With vertices, (values, V): V[i] = 4 sum_{i<j} sign(det(x_i, x_j, x))
+    x_i x x_j is the vertex of Pi Z where <., X[i]> reaches the shadow, so
+    h_{Pi Z}(y) >= <V[i], y> for every y and each bounds every other shadow
+    from below.  It comes from the signs of the pair products (_pair_shadow)
+    or the prefix sums of the walk (_sorted_shadow); the values are those
+    without vertices, to the last-bit rounding by which BLAS can tell chunks
+    of other widths apart.
     """
     Z = as_set(Z)
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
-    if _pair_path(len(Z), Xs.shape[0] if d is None else d, _pair_rows(Z)):
-        out = 4.0 * _reduce_dots(Z._crosses, Xs)
+    if not _pair_path(len(Z), Xs.shape[0] if d is None else d, _pair_rows(Z)):
+        out = _sorted_shadow(Z.gens, Xs, vertices)
+    elif vertices:
+        out = _pair_shadow(Z._crosses, Xs)
     else:
-        out = _sorted_shadow(Z.gens, Xs)
-    return out[0] if X.ndim == 1 else out
-
-
-def z_shadow_vertices(Z, X, d=None):
-    """Shadows z_shadow_area(Z, X) and the vertices of Pi Z that support them: (values, V).
-
-    V[i] is a vertex v of Pi Z with <v, X[i]> = h_{Pi Z}(X[i]), the shadow,
-    so h_{Pi Z}(y) >= <v, y> for every y (a support function is the max of
-    <v, y> over its body): each vertex bounds every other shadow from below.
-    Pi Z is the zonotope of the 4 x_i x x_j, and v = 4 sum_{i<j}
-    sign(det(x_i, x_j, x)) x_i x x_j, from the signs of the pair products or
-    from the prefix sums of the zonogon walk (_sorted_shadow), on the path
-    z_shadow_area(Z, X, d) takes.  The values are z_shadow_area's, to the
-    last-bit rounding by which BLAS can tell chunks of other widths apart.
-    """
-    Z = as_set(Z)
-    X = np.asarray(X, dtype=float)
-    if _pair_path(len(Z), X.shape[0] if d is None else d, _pair_rows(Z)):
-        return _pair_shadow(Z._crosses, X)
-    return _sorted_shadow(Z.gens, X, vertices=True)
+        out = 4.0 * _reduce_dots(Z._crosses, Xs)
+    if X.ndim > 1:
+        return out
+    return (out[0][0], out[1][0]) if vertices else out[0]
 
 
 def stack_ratios(G):
@@ -382,7 +374,7 @@ def _sorted_shadow(G, X, vertices=False):
     sum_j det(v_1 + ... + v_{j-1}, v_j): one prefix sum per direction.
 
     With vertices, also the vertex of Pi Z supporting each row (see
-    z_shadow_vertices), from the same walk: in the frame (e1, e2, u) of the
+    z_shadow_area), from the same walk: in the frame (e1, e2, u) of the
     line of x the flipped generators in that order are w = p e1 + q e2 + r u,
     and 4 sum_b P_{b-1} x w_b, with P the prefix sums of w, is 4 (A u + B e1
     + C e2): A the area and B, C the prefix sums of (q, r) and (r, p) taken

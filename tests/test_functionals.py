@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from pettylab.functionals import (BALL_RATIO, LIMIT_MARGIN, LIMITS, _chart_refin
 from pettylab.geom import plane_basis, unitize
 from pettylab import (convex_hull, fibonacci_sphere, fixtures, functionals, revolution,
                       slice_area, zonotope)
+from pettylab.cli import GRID_MAX
 from pettylab.suites import _sl_cases
 from pettylab.revolution import rev_to_polytope
 
@@ -459,6 +461,43 @@ def _pruning_bodies():
     return [pytest.param(B, id=name) for name, B in bodies]
 
 
+class TestScan:
+    """_scan, the pruned evaluation behind both grids, against a full evaluation."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 700), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_scan_equals_full_evaluation(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        # few levels, so that many rows tie, of either sign, as m's ratios and
+        # Q's -q have
+        values = 0.75 * rng.integers(-levels, levels + 1, n)
+        # lower bounds at or below each value, a third of them equal to it;
+        # known rows carry their value and an infinite bound
+        lower = values - np.where(rng.random(n) < 1 / 3, 0.0, rng.exponential(1.0, n))
+        known = rng.random(n) < 0.1
+        lower[known] = np.inf
+        asked = []
+
+        def fn(rows):
+            asked.append(rows)
+            return values[rows]
+
+        got = functionals._scan(fn, lower, np.where(known, values, np.inf))
+        assert np.min(got) == np.min(values)
+        assert np.argmin(got) == np.argmin(values)
+        ties = values == np.min(values)
+        assert np.array_equal(got[ties], values[ties])
+        # batches of 64, then twice as many each time; no row asked twice, no
+        # known row asked, and every row not asked and not known left at +inf
+        assert all(len(rows) <= functionals._FIRST_BATCH * 2 ** k for k, rows in enumerate(asked))
+        evaluated = np.concatenate(asked) if asked else np.empty(0, dtype=int)
+        assert len(np.unique(evaluated)) == len(evaluated) and not known[evaluated].any()
+        skipped = np.ones(n, dtype=bool)
+        skipped[evaluated] = False
+        skipped[known] = False
+        assert np.array_equal(got[~skipped], values[~skipped]) and np.all(got[skipped] == np.inf)
+
+
 class TestPrunedQGrid:
     """Q on the grid evaluates q only where the ratio, its upper bound, can still win."""
 
@@ -481,9 +520,12 @@ class TestPrunedQGrid:
         monkeypatch.setattr(functionals, "q_direction", step_q)
         X = fibonacci_sphere(500)
         q = step_q(None, X)
-        # a bound above q, a constant one and q itself
+        # a bound above q, a constant one and q itself, scanned as invariants does
         for bound in (q + rng.uniform(0.0, 0.05, len(q)), np.ones(len(q)), q):
-            assert functionals._grid_max_q(None, X, bound) == (int(np.argmax(q)), float(np.max(q)))
+            neg = functionals._scan(lambda rows: -step_q(None, X[rows]), -bound,
+                                    np.full(len(q), np.inf))
+            assert (int(np.argmin(neg)), -float(np.min(neg))) == (int(np.argmax(q)),
+                                                                   float(np.max(q)))
 
     def _q_rows(self, monkeypatch):
         """Count the directions q_direction is asked for."""
@@ -569,25 +611,28 @@ class TestPrunedMGrid:
             assert ratio(B, pruned.m_dir) == pytest.approx(ratio(B, full.m_dir), rel=1e-14)
 
     def _rows(self, monkeypatch):
-        """Count the directions of exact ratios and of vertices asked for."""
+        """Count the directions of shadows asked for without vertices and with them."""
         rows = {"exact": [], "vertices": []}
-        shadow, vertices = functionals.z_shadow_area, functionals.z_shadow_vertices
-        monkeypatch.setattr(functionals, "z_shadow_area",
-                            lambda Z, X, *d: rows["exact"].append(len(np.atleast_2d(X)))
-                            or shadow(Z, X, *d))
-        monkeypatch.setattr(functionals, "z_shadow_vertices",
-                            lambda Z, X, *d: rows["vertices"].append(len(X))
-                            or vertices(Z, X, *d))
+        shadow = functionals.z_shadow_area
+
+        def counted(Z, X, d=None, vertices=False):
+            rows["vertices" if vertices else "exact"].append(len(np.atleast_2d(X)))
+            return shadow(Z, X, d, vertices)
+
+        monkeypatch.setattr(functionals, "z_shadow_area", counted)
         return rows
 
+    # most: the grid rows the parent evaluated, its 128 coarse rows and those
+    # left after them
     @pytest.mark.parametrize("name, B, most", [
-        ("icosphere2", fixtures.icosphere(2), 200),
-        ("zonotope24", fixtures.random_zonotope(np.random.default_rng(24), 24), 100),
-        ("hull100", _sphere_hull(100, 100), 100)])
+        ("icosphere2", fixtures.icosphere(2), 234),
+        ("zonotope24", fixtures.random_zonotope(np.random.default_rng(24), 24), 192),
+        ("hull100", _sphere_hull(100, 100), 141)])
     def test_few_grid_rows_left_to_evaluate(self, monkeypatch, name, B, most):
         rows = self._rows(monkeypatch)
         rep = invariants(B, refine=0, want=("P", "M", "m"))
-        assert rows["vertices"] == [functionals._COARSE + 3 + len(B.candidates)]
+        # the axes and candidates with their vertices, which bound every grid row
+        assert rows["vertices"] == [3 + len(B.candidates)]
         assert sum(rows["exact"]) <= most
         X = np.vstack([fibonacci_sphere(2048), np.eye(3), B.candidates])
         assert rep.m == pytest.approx(np.min(ratio(B, X)), rel=1e-14)
@@ -597,7 +642,20 @@ class TestPrunedMGrid:
         monkeypatch.setattr(functionals, "_M_PRUNE_MIN", 0)
         rows = self._rows(monkeypatch)
         invariants(fixtures.cylinder_profile(), refine=0, want=("m",))
-        assert sum(rows["exact"]) == 2048 - functionals._COARSE
+        assert sum(rows["exact"]) == 2048
+
+    def test_memory_is_bounded_at_the_grid_cap(self):
+        # m at compute's largest --grid on icosphere3 (640 generators of Pi B):
+        # the grid's rows, supports and bounds, and shadows in chunks
+        B = fixtures.icosphere(3)
+        tracemalloc.start()
+        try:
+            rep = invariants(B, grid=GRID_MAX, want=("M", "m"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert 6.0 <= rep.m <= rep.M
 
     @pytest.mark.parametrize("want", [("m",), ("m", "Q")])
     def test_small_bodies_and_Q_take_the_full_grid(self, monkeypatch, want):
@@ -609,8 +667,7 @@ class TestPrunedMGrid:
         invariants(small, grid=256, refine=0, want=("m",))
         large = fixtures.icosphere(2)
         invariants(large, grid=256, refine=0, want=want)
-        assert rows["vertices"] == ([] if "Q" in want else [256 // (256 // functionals._COARSE)
-                                                             + 3 + len(large.candidates)])
+        assert rows["vertices"] == ([] if "Q" in want else [3 + len(large.candidates)])
 
 
 class TestInvariants:

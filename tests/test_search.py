@@ -55,6 +55,25 @@ class TestReproducibility:
                            match=r"^max-M-zonoid: M = 8\.000000002 > 8 on a zonoid body"):
             SearchRun.load(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("objective", "nope", r"^objective: unknown 'nope'"),
+        ("trace", None, r"^stored run: trace is missing"),
+        ("best_config", [[1.0, 2.0]], r"^best_config: max-ts-ratio takes 5 .* \(1, 2\)"),
+        ("best_value", "8", r"^best_value: expected a number, got '8'")])
+    def test_malformed_file_rejected(self, tmp_path, field, value, match):
+        # each ended in a KeyError, IndexError or TypeError traceback
+        run = optimize("max-ts-ratio", n=4, restarts=1, iters=100, seed=3)
+        path = tmp_path / "run.json"
+        run.save(path)
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=match):
+            SearchRun.load(path)
+
     def test_log_jsonl(self, tmp_path):
         run = optimize("max-ts-ratio", n=4, restarts=1, iters=100, seed=3)
         path = tmp_path / "run.jsonl"

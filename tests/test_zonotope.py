@@ -15,7 +15,7 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
 from pettylab.geom import _FEW_DIRECTIONS, _chunks, _reduce_dots, plane_basis
 from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
                                pair_crosses, pi2_rows, stack_ratios, triple_dets,
-                               z_shadow_vertices, zonogon_area, zonotope_vertices)
+                               zonogon_area, zonotope_vertices)
 from pettylab import fixtures, zonotope
 
 E1, E2, E3 = np.eye(3)
@@ -359,10 +359,11 @@ def test_shadow_vertices_of_pi2(n):
     for B in (GeneratorSet(rng.standard_normal((n, 3))),
               fixtures.random_symmetric_polytope(rng, 2 * n)):
         h = z_shadow_area(B.pi_body, X)
-        values, V = z_shadow_vertices(B.pi_body, X)
+        values, V = z_shadow_area(B.pi_body, X, vertices=True)
         assert values == pytest.approx(h, rel=1e-14)
         assert np.einsum("ij,ij->i", V, X) == pytest.approx(h, rel=1e-14)
-        assert np.all(X @ z_shadow_vertices(B.pi_body, Y)[1].T <= h[:, None] * (1.0 + 1e-12))
+        assert np.all(X @ z_shadow_area(B.pi_body, Y, vertices=True)[1].T
+                      <= h[:, None] * (1.0 + 1e-12))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 12]))
