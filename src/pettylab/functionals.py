@@ -390,8 +390,6 @@ _PRUNE_MIN = 96
 _M_PRUNE_MIN = 56
 # the grid and refinement steps of m and Q in invariants, and compute's defaults
 GRID, REFINE = 2048, 50
-# the refinement steps of m in sl_invariance_check
-SL_REFINE = 60
 
 
 def _scan(fn, lower, out):
@@ -515,12 +513,11 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
 
 
 def sl_invariance_check(B, T):
-    """Max relative deviation of M and m under a map of det 1 (m on GRID, SL_REFINE)."""
+    """Max relative deviation of M and m under a map of det 1 (m on GRID, REFINE)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")
     if not hasattr(B, "map_linear"):
         raise InputError("invariance check needs a polytope or zonotope")
-    r0, r1 = (invariants(K, refine=SL_REFINE, want=("M", "m"))
-              for K in (B, B.map_linear(T)))
+    r0, r1 = (invariants(K, want=("M", "m")) for K in (B, B.map_linear(T)))
     return max(abs(r1.M - r0.M) / abs(r0.M), abs(r1.m - r0.m) / abs(r0.m))

@@ -91,11 +91,13 @@ _BAND = 64
 _PER_PIECE_PAIRS = 4096
 # Bytes of per-direction temporaries one chunk of a batched evaluation holds.
 _CHUNK_BYTES = 2**20
-# Below this many directions _reduce_dots reduces each direction along its
-# own contiguous row of products.  The (m, d) layout reduces across rows
-# instead, strided: over 1,500-32,000 rows, 2-16 directions took 1.7-7 times
-# as long that way (numpy 2, one core), and near 64 directions the two cost
-# the same.  Grids, 195 directions and more, keep the (m, d) layout.
+# Below this many directions a chunk, _reduce_dots reduces each direction
+# along its own contiguous row of products.  The (m, d) layout reduces
+# across rows instead, strided: over 1,500-32,000 rows, 2-16 directions took
+# 1.7-7 times as long that way (numpy 2, one core), and near 64 directions
+# the two cost the same.  A chunk of _CHUNK_BYTES holds 64 directions up to
+# 2,048 rows, so grids over fewer rows keep the (m, d) layout and those over
+# more take (d, m).
 _FEW_DIRECTIONS = 64
 
 
@@ -121,21 +123,23 @@ def _reduce_dots(C, X, maximum=False):
     a zonotope's support or a pair shadow, the max a polytope's support.  A
     stack C (b, m, 3) with X (b, d, 3) gives each member its row of values,
     bit for bit those of a call of its own: the members go through the same
-    products, in groups of about _CHUNK_BYTES.  Fewer than _FEW_DIRECTIONS
-    directions reduce contiguous rows of products (d, m), more the rows of
-    (m, d).  The max is exact, but BLAS may round a product by its place in
-    the call, and sums add in another order, so the two layouts, or a chunk
-    and a whole call, agree to rounding, not bit for bit.  Either costs
-    about 2 ns per row and direction.  Products beyond about _CHUNK_BYTES
-    go in chunks of directions.
+    products, in groups of about _CHUNK_BYTES.  Products beyond about
+    _CHUNK_BYTES go in chunks of directions; chunks of fewer than
+    _FEW_DIRECTIONS directions reduce contiguous rows of products (d, m),
+    wider ones the rows of (m, d).  The max is exact, but BLAS may round a
+    product by its place in the call, and sums add in another order, so the
+    two layouts, or a chunk and a whole call, agree to rounding, not bit for
+    bit.  Either costs about 2 ns per row and direction.
     """
     # the axis goes by position: a keyword costs more than a small reduction's arithmetic
     reduce = _MAX if maximum else _abs_sum
     if X.ndim == 1:
         return reduce(C @ X, 0)
     m, d = C.shape[-2], X.shape[-2]
-    few = d < _FEW_DIRECTIONS
-    if C.ndim == 2 and 8 * m * d <= _CHUNK_BYTES:  # the one pass of the chunks below
+    # the directions of a chunk (_chunks); a call with no rows is one chunk
+    width = min(d, max(1, _CHUNK_BYTES // max(8 * m, 1)))
+    few = width < _FEW_DIRECTIONS
+    if C.ndim == 2 and width == d:  # the one pass of the chunks below
         return reduce(X @ C.T, 1) if few else reduce(C @ X.T, 0)
     Cs, Xs = (C, X) if C.ndim == 3 else (C[None], X[None])
     out = np.empty(Xs.shape[:2])
@@ -143,7 +147,7 @@ def _reduce_dots(C, X, maximum=False):
     # pass is handed back to the kernel and faulted in again
     buf = None
     # as many members a pass as one chunk of directions of each fills
-    for grp in _chunks(len(Xs), 8 * m * min(d, max(1, _CHUNK_BYTES // (8 * m)))):
+    for grp in _chunks(len(Xs), 8 * m * width):
         for sl in _chunks(d, 8 * m):
             Cg, Xg = Cs[grp], Xs[grp, sl]
             L, R = (Xg, Cg.swapaxes(1, 2)) if few else (Cg, Xg.swapaxes(1, 2))

@@ -15,7 +15,7 @@ from . import fixtures
 from .errors import InputError, LimitError
 from .functionals import (LIMITS, check_limit, invariants, mixed_volume, petty_value,
                           polar_volume, q_direction, ratio, sl_invariance_check, ts_sums)
-from .geom import plane_basis, unitize
+from .geom import _chunks, plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
 from .symmetrize import steiner_projection_monotonicity
@@ -23,10 +23,6 @@ from .zonotope import (GeneratorSet, second_proj_support, stack_ratios, z_shadow
                        zonogon_area)
 
 SHARP_TS = 4.0 / 3.0
-
-# theorem-1-1 draws its samples in order and evaluates them this many at a
-# time, one stack per generator count
-THM11_BLOCK = 64
 
 
 def _rng(seed, tag):
@@ -54,6 +50,13 @@ def _worst(seed, values, lowest=False, label="sample", notes=None):
     return float(values[k]), witness
 
 
+def _bound_row(name, seed, values, bound, lowest=False, **witness):
+    """PASS where the worst sample (_worst) is at most bound, or at least bound if lowest."""
+    worst, detail = _worst(seed, values, lowest, **witness)
+    return check(name, worst >= bound if lowest else worst <= bound, value=worst,
+                 tolerance=bound, detail=detail)
+
+
 def _ts_ratios(tuples, xs):
     """t_sym/s_sym per sample; -inf, a skipped sample, where s_sym = 0."""
     s, t = ts_sums(tuples, xs)
@@ -65,9 +68,7 @@ def suite_ts_ratio(samples, seed):
     rng = _rng(seed, "ts")
     tuples = rng.standard_normal((samples, 4, 3))
     xs = rng.standard_normal((samples, 3))
-    worst, witness = _worst(seed, _ts_ratios(tuples, xs))
-    rows = [check("ts-ratio-bound", worst <= SHARP_TS + 1e-12, value=worst,
-                  tolerance=SHARP_TS + 1e-12, detail=witness)]
+    rows = [_bound_row("ts-ratio-bound", seed, _ts_ratios(tuples, xs), SHARP_TS + 1e-12)]
     # tuples with a repeated direction sit exactly on the constant; keep the
     # family away from the degenerate slabs (coplanar triple, direction
     # orthogonal to the repeated vector) where cancellation would eat the
@@ -79,10 +80,9 @@ def suite_ts_ratio(samples, seed):
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     dets = np.abs(np.einsum("ij,ij->i", np.cross(par[:, 0], par[:, 1]), par[:, 2]))
     dots = np.abs(np.einsum("ij,ij->i", par[:, 2], xs))
-    dev, witness = _worst(seed, np.where((dets > 1e-2) & (dots > 1e-2),
-                                         np.abs(_ts_ratios(par, xs) - SHARP_TS), -np.inf))
-    rows.append(check("ts-ratio-parallel-pair", dev <= 1e-12, value=dev,
-                      tolerance=1e-12, detail=witness))
+    rows.append(_bound_row("ts-ratio-parallel-pair", seed,
+                           np.where((dets > 1e-2) & (dots > 1e-2),
+                                    np.abs(_ts_ratios(par, xs) - SHARP_TS), -np.inf), 1e-12))
     return rows
 
 
@@ -101,14 +101,8 @@ def suite_formula_coherence(samples, seed):
         shadow.append(max(abs(a1 - a2), abs(a1 - Z.pi_body.support(x))) / max(a1, 1e-300))
         b1 = second_proj_support(Z, x)
         second.append(abs(b1 - z_shadow_area(Z.pi_body, x)) / max(b1, 1e-300))
-    worst_shadow, shadow_witness = _worst(seed, shadow)
-    worst_second, second_witness = _worst(seed, second)
-    return [
-        check("shadow-vs-zonogon-oracle", worst_shadow <= 1e-12, value=worst_shadow,
-              tolerance=1e-12, detail=shadow_witness),
-        check("second-support-direct-vs-composed", worst_second <= 1e-9,
-              value=worst_second, tolerance=1e-9, detail=second_witness),
-    ]
+    return [_bound_row("shadow-vs-zonogon-oracle", seed, shadow, 1e-12),
+            _bound_row("second-support-direct-vs-composed", seed, second, 1e-9)]
 
 
 def suite_fubini(samples, seed):
@@ -124,14 +118,12 @@ def suite_fubini(samples, seed):
         lhs = mixed_volume(L.pi_body, K.pi_body)
         rhs = mixed_volume(K.pi_body.pi_body, L)
         rels.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    worst, witness = _worst(seed, rels)
     cube_z = fixtures.cube_zonotope()
     tet = fixtures.tetrahedron()
     lhs = mixed_volume(tet.pi_body, cube_z.pi_body)
     rhs = mixed_volume(cube_z.pi_body.pi_body, tet)
     ok = abs(lhs - 64.0) <= 1e-9 and abs(rhs - 64.0) <= 1e-9
-    return [check("fubini-identity", worst <= 1e-9, value=worst, tolerance=1e-9,
-                  detail=witness),
+    return [_bound_row("fubini-identity", seed, rels, 1e-9),
             check("fubini-cube-tetrahedron", ok, value=lhs, tolerance=1e-9,
                   detail=f"both sides should be 64, got {lhs:.12g}/{rhs:.12g}")]
 
@@ -146,14 +138,8 @@ def suite_minkowski(samples, seed):
         vK, vL = K.volume, L.volume
         slack.append(mixed_volume(K, L) / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0)))
         diag.append(abs(mixed_volume(L, L) - vL) / vL)
-    worst_gap, gap_witness = _worst(seed, slack, lowest=True)
-    worst_diag, diag_witness = _worst(seed, diag)
-    return [
-        check("minkowski-inequality", worst_gap >= 1.0 - 1e-9, value=worst_gap,
-              tolerance=1.0, detail=gap_witness),
-        check("mixed-volume-diagonal", worst_diag <= 1e-9, value=worst_diag,
-              tolerance=1e-9, detail=diag_witness),
-    ]
+    return [_bound_row("minkowski-inequality", seed, slack, 1.0 - 1e-9, lowest=True),
+            _bound_row("mixed-volume-diagonal", seed, diag, 1e-9)]
 
 
 def _random_body(rng):
@@ -175,9 +161,7 @@ def suite_steiner_monotone(samples, seed):
             continue
         before, after = steiner_projection_monotonicity(P, nu, h2)
         gaps.append((after - before) / max(before, 1e-300))
-    worst, witness = _worst(seed, gaps)
-    return [check("steiner-shadow-monotone", worst <= 1e-9, value=worst,
-                  tolerance=1e-9, detail=witness)]
+    return [_bound_row("steiner-shadow-monotone", seed, gaps, 1e-9)]
 
 
 def suite_schwartz_monotone(samples, seed):
@@ -190,9 +174,8 @@ def suite_schwartz_monotone(samples, seed):
     while len(cases) < samples:
         cases.append((fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11))),
                       unitize(rng.standard_normal(3))))
-    worst, witness = _worst(seed, [q_direction(P, x) - ratio(P, x) for P, x in cases[:samples]])
-    return [check("schwartz-ratio-monotone", worst <= 1e-9, value=worst,
-                  tolerance=1e-9, detail=witness)]
+    return [_bound_row("schwartz-ratio-monotone", seed,
+                       [q_direction(P, x) - ratio(P, x) for P, x in cases[:samples]], 1e-9)]
 
 
 def suite_berwald(samples, seed):
@@ -208,12 +191,10 @@ def suite_berwald(samples, seed):
         gaps.append((res.rhs - res.lhs) / max(res.lhs, 1e-300))
         if res.equality and not _is_tent(R):
             false_equal += 1
-    worst, witness = _worst(seed, gaps)
     tent = fixtures.double_cone_profile()
     res = berwald_check(tent.s, tent.f, 1.0, 2.0)
     return [
-        check("berwald-inequality", worst <= 1e-12, value=worst, tolerance=1e-12,
-              detail=witness),
+        _bound_row("berwald-inequality", seed, gaps, 1e-12),
         check("berwald-equality-only-linear", false_equal == 0, value=false_equal,
               tolerance=0, detail=f"seed={seed}"),
         check("berwald-tent-equality", res.equality and abs(res.lhs - res.rhs) < 1e-10,
@@ -279,12 +260,15 @@ def suite_theorem_1_1(samples, seed):
     """
     rng = _rng(seed, "thm11")
     M = np.empty(samples)
-    for lo in range(0, samples, THM11_BLOCK):
+    # the samples are drawn in order, in chunks of about _CHUNK_BYTES at
+    # about 200 bytes a sample, with one stack per generator count
+    for sl in _chunks(samples, 200):
         gens = [fixtures.random_generators(rng, int(rng.integers(3, 9)))
-                for _ in range(min(THM11_BLOCK, samples - lo))]
-        for n in sorted({len(g) for g in gens}):
-            idx = [i for i, g in enumerate(gens) if len(g) == n]
-            M[[lo + i for i in idx]] = _stack_M(np.stack([gens[i] for i in idx]))
+                for _ in range(*sl.indices(samples))]
+        sizes = np.array([len(g) for g in gens])
+        for n in np.unique(sizes):
+            idx = np.flatnonzero(sizes == n)
+            M[sl][idx] = _stack_M(np.stack([gens[i] for i in idx]))
     worst, witness = _worst(seed, M)
     cube_val = float(ratio(fixtures.cube_zonotope(), np.eye(3)).max())
     return [_limit_row("zonoid-ratio-upper", "M", worst, witness),
@@ -321,9 +305,7 @@ def _sl_cases(samples, seed):
 def suite_sl_invariance(samples, seed):
     """M and m are invariant under volume-preserving linear maps (to 1e-4)."""
     devs = [sl_invariance_check(B, T) for B, T in _sl_cases(samples, seed)]
-    worst, witness = _worst(seed, devs, label="case")
-    return [check("sl-invariance", worst <= 1e-4, value=worst, tolerance=1e-4,
-                  detail=witness)]
+    return [_bound_row("sl-invariance", seed, devs, 1e-4, label="case")]
 
 
 def _random_unimodular(rng):
@@ -348,9 +330,7 @@ def suite_class_reduction(samples, seed):
         ppk = petty_value(B.pi_body)
         gaps.append((ppk - pk) / max(pk, 1e-300))
         notes.append(f"P(K)={pk:.9g} P(PiK)={ppk:.9g}")
-    worst, witness = _worst(seed, gaps, notes=notes)
-    return [check("class-reduction", worst <= 1e-9, value=worst, tolerance=1e-9,
-                  detail=witness)]
+    return [_bound_row("class-reduction", seed, gaps, 1e-9, notes=notes)]
 
 
 Suite = namedtuple("Suite", "run samples")

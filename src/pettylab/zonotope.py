@@ -33,9 +33,9 @@ three pairings per 4-subset.  That is n + 3 C(n, 4) rows in place of
 C(C(n, 2), 2): 20 for 45 at n = 5, 218 for 378 at n = 8.  The same table
 gives the volume, so P, M and m of a zonotope round through one set of
 determinants.  Crosses, determinants, rows and flatness also take stacks
-(b, n, 3) of zonotopes of one size; `stack_ratios` forms them once for a
-stack and sums all members in one product, each as on its own, so each gets
-its own ratio.
+(b, n, 3) of zonotopes of one size; `stack_ratios` takes a stack of any
+length in chunks of members, forms them once for a chunk and sums its
+members in one product, each as on its own, so each gets its own ratio.
 """
 
 import itertools
@@ -291,7 +291,11 @@ def _pair_rows(Z):
     if Z._source is None:
         n = len(Z)
         return n * (n - 1) // 2
-    n = len(Z._source[0])
+    return _pi2_count(len(Z._source[0]))
+
+
+def _pi2_count(n):
+    """n + 3 C(n, 4): how many pi2_rows n generators give."""
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
@@ -328,31 +332,38 @@ def stack_ratios(G):
     """Direction ratios of each zonotope of a stack G (b, n, 3) at its candidates: (values, ok).
 
     Row i is functionals.ratio(Z, Z.candidates) for Z = GeneratorSet(G[i]),
-    bit for bit: crosses, determinants, Pi^2 rows and candidates are formed
-    for the stack, and the supports and shadows of all members are summed
-    by one stacked _reduce_dots each, which gives every member the values of
-    a call of its own.
+    bit for bit.  A stack of any length goes in chunks of members of about
+    _CHUNK_BYTES: crosses, determinants, Pi^2 rows and candidates are formed
+    for a chunk, and the supports and shadows of its members are summed by
+    one stacked _reduce_dots each, which gives every member the values of a
+    call of its own.
     A member it cannot take (flat, with a zero cross or Pi^2 row, or whose
     shadows walk zonogons) has ok[i] False and a row of NaN.
     """
     G = np.asarray(G, dtype=float)
-    C = cross_rows(G)
-    D = triple_dets(G, C)
-    R = pi2_rows(G, D)
-    X = np.concatenate([G, C], axis=1)
-    norms = np.linalg.norm(X, axis=-1, keepdims=True)
-    # a zero cross leaves its member to the per-body path
-    X /= np.where(norms > 0.0, norms, 1.0)
-    # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
-    ok = (~is_flat(G) & np.all(_nonzero(C), axis=-1) & np.all(_nonzero(R), axis=-1)
-          & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
-    values = np.full(X.shape[:2], np.nan)
-    if ok.any():
-        X = X[ok]
-        den = _reduce_dots(G[ok], X) * (8.0 * np.sum(np.abs(D[ok]), axis=-1))[:, None]
-        if (den <= 0.0).any():
-            raise InputError("support must be positive in every requested direction")
-        values[ok] = 4.0 * _reduce_dots(R[ok], X) / den
+    n = G.shape[1]
+    values = np.full((len(G), n + n * (n - 1) // 2), np.nan)
+    ok = np.zeros(len(G), dtype=bool)
+    # a member's Pi^2 rows and the arrays that form them take about 100 bytes a row
+    for sl in _chunks(len(G), 100 * _pi2_count(n)):
+        g = G[sl]
+        C = cross_rows(g)
+        D = triple_dets(g, C)
+        R = pi2_rows(g, D)
+        X = np.concatenate([g, C], axis=1)
+        norms = np.linalg.norm(X, axis=-1, keepdims=True)
+        # a zero cross leaves its member to the per-body path
+        X /= np.where(norms > 0.0, norms, 1.0)
+        # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
+        take = ok[sl] = (~is_flat(g) & np.all(_nonzero(C), axis=-1)
+                         & np.all(_nonzero(R), axis=-1)
+                         & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
+        if take.any():
+            X = X[take]
+            den = _reduce_dots(g[take], X) * (8.0 * np.sum(np.abs(D[take]), axis=-1))[:, None]
+            if (den <= 0.0).any():
+                raise InputError("support must be positive in every requested direction")
+            values[sl][take] = 4.0 * _reduce_dots(R[take], X) / den
     return values, ok
 
 

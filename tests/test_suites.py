@@ -1,6 +1,7 @@
 """Every registered verification suite runs green at reduced sample counts."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def test_near_flat_witnesses_stay_within_8(seed, sample):
 
 
 def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
-    # one stack_ratios call per block and generator count, and the row value
-    # of per-body evaluation
+    # 300 samples fill less than one chunk: one stack_ratios call per
+    # generator count, and the row value of per-body evaluation
     calls = []
 
     def counting(G):
@@ -171,12 +172,10 @@ def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
         return stack_ratios(G)
 
     monkeypatch.setattr(suites, "stack_ratios", counting)
-    monkeypatch.setattr(suites, "THM11_BLOCK", 128)
     row = suites.suite_theorem_1_1(samples=300, seed=42)[0]
     rng = _rng(42, "thm11")
     gens = [fixtures.random_generators(rng, int(rng.integers(3, 9))) for _ in range(300)]
-    blocks = [[len(g) for g in gens[lo:lo + 128]] for lo in range(0, 300, 128)]
-    assert len(calls) == sum(len(set(sizes)) for sizes in blocks)
+    assert len(calls) == len({len(g) for g in gens}) == 6
     assert sum(calls) == 300
     monkeypatch.undo()
     M = [invariants(GeneratorSet(g), want=("M",)).M for g in gens]
@@ -187,6 +186,18 @@ def test_theorem_1_1_evaluates_in_stacks(monkeypatch):
         R = pi2_rows(G, triple_dets(G))
         for g, r in zip(G, R):
             assert np.array_equal(GeneratorSet(g).pi_body._crosses, r)
+
+
+def test_theorem_1_1_memory_is_bounded():
+    # the default 10,000 samples cross a chunk of the byte budget, and each
+    # generator count's stack goes in chunks of members
+    tracemalloc.start()
+    try:
+        suites.suite_theorem_1_1(10_000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_stack_M_matches_per_body_values():

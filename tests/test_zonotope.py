@@ -1,7 +1,9 @@
 """Zonotope calculus: support/volume/shadow formulas and projection bodies."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,12 +382,46 @@ def test_second_support_from_shadow_paths(seed, n):
     assert z_shadow_area(pi, X)[:3] == pytest.approx(direct, rel=1e-12)
 
 
+def _dyadic(A):
+    """Integers N and an exponent e with A = N 2^-e exactly: every double is a dyadic rational."""
+    e = max(Fraction(v).denominator for v in A.ravel()).bit_length() - 1
+    return [[int(Fraction(v) * 2**e) for v in row] for row in A], e
+
+
+def _int_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _exact_nested_crosses(G, X):
+    """sum_r |<r, x>| over the crosses r of Pi Z's generators 4 (x_i x x_j), per row x of X.
+
+    In integers, exact for the float generators and directions, so only the
+    final rounding to float remains.
+    """
+    g, eg = _dyadic(G)
+    x, ex = _dyadic(X)
+    crosses = [_int_cross(g[i], g[j]) for i, j in itertools.combinations(range(len(g)), 2)]
+    rows = [_int_cross(a, b) for a, b in itertools.combinations(crosses, 2)]
+    return np.array([float(Fraction(16 * sum(abs(r[0] * y[0] + r[1] * y[1] + r[2] * y[2])
+                                                  for r in rows), 2 ** (4 * eg + ex)))
+                     for y in x])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(3, 12),
        st.sampled_from(["generic", "parallel", "antiparallel", "doubled"]))
+@example(52716, 3, "generic")
+@example(233134, 3, "generic")
 @settings(max_examples=60, deadline=None)
 def test_closed_form_pi2_rows_match_nested_crosses(seed, n, kind):
     # Pi^2 rows from the triple table against the crosses of Pi Z's own
-    # generators; a pair of generators along one line zeroes some D_ijk
+    # generators, nested and summed exactly; a pair of generators along one
+    # line zeroes some D_ijk.  A computed D_ijk = <x_i x x_j, x_k> is off by a
+    # few u |x_i| |x_j| |x_k| (u = eps / 2), and the rows scale generators by
+    # determinants, so the relative error grows with the Hadamard ratio
+    # kappa = sum |x_i| |x_j| |x_k| / sum |D_ijk| over the triples: of 1,500
+    # flattened sets the worst took 0.82 u kappa.  The bound is 8 eps kappa
+    # where that passes 1e-12 (kappa > 563): near-flat draws such as 52716
+    # (kappa 3.6e4, off by 5.3e-13) and 233134 (4.1e5, off by 5.9e-12)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, 3))
     if n >= 4 and kind != "generic":
@@ -398,9 +434,13 @@ def test_closed_form_pi2_rows_match_nested_crosses(seed, n, kind):
     pi = Z.pi_body
     assert len(pi2_rows(G, triple_dets(G))) == n + 3 * math.comb(n, 4)
     X = rng.standard_normal((40, 3))
-    nested = _reduce_dots(pair_crosses(pi.gens), X)
-    closed = _reduce_dots(pi._crosses, X)
-    assert np.all(np.abs(closed - nested) <= 1e-12 * nested)
+    exact = _exact_nested_crosses(G, X[:4])
+    closed = _reduce_dots(pi._crosses, X)[:4]
+    norms = np.linalg.norm(G, axis=1)
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    kappa = np.sum(np.prod(norms[triples], axis=1)) / np.sum(np.abs(triple_dets(G)))
+    tol = max(1e-12, 8.0 * np.finfo(float).eps * kappa)
+    assert np.all(np.abs(closed - exact) <= tol * exact)
 
 
 def test_pair_shadow_reuses_no_stale_products():
@@ -433,19 +473,21 @@ def test_support_memory_is_bounded():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, _FEW_DIRECTIONS - 1),
-       st.sampled_from([1, 7, 218, 1497, 20_000]), st.sampled_from(["generic", "seam"]),
+       st.sampled_from([1, 7, 218, 1497, 6000, 20_000]), st.sampled_from(["generic", "seam"]),
        st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_few_directions_match_the_grid_layout(seed, d, m, kind, maximum):
-    # fewer directions than _FEW_DIRECTIONS reduce contiguous rows of
-    # products, more reduce across them; the same directions at the head of
-    # a grid-sized call take the other order.  A 3-term product is off by at
-    # most 3 u times sum_i |c_i x_i| (u = eps / 2), and a sum of m
-    # nonnegative terms by (m - 1) u, so each order is within (m + 2) u of
+    # chunks of fewer directions than _FEW_DIRECTIONS reduce contiguous rows
+    # of products, wider ones reduce across them.  Up to 2,048 rows the same
+    # directions at the head of a grid-sized call take the other order; past
+    # it a chunk holds fewer than 64 directions and both calls take (d, m),
+    # so C @ X.T reduced directly gives the (m, d) order.  A 3-term product
+    # is off by at most 3 u times sum_i |c_i x_i| (u = eps / 2), and a sum of
+    # m nonnegative terms by (m - 1) u, so each order is within (m + 2) u of
     # the exact value, relative to A = sum over rows and coordinates of
-    # |c_i x_i|, and the two differ by at most (m + 2) eps A.  A max is one
+    # |c_i x_i|, and two differ by at most (m + 2) eps A.  A max is one
     # product, within gamma_3 A < 2 eps A of its exact value in either order,
-    # so the two maxima differ by less than 4 eps A
+    # so two maxima differ by less than 4 eps A
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((m, 3)) * rng.uniform(0.1, 10.0, (m, 1))
     X = rng.standard_normal((d, 3))
@@ -454,9 +496,12 @@ def test_few_directions_match_the_grid_layout(seed, d, m, kind, maximum):
         X[:k] = np.cross(C[:k], rng.standard_normal(3))
     few = _reduce_dots(C, X, maximum)
     grid = _reduce_dots(C, np.vstack([X, rng.standard_normal((64, 3))]), maximum)[:d]
+    dots = C @ X.T
+    direct = np.max(dots, axis=0) if maximum else np.sum(np.abs(dots), axis=0)
     A = (np.abs(X) @ np.abs(C).T).sum(axis=1)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(few - grid) <= (4 if maximum else m + 2) * eps * A)
+    for other in (grid, direct):
+        assert np.all(np.abs(few - other) <= (4 if maximum else m + 2) * eps * A)
 
 
 def test_volume_of_many_generators_by_increments():
@@ -512,6 +557,24 @@ def test_protocol_agrees_with_vertex_hull(seed):
     for K in (Ball(), Z):
         assert mixed_volume(K, P) == pytest.approx(mixed_volume(K, Z), rel=1e-9)
     assert P.pi_body.support(X) == pytest.approx(Z.pi_body.support(X), rel=1e-9)
+
+
+def test_stack_ratios_go_in_chunks_of_members():
+    # 2,000 zonotopes of 8 generators, whose Pi^2 rows and the arrays that
+    # form them took 31.8 MiB in one stack: in chunks of members of about
+    # _CHUNK_BYTES, each member still gets the values of its own call
+    G = np.random.default_rng(21).standard_normal((2000, 8, 3))
+    tracemalloc.start()
+    try:
+        values, ok = stack_ratios(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert ok.all()
+    for g, row in zip(G, values):
+        Z = GeneratorSet(g)
+        assert np.array_equal(row, ratio(Z, Z.candidates))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 13),
