@@ -29,7 +29,7 @@ from . import fixtures as fixture_mod
 from .bodies import Ball, load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import (GRID, INVARIANTS, LIMITS, REFINE, check_limit, invariants,
-                          q_direction, ratio)
+                          m_at_pi2_normals, q_direction, ratio)
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
@@ -79,9 +79,9 @@ def build_parser():
     c.add_argument("body")
     c.add_argument("--invariants", default=",".join(INVARIANTS))
     c.add_argument("--grid", type=_int_in(2, GRID_MAX), default=GRID,
-                   help="sphere grid of m and Q (P and M are exact)")
+                   help="sphere grid of Q, and of m where it is not exact (P and M are)")
     c.add_argument("--refine", type=_int_in(0), default=REFINE,
-                   help="Nelder-Mead steps polishing m and Q (0: none)")
+                   help="Nelder-Mead steps polishing the grid values (0: none)")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out")
 
@@ -212,8 +212,12 @@ def cmd_compute(args):
         check_limit(name, getattr(rep, name), body)
     # where each value came from: the ball's are closed forms
     searched = f"grid={args.grid} refine={args.refine}"
-    where = (dict.fromkeys(INVARIANTS, "closed form") if isinstance(body, Ball) else
-             {"P": "exact", "M": "max over facet normals", "m": searched, "Q": searched})
+    if isinstance(body, Ball):
+        where = dict.fromkeys(INVARIANTS, "closed form")
+    else:
+        exact_m = rep.m is not None and m_at_pi2_normals(body, args.grid)
+        where = {"P": "exact", "M": "max over facet normals", "Q": searched,
+                 "m": "min over facet normals of Pi^2 K" if exact_m else searched}
     rows = [Row(name, value=getattr(rep, name), status="INFO",
                 direction=getattr(rep, f"{name}_dir", None), detail=where[name])
             for name in args.invariants]

@@ -37,9 +37,9 @@ import numpy as np
 from .bodies import Ball
 from .errors import InputError, LimitError, SymmetryError
 from .geom import (_chunks, _count, _reduce_dots, as_vec, convex_hull, cross, fibonacci_sphere,
-                   plane_basis, slice_quadratics, unitize)
+                   plane_basis, slice_quadratics, unit_rows, unitize)
 from .revolution import RevolutionBody
-from .zonotope import z_shadow_area
+from .zonotope import pi2_count, pi2_rows, triple_dets, z_shadow_area
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
@@ -373,22 +373,11 @@ _PRUNE_MARGIN = 1e-9
 # with numpy 2 on one core, over fresh symmetric hulls: at 77 rows (5 pairs,
 # grid 48, as min-Q-symmetric steps take) pruning took 1.24 times as long,
 # at 95 rows (8 pairs, grid 48) 0.80 and at 125 (5 pairs, grid 96) 0.86; at
-# 1,000 rows and more it takes half or less.  With m the ratios are there.
+# 1,000 rows and more it takes half or less.  With m on the grid the ratios
+# are there.
 _PRUNE_MIN = 96
-# m alone evaluates the ratio exactly at the axes and the candidates, with
-# the vertices of Pi^2 B supporting them, and bounds the grid's rows by
-# those vertices (_grid_ratios), from _M_PRUNE_MIN generators of Pi B on.
-# Measured with numpy 2 on one core, invariants(want=P,M,m) on the 2,048-point
-# grid against the full grid (median of 21 alternating runs): symmetric hulls
-# of 20-30 pairs of unit vectors (38-58 generators) took 0.58-0.73 times as
-# long, a Gaussian zonotope of 11 generators (55) 0.81, the double cone (64)
-# 0.61, icosphere2 (160) and zonotopes of 12-24 generators 0.48-0.68; the
-# cylinder (33), whose ratio is 8 everywhere, keeps every row and took 1.22
-# times as long.  The tiny bodies of the suites and searches keep the
-# crossover this high: pruning every body took verify theorem-1-2 22%
-# longer and a min-m-symmetric search on 6 pairs 13%.
-_M_PRUNE_MIN = 56
-# the grid and refinement steps of m and Q in invariants, and compute's defaults
+# the grid and refinement steps of Q and of a grid m in invariants, and
+# compute's defaults
 GRID, REFINE = 2048, 50
 
 
@@ -445,24 +434,54 @@ def _grid_ratios(B, X, grid):
     return _scan(lambda rows: z_shadow_area(B.pi_body, X[rows], len(X)) / hv[rows], lower, out)
 
 
+def _pi2_normals(B):
+    """Unit crosses of the pairs of Pi^2 B's generators, which hold its facet normals.
+
+    They come merged and in closed form from the generators G of Pi B
+    (zonotope.pi2_rows), n + 3 C(n, 4) rows for n generators, exact zero
+    rows dropped.  G is taken as unit rows: a positive scale of a generator
+    turns no cross, and crosses of crosses of raw rows scale as the eighth
+    power of the coordinates, below the least double at COORD_RANGE's small
+    end.
+    """
+    G = unit_rows(B.pi_body.gens)
+    return unit_rows(pi2_rows(G, triple_dets(G)))
+
+
+def m_at_pi2_normals(B, grid=GRID):
+    """True where invariants reads m at _pi2_normals(B), not on its grid.
+
+    That is where Pi^2 B has no more of them, n + 3 C(n, 4) for n generators
+    of Pi B, than the grid of `grid` points, the axes and the candidates have
+    rows.  B must be symmetric and no ball.
+    """
+    B = _realized(B)
+    return pi2_count(len(B.pi_body)) <= grid + 3 + len(B.candidates)
+
+
 class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")):
     """P, M, m, Q of a body with their attaining directions."""
 
 
 def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
-    """Invariant report: P and M exactly, m and Q extremized on a grid plus refinement.
+    """Invariant report: P and M exactly, m exactly or on a grid, Q on a grid plus refinement.
 
     M is the largest ratio at B's candidates, which hold its facet normals:
     on the normal cone of a vertex v the ratio on <v, x> = 1 is the convex
-    h_{Pi^2 B} / V(B), largest at a ray, a facet normal.  m and Q take the
-    axes, the candidates and a Fibonacci sphere of `grid` points, and polish
-    the extremum by at most refine - 1 Nelder-Mead steps in a chart about it
+    h_{Pi^2 B} / V(B), largest at a ray, a facet normal.  m mirrors it: on
+    the normal cone of a vertex w of Pi^2 B the ratio on <w, x> = 1 is
+    1 / (V(B) h_B), least where the convex h_B is largest, at a ray, a
+    facet normal of Pi^2 B.  So m is the least ratio at _pi2_normals(B),
+    with no refinement, where they are no more than the grid's rows
+    (m_at_pi2_normals).  Otherwise m, and Q always, take the axes, the
+    candidates and a Fibonacci sphere of `grid` points, and polish the
+    extremum by at most refine - 1 Nelder-Mead steps in a chart about it
     (_chart_refine).  On a symmetric body Q's grid skips the rows where the
-    ratio, an upper bound of q, cannot beat the best q (_scan on -q).  m
-    without Q skips, from _M_PRUNE_MIN generators of Pi B on, the rows where
-    a lower bound of the ratio by vertices of Pi^2 B cannot beat the best
-    ratio (_grid_ratios); either way the grid value and its row are the full
-    grid's.  want names some of INVARIANTS; M and m need symmetry.
+    ratio, an upper bound of q, cannot beat the best q (_scan on -q).  m on
+    the grid without Q skips the rows where a lower bound of the ratio by
+    vertices of Pi^2 B cannot beat the best ratio (_grid_ratios); either
+    way the grid value and its row are the full grid's.
+    want names some of INVARIANTS; M and m need symmetry.
     """
     # a string would be read letter by letter
     if type(want) is str or not set(want) <= set(INVARIANTS):
@@ -479,20 +498,28 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
-    # P and M read no grid; the candidates are the grid's tail
+    # P, M and an exact m read no grid; the candidates are the grid's tail
     C, found = B.candidates, {}
-    X = np.vstack([fibonacci_sphere(grid), np.eye(3), C]) if want & {"m", "Q"} else C
+    grid_m = "m" in want and not m_at_pi2_normals(B, grid)
+    X = np.vstack([fibonacci_sphere(grid), np.eye(3), C]) if grid_m or "Q" in want else C
     # the grid's ratios bound q there; Q alone pays for them from _PRUNE_MIN rows
-    prune = "Q" in want and B.symmetric and ("m" in want or len(X) >= _PRUNE_MIN)
-    if "m" in want and "Q" not in want and len(B.pi_body) >= _M_PRUNE_MIN:
+    prune = "Q" in want and B.symmetric and (grid_m or len(X) >= _PRUNE_MIN)
+    if prune:
+        ratios = ratio(B, X)  # shared by M, m and Q
+    elif grid_m:
         ratios = _grid_ratios(B, X, grid)  # exact at the candidates, for M
-    elif want & {"M", "m"} or prune:
-        ratios = ratio(B, X if "m" in want or prune else C)  # shared by M, m and Q
-    if want & {"M", "m"}:
+    elif "M" in want:
+        ratios = ratio(B, C)
+    if "M" in want:
         tail = ratios[len(ratios) - len(C):]
         found["M"] = C[np.argmax(tail)], float(np.max(tail))
+    if "m" in want and not grid_m:
+        U = _pi2_normals(B)
+        values = ratio(B, U)
+        i = int(np.argmin(values))
+        found["m"] = U[i], float(values[i])
     for name, fn, sign in (("m", ratio, 1.0), ("Q", q_direction, -1.0)):
-        if name not in want:
+        if name not in want or name in found:
             continue
         if name == "m":
             values = ratios
@@ -513,7 +540,11 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
 
 
 def sl_invariance_check(B, T):
-    """Max relative deviation of M and m under a map of det 1 (m on GRID, REFINE)."""
+    """Max relative deviation of M and m under a map of det 1 (invariants' defaults).
+
+    M is exact, and so is m where invariants reads it at the facet normals
+    of Pi^2 B; a grid m moves with the grid's frame, which the map turns.
+    """
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3) or abs(np.linalg.det(T) - 1.0) > 1e-9:
         raise InputError("map must be a 3x3 matrix with determinant 1")

@@ -41,11 +41,13 @@ class Objective(namedtuple("Objective", "name build n_range quantity grid maximi
     random start); the body is scored as built, and the rows are rescaled
     to volume 1.  build is None for a 4-tuple plus a direction, whose five
     rows are scaled to unit length and scored so (n unused).
-    quantity is the invariant extremized, or "t/s": M exactly (grid None),
-    m and Q unrefined over `grid` Fibonacci directions plus the structured
-    candidates.  The bodies set the class flag of their quantity's limit in
-    functionals.LIMITS, and a best value beyond it is an evaluator bug
-    (LimitError); one within 1e-3 of `sharp` is flagged, with hints(config).
+    quantity is the invariant extremized, or "t/s": M exactly (grid None);
+    m exactly at the facet normals of Pi^2 K where they are no more than the
+    rows of `grid` Fibonacci directions, the axes and the structured
+    candidates, and else, like Q, unrefined over those rows.  The bodies
+    set the class flag of their quantity's limit in functionals.LIMITS, and
+    a best value beyond it is an evaluator bug (LimitError); one within
+    1e-3 of `sharp` is flagged, with hints(config).
     A run reports its gap to `conjectured`, an unproven optimum, when set.
     starts maps the names of fixed starting bodies to their vertices.
     """
@@ -143,9 +145,11 @@ def evaluate_config(objective, config):
 def _evaluate(obj, config, body):
     """Objective value of a configuration whose body is already built.
 
-    M is exact; m and Q are grid-only: the structured candidate directions
-    contain the exact extremizers of cone-like configurations, so the sharp
-    constants stay reachable without per-step refinement.
+    M is exact, and m wherever invariants reads it at the facet normals of
+    Pi^2 K, as near the octahedron; otherwise m and Q are grid-only: the
+    structured candidate directions contain the exact extremizers of
+    cone-like configurations, so the sharp constants stay reachable without
+    per-step refinement.
     """
     if obj.quantity == "t/s":
         s_tot, t_tot = ts_sums(config[:4], config[4])

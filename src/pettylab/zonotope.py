@@ -291,10 +291,10 @@ def _pair_rows(Z):
     if Z._source is None:
         n = len(Z)
         return n * (n - 1) // 2
-    return _pi2_count(len(Z._source[0]))
+    return pi2_count(len(Z._source[0]))
 
 
-def _pi2_count(n):
+def pi2_count(n):
     """n + 3 C(n, 4): how many pi2_rows n generators give."""
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
@@ -345,7 +345,7 @@ def stack_ratios(G):
     values = np.full((len(G), n + n * (n - 1) // 2), np.nan)
     ok = np.zeros(len(G), dtype=bool)
     # a member's Pi^2 rows and the arrays that form them take about 100 bytes a row
-    for sl in _chunks(len(G), 100 * _pi2_count(n)):
+    for sl in _chunks(len(G), 100 * pi2_count(n)):
         g = G[sl]
         C = cross_rows(g)
         D = triple_dets(g, C)

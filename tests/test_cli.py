@@ -198,13 +198,14 @@ class TestCompute:
 
     def test_octahedron_equality_row_and_exact_M(self, fixture_dir, capsys):
         # m = 6 is the sharp bound, flagged; M is read at the facet normals
+        # of K, and m at those of Pi^2 K
         code = main(["--no-timestamp", "compute", str(fixture_dir / "octahedron.json"),
                      "--invariants", "M,m", "--grid", "64", "--refine", "3"])
         assert code == 0
         rows = {r.split(",")[0]: r.split(",") for r in capsys.readouterr().out.splitlines()}
         assert float(rows["near-lower-equality"][1]) == pytest.approx(6.0, abs=1e-12)
         assert rows["M"][-1] == "max over facet normals"
-        assert rows["m"][-1] == "grid=64 refine=3"
+        assert rows["m"][-1] == "min over facet normals of Pi^2 K"
 
     def test_row_details_name_the_source(self, fixture_dir, capsys):
         # P reads no direction; the ball's values are closed forms
@@ -215,8 +216,13 @@ class TestCompute:
             details[name] = {r.split(",")[0]: r.split(",")[-1]
                              for r in capsys.readouterr().out.splitlines()[1:]}
         assert details["cube"] == {"P": "exact", "M": "max over facet normals",
-                                   "m": "grid=64 refine=3", "Q": "grid=64 refine=3"}
+                                   "m": "min over facet normals of Pi^2 K",
+                                   "Q": "grid=64 refine=3"}
         assert details["ball"] == dict.fromkeys("PMmQ", "closed form")
+        # icosphere1's Pi^2 K has more facet normals than the grid has rows
+        assert main(["--no-timestamp", "compute", str(fixture_dir / "icosphere1.json"),
+                     "--invariants", "m", "--grid", "64", "--refine", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "grid=64 refine=3"
         # without the options, the grid and refinement are invariants' own defaults
         args = build_parser().parse_args(["compute", "body.json"])
         own = inspect.signature(invariants).parameters

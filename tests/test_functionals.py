@@ -579,7 +579,7 @@ def _m_pruning_bodies():
 
 
 class TestPrunedMGrid:
-    """m alone evaluates the ratio only where its lower bound by vertices of Pi^2 B can win."""
+    """m on the grid evaluates the ratio only where its lower bound by vertices of Pi^2 B can win."""
 
     @pytest.mark.parametrize("B", _m_pruning_bodies())
     def test_rows_that_can_win_are_exact(self, B):
@@ -600,15 +600,22 @@ class TestPrunedMGrid:
 
     @pytest.mark.parametrize("refine", [0, 50])
     @pytest.mark.parametrize("B", _m_pruning_bodies())
-    def test_pruned_grid_equals_full_grid(self, monkeypatch, B, refine):
-        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", 0)
+    def test_pruned_grid_equals_full_grid(self, B, refine):
+        # the full grid evaluated and refined here; the cubes and the
+        # octahedron read the facet normals of Pi^2 B, and their minimum
+        # lies at the axes, rows of the grid
         pruned = invariants(B, refine=refine, want=("M", "m"))
-        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", math.inf)
-        full = invariants(B, refine=refine, want=("M", "m"))
-        assert pruned.M == pytest.approx(full.M, rel=1e-14)
-        assert pruned.m == pytest.approx(full.m, rel=1e-14)
-        if not np.array_equal(pruned.m_dir, full.m_dir):
-            assert ratio(B, pruned.m_dir) == pytest.approx(ratio(B, full.m_dir), rel=1e-14)
+        B = functionals._realized(B)
+        X = np.vstack([fibonacci_sphere(functionals.GRID), np.eye(3), B.candidates])
+        full = ratio(B, X)
+        i = int(np.argmin(full))
+        m_dir, m = X[i], float(full[i])
+        if refine:
+            m_dir, m = _chart_refine(lambda Y: ratio(B, Y), m_dir, m, False, refine)
+        assert pruned.M == pytest.approx(np.max(full[-len(B.candidates):]), rel=1e-14)
+        assert pruned.m == pytest.approx(m, rel=1e-14)
+        if not np.array_equal(pruned.m_dir, m_dir):
+            assert ratio(B, pruned.m_dir) == pytest.approx(ratio(B, m_dir), rel=1e-14)
 
     def _rows(self, monkeypatch):
         """Count the directions of shadows asked for without vertices and with them."""
@@ -639,7 +646,6 @@ class TestPrunedMGrid:
 
     def test_cylinder_keeps_every_row(self, monkeypatch):
         # its ratio is 8 in every direction, to rounding: no bound can drop a row
-        monkeypatch.setattr(functionals, "_M_PRUNE_MIN", 0)
         rows = self._rows(monkeypatch)
         invariants(fixtures.cylinder_profile(), refine=0, want=("m",))
         assert sum(rows["exact"]) == 2048
@@ -659,15 +665,24 @@ class TestPrunedMGrid:
 
     @pytest.mark.parametrize("want", [("m",), ("m", "Q")])
     def test_small_bodies_and_Q_take_the_full_grid(self, monkeypatch, want):
-        # below _M_PRUNE_MIN generators of Pi B, and with Q, whose bound is
-        # the ratio on every row, the grid's ratios come in one call
+        # nothing is pruned for a body whose Pi^2 B has no more facet normals
+        # than the grid has rows: it reads all of them in one call, with or
+        # without Q; Q, whose bound is the ratio on every row, takes the
+        # grid's ratios in one call
         rows = self._rows(monkeypatch)
         small = fixtures.random_symmetric_polytope(np.random.default_rng(6), 6)
-        assert len(small.pi_body) < functionals._M_PRUNE_MIN
-        invariants(small, grid=256, refine=0, want=("m",))
+        normals = functionals._pi2_normals(small)
+        assert functionals.m_at_pi2_normals(small, 256)
+        invariants(small, grid=256, refine=0, want=want)
+        X = 256 + 3 + len(small.candidates)
+        assert rows == {"exact": [X] * ("Q" in want) + [len(normals)], "vertices": []}
+        rows["exact"].clear()
         large = fixtures.icosphere(2)
+        assert not functionals.m_at_pi2_normals(large, 256)
         invariants(large, grid=256, refine=0, want=want)
         assert rows["vertices"] == ([] if "Q" in want else [3 + len(large.candidates)])
+        if "Q" in want:
+            assert rows["exact"] == [256 + 3 + len(large.candidates)]
 
 
 class TestInvariants:
@@ -812,6 +827,66 @@ def test_M_is_sl3_invariant_on_the_suite_cases(case):
     B, T = _sl_cases(12, 1)[case]
     M0, M1 = (invariants(K, want=("M",)).M for K in (B, B.map_linear(T)))
     assert abs(M1 - M0) <= 1e-12 * M0
+
+
+# --- exact m ---------------------------------------------------------------------
+
+FLATTENED = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-8], [1.0, 1.0, 1e-8]]
+
+
+def _exact_m_bodies():
+    """The cubes, the octahedron, the flattened zonotope, Gaussian zonotopes of 3-5
+    generators and symmetric hulls of 4-7 pairs."""
+    rng = np.random.default_rng(28)
+    bodies = [("cube", fixtures.cube()), ("octahedron", fixtures.octahedron()),
+              ("cube-zonotope", fixtures.cube_zonotope()),
+              ("flattened", GeneratorSet(FLATTENED))]
+    bodies += [(f"zonotope{n}", fixtures.random_zonotope(rng, n)) for n in (3, 4, 5)]
+    bodies += [(f"hull{n}", fixtures.random_symmetric_polytope(rng, n)) for n in (4, 5, 6, 7)]
+    return [pytest.param(B, id=name) for name, B in bodies]
+
+
+def _pair_cross_min(B):
+    """The least ratio over the unit crosses of every pair of Pi^2 B's generators.
+
+    The crosses are formed one pair at a time, not through pi2_rows; the
+    generators are taken as unit rows first, which turns no cross.
+    """
+    G = B.pi_body.pi_body.gens
+    G = G / np.linalg.norm(G, axis=1)[:, None]
+    crosses = [np.cross(G[a], G[b]) for a, b in itertools.combinations(range(len(G)), 2)]
+    U = np.array([c / np.linalg.norm(c) for c in crosses if np.any(c != 0.0)])
+    return float(np.min(ratio(B, U)))
+
+
+@pytest.mark.parametrize("B", _exact_m_bodies())
+def test_m_is_the_least_ratio_at_the_facet_normals_of_pi2(B, monkeypatch):
+    # m reads no grid row's ratio and no refinement: it is the oracle's
+    # minimum, and no direction of a finer grid reads below it
+    assert functionals.m_at_pi2_normals(B)
+
+    def never(*args):
+        raise AssertionError("exact m refined")
+
+    monkeypatch.setattr(functionals, "_chart_refine", never)
+    rep = invariants(B, want=("m",))
+    oracle = _pair_cross_min(B)
+    assert rep.m == pytest.approx(oracle, rel=1e-12)
+    assert ratio(B, rep.m_dir) == pytest.approx(rep.m, rel=1e-14)
+    assert np.min(ratio(B, fibonacci_sphere(100_000))) >= rep.m * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("seed, case", [(1, 5), (3, 7), (7, 6)])
+def test_sl_invariance_of_exact_m(seed, case):
+    # the failing sl-invariance cases whose Pi^2 B has no more facet normals
+    # than the grid has rows; the grid read 2.8e-3, 1.6e-3 and 1.4e-2
+    B, T = _sl_cases(12, seed)[case]
+    assert sl_invariance_check(B, T) <= 1e-12
+
+
+def test_flattened_zonotope_m_is_7():
+    # the grid read 7.999547739094794, in the body's own frame
+    assert invariants(GeneratorSet(FLATTENED), want=("m",)).m == pytest.approx(7.0, abs=1e-9)
 
 
 def test_zonotope_hull_is_built_once(monkeypatch):

@@ -180,6 +180,16 @@ class TestConvergence:
         run = optimize("min-m-symmetric", n=12, restarts=2, iters=800, seed=7)
         assert 6.0 - 1e-9 <= run.best_value <= 6.0 + 5e-2
 
+    def test_m_search_budget_ends_at_6(self, tmp_path):
+        # the benchmark's budget; the grid of 192 rows ended at
+        # 6.000014789755205, and near the octahedron Pi^2 of the hull has few
+        # facet normals, which m reads exactly
+        run = optimize("min-m-symmetric", n=6, restarts=1, iters=400, seed=42)
+        assert abs(run.best_value - 6.0) <= 1e-12
+        path = tmp_path / "run.json"
+        run.save(path)
+        assert SearchRun.load(path).best_value == run.best_value
+
     def test_evaluate_config_matches_report(self):
         run = optimize("max-ts-ratio", n=4, restarts=1, iters=200, seed=9)
         assert evaluate_config("max-ts-ratio", run.best_config) == run.best_value

@@ -9,10 +9,10 @@ import pytest
 from pettylab import (GeneratorSet, fixtures, fibonacci_sphere, invariants,
                       q_direction, ratio, suites)
 from pettylab.errors import InputError
-from pettylab.geom import unitize
+from pettylab.geom import unit_rows, unitize
 from pettylab.report import Row, any_failed, render_csv, render_json
 from pettylab.suites import SUITES, _rng, _stack_M, _worst, run_suite
-from pettylab.zonotope import pi2_rows, stack_ratios, triple_dets
+from pettylab.zonotope import pi2_count, pi2_rows, stack_ratios, triple_dets
 
 SMALL = {
     "ts-ratio": 2000,
@@ -65,18 +65,21 @@ def test_run_suite_needs_a_sample(samples):
         run_suite("theorem-1-1", samples=samples)
 
 
-def _grid_ratios(B):
-    return ratio(B, np.vstack([fibonacci_sphere(1024), np.eye(3), B.candidates]))
-
-
 def _max_ratio(rng):
     Z = fixtures.random_zonotope(rng, int(rng.integers(3, 9)))
     return float(np.max(ratio(Z, Z.candidates)))
 
 
 def _min_ratio(rng):
+    # exact m: the least ratio at the unit crosses of the pairs of Pi^2 P's
+    # generators where they are no more than the rows of the grid, the grid
+    # of 1024 points, the axes and the candidates; else the grid's least
     P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13)))
-    return float(np.min(_grid_ratios(P)))
+    X = np.vstack([fibonacci_sphere(1024), np.eye(3), P.candidates])
+    G = unit_rows(P.pi_body.gens)
+    if pi2_count(len(G)) <= len(X):
+        X = unit_rows(pi2_rows(G, triple_dets(G)))
+    return float(np.min(ratio(P, X)))
 
 
 def _schwartz_gap(rng):
