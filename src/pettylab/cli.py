@@ -29,7 +29,7 @@ from . import fixtures as fixture_mod
 from .bodies import Ball, load_body, save_body
 from .errors import BodyFileError, GeometryError, LimitError
 from .functionals import (GRID, INVARIANTS, LIMITS, REFINE, check_limit, invariants,
-                          m_at_pi2_normals, q_direction, ratio)
+                          q_direction, ratio)
 from .geom import Polytope, unitize
 from .report import Row, any_failed, fmt, render_csv, render_json
 from .search import OBJECTIVES, RECORDS, optimize
@@ -215,9 +215,9 @@ def cmd_compute(args):
     if isinstance(body, Ball):
         where = dict.fromkeys(INVARIANTS, "closed form")
     else:
-        exact_m = rep.m is not None and m_at_pi2_normals(body, args.grid)
         where = {"P": "exact", "M": "max over facet normals", "Q": searched,
-                 "m": "min over facet normals of Pi^2 K" if exact_m else searched}
+                 "m": ("min over facet normals of Pi^2 K" if rep.m_source == "pi2 normals"
+                       else searched)}
     rows = [Row(name, value=getattr(rep, name), status="INFO",
                 direction=getattr(rep, f"{name}_dir", None), detail=where[name])
             for name in args.invariants]

@@ -179,13 +179,27 @@ def ratio(B, X):
     the ball analytic, and a revolution body is evaluated on its polytopal
     realization.  B must be symmetric (SymmetryError otherwise).
     """
+    return _ratio_rows(B, X)[0]()
+
+
+def _ratio_rows(B, X):
+    """ratio's evaluator on the rows of X: (at, den), den = h_B(X) V(B) checked positive.
+
+    at(rows=None, vertices=False) is ratio(B, X[rows]) (all rows for None),
+    its shadows priced for all of X (z_shadow_area's d); with vertices, also
+    the vertices of Pi^2 B supporting them.  B must be symmetric.
+    """
     if not B.symmetric:
         raise SymmetryError("direction ratio requires a symmetric body")
-    num = z_shadow_area(B.pi_body, X)
     den = B.support(X) * B.volume
     if (den <= 0.0).any():
         raise InputError("support must be positive in every requested direction")
-    return num / den
+
+    def at(rows=None, vertices=False):
+        Y, h = (X, den) if rows is None else (X[rows], den[rows])
+        num = z_shadow_area(B.pi_body, Y, len(X), vertices)
+        return (num[0] / h, num[1]) if vertices else num / h
+    return at, den
 
 
 # 1/(2k+3), k = 1..24: the series phi(y) = sum_k (-y)^k/(2k+3) after its 1/3
@@ -411,27 +425,21 @@ def _scan(fn, lower, out):
     return out
 
 
-def _grid_ratios(B, X, grid):
+def _grid_ratios(B, X, V):
     """ratio(B, X) at the rows of X that may hold its minimum, +inf at the others.
 
-    X is a grid of `grid` rows, then the axes and the candidates.  The
-    ratio is exact at the rows after the grid, and the vertices v(y) of
-    Pi^2 B supporting them come with it (z_shadow_area with vertices).  A
-    support function is the max of <v, x> over its body, so h_{Pi^2 B}(x)
-    >= max_y <v(y), x>, and dividing by h_B(x) V(B) bounds the ratio of
-    every grid row from below; _scan evaluates the rows that bound can
-    leave in the running.  Every part takes the path of one call over X, so
-    its ratios are those of the full grid.
+    X is a grid, then the three axes; V are vertices of Pi^2 B.  As
+    h_{Pi^2 B}(x) >= max_v <v, x>, that over h_B(x) V(B) bounds every row's
+    ratio from below.  The axes go first, their vertices joining V (without
+    them the double cone, least at its axis, took twice the rows), and
+    _scan evaluates what the bound leaves, each part priced for all of X.
     """
-    h = B.support(X)
-    if (h <= 0.0).any():
-        raise InputError("support must be positive in every requested direction")
-    hv = h * B.volume
-    out, lower = np.full(len(X), np.inf), np.full(len(X), np.inf)
-    num, V = z_shadow_area(B.pi_body, X[grid:], len(X), vertices=True)
-    out[grid:] = num / hv[grid:]
-    lower[:grid] = _reduce_dots(V, X[:grid], True) / hv[:grid]
-    return _scan(lambda rows: z_shadow_area(B.pi_body, X[rows], len(X)) / hv[rows], lower, out)
+    at, den = _ratio_rows(B, X)
+    out = np.full(len(X), np.inf)
+    out[-3:], axes = at(slice(-3, None), vertices=True)
+    lower = _reduce_dots(np.vstack([V, axes]), X, True) / den
+    lower[-3:] = np.inf
+    return _scan(at, lower, out)
 
 
 def _pi2_normals(B):
@@ -448,19 +456,8 @@ def _pi2_normals(B):
     return unit_rows(pi2_rows(G, triple_dets(G)))
 
 
-def m_at_pi2_normals(B, grid=GRID):
-    """True where invariants reads m at _pi2_normals(B), not on its grid.
-
-    That is where Pi^2 B has no more of them, n + 3 C(n, 4) for n generators
-    of Pi B, than the grid of `grid` points, the axes and the candidates have
-    rows.  B must be symmetric and no ball.
-    """
-    B = _realized(B)
-    return pi2_count(len(B.pi_body)) <= grid + 3 + len(B.candidates)
-
-
-class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir")):
-    """P, M, m, Q of a body with their attaining directions."""
+class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir m_source")):
+    """P, M, m, Q, their directions, and m's source: "pi2 normals", "grid" or "closed form"."""
 
 
 def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
@@ -472,16 +469,18 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     the normal cone of a vertex w of Pi^2 B the ratio on <w, x> = 1 is
     1 / (V(B) h_B), least where the convex h_B is largest, at a ray, a
     facet normal of Pi^2 B.  So m is the least ratio at _pi2_normals(B),
-    with no refinement, where they are no more than the grid's rows
-    (m_at_pi2_normals).  Otherwise m, and Q always, take the axes, the
-    candidates and a Fibonacci sphere of `grid` points, and polish the
+    unrefined, where they (n + 3 C(n, 4) for n generators of Pi B) are no
+    more than the grid's rows.  Otherwise m, and Q always, take a Fibonacci
+    sphere of `grid` points, the axes and the candidates, and polish the
     extremum by at most refine - 1 Nelder-Mead steps in a chart about it
-    (_chart_refine).  On a symmetric body Q's grid skips the rows where the
-    ratio, an upper bound of q, cannot beat the best q (_scan on -q).  m on
-    the grid without Q skips the rows where a lower bound of the ratio by
-    vertices of Pi^2 B cannot beat the best ratio (_grid_ratios); either
-    way the grid value and its row are the full grid's.
-    want names some of INVARIANTS; M and m need symmetry.
+    (_chart_refine).  The candidates take a call of their own, whatever is
+    wanted, so M reads the same bits with or without m and Q; the grid and
+    the axes a second, priced at their size.  On a symmetric body Q's grid
+    skips the rows where the ratio, an upper bound of q, cannot beat the
+    best q (_scan on -q); m on the grid without Q those where a lower bound
+    of the ratio by vertices of Pi^2 B cannot beat the best ratio
+    (_grid_ratios).  Either way the grid value and its row are the full
+    grid's.  want names some of INVARIANTS; M and m need symmetry.
     """
     # a string would be read letter by letter
     if type(want) is str or not set(want) <= set(INVARIANTS):
@@ -493,27 +492,28 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     B = _realized(B)
     if isinstance(B, Ball):
         v = BALL_RATIO
-        return InvariantReport(v, v, v, v, None, None, None)
+        return InvariantReport(v, v, v, v, None, None, None, "closed form")
     if ("M" in want or "m" in want) and not B.symmetric:
         raise SymmetryError("M and m are defined for symmetric bodies")
 
     P = petty_value(B) if "P" in want else None
-    # P, M and an exact m read no grid; the candidates are the grid's tail
+    # P, M and an exact m read no grid
     C, found = B.candidates, {}
-    grid_m = "m" in want and not m_at_pi2_normals(B, grid)
-    X = np.vstack([fibonacci_sphere(grid), np.eye(3), C]) if grid_m or "Q" in want else C
+    exact_m = "m" in want and pi2_count(len(B.pi_body)) <= grid + 3 + len(C)
+    grid_m = "m" in want and not exact_m
+    if grid_m or "Q" in want:
+        G = np.vstack([fibonacci_sphere(grid), np.eye(3)])
+        X = np.vstack([G, C])
     # the grid's ratios bound q there; Q alone pays for them from _PRUNE_MIN rows
-    prune = "Q" in want and B.symmetric and (grid_m or len(X) >= _PRUNE_MIN)
-    if prune:
-        ratios = ratio(B, X)  # shared by M, m and Q
-    elif grid_m:
-        ratios = _grid_ratios(B, X, grid)  # exact at the candidates, for M
-    elif "M" in want:
-        ratios = ratio(B, C)
+    prune = "Q" in want and B.symmetric and (grid_m or grid + 3 + len(C) >= _PRUNE_MIN)
+    scan = grid_m and not prune  # bounded by the candidates' vertices
+    if "M" in want or grid_m or prune:
+        cand, V = _ratio_rows(B, C)[0](vertices=True) if scan else (ratio(B, C), None)
     if "M" in want:
-        tail = ratios[len(ratios) - len(C):]
-        found["M"] = C[np.argmax(tail)], float(np.max(tail))
-    if "m" in want and not grid_m:
+        found["M"] = C[np.argmax(cand)], float(np.max(cand))
+    if grid_m or prune:
+        ratios = np.concatenate([_grid_ratios(B, G, V) if scan else ratio(B, G), cand])
+    if exact_m:
         U = _pi2_normals(B)
         values = ratio(B, U)
         i = int(np.argmin(values))
@@ -536,7 +536,8 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
             x, v = _chart_refine(partial(fn, B), x, v, sign < 0.0, refine)
         found[name] = x, v
     (M_dir, M), (m_dir, m), (Q_dir, Q) = (found.get(k, (None, None)) for k in "MmQ")
-    return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir)
+    source = "pi2 normals" if exact_m else "grid" if grid_m else None
+    return InvariantReport(P, M, m, Q, M_dir, m_dir, Q_dir, source)
 
 
 def sl_invariance_check(B, T):

@@ -116,7 +116,7 @@ def _abs_sum(dots, axis):
     return np.add.reduce(np.abs(dots, out=dots), axis)
 
 
-def _reduce_dots(C, X, maximum=False):
+def _reduce_dots(C, X, maximum=False, signs=False):
     """sum over the rows c of C (m, 3) of |<c, x>|, or with maximum the max of <c, x>.
 
     One value per row x of X (d, 3), or one for a single x (3,): the sum is
@@ -130,6 +130,10 @@ def _reduce_dots(C, X, maximum=False):
     product by its place in the call, and sums add in another order, so the
     two layouts, or a chunk and a whole call, agree to rounding, not bit for
     bit.  Either costs about 2 ns per row and direction.
+    With signs (sums, C (m, 3) and X (d, 3) only), (values, S): S[i] sums
+    +-c, signed as <c, X[i]> (-c where it is 0), from the chunk of products
+    its value is reduced from, so the values are those of the call without
+    signs bit for bit.
     """
     # the axis goes by position: a keyword costs more than a small reduction's arithmetic
     reduce = _MAX if maximum else _abs_sum
@@ -139,10 +143,15 @@ def _reduce_dots(C, X, maximum=False):
     # the directions of a chunk (_chunks); a call with no rows is one chunk
     width = min(d, max(1, _CHUNK_BYTES // max(8 * m, 1)))
     few = width < _FEW_DIRECTIONS
-    if C.ndim == 2 and width == d:  # the one pass of the chunks below
+    if C.ndim == 2 and width == d and not signs:  # the one pass of the chunks below
         return reduce(X @ C.T, 1) if few else reduce(C @ X.T, 0)
     Cs, Xs = (C, X) if C.ndim == 3 else (C[None], X[None])
     out = np.empty(Xs.shape[:2])
+    # S = 2 sum_{<c, x> > 0} c - sum c, from a mask of the products beside
+    # them (an eighth of their bytes): a second float buffer took 2-3 times
+    # as long, its pages faulted in again at every call
+    if signs:
+        S, total, positive = np.empty(X.shape), C.sum(axis=0), np.empty(width * m, dtype=bool)
     # every pass's products go into the first pass's buffer: a fresh one per
     # pass is handed back to the kernel and faulted in again
     buf = None
@@ -152,11 +161,18 @@ def _reduce_dots(C, X, maximum=False):
             Cg, Xg = Cs[grp], Xs[grp, sl]
             L, R = (Xg, Cg.swapaxes(1, 2)) if few else (Cg, Xg.swapaxes(1, 2))
             shape = L.shape[:2] + R.shape[2:]
+            size = shape[0] * shape[1] * shape[2]
             if buf is None:
-                buf = np.empty(shape[0] * shape[1] * shape[2])
-            dots = buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
-            out[grp, sl] = reduce(np.matmul(L, R, out=dots), 2 if few else 1)
-    return out if C.ndim == 3 else out[0]
+                buf = np.empty(size)
+            dots = np.matmul(L, R, out=buf[:size].reshape(shape))
+            if signs:
+                mask = np.greater(dots, 0.0, out=positive[:size].reshape(shape))
+            out[grp, sl] = reduce(dots, 2 if few else 1)
+            if signs:  # the reduced products' buffer takes the mask as 0.0 and 1.0
+                np.copyto(dots, mask)
+                S[sl] = 2.0 * ((dots[0] if few else dots[0].T) @ C) - total
+    out = out if C.ndim == 3 else out[0]
+    return (out, S) if signs else out
 
 
 def _frames(U):

@@ -41,10 +41,10 @@ class Objective(namedtuple("Objective", "name build n_range quantity grid maximi
     random start); the body is scored as built, and the rows are rescaled
     to volume 1.  build is None for a 4-tuple plus a direction, whose five
     rows are scaled to unit length and scored so (n unused).
-    quantity is the invariant extremized, or "t/s": M exactly (grid None);
-    m exactly at the facet normals of Pi^2 K where they are no more than the
-    rows of `grid` Fibonacci directions, the axes and the structured
-    candidates, and else, like Q, unrefined over those rows.  The bodies
+    quantity is the invariant extremized, or "t/s": M exactly, and m at
+    invariants' default grid (grid None), exactly where Pi^2 K has no more
+    facet normals than it has rows, else, like Q, unrefined over `grid`
+    Fibonacci directions, the axes and the structured candidates.  The bodies
     set the class flag of their quantity's limit in functionals.LIMITS, and
     a best value beyond it is an evaluator bug (LimitError); one within
     1e-3 of `sharp` is flagged, with hints(config).
@@ -75,7 +75,7 @@ def _cylinder_hints(config):
 RECORDS = {o.name: o for o in (
     Objective("max-M-zonoid", GeneratorSet, (3, 8), "M", None, True,
               sharp=LIMITS["M"].constant, hints=_cylinder_hints),
-    Objective("min-m-symmetric", _symmetric_hull, (3, 20), "m", 192, False,
+    Objective("min-m-symmetric", _symmetric_hull, (3, 20), "m", None, False,
               sharp=LIMITS["m"].constant),
     Objective("min-Q-symmetric", _symmetric_hull, (3, 20), "Q", 48, False, conjectured=BALL_RATIO,
               starts={"icosphere": lambda: icosphere(1).vertices, "cube": lambda: cube().vertices}),

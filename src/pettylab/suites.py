@@ -279,20 +279,18 @@ def suite_theorem_1_1(samples, seed):
 def suite_theorem_1_2(samples, seed):
     """Symmetric lower bound: ratio >= 6 in every direction; octahedron attains 6.
 
-    Each sample's m is exact, the least ratio at the facet normals of
-    Pi^2 K, where they are no more than the rows of the 1024-point grid, the
-    axes and the candidates (808 of 1,000 samples at seed 42); the others
-    read m on that grid, unrefined (functionals.invariants).
+    Each sample's m is invariants' at its defaults, as compute reads it:
+    exact where Pi^2 K has no more facet normals than the grid has rows,
+    refined on the grid otherwise.
     """
     rng = _rng(seed, "thm12")
     m = [invariants(fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13))),
-                    grid=1024, refine=0, want=("m",)).m
-         for _ in range(samples)]
+                    want=("m",)).m for _ in range(samples)]
     worst, witness = _worst(seed, m, lowest=True)
     oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
     return [_limit_row("symmetric-ratio-lower", "m", worst, witness),
-            check("octahedron-attains-6", abs(oct_val - LIMITS["m"].constant) <= 1e-6,
-                  value=oct_val, tolerance=1e-6, direction=(0, 0, 1))]
+            check("octahedron-attains-6", abs(oct_val - LIMITS["m"].constant) <= 1e-9,
+                  value=oct_val, tolerance=1e-9, direction=(0, 0, 1))]
 
 
 def _sl_cases(samples, seed):

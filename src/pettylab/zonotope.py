@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import FlatBodyError, InputError
-from .geom import _abs_sum, _chunks, _frames, _reduce_dots, as_vec, convex_hull, cross, unit_rows
+from .geom import _chunks, _frames, _reduce_dots, as_vec, convex_hull, cross, unit_rows
 
 # Sort axis of merge_parallel; any unit vector works, a generic one keeps the
 # windows of near-equal keys short for structured inputs.
@@ -309,20 +309,19 @@ def z_shadow_area(Z, X, d=None, vertices=False):
     With vertices, (values, V): V[i] = 4 sum_{i<j} sign(det(x_i, x_j, x))
     x_i x x_j is the vertex of Pi Z where <., X[i]> reaches the shadow, so
     h_{Pi Z}(y) >= <V[i], y> for every y and each bounds every other shadow
-    from below.  It comes from the signs of the pair products (_pair_shadow)
-    or the prefix sums of the walk (_sorted_shadow); the values are those
-    without vertices, to the last-bit rounding by which BLAS can tell chunks
-    of other widths apart.
+    from below.  It comes from the signs of the pair products (_reduce_dots
+    with signs) or the prefix sums of the walk (_sorted_shadow), in the
+    chunks of the call without vertices, whose values it returns bit for
+    bit.
     """
     Z = as_set(Z)
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
     if not _pair_path(len(Z), Xs.shape[0] if d is None else d, _pair_rows(Z)):
         out = _sorted_shadow(Z.gens, Xs, vertices)
-    elif vertices:
-        out = _pair_shadow(Z._crosses, Xs)
     else:
-        out = 4.0 * _reduce_dots(Z._crosses, Xs)
+        out = _reduce_dots(Z._crosses, Xs, signs=vertices)
+        out = (4.0 * out[0], 4.0 * out[1]) if vertices else 4.0 * out
     if X.ndim > 1:
         return out
     return (out[0][0], out[1][0]) if vertices else out[0]
@@ -394,9 +393,9 @@ def _sorted_shadow(G, X, vertices=False):
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     out = np.empty(X.shape[0])
     V = np.empty(X.shape) if vertices else None
-    # about a dozen float rows of length n live per direction, six more for
-    # the vertices
-    for sl in _chunks(X.shape[0], (144 if vertices else 96) * G.shape[0]):
+    # about a dozen float rows of length n live per direction (six more with
+    # the vertices, in the same chunks, so that the areas are the same)
+    for sl in _chunks(X.shape[0], 96 * G.shape[0]):
         nx = norms[sl]
         dirs = X[sl] / np.where(nx > 0.0, nx, 1.0)[:, None]
         # x and -x share one frame, so their shadows agree to the last bit
@@ -427,22 +426,6 @@ def _sorted_shadow(G, X, vertices=False):
             side = 4.0 * np.sign(np.einsum("ij,ij->i", u, dirs))
             V[sl] = side[:, None] * (area[:, None] * u + b[:, None] * e1 - c[:, None] * e2)
     return (out, V) if vertices else out
-
-
-def _pair_shadow(C, X):
-    """(4 sum_r |<r, x>|, 4 sum_r sign(<r, x>) r) per row x of X (d, 3) over the rows r of C.
-
-    The pair shadow and the vertex supporting it, from one set of products
-    in _reduce_dots' (m, d) layout, over chunks of directions of about
-    _CHUNK_BYTES (products and their signs).
-    """
-    out = np.empty(X.shape[0])
-    V = np.empty(X.shape)
-    for sl in _chunks(X.shape[0], 16 * C.shape[0]):
-        dots = C @ X[sl].T
-        V[sl] = 4.0 * (np.sign(dots).T @ C)
-        out[sl] = 4.0 * _abs_sum(dots, 0)
-    return out, V
 
 
 def second_proj_support(Z, x):

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 from pettylab import (Ball, GeneratorSet, InputError, InvariantReport, LimitError,
                       SymmetryError, invariants, mixed_volume, petty_value, polar_volume,
                       q_direction, ratio, s_term, sl_invariance_check, t_term,
-                      ts_sums)
+                      ts_sums, z_shadow_area)
 from pettylab.functionals import (BALL_RATIO, LIMIT_MARGIN, LIMITS, _chart_refine,
                                   _nelder_mead, check_limit, sqrt_quadratic_integral)
 from pettylab.geom import plane_basis, unitize
@@ -584,12 +584,15 @@ class TestPrunedMGrid:
     @pytest.mark.parametrize("B", _m_pruning_bodies())
     def test_rows_that_can_win_are_exact(self, B):
         B = functionals._realized(B)
-        X = np.vstack([fibonacci_sphere(2048), np.eye(3), B.candidates])
+        X = np.vstack([fibonacci_sphere(2048), np.eye(3)])
         full = ratio(B, X)
-        pruned = functionals._grid_ratios(B, X, 2048)
+        # the grid and the axes, bounded by the vertices supporting the
+        # candidates' shadows and the axes', as invariants bounds them: the
+        # axes always, and a skipped row is above the minimum
+        V = z_shadow_area(B.pi_body, B.candidates, vertices=True)[1]
+        pruned = functionals._grid_ratios(B, X, V)
         exact = np.isfinite(pruned)
-        # the axes and candidates always, for M; a skipped row is above the minimum
-        assert exact[2048:].all()
+        assert exact[-3:].all()
         assert pruned[exact] == pytest.approx(full[exact], rel=1e-14)
         assert exact[full <= np.min(full) * (1.0 + 1e-12)].all()
         # the first row of a tie, or one whose ratio equals it to rounding
@@ -638,8 +641,8 @@ class TestPrunedMGrid:
     def test_few_grid_rows_left_to_evaluate(self, monkeypatch, name, B, most):
         rows = self._rows(monkeypatch)
         rep = invariants(B, refine=0, want=("P", "M", "m"))
-        # the axes and candidates with their vertices, which bound every grid row
-        assert rows["vertices"] == [3 + len(B.candidates)]
+        # the candidates, then the axes, with their vertices, which bound every grid row
+        assert rows["vertices"] == [len(B.candidates), 3]
         assert sum(rows["exact"]) <= most
         X = np.vstack([fibonacci_sphere(2048), np.eye(3), B.candidates])
         assert rep.m == pytest.approx(np.min(ratio(B, X)), rel=1e-14)
@@ -668,21 +671,20 @@ class TestPrunedMGrid:
         # nothing is pruned for a body whose Pi^2 B has no more facet normals
         # than the grid has rows: it reads all of them in one call, with or
         # without Q; Q, whose bound is the ratio on every row, takes the
-        # grid's ratios in one call
+        # candidates' ratios in one call and the grid's and the axes' in
+        # another
         rows = self._rows(monkeypatch)
         small = fixtures.random_symmetric_polytope(np.random.default_rng(6), 6)
         normals = functionals._pi2_normals(small)
-        assert functionals.m_at_pi2_normals(small, 256)
-        invariants(small, grid=256, refine=0, want=want)
-        X = 256 + 3 + len(small.candidates)
-        assert rows == {"exact": [X] * ("Q" in want) + [len(normals)], "vertices": []}
+        assert invariants(small, grid=256, refine=0, want=want).m_source == "pi2 normals"
+        grid = [len(small.candidates), 256 + 3] * ("Q" in want)
+        assert rows == {"exact": grid + [len(normals)], "vertices": []}
         rows["exact"].clear()
         large = fixtures.icosphere(2)
-        assert not functionals.m_at_pi2_normals(large, 256)
-        invariants(large, grid=256, refine=0, want=want)
-        assert rows["vertices"] == ([] if "Q" in want else [3 + len(large.candidates)])
+        assert invariants(large, grid=256, refine=0, want=want).m_source == "grid"
+        assert rows["vertices"] == ([] if "Q" in want else [len(large.candidates), 3])
         if "Q" in want:
-            assert rows["exact"] == [256 + 3 + len(large.candidates)]
+            assert rows["exact"] == [len(large.candidates), 256 + 3]
 
 
 class TestInvariants:
@@ -762,7 +764,8 @@ class TestInvariants:
         assert rep.M == pytest.approx(8.0, abs=1e-9) and rep.m == pytest.approx(8.0, abs=1e-9)
 
     def test_report_holds_values_and_directions(self):
-        assert InvariantReport._fields == ("P", "M", "m", "Q", "M_dir", "m_dir", "Q_dir")
+        assert InvariantReport._fields == ("P", "M", "m", "Q", "M_dir", "m_dir", "Q_dir",
+                                           "m_source")
 
 
 # --- exact M ---------------------------------------------------------------------
@@ -797,6 +800,32 @@ def test_M_is_the_max_at_the_candidates(B, monkeypatch):
     assert rep.M == np.max(ratio(B, cands))
     assert any(np.array_equal(rep.M_dir, c) for c in cands)
     assert ratio(B, rep.M_dir) == pytest.approx(rep.M, rel=1e-14)
+
+
+def _bench_bodies():
+    """The benchmark's exact-pmm zonotopes (8-24 generators) and sphere hulls
+    (20-100 pairs) at its seed 2, and the bundled symmetric fixtures."""
+    rng = np.random.default_rng(np.random.SeedSequence([2, sum(map(ord, "exact-pmm"))]))
+    bodies = [(f"zonotope{n}", GeneratorSet(rng.standard_normal((n, 3))))
+              for n in (8, 10, 12, 14, 16, 20, 24)]
+    for n in (20, 30, 40, 60, 100):
+        p = rng.standard_normal((n, 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        bodies.append((f"hull{n}", convex_hull(np.vstack([p, -p]), symmetric=True)))
+    bodies += [("cube", fixtures.cube()), ("cube-zonotope", fixtures.cube_zonotope()),
+               ("octahedron", fixtures.octahedron()), ("icosphere1", fixtures.icosphere(1)),
+               ("icosphere2", fixtures.icosphere(2)), ("cylinder", fixtures.cylinder_profile()),
+               ("double-cone", fixtures.double_cone_profile()), ("ball", fixtures.ball())]
+    return [pytest.param(B, id=name) for name, B in bodies]
+
+
+@pytest.mark.parametrize("B", _bench_bodies())
+def test_M_reads_the_same_bits_whatever_else_is_wanted(B):
+    # M takes the candidates in a call of its own, with or without the
+    # vertices a grid m bounds its grid by, and with or without Q's bound
+    wants = [("M",), ("M", "m"), ("M", "Q"), ("P", "M", "m", "Q")]
+    M = [invariants(B, want=want).M for want in wants]
+    assert M == [M[0]] * len(wants)
 
 
 @pytest.mark.parametrize("B", _exact_M_bodies(), ids=_EXACT_M_IDS)
@@ -863,13 +892,12 @@ def _pair_cross_min(B):
 def test_m_is_the_least_ratio_at_the_facet_normals_of_pi2(B, monkeypatch):
     # m reads no grid row's ratio and no refinement: it is the oracle's
     # minimum, and no direction of a finer grid reads below it
-    assert functionals.m_at_pi2_normals(B)
-
     def never(*args):
         raise AssertionError("exact m refined")
 
     monkeypatch.setattr(functionals, "_chart_refine", never)
     rep = invariants(B, want=("m",))
+    assert rep.m_source == "pi2 normals"
     oracle = _pair_cross_min(B)
     assert rep.m == pytest.approx(oracle, rel=1e-12)
     assert ratio(B, rep.m_dir) == pytest.approx(rep.m, rel=1e-14)

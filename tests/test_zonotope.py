@@ -15,7 +15,7 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       convex_hull, fibonacci_sphere, mixed_volume, ratio,
                       second_proj_support, z_shadow_area, z_volume)
 from pettylab.geom import _FEW_DIRECTIONS, _chunks, _reduce_dots, plane_basis
-from pettylab.zonotope import (_pair_path, _pair_shadow, _sorted_shadow, merge_parallel,
+from pettylab.zonotope import (_pair_path, _sorted_shadow, merge_parallel,
                                pair_crosses, pi2_rows, stack_ratios, triple_dets,
                                zonogon_area, zonotope_vertices)
 from pettylab import fixtures, zonotope
@@ -325,7 +325,8 @@ def test_shadow_paths_agree(seed, n, kind):
 
 def _vertex_paths(G, X):
     """(values, V) of the pair sum and of the walk over the generators G at X."""
-    return _pair_shadow(pair_crosses(G), X), _sorted_shadow(G, X, vertices=True)
+    values, V = _reduce_dots(pair_crosses(G), X, signs=True)
+    return (4.0 * values, 4.0 * V), _sorted_shadow(G, X, vertices=True)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 7, 30, 90]),
@@ -366,6 +367,33 @@ def test_shadow_vertices_of_pi2(n):
         assert np.einsum("ij,ij->i", V, X) == pytest.approx(h, rel=1e-14)
         assert np.all(X @ z_shadow_area(B.pi_body, Y, vertices=True)[1].T
                       <= h[:, None] * (1.0 + 1e-12))
+
+
+def _shadow_bodies():
+    """Pi of the benchmark's exact-pmm 8-generator zonotope at its seed 2 (218 pair
+    rows), Pi of a 13-generator zonotope (2,158 pair rows, so chunks of fewer
+    than 64 directions), and Pi of a 100-pair sphere hull (the walk)."""
+    rng = np.random.default_rng(np.random.SeedSequence([2, sum(map(ord, "exact-pmm"))]))
+    z8 = GeneratorSet(rng.standard_normal((8, 3)))
+    p = np.random.default_rng(100).standard_normal((100, 3))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    hull = convex_hull(np.vstack([p, -p]), symmetric=True)
+    z13 = GeneratorSet(np.random.default_rng(13).standard_normal((13, 3)))
+    return [pytest.param(B, id=name) for name, B in
+            (("zonotope8", z8), ("zonotope13", z13), ("hull100", hull))]
+
+
+@pytest.mark.parametrize("B", _shadow_bodies())
+def test_shadow_vertices_leave_the_values_unchanged(B):
+    # with vertices the shadows are those of the plain call bit for bit:
+    # below and above 64 directions, and over several chunks of them
+    pi = B.pi_body
+    grids = [B.candidates, fibonacci_sphere(10), fibonacci_sphere(2048 + 3),
+             np.random.default_rng(1).standard_normal((5000, 3))]
+    for X in grids:
+        assert np.array_equal(z_shadow_area(pi, X, vertices=True)[0], z_shadow_area(pi, X))
+    pair = [zonotope._pair_path(len(pi), len(X), zonotope._pair_rows(pi)) for X in grids]
+    assert all(pair) if isinstance(B, GeneratorSet) else not any(pair)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 12]))
