@@ -39,7 +39,8 @@ from .errors import InputError, LimitError, SymmetryError
 from .geom import (_chunks, _count, _reduce_dots, as_vec, convex_hull, cross, fibonacci_sphere,
                    plane_basis, slice_quadratics, unit_rows, unitize)
 from .revolution import RevolutionBody
-from .zonotope import pi2_count, pi2_rows, triple_dets, z_shadow_area
+from .zonotope import (pair_row_count, pi2_count, pi2_rows, stack_shadows, triple_dets,
+                       z_shadow_area)
 
 BALL_RATIO = 3.0 * math.pi ** 2 / 4.0  # Pi^2 B = pi^3 B, V(B) = 4pi/3
 INVARIANTS = ("P", "M", "m", "Q")
@@ -182,12 +183,14 @@ def ratio(B, X):
     return _ratio_rows(B, X)[0]()
 
 
-def _ratio_rows(B, X):
+def _ratio_rows(B, X, vertex_price=False):
     """ratio's evaluator on the rows of X: (at, den), den = h_B(X) V(B) checked positive.
 
     at(rows=None, vertices=False) is ratio(B, X[rows]) (all rows for None),
-    its shadows priced for all of X (z_shadow_area's d); with vertices, also
-    the vertices of Pi^2 B supporting them.  B must be symmetric.
+    its shadows priced for all of X (z_shadow_area's d), and with
+    vertex_price as a vertex pass whether or not it asks for vertices; with
+    vertices, also the vertices of Pi^2 B supporting them.  B must be
+    symmetric.
     """
     if not B.symmetric:
         raise SymmetryError("direction ratio requires a symmetric body")
@@ -197,7 +200,7 @@ def _ratio_rows(B, X):
 
     def at(rows=None, vertices=False):
         Y, h = (X, den) if rows is None else (X[rows], den[rows])
-        num = z_shadow_area(B.pi_body, Y, len(X), vertices)
+        num = z_shadow_area(B.pi_body, Y, len(X), vertices, vertex_price)
         return (num[0] / h, num[1]) if vertices else num / h
     return at, den
 
@@ -393,6 +396,8 @@ _PRUNE_MIN = 96
 # the grid and refinement steps of Q and of a grid m in invariants, and
 # compute's defaults
 GRID, REFINE = 2048, 50
+# what a refinement step costs over its rows, in ns (_m_at_pi2_normals)
+_REFINE_STEP_NS = 40_000
 
 
 def _scan(fn, lower, out):
@@ -442,18 +447,97 @@ def _grid_ratios(B, X, V):
     return _scan(at, lower, out)
 
 
-def _pi2_normals(B):
-    """Unit crosses of the pairs of Pi^2 B's generators, which hold its facet normals.
+def pi2_minima(bodies):
+    """m and m_dir of each symmetric body, the least ratio at the facet normals of its Pi^2.
 
-    They come merged and in closed form from the generators G of Pi B
+    The normals are the unit crosses of the pairs of Pi^2 B's generators,
+    merged and in closed form from the generators G of Pi B
     (zonotope.pi2_rows), n + 3 C(n, 4) rows for n generators, exact zero
     rows dropped.  G is taken as unit rows: a positive scale of a generator
     turns no cross, and crosses of crosses of raw rows scale as the eighth
     power of the coordinates, below the least double at COORD_RANGE's small
-    end.
+    end.  Returns two arrays, (len(bodies),) and (len(bodies), 3).
+
+    The bodies go in stacks of one kind: the generator count n of Pi B and
+    the support's rows (a polytope's vertices, padded by repeating a vertex,
+    which leaves a max exact, or a zonotope's generators, as many for each
+    member), in chunks of members of about _CHUNK_BYTES.  A stack's normals
+    are formed at once, its shadows by zonotope.stack_shadows and its
+    supports by one stacked _reduce_dots, so every body reads
+    ratio(B, normals) bit for bit.  A member with a zero normal or shadow
+    row, or whose shadows walk zonogons, is read by ratio on its own.
     """
-    G = unit_rows(B.pi_body.gens)
-    return unit_rows(pi2_rows(G, triple_dets(G)))
+    m, dirs = np.empty(len(bodies)), np.empty((len(bodies), 3))
+    stacks = {}
+    for i, B in enumerate(bodies):
+        if not B.symmetric:
+            raise SymmetryError("direction ratio requires a symmetric body")
+        rows, maximum = B.support_rows
+        stacks.setdefault((len(B.pi_body), maximum, 0 if maximum else len(rows)), []).append(i)
+    for (n, maximum, _), members in stacks.items():
+        members = np.array(members)
+        # a member's normals and the arrays that form them take about 100 bytes a row
+        for sl in _chunks(len(members), 100 * pi2_count(n)):
+            idx = members[sl]
+            Bs = [bodies[i] for i in idx]
+            raw = np.array([B.pi_body.gens for B in Bs])
+            G = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+            R = pi2_rows(G, triple_dets(G))
+            norms = np.linalg.norm(R, axis=-1)
+            full = np.all(norms > 0.0, axis=-1)
+            live = np.flatnonzero(full)
+            U = R / norms[..., None] if full.all() else R[live] / norms[live][..., None]
+            num, ok = stack_shadows([Bs[k].pi_body for k in live], U)
+            if not ok.all():
+                live, U, num = live[ok], U[ok], num[ok]
+            if live.size:
+                rows = [Bs[k].support_rows[0] for k in live]
+                # a repeated vertex leaves a max; a zonotope's rows are as many for each
+                size = max(len(r) for r in rows)
+                S = np.array([r if len(r) == size else
+                              np.concatenate([r, r[:1].repeat(size - len(r), 0)]) for r in rows])
+                den = _reduce_dots(S, U, maximum) * np.array([Bs[k].volume for k in live])[:, None]
+                if (den <= 0.0).any():
+                    raise InputError("support must be positive in every requested direction")
+                values = num / den
+                j = np.argmin(values, axis=1)
+                m[idx[live]] = values[np.arange(live.size), j]
+                dirs[idx[live]] = U[np.arange(live.size), j]
+            if live.size < len(Bs):
+                for k in np.flatnonzero(~np.isin(np.arange(len(Bs)), live)):
+                    U = unit_rows(R[k])
+                    values = ratio(Bs[k], U)
+                    j = int(np.argmin(values))
+                    m[idx[k]], dirs[idx[k]] = values[j], U[j]
+    return m, dirs
+
+
+def _m_at_pi2_normals(B, grid, refine):
+    """True where m reads the facet normals of Pi^2 B (pi2_minima) rather than the grid.
+
+    That is where they cost less than the grid, the axes and the candidates
+    plus refine steps of refinement, at _pair_path's ~2 ns per direction
+    and row, the rows of Pi B's shadows and of B's support.  Measured with
+    numpy 2 on one core, a refinement step, four points in one call of
+    ratio, costs about 40 us over its rows, whatever the body's size.
+    """
+    rows = pair_row_count(B.pi_body) + len(B.support_rows[0])
+    return (2 * pi2_count(len(B.pi_body)) * rows
+            <= 2 * (grid + 3 + len(B.candidates)) * rows + _REFINE_STEP_NS * refine)
+
+
+def m_values(bodies, grid=GRID, refine=REFINE):
+    """invariants(B, grid, refine, want=("m",)).m of each body, bit for bit, as an array.
+
+    The bodies whose m reads the facet normals of Pi^2 B (_m_at_pi2_normals)
+    share one pi2_minima call; the others read the grid one at a time.
+    """
+    exact = np.array([_m_at_pi2_normals(B, grid, refine) for B in bodies], dtype=bool)
+    m = np.empty(len(bodies))
+    m[exact] = pi2_minima([B for B, e in zip(bodies, exact) if e])[0]
+    for i in np.flatnonzero(~exact):
+        m[i] = invariants(bodies[i], grid, refine, want=("m",)).m
+    return m
 
 
 class InvariantReport(namedtuple("InvariantReport", "P M m Q M_dir m_dir Q_dir m_source")):
@@ -468,18 +552,19 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     h_{Pi^2 B} / V(B), largest at a ray, a facet normal.  m mirrors it: on
     the normal cone of a vertex w of Pi^2 B the ratio on <w, x> = 1 is
     1 / (V(B) h_B), least where the convex h_B is largest, at a ray, a
-    facet normal of Pi^2 B.  So m is the least ratio at _pi2_normals(B),
-    unrefined, where they (n + 3 C(n, 4) for n generators of Pi B) are no
-    more than the grid's rows.  Otherwise m, and Q always, take a Fibonacci
-    sphere of `grid` points, the axes and the candidates, and polish the
-    extremum by at most refine - 1 Nelder-Mead steps in a chart about it
-    (_chart_refine).  The candidates take a call of their own, whatever is
-    wanted, so M reads the same bits with or without m and Q; the grid and
-    the axes a second, priced at their size.  On a symmetric body Q's grid
-    skips the rows where the ratio, an upper bound of q, cannot beat the
-    best q (_scan on -q); m on the grid without Q those where a lower bound
-    of the ratio by vertices of Pi^2 B cannot beat the best ratio
-    (_grid_ratios).  Either way the grid value and its row are the full
+    facet normal of Pi^2 B.  So m is the least ratio at those normals
+    (pi2_minima), unrefined, where they (n + 3 C(n, 4) for n generators of
+    Pi B) cost less than the grid and its refinement (_m_at_pi2_normals).
+    Otherwise m, and Q always, take a Fibonacci sphere of `grid` points, the
+    axes and the candidates, and polish the extremum by at most refine - 1
+    Nelder-Mead steps in a chart about it (_chart_refine).  The candidates
+    take a call of their own, whatever is wanted, priced as the vertex pass
+    that bounds a grid m, so M reads the same bits with or without m and Q;
+    the grid and the axes a second, priced at their size.  On a symmetric
+    body Q's grid skips the rows where the ratio, an upper bound of q,
+    cannot beat the best q (_scan on -q); m on the grid without Q those
+    where a lower bound of the ratio by vertices of Pi^2 B cannot beat the
+    best ratio (_grid_ratios).  Either way the grid value and its row are the full
     grid's.  want names some of INVARIANTS; M and m need symmetry.
     """
     # a string would be read letter by letter
@@ -499,7 +584,7 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     P = petty_value(B) if "P" in want else None
     # P, M and an exact m read no grid
     C, found = B.candidates, {}
-    exact_m = "m" in want and pi2_count(len(B.pi_body)) <= grid + 3 + len(C)
+    exact_m = "m" in want and _m_at_pi2_normals(B, grid, refine)
     grid_m = "m" in want and not exact_m
     if grid_m or "Q" in want:
         G = np.vstack([fibonacci_sphere(grid), np.eye(3)])
@@ -508,16 +593,16 @@ def invariants(B, grid=GRID, refine=REFINE, want=INVARIANTS):
     prune = "Q" in want and B.symmetric and (grid_m or grid + 3 + len(C) >= _PRUNE_MIN)
     scan = grid_m and not prune  # bounded by the candidates' vertices
     if "M" in want or grid_m or prune:
-        cand, V = _ratio_rows(B, C)[0](vertices=True) if scan else (ratio(B, C), None)
+        # priced as the vertex pass it is with scan, so M reads one path either way
+        at = _ratio_rows(B, C, vertex_price=True)[0]
+        cand, V = at(vertices=True) if scan else (at(), None)
     if "M" in want:
         found["M"] = C[np.argmax(cand)], float(np.max(cand))
     if grid_m or prune:
         ratios = np.concatenate([_grid_ratios(B, G, V) if scan else ratio(B, G), cand])
     if exact_m:
-        U = _pi2_normals(B)
-        values = ratio(B, U)
-        i = int(np.argmin(values))
-        found["m"] = U[i], float(values[i])
+        (m,), (m_dir,) = pi2_minima([B])
+        found["m"] = m_dir, float(m)
     for name, fn, sign in (("m", ratio, 1.0), ("Q", q_direction, -1.0)):
         if name not in want or name in found:
             continue

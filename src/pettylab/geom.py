@@ -9,6 +9,7 @@ All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
 """
 
+import math
 import operator
 from functools import cached_property, lru_cache
 
@@ -139,6 +140,8 @@ def _reduce_dots(C, X, maximum=False, signs=False):
     reduce = _MAX if maximum else _abs_sum
     if X.ndim == 1:
         return reduce(C @ X, 0)
+    if C.ndim == 3 and len(C) == 1:  # a stack of one: the call of its own
+        return _reduce_dots(C[0], X[0], maximum)[None]
     m, d = C.shape[-2], X.shape[-2]
     # the directions of a chunk (_chunks); a call with no rows is one chunk
     width = min(d, max(1, _CHUNK_BYTES // max(8 * m, 1)))
@@ -230,41 +233,43 @@ class Polytope:
             raise InputError("vertices have non-finite entries")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise InputError("facets must be vertex-index triples")
+        self._build(verts, tris, symmetric, _corners(verts, tris))
+
+    def _build(self, verts, tris, symmetric, corners, two_areas=None):
+        """Orient the facets, derive every facet array from their crosses, and check them.
+
+        corners are _corners(verts, tris), or the same arrays gathered from
+        points that verts keep with their coordinates (convex_hull), and
+        two_areas the norms of their crosses when known.
+        """
+        a, b, c, u, w, cr = corners
+        if two_areas is None:
+            two_areas = np.sqrt(np.add.reduce(cr * cr, 1))
+        # the centroid, as verts.mean(axis=0) gives it
+        flip = np.einsum("ij,ij->i", cr, a - np.add.reduce(verts, 0) / len(verts)) < 0.0
+        if flip.any():
+            # w x u rather than -(u x w), which differs from it in the sign of zeros
+            cr[flip] = cross(w[flip], u[flip])
+            tris = np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
+            b, c = np.where(flip[:, None], c, b), np.where(flip[:, None], b, c)
         self.vertices = verts
         self.facets = tris
         self.symmetric = bool(symmetric)
-        self._orient_outward()
-        if self.volume <= 0.0 or not np.isfinite(self.volume):
-            raise FlatBodyError("polytope has empty interior")
-        scale = float(np.max(np.abs(verts))) or 1.0
-        if np.any(self.facet_areas <= 1e-14 * scale * scale):
-            raise InputError("facet triple is affinely dependent")
-        if self.symmetric:
-            d = self._symmetry_defect()
-            if d > 1e-9 * scale:
-                raise InputError(f"body is not centrally symmetric (defect {d:.3e})")
-
-    def _orient_outward(self):
-        v = self.vertices
-        t = self.facets
-        inner = v.mean(axis=0)
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        u, w = b - a, c - a
-        cr = cross(u, w)
-        flip = np.einsum("ij,ij->i", cr, a - inner) < 0.0
-        # w x u rather than -(u x w), which differs from it in the sign of zeros
-        cr[flip] = cross(w[flip], u[flip])
-        t = t.copy()
-        t[flip] = t[flip][:, [0, 2, 1]]
-        self.facets = t
-        b, c = v[t[:, 1]], v[t[:, 2]]
-        two_areas = np.linalg.norm(cr, axis=1)
         self.facet_areas = 0.5 * two_areas
         with np.errstate(invalid="ignore", divide="ignore"):
             self.facet_normals = np.where(two_areas[:, None] > 0.0, cr / two_areas[:, None], 0.0)
         # plane offset <n, y> = c for each facet
         self.facet_offsets = np.einsum("ij,ij->i", self.facet_normals, a)
         self.volume = float(np.einsum("ij,ij->i", cross(a, b), c).sum() / 6.0)
+        if not (self.volume > 0.0 and math.isfinite(self.volume)):
+            raise FlatBodyError("polytope has empty interior")
+        scale = float(_MAX(np.abs(verts), None)) or 1.0
+        if (self.facet_areas <= 1e-14 * scale * scale).any():
+            raise InputError("facet triple is affinely dependent")
+        if self.symmetric:
+            d = self._symmetry_defect()
+            if d > 1e-9 * scale:
+                raise InputError(f"body is not centrally symmetric (defect {d:.3e})")
 
     def _symmetry_defect(self):
         """How far the reflected vertex set pokes outside the facet planes.
@@ -307,6 +312,11 @@ class Polytope:
         return unit_rows(np.vstack([self.facet_normals, self.vertices]))
 
     @property
+    def support_rows(self):
+        """(vertices, True): support(X) is the max of <v, x> over them (_reduce_dots)."""
+        return self.vertices, True
+
+    @property
     def hull(self):
         """The body the slice functional cuts: P itself."""
         return self
@@ -340,17 +350,36 @@ def convex_hull(points, symmetric=False):
     if hull.volume <= HULL_TOL * scale ** 3:
         raise FlatBodyError("hull volume is numerically zero")
     simplices = hull.simplices
+    corners = _corners(pts, simplices)
+    two_areas = np.sqrt(np.add.reduce(corners[-1] * corners[-1], 1))
     # dense hulls can triangulate merged facets into zero-area slivers; they
     # carry no surface measure and would only trip the facet validation
-    a, b, c = (pts[simplices[:, k]] for k in range(3))
-    areas = 0.5 * np.linalg.norm(cross(b - a, c - a), axis=1)
-    solid = simplices[areas > 1e-13 * scale * scale]
+    solid = 0.5 * two_areas > 1e-13 * scale * scale
+    tris = simplices.astype(int)
+    if not solid.all():
+        tris, two_areas = tris[solid], two_areas[solid]
+        # the crosses keep the column-major layout cross gives them, in which
+        # Polytope._build's einsums add their terms
+        corners = [x[solid] for x in corners[:-1]] + [np.asfortranarray(corners[-1][solid])]
     used = np.zeros(pts.shape[0], dtype=bool)
-    used[solid] = True
-    keep = np.flatnonzero(used)
-    remap = np.full(pts.shape[0], -1, dtype=int)
-    remap[keep] = np.arange(keep.size)
-    return Polytope(pts[keep], remap[solid], symmetric=symmetric)
+    used[tris] = True
+    if used.all():
+        verts = pts.copy()
+    else:  # interior points, or vertices of slivers only
+        keep = np.flatnonzero(used)
+        remap = np.full(pts.shape[0], -1, dtype=int)
+        remap[keep] = np.arange(keep.size)
+        verts, tris = pts[keep], remap[tris]
+    P = Polytope.__new__(Polytope)
+    P._build(verts, tris, symmetric, corners, two_areas)
+    return P
+
+
+def _corners(points, tris):
+    """(a, b, c, b - a, c - a, (b - a) x (c - a)) over the corners a, b, c of each triple."""
+    a, b, c = points[tris.T]
+    u, w = b - a, c - a
+    return a, b, c, u, w, cross(u, w)
 
 
 def chords(P, bases, direction):

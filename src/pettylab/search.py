@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import GeometryError, InputError
 from .fixtures import icosphere, cube
-from .functionals import BALL_RATIO, LIMITS, check_limit, invariants, ts_sums
+from .functionals import BALL_RATIO, GRID, LIMITS, check_limit, invariants, m_values, ts_sums
 from .geom import convex_hull
-from .zonotope import GeneratorSet, _line_units
+from .zonotope import GeneratorSet, _line_units, stack_ratios, stack_volumes
 
 
 def _symmetric_hull(config):
@@ -158,6 +158,16 @@ def _evaluate(obj, config, body):
     return getattr(invariants(body, refine=0, want=(obj.quantity,), **grid), obj.quantity)
 
 
+def _near_flat(configs):
+    """Which configurations (..., n, 3) are too flat to score: singular values s_3 <= 1e-3 s_1.
+
+    Determinant-sum round-off grows like eps / (s_3 / s_1)^2; 1e-3 keeps it
+    below 1e-10 while every cylinder/cone-like optimum stays reachable.
+    """
+    sv = np.linalg.svd(configs, compute_uv=False)
+    return sv[..., 2] <= 1e-3 * sv[..., 0]
+
+
 def _step(obj, config):
     """Rows rescaled to volume 1 (bodies) or unit norms (tuples), and their value.
 
@@ -171,10 +181,7 @@ def _step(obj, config):
             return None
         config = config / norms[:, None]
         return config, _evaluate(obj, config, None)
-    # determinant-sum round-off grows like eps / (sv ratio)^2; 1e-3 keeps it
-    # below 1e-10 while every cylinder/cone-like optimum stays reachable
-    sv = np.linalg.svd(config, compute_uv=False)
-    if sv[2] <= 1e-3 * sv[0]:
+    if _near_flat(config):
         return None
     try:
         body = obj.build(config)
@@ -184,6 +191,59 @@ def _step(obj, config):
     if not (v > 1e-9):
         return None
     return config / v ** (1.0 / 3.0), _evaluate(obj, config, body)
+
+
+# the quantities _steps scores in one batch
+_STACKED = ("M", "m", "t/s")
+
+
+def _steps(obj, configs):
+    """[_step(obj, c) for c in configs] for a stack (b, n, 3) of configurations, bit for bit.
+
+    Tuples are scored by one ts_sums call.  Zonotopes take one stacked svd,
+    zonotope.stack_volumes (one triple_dets) and one zonotope.stack_ratios
+    call.  Hulls are built one by one and read by one functionals.m_values
+    call, which stacks those whose m reads the facet normals of Pi^2 K.
+    The rest (min-Q-symmetric, which has no stacked score, a zonotope
+    stack_ratios cannot take) are scored by _evaluate one at a time.
+    """
+    states = [None] * len(configs)
+    if obj.build is None:
+        norms = np.linalg.norm(configs, axis=2)
+        live = np.flatnonzero(~np.any(norms < 1e-12, axis=1))
+        rows = configs[live] / norms[live][..., None]
+        s, t = ts_sums(rows[:, :4], rows[:, 4])
+        for i, c, si, ti in zip(live, rows, s.tolist(), t.tolist()):
+            states[i] = c, ti / si if si > 0.0 else 0.0
+        return states
+    live = np.flatnonzero(~_near_flat(configs))
+    if obj.quantity == "M":
+        # a zero generator makes no GeneratorSet
+        live = live[np.all(np.linalg.norm(configs[live], axis=2) > 0.0, axis=1)]
+        vol = stack_volumes(configs[live])
+        live, vol = live[vol > 1e-9], vol[vol > 1e-9]
+        values, ok = stack_ratios(configs[live])
+        for i, v, row, good in zip(live, vol.tolist(), values, ok):
+            c = configs[i]
+            states[i] = c / v ** (1.0 / 3.0), float(np.max(row)) if good else \
+                _evaluate(obj, c, obj.build(c))
+        return states
+    bodies = {}
+    for i in live:
+        try:
+            body = obj.build(configs[i])
+            v = body.volume
+        except GeometryError:
+            continue
+        if v > 1e-9:
+            bodies[i] = body
+    if obj.quantity == "m":
+        values = m_values(list(bodies.values()), GRID if obj.grid is None else obj.grid, 0)
+    else:
+        values = [_evaluate(obj, configs[i], B) for i, B in bodies.items()]
+    for (i, B), value in zip(bodies.items(), values):
+        states[i] = configs[i] / B.volume ** (1.0 / 3.0), float(value)
+    return states
 
 
 def _anneal(obj, n, iters, rng, start=None):
@@ -229,26 +289,38 @@ def _anneal(obj, n, iters, rng, start=None):
 
 
 def _polish(obj, config, value, rounds=60):
-    """Deterministic shrinking-step coordinate descent after annealing."""
+    """Deterministic shrinking-step coordinate descent after annealing.
+
+    A round moves each coordinate in turn by +step, else by -step, where
+    that improves the value, and halves the step after a round without a
+    move.  The moves left in a round are scored in one batch (_steps); the
+    first improving one in order is the move taken, and the next batch
+    starts at the coordinate after it, so the descent is that of scoring
+    one move at a time, bit for bit.
+    """
     if rounds <= 0:
         return config, value
     step = 0.02
     flat = config.reshape(-1)
+    # move j is coordinate j // 2 by +step (j even) or -step (j odd)
+    size = 2 * flat.size
     for _ in range(rounds):
         improved = False
-        for k in range(flat.size):
-            for sgn in (1.0, -1.0):
-                cand = flat.copy()
-                cand[k] += sgn * step
-                state = _step(obj, cand.reshape(config.shape))
-                if state is None:
-                    continue
-                cand_cfg, cv = state
-                if obj.better(cv, value):
-                    flat = cand_cfg.reshape(-1)
-                    value = cv
-                    improved = True
-                    break
+        j = 0
+        while j < size:
+            stop = size if obj.quantity in _STACKED else j + 1
+            coords = np.arange(j, stop) // 2
+            moves = np.repeat(flat[None], stop - j, axis=0)
+            moves[np.arange(stop - j), coords] += np.where(np.arange(j, stop) % 2, -step, step)
+            states = _steps(obj, moves.reshape((-1,) + config.shape))
+            first = next((i for i, state in enumerate(states)
+                          if state is not None and obj.better(state[1], value)), None)
+            if first is None:
+                j = stop
+                continue
+            flat, value = states[first][0].reshape(-1), states[first][1]
+            improved = True
+            j = 2 * (coords[first] + 1)
         if not improved:
             step *= 0.5
             if step < 1e-7:

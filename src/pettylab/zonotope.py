@@ -35,7 +35,8 @@ gives the volume, so P, M and m of a zonotope round through one set of
 determinants.  Crosses, determinants, rows and flatness also take stacks
 (b, n, 3) of zonotopes of one size; `stack_ratios` takes a stack of any
 length in chunks of members, forms them once for a chunk and sums its
-members in one product, each as on its own, so each gets its own ratio.
+members in one product, each as on its own, so each gets its own ratio;
+`stack_volumes` and `stack_shadows` give a stack's volumes and shadows so.
 """
 
 import itertools
@@ -125,6 +126,11 @@ class GeneratorSet:
     def hull(self):
         """Z as a Polytope, the hull of its vertices: the body the slice functional cuts."""
         return convex_hull(zonotope_vertices(self), symmetric=True)
+
+    @property
+    def support_rows(self):
+        """(gens, False): support(X) is the sum of |<x, x_i>| over them (_reduce_dots)."""
+        return self.gens, False
 
     def support(self, X):
         """Support values sum_i |<x, x_i>|, per row of X (or for one x): _reduce_dots."""
@@ -265,24 +271,41 @@ def z_volume(Z):
     return 2.0 * float(np.sum(_sorted_shadow(Z.gens, Z.gens))) / 3.0
 
 
-def _pair_path(n, d, rows=None):
+def stack_volumes(G):
+    """z_volume of each zonotope of a stack G (b, n, 3), bit for bit.
+
+    On z_volume's pair path the stack takes one triple_dets.
+    """
+    n = G.shape[1]
+    if n >= 3 and _pair_path(n, n):
+        return 8.0 * np.sum(np.abs(triple_dets(G)), axis=-1)
+    return np.array([z_volume(g) for g in G])
+
+
+def _pair_path(n, d, rows=None, vertices=False):
     """True when summing over pair rows costs less than walking sorted zonogons.
 
     n generators, d directions, and the rows the pair sum runs over, by
-    default the C(n, 2) pairs (_pair_rows gives them for a body).  Measured
+    default the C(n, 2) pairs (pair_row_count gives them for a body).  Measured
     with numpy 2 on one core: the pair sum costs ~2 ns per row and direction,
     for a refinement step's few directions as for a grid (_reduce_dots), the
     sorted walk ~60 ns per generator and direction plus ~80 us per call.
     So many directions switch to the walk from about 60 generators on, a
     single direction from ~350; Pi Z, with n + 3 C(n, 4) rows for C(n, 2)
-    generators, switches from 14 generators of Z on.
+    generators, switches from 14 generators of Z on.  With vertices the
+    price is that of the vertex pass: the signed sums cost 1.8-2.3 times
+    the plain pair sum, and the walk's vertices 1.35 times the plain walk
+    (the candidates of the double cone and of 10- and 14-generator
+    zonotopes), so a call priced so may walk where a plain one sums pairs.
     """
     if rows is None:
         rows = n * (n - 1) // 2
+    if vertices:
+        return 4 * rows * d <= 81 * n * d + 108_000
     return 2 * rows * d <= 60 * n * d + 80_000
 
 
-def _pair_rows(Z):
+def pair_row_count(Z):
     """How many rows Z's pair sum runs over, zero rows included.
 
     n + 3 C(n, 4) for Pi of a zonotope of n generators (pi2_rows), else the
@@ -299,13 +322,15 @@ def pi2_count(n):
     return n + n * (n - 1) * (n - 2) * (n - 3) // 8
 
 
-def z_shadow_area(Z, X, d=None, vertices=False):
+def z_shadow_area(Z, X, d=None, vertices=False, vertex_price=False):
     """Shadow areas V_2(Z | x^perp) = 4 * sum over pairs of |det(x_i, x_j, x)|.
 
     One value per row of X, or one value for a single direction x; the value
     scales with |x|.  Exact on either path (see _pair_path), which is priced
     for d directions, by default the rows of X: rows of one grid evaluated
-    in parts pass the grid's size, so each part takes the grid's path.
+    in parts pass the grid's size, so each part takes the grid's path; with
+    vertex_price, as a vertex pass whether or not it asks for vertices, so
+    that calls with and without them read the same rows on one path.
     With vertices, (values, V): V[i] = 4 sum_{i<j} sign(det(x_i, x_j, x))
     x_i x x_j is the vertex of Pi Z where <., X[i]> reaches the shadow, so
     h_{Pi Z}(y) >= <V[i], y> for every y and each bounds every other shadow
@@ -317,7 +342,7 @@ def z_shadow_area(Z, X, d=None, vertices=False):
     Z = as_set(Z)
     X = np.asarray(X, dtype=float)
     Xs = np.atleast_2d(X)
-    if not _pair_path(len(Z), Xs.shape[0] if d is None else d, _pair_rows(Z)):
+    if not _pair_path(len(Z), Xs.shape[0] if d is None else d, pair_row_count(Z), vertex_price):
         out = _sorted_shadow(Z.gens, Xs, vertices)
     else:
         out = _reduce_dots(Z._crosses, Xs, signs=vertices)
@@ -330,8 +355,9 @@ def z_shadow_area(Z, X, d=None, vertices=False):
 def stack_ratios(G):
     """Direction ratios of each zonotope of a stack G (b, n, 3) at its candidates: (values, ok).
 
-    Row i is functionals.ratio(Z, Z.candidates) for Z = GeneratorSet(G[i]),
-    bit for bit.  A stack of any length goes in chunks of members of about
+    Row i is the ratios invariants reads M from for Z = GeneratorSet(G[i]),
+    at Z.candidates with their shadows priced as a vertex pass, bit for bit.
+    A stack of any length goes in chunks of members of about
     _CHUNK_BYTES: crosses, determinants, Pi^2 rows and candidates are formed
     for a chunk, and the supports and shadows of its members are summed by
     one stacked _reduce_dots each, which gives every member the values of a
@@ -356,13 +382,43 @@ def stack_ratios(G):
         # the rows each member keeps on its own: pair_crosses, then Pi Z's _crosses
         take = ok[sl] = (~is_flat(g) & np.all(_nonzero(C), axis=-1)
                          & np.all(_nonzero(R), axis=-1)
-                         & _pair_path(C.shape[1], X.shape[1], R.shape[1]))
+                         & _pair_path(C.shape[1], X.shape[1], R.shape[1], vertices=True))
         if take.any():
             X = X[take]
             den = _reduce_dots(g[take], X) * (8.0 * np.sum(np.abs(D[take]), axis=-1))[:, None]
             if (den <= 0.0).any():
                 raise InputError("support must be positive in every requested direction")
             values[sl][take] = 4.0 * _reduce_dots(R[take], X) / den
+    return values, ok
+
+
+def stack_shadows(Zs, X):
+    """Shadow areas of each zonotope of a list Zs at its own rows, X (b, d, 3): (values, ok).
+
+    Row i is z_shadow_area(Zs[i], X[i]) bit for bit.  The members share a
+    generator count and how their pair rows are made: the crosses of their
+    generators, or for Pi of zonotopes of one size those zonotopes'
+    pi2_rows.  The rows are formed for all members at once and summed by
+    one stacked _reduce_dots.  A member with a zero pair row, or every member
+    where shadows of d directions walk zonogons, has ok[i] False and a row
+    of NaN.
+    """
+    if len(Zs) == 1:  # the call of its own, on the rows the zonotope keeps
+        return z_shadow_area(Zs[0], X[0])[None], np.ones(1, dtype=bool)
+    source = [Z._source for Z in Zs]
+    kinds = {(len(Z), pair_row_count(Z), s is None) for Z, s in zip(Zs, source)}
+    if len(kinds) > 1:
+        raise InputError("stacked zonotopes must share a generator count and pair rows")
+    values, ok = np.full(X.shape[:2], np.nan), np.zeros(len(Zs), dtype=bool)
+    if Zs and _pair_path(len(Zs[0]), X.shape[1], pair_row_count(Zs[0])):
+        # the rows each member keeps on its own: pair_crosses, or Pi Z's _crosses
+        C = (cross_rows(np.array([Z.gens for Z in Zs])) if source[0] is None
+             else pi2_rows(*map(np.array, zip(*source))))
+        ok = np.all(_nonzero(C), axis=-1)
+        if ok.all():
+            values = 4.0 * _reduce_dots(C, X)
+        elif ok.any():
+            values[ok] = 4.0 * _reduce_dots(C[ok], X[ok])
     return values, ok
 
 
@@ -458,7 +514,8 @@ def merge_parallel(gens):
     """
     tol = 1e-12
     g = np.asarray(gens, dtype=float)
-    norms = np.linalg.norm(g, axis=1)
+    # np.linalg.norm(g, axis=1) to the bit, without its dispatch
+    norms = np.sqrt(np.add.reduce(g * g, 1))
     keep = norms > 0.0
     g, norms = g[keep], norms[keep]
     units = _line_units(g / norms[:, None])
@@ -472,7 +529,8 @@ def merge_parallel(gens):
     a = np.repeat(np.arange(ks.size), count)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
     i, j = order[a], order[b]
-    close = np.linalg.norm(units[i] - units[j], axis=1) <= tol
+    gap = units[i] - units[j]
+    close = np.sqrt(np.add.reduce(gap * gap, 1)) <= tol
     i, j = i[close], j[close]
     # every generator takes the smallest index of its group
     label = np.arange(len(units))
@@ -485,8 +543,11 @@ def merge_parallel(gens):
         if np.array_equal(new, label):
             break
         label = new
-    first, group = np.unique(label, return_inverse=True)
-    return units[first] * np.bincount(group, weights=norms)[:, None]
+    # the labels are the indices that label themselves (label[label] = label),
+    # in order: np.unique(label) and its inverse without the sort
+    root = label == np.arange(len(label))
+    group = (np.cumsum(root) - 1)[label]
+    return units[root] * np.bincount(group, weights=norms)[:, None]
 
 
 def zonogon_area(gens2d):

@@ -246,12 +246,32 @@ class TestCompute:
                                 scale):
         # a ratio evaluator off by scale puts m below 6 or a zonotope's M
         # above 8, and a q evaluator Q below 6 (the octahedron's Q is 7.97):
-        # a theorem limit crossed, as in search, not an equality
+        # a theorem limit crossed, as in search, not an equality.  The ratio
+        # is scaled in both of its evaluators: the rows of ratio and of the
+        # candidates' call (_ratio_rows), and the stacked pass at the facet
+        # normals of Pi^2 K (pi2_minima)
         from pettylab import functionals
 
-        fn = "q_direction" if invariant == "Q" else "ratio"
-        true_fn = getattr(functionals, fn)
-        monkeypatch.setattr(functionals, fn, lambda B, X: scale * true_fn(B, X))
+        if invariant == "Q":
+            true_q = functionals.q_direction
+            monkeypatch.setattr(functionals, "q_direction", lambda B, X: scale * true_q(B, X))
+        else:
+            true_rows, true_minima = functionals._ratio_rows, functionals.pi2_minima
+
+            def scaled_rows(B, X, vertex_price=False):
+                at, den = true_rows(B, X, vertex_price)
+
+                def scaled(rows=None, vertices=False):
+                    out = at(rows, vertices)
+                    return (scale * out[0], out[1]) if vertices else scale * out
+                return scaled, den
+
+            def scaled_minima(bodies):
+                m, dirs = true_minima(bodies)
+                return scale * m, dirs
+
+            monkeypatch.setattr(functionals, "_ratio_rows", scaled_rows)
+            monkeypatch.setattr(functionals, "pi2_minima", scaled_minima)
         code = main(["--no-timestamp", "compute", str(fixture_dir / f"{name}.json"),
                      "--invariants", invariant, "--grid", "64", "--refine", "3"])
         assert code == 4

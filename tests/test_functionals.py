@@ -625,9 +625,9 @@ class TestPrunedMGrid:
         rows = {"exact": [], "vertices": []}
         shadow = functionals.z_shadow_area
 
-        def counted(Z, X, d=None, vertices=False):
+        def counted(Z, X, d=None, vertices=False, vertex_price=False):
             rows["vertices" if vertices else "exact"].append(len(np.atleast_2d(X)))
-            return shadow(Z, X, d, vertices)
+            return shadow(Z, X, d, vertices, vertex_price)
 
         monkeypatch.setattr(functionals, "z_shadow_area", counted)
         return rows
@@ -669,16 +669,19 @@ class TestPrunedMGrid:
     @pytest.mark.parametrize("want", [("m",), ("m", "Q")])
     def test_small_bodies_and_Q_take_the_full_grid(self, monkeypatch, want):
         # nothing is pruned for a body whose Pi^2 B has no more facet normals
-        # than the grid has rows: it reads all of them in one call, with or
-        # without Q; Q, whose bound is the ratio on every row, takes the
-        # candidates' ratios in one call and the grid's and the axes' in
-        # another
+        # than the grid has rows: it reads all of them in one stacked pass
+        # (pi2_minima, no z_shadow_area call), with or without Q; Q, whose
+        # bound is the ratio on every row, takes the candidates' ratios in
+        # one call and the grid's and the axes' in another
         rows = self._rows(monkeypatch)
+        stacked = []
+        true_minima = functionals.pi2_minima
+        monkeypatch.setattr(functionals, "pi2_minima",
+                            lambda bodies: stacked.append(len(bodies)) or true_minima(bodies))
         small = fixtures.random_symmetric_polytope(np.random.default_rng(6), 6)
-        normals = functionals._pi2_normals(small)
         assert invariants(small, grid=256, refine=0, want=want).m_source == "pi2 normals"
         grid = [len(small.candidates), 256 + 3] * ("Q" in want)
-        assert rows == {"exact": grid + [len(normals)], "vertices": []}
+        assert rows == {"exact": grid, "vertices": []} and stacked == [1]
         rows["exact"].clear()
         large = fixtures.icosphere(2)
         assert invariants(large, grid=256, refine=0, want=want).m_source == "grid"
@@ -904,12 +907,73 @@ def test_m_is_the_least_ratio_at_the_facet_normals_of_pi2(B, monkeypatch):
     assert np.min(ratio(B, fibonacci_sphere(100_000))) >= rep.m * (1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("seed, case", [(1, 5), (3, 7), (7, 6)])
+@pytest.mark.parametrize("seed, case", [(1, 5), (3, 7), (7, 6), (2, 11)])
 def test_sl_invariance_of_exact_m(seed, case):
     # the failing sl-invariance cases whose Pi^2 B has no more facet normals
-    # than the grid has rows; the grid read 2.8e-3, 1.6e-3 and 1.4e-2
+    # than the grid has rows, and seed 2's 6-generator zonotope, whose 4,110
+    # normals cost less than the grid and its refinement; the grid read
+    # 2.8e-3, 1.6e-3, 1.4e-2 and 5.8e-3
     B, T = _sl_cases(12, seed)[case]
     assert sl_invariance_check(B, T) <= 1e-12
+
+
+def test_m_reads_the_normals_where_they_cost_less():
+    # the 4,110 normals of a 6-generator zonotope cost less than the grid and
+    # its 50 refinement steps, not than the unrefined grid; the 17,976 of a
+    # 7-generator one cost more than either
+    six, seven = _sl_cases(12, 2)[11][0], _sl_cases(12, 2)[8][0]
+    assert [len(six), len(seven)] == [6, 7]
+    assert invariants(six, want=("m",)).m_source == "pi2 normals"
+    assert invariants(six, refine=0, want=("m",)).m_source == "grid"
+    assert invariants(seven, want=("m",)).m_source == "grid"
+
+
+def _thm12_draws(seed):
+    """theorem-1-2's 1,000 hulls at seed, in its order."""
+    from pettylab.suites import _rng
+    rng = _rng(seed, "thm12")
+    return [fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13)))
+            for _ in range(1000)]
+
+
+def _same_m(bodies, grid=functionals.GRID):
+    """pi2_minima over all bodies at once reads each body's invariants m and m_dir, bit for bit."""
+    m, dirs = functionals.pi2_minima(bodies)
+    for B, v, x in zip(bodies, m, dirs):
+        rep = invariants(B, grid=grid, want=("m",))
+        assert rep.m_source == "pi2 normals"
+        assert v == rep.m and x.tobytes() == rep.m_dir.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_stacked_exact_m_is_each_bodys(seed):
+    # the stacks pad the support's vertex rows of hulls that lost points to
+    # their interior, and mix generator counts of Pi K
+    bodies = [B for B in _thm12_draws(seed)
+              if functionals._m_at_pi2_normals(B, functionals.GRID, functionals.REFINE)]
+    assert len(bodies) >= 990 and len({len(B.pi_body) for B in bodies}) > 5
+    _same_m(bodies)
+
+
+def test_stacked_exact_m_mixes_bodies():
+    # zonotopes (their support a sum over generators) beside hulls, a hull
+    # with interior points and bodies whose Pi K has 3 to 12 generators; the
+    # zonotopes of one size share a stack, the flattened one is its own, and
+    # the hexagonal prism's 12 vertices pad the octahedron's 6 (Pi K of
+    # each has 4 generators)
+    rng = np.random.default_rng(30)
+    hull = np.vstack([rng.standard_normal((6, 3)), 0.01 * rng.standard_normal((3, 3))])
+    t = np.arange(6) * np.pi / 3.0
+    prism = np.column_stack([np.cos(t), np.sin(t), np.ones(6)])
+    bodies = [fixtures.cube(), fixtures.octahedron(), fixtures.cube_zonotope(),
+              GeneratorSet(FLATTENED), convex_hull(np.vstack([hull, -hull]), symmetric=True),
+              convex_hull(np.vstack([prism, -prism]), symmetric=True)]
+    bodies += [fixtures.random_zonotope(rng, n) for n in (3, 4, 4, 5)]
+    bodies += [fixtures.random_symmetric_polytope(rng, n) for n in (4, 5, 5, 6, 6, 7)]
+    assert len(bodies[4].vertices) < 18
+    assert [len(B.pi_body) for B in bodies[1:6:4]] == [4, 4]
+    assert len({len(B.pi_body) for B in bodies}) >= 5
+    _same_m(bodies)
 
 
 def test_flattened_zonotope_m_is_7():

@@ -96,6 +96,93 @@ class TestConvexHull:
             assert P.volume == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
 
 
+_FACET_ARRAYS = ("vertices", "facets", "facet_areas", "facet_normals", "facet_offsets")
+
+
+def _same_arrays(P, Q):
+    """P and Q hold the same facet arrays and volume, bit for bit, zeros' signs included."""
+    for name in _FACET_ARRAYS:
+        a, b = getattr(P, name), getattr(Q, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert P.volume == Q.volume and P.symmetric == Q.symmetric
+
+
+class TestHullFromItsCrosses:
+    """convex_hull orients and measures its facets from the crosses of its sliver filter."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rebuilt_polytope_is_the_same(self, seed):
+        # random hulls of 4-200 pairs, unit, Gaussian and rounded points,
+        # with interior points among them
+        rng = np.random.default_rng(seed)
+        for pairs in (4, 5, 8, 13, 40, 200):
+            p = rng.standard_normal((pairs, 3))
+            p = [p, p / np.linalg.norm(p, axis=1)[:, None], np.round(p, 1)][seed % 3]
+            P = convex_hull(np.vstack([p, -p, 0.1 * p]), symmetric=True)
+            _same_arrays(P, Polytope(P.vertices, P.facets, symmetric=True))
+
+    @pytest.mark.parametrize("name", ["cube", "octahedron", "tetrahedron", "icosphere1",
+                                      "cube-zonotope", "double-cone"])
+    def test_fixtures_rebuild_the_same(self, name):
+        B = {"icosphere1": lambda: fixtures.icosphere(1),
+             "cube-zonotope": lambda: fixtures.cube_zonotope().hull,
+             "double-cone": lambda: fixtures.double_cone_profile().polytope}.get(
+            name, getattr(fixtures, name, None))()
+        _same_arrays(B, Polytope(B.vertices, B.facets, symmetric=B.symmetric))
+
+    def test_sliver_triangles_dropped(self, monkeypatch):
+        # qhull may triangulate merged facets into zero-area slivers; one is
+        # added to its output here, through an edge's midpoint (index 8), on
+        # no other triangle
+        import scipy.spatial
+        real = scipy.spatial.ConvexHull
+        corners = np.array([(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                            for z in (-1.0, 1.0)])
+        pts = np.vstack([corners, [(0.0, -1.0, -1.0)]])
+        plain = convex_hull(pts, symmetric=True)
+
+        class WithSliver:
+            def __init__(self, points):
+                hull = real(points)
+                self.volume = hull.volume
+                self.simplices = np.vstack([hull.simplices[:5], [[0, 4, 8]], hull.simplices[5:]])
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", WithSliver)
+        P = convex_hull(pts, symmetric=True)
+        assert len(P.vertices) == 8 and len(P.facets) == 12
+        _same_arrays(P, plain)
+        _same_arrays(P, Polytope(P.vertices, P.facets, symmetric=True))
+
+    @pytest.mark.parametrize("points, error, match", [
+        (np.vstack([np.eye(3), [[np.nan, 0.0, 0.0]]]), ValueError, "NaN"),
+        (np.vstack([np.eye(3), [[np.inf, 0.0, 0.0]]]), FlatBodyError, "degenerate point set"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 3, 0]], FlatBodyError,
+         "degenerate point set"),
+        (np.ones((5, 3)), FlatBodyError, "degenerate point set"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1e-12]], FlatBodyError,
+         "hull volume is numerically zero"),
+        (np.eye(3), InputError, "need at least 4 points"),
+        (np.ones((5, 2)), InputError, r"points must be an \(n, 3\) array"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], InputError,
+         "body is not centrally symmetric")])
+    def test_invalid_input_raises_as_before(self, points, error, match):
+        with pytest.raises(error, match=match):
+            convex_hull(points, symmetric=True)
+
+    @pytest.mark.parametrize("vertices, facets, error, match", [
+        ([[np.nan, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]], InputError,
+         "non-finite"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 2, 3]], FlatBodyError,
+         "empty interior"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]],
+         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4]], InputError,
+         "affinely dependent"),
+        (np.eye(3), [[0, 1, 5]], IndexError, "out of bounds")])
+    def test_invalid_polytope_raises_as_before(self, vertices, facets, error, match):
+        with pytest.raises(error, match=match):
+            Polytope(vertices, facets)
+
+
 class TestFacetData:
     def test_cube_facets(self, cube):
         normals, areas = cube.surface_measure()

@@ -250,3 +250,95 @@ def test_parallel_restarts_match_serial():
     parallel = optimize("max-ts-ratio", n=4, restarts=2, iters=150, seed=13, threads=2)
     assert serial.best_value == parallel.best_value
     assert np.array_equal(serial.best_config, parallel.best_config)
+
+
+# --- the batched polish against the polish that scores one move a call ----------
+
+def _sequential_polish(obj, config, value, rounds):
+    """search._polish scoring one move a call with _step: the oracle of the batched polish.
+
+    Returns the configuration, its value, and how many moves improved and
+    how many were degenerate (None).
+    """
+    step = 0.02
+    flat = config.reshape(-1)
+    improving = degenerate = 0
+    for _ in range(rounds):
+        improved = False
+        for k in range(flat.size):
+            for sgn in (1.0, -1.0):
+                cand = flat.copy()
+                cand[k] += sgn * step
+                state = _step(obj, cand.reshape(config.shape))
+                if state is None:
+                    degenerate += 1
+                    continue
+                cand_cfg, cv = state
+                if obj.better(cv, value):
+                    flat = cand_cfg.reshape(-1)
+                    value = cv
+                    improved = True
+                    improving += 1
+                    break
+        if not improved:
+            step *= 0.5
+            if step < 1e-7:
+                break
+    return flat.reshape(config.shape), value, improving, degenerate
+
+
+def _polish_calls(monkeypatch, objective, n, iters, seed):
+    """The polish of each restart of one optimize run: its arguments and its result."""
+    from pettylab import search
+    calls = []
+    polish = search._polish
+
+    def recorded(obj, config, value, rounds=60):
+        out = polish(obj, config, value, rounds=rounds)
+        calls.append(((obj, config.copy(), value, rounds), out))
+        return out
+
+    monkeypatch.setattr(search, "_polish", recorded)
+    optimize(objective, n=n, restarts=1, iters=iters, seed=seed)
+    return calls
+
+
+def _same_polish(args, out):
+    config, value, improving, degenerate = _sequential_polish(*args)
+    assert out[1] == value and out[0].tobytes() == config.tobytes()
+    return improving, degenerate
+
+
+@pytest.mark.parametrize("objective, n, iters", [
+    ("max-M-zonoid", 5, 200), ("min-m-symmetric", 6, 150), ("min-Q-symmetric", 3, 100),
+    ("max-ts-ratio", 5, 300)])
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_batched_polish_is_the_sequential_one(monkeypatch, objective, n, iters, seed):
+    # a round's moves scored in one batch (stacked zonotopes, ts_sums rows,
+    # one stacked exact m over the hulls; min-Q-symmetric one move a call)
+    # take the first improving move, as scoring them one at a time does
+    [(args, out)] = _polish_calls(monkeypatch, objective, n, iters, seed)
+    _same_polish(args, out)
+
+
+def test_batched_polish_with_improving_moves(monkeypatch):
+    # the benchmark's min-m-symmetric budget at seed 2 improves six times in
+    # its polish, each time starting the next batch after the moved coordinate
+    [(args, out)] = _polish_calls(monkeypatch, "min-m-symmetric", 6, 400, 2)
+    assert _same_polish(args, out)[0] == 6
+
+
+@pytest.mark.parametrize("objective, rows", [
+    # the first move, +0.02 on the first coordinate, zeroes a tuple's row and
+    # moves a zonotope's or a hull's first row into the plane of the others
+    ("max-ts-ratio", [[-0.02, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+                      [0.3, 0.5, 0.8]]),
+    ("max-M-zonoid", [[-0.02, 0.3, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, -0.4]]),
+    ("min-m-symmetric", [[-0.02, 0.3, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, -0.4]])])
+def test_batched_polish_skips_degenerate_moves(objective, rows):
+    from pettylab.search import _polish
+    # the rows as given, not rescaled, so that a step of 0.02 reaches the plane
+    obj, config = RECORDS[objective], np.array(rows)
+    value = _step(obj, config)[1]
+    out = _polish(obj, config, value, rounds=12)
+    assert _same_polish((obj, config, value, 12), out)[1] > 0

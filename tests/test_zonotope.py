@@ -16,9 +16,9 @@ from pettylab import (Ball, FlatBodyError, GeneratorSet, InputError,
                       second_proj_support, z_shadow_area, z_volume)
 from pettylab.geom import _FEW_DIRECTIONS, _chunks, _reduce_dots, plane_basis
 from pettylab.zonotope import (_pair_path, _sorted_shadow, merge_parallel,
-                               pair_crosses, pi2_rows, stack_ratios, triple_dets,
+                               pair_crosses, pi2_count, pi2_rows, stack_ratios, triple_dets,
                                zonogon_area, zonotope_vertices)
-from pettylab import fixtures, zonotope
+from pettylab import fixtures, functionals, invariants, zonotope
 
 E1, E2, E3 = np.eye(3)
 DIAG = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
@@ -392,7 +392,7 @@ def test_shadow_vertices_leave_the_values_unchanged(B):
              np.random.default_rng(1).standard_normal((5000, 3))]
     for X in grids:
         assert np.array_equal(z_shadow_area(pi, X, vertices=True)[0], z_shadow_area(pi, X))
-    pair = [zonotope._pair_path(len(pi), len(X), zonotope._pair_rows(pi)) for X in grids]
+    pair = [zonotope._pair_path(len(pi), len(X), zonotope.pair_row_count(pi)) for X in grids]
     assert all(pair) if isinstance(B, GeneratorSet) else not any(pair)
 
 
@@ -628,10 +628,17 @@ def test_stack_ratios_are_each_bodys_ratios(seed, n, kinds):
             g[:4, 2] = 0.0
     values, ok = stack_ratios(G)
     assert values.shape == (len(G), n + n * (n - 1) // 2)
-    assert list(ok) == [kind == "generic" for kind in kinds]
+    # the candidates' shadows are priced as the vertex pass invariants reads
+    # M from: from 13 generators on they walk, which the stack leaves out
+    C = n * (n - 1) // 2
+    walk = not _pair_path(C, n + C, pi2_count(n), vertices=True)
+    assert walk == (n >= 13)
+    assert list(ok) == [kind == "generic" and not walk for kind in kinds]
     for g, row, good in zip(G, values, ok):
         if good:
             Z = GeneratorSet(g)
-            assert np.array_equal(row, ratio(Z, Z.candidates))
+            at = functionals._ratio_rows(Z, Z.candidates, vertex_price=True)[0]
+            assert np.array_equal(row, at())
+            assert np.max(row) == invariants(Z, want=("M",)).M
         else:
             assert np.isnan(row).all()
