@@ -5,11 +5,13 @@ icospheres at three subdivision levels, the double-cone and cylinder
 profiles, plus reproducible random zonotopes and symmetric hulls.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .bodies import Ball
 from .errors import GeometryError
-from .geom import convex_hull
+from .geom import Triangles, convex_hull, polytopes, qhull_triangles
 from .revolution import RevolutionBody
 from .zonotope import GeneratorSet
 
@@ -99,10 +101,18 @@ def random_generators(rng, n_gens):
     """Gaussian (n_gens, 3) generators of a solid zonotope (resampled until solid)."""
     for _ in range(100):
         g = rng.standard_normal((n_gens, 3))
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[2] > 1e-6 * sv[0]:
+        if _solid(g):
             return g
     raise RuntimeError("could not draw a solid zonotope")
+
+
+def _solid(G):
+    """Which generator sets G (..., n, 3) random_generators keeps: s_3 > 1e-6 s_1.
+
+    A stack's singular values are those of each set on its own, bit for bit.
+    """
+    sv = np.linalg.svd(G, compute_uv=False)
+    return sv[..., 2] > 1e-6 * sv[..., 0]
 
 
 def random_zonotope(rng, n_gens):
@@ -114,12 +124,62 @@ def random_symmetric_polytope(rng, n_pairs):
     """Hull of +- n_pairs Gaussian points (resampled until solid)."""
     for _ in range(100):
         p = rng.standard_normal((n_pairs, 3))
-        pts = np.vstack([p, -p])
         try:
-            return convex_hull(pts, symmetric=True)
+            return convex_hull(np.vstack([p, -p]), symmetric=True)
         except GeometryError:
             continue
     raise RuntimeError("could not draw a solid symmetric hull")
+
+
+def _symmetric_triangles(rng, n_pairs):
+    """qhull's triangles of random_symmetric_polytope's draw, redrawn where qhull finds it flat."""
+    for _ in range(100):
+        p = rng.standard_normal((n_pairs, 3))
+        try:
+            return qhull_triangles(np.vstack([p, -p]))
+        except GeometryError:
+            continue
+    raise RuntimeError("could not draw a solid symmetric hull")
+
+
+class _Generators(namedtuple("_Generators", "gens")):
+    """A draw of random_generators whose solidity draw_chunk checks later."""
+
+    @classmethod
+    def draw(cls, rng, n_gens):
+        return cls(rng.standard_normal((n_gens, 3)))
+
+
+def draw_chunk(rng, count, draw):
+    """[draw(rng, random_symmetric_polytope, random_generators) for _ in range(count)].
+
+    The same samples, and rng left in the same state.  draw(rng, hull,
+    generators) draws one sample, a tuple, calling hull(rng, n_pairs) for
+    each random symmetric hull in it and generators(rng, n_gens) for each
+    zonotope's generators, which it returns unread.  Here hull runs qhull
+    and its flatness test on each draw, redrawn where
+    random_symmetric_polytope redraws, and generators draws once; then the
+    chunk's hulls are finished in one stack (geom.polytopes) and its
+    generators checked for solidity by one stacked svd per count.  Should a
+    body fail, one that the draw would then have redrawn, rng goes back to
+    its state before the chunk and the samples are drawn one at a time.
+    """
+    state = rng.bit_generator.state
+    try:
+        samples = [draw(rng, _symmetric_triangles, _Generators.draw) for _ in range(count)]
+        drafts = [x for sample in samples for x in sample]
+        hulls = iter(polytopes([x for x in drafts if isinstance(x, Triangles)], symmetric=True))
+        gens = [x.gens for x in drafts if isinstance(x, _Generators)]
+        sizes = np.array([len(g) for g in gens])
+        if not all(_solid(np.stack([gens[i] for i in np.flatnonzero(sizes == n)])).all()
+                   for n in np.unique(sizes)):
+            raise GeometryError("a zonotope is not solid")
+    except (GeometryError, RuntimeError):
+        rng.bit_generator.state = state
+        return [draw(rng, random_symmetric_polytope, random_generators) for _ in range(count)]
+    return [tuple(next(hulls) if isinstance(x, Triangles) else
+                  x.gens if isinstance(x, _Generators) else x for x in sample)
+            for sample in samples]
 
 
 def random_concave_profile(rng, n_nodes=6, a=1.0):

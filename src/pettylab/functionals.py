@@ -465,8 +465,18 @@ def pi2_minima(bodies):
     are formed at once, its shadows by zonotope.stack_shadows and its
     supports by one stacked _reduce_dots, so every body reads
     ratio(B, normals) bit for bit.  A member with a zero normal or shadow
-    row, or whose shadows walk zonogons, is read by ratio on its own.
+    row, or whose shadows walk zonogons, is read by ratio on its own, and so
+    is a list of one, on the rows its body caches, with no grouping,
+    stacking or padding.
     """
+    if len(bodies) == 1:  # a body of its own: its ratio at its normals
+        B = bodies[0]
+        G = B.pi_body.gens
+        G = G / np.linalg.norm(G, axis=-1, keepdims=True)
+        U = unit_rows(pi2_rows(G, triple_dets(G)))
+        values = ratio(B, U)
+        j = int(np.argmin(values))
+        return values[j:j + 1], U[j:j + 1]
     m, dirs = np.empty(len(bodies)), np.empty((len(bodies), 3))
     stacks = {}
     for i, B in enumerate(bodies):

@@ -2,15 +2,18 @@
 
 Everything downstream (zonotope calculus, invariants, symmetrization) sits on
 the primitives in this module: triangulated convex hulls with outward
-normals (scipy's Qhull, imported at the first hull), support values, line
-chords and planar slices, and a deterministic sphere grid for extremization.
+normals (scipy's Qhull, imported at the first hull; a stack of hulls is
+finished in one pass), support values, line chords and planar slices, and a
+deterministic sphere grid for extremization.
 
 All operations are pure functions of immutable inputs; floating point (IEEE
 double) throughout, with tolerances stated per operation.
 """
 
+import itertools
 import math
 import operator
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -108,8 +111,9 @@ def _chunks(d, row_bytes):
     return (slice(lo, lo + step) for lo in range(0, d, step))
 
 
-# np.max without its Python dispatch, and without the ~0.1 us of looking it up
-_MAX = np.maximum.reduce
+# np.max, np.any and np.all without their Python dispatch, and without the
+# ~0.1 us of looking them up
+_MAX, _ANY, _ALL = np.maximum.reduce, np.logical_or.reduce, np.logical_and.reduce
 
 
 def _abs_sum(dots, axis):
@@ -233,43 +237,7 @@ class Polytope:
             raise InputError("vertices have non-finite entries")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise InputError("facets must be vertex-index triples")
-        self._build(verts, tris, symmetric, _corners(verts, tris))
-
-    def _build(self, verts, tris, symmetric, corners, two_areas=None):
-        """Orient the facets, derive every facet array from their crosses, and check them.
-
-        corners are _corners(verts, tris), or the same arrays gathered from
-        points that verts keep with their coordinates (convex_hull), and
-        two_areas the norms of their crosses when known.
-        """
-        a, b, c, u, w, cr = corners
-        if two_areas is None:
-            two_areas = np.sqrt(np.add.reduce(cr * cr, 1))
-        # the centroid, as verts.mean(axis=0) gives it
-        flip = np.einsum("ij,ij->i", cr, a - np.add.reduce(verts, 0) / len(verts)) < 0.0
-        if flip.any():
-            # w x u rather than -(u x w), which differs from it in the sign of zeros
-            cr[flip] = cross(w[flip], u[flip])
-            tris = np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
-            b, c = np.where(flip[:, None], c, b), np.where(flip[:, None], b, c)
-        self.vertices = verts
-        self.facets = tris
-        self.symmetric = bool(symmetric)
-        self.facet_areas = 0.5 * two_areas
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.facet_normals = np.where(two_areas[:, None] > 0.0, cr / two_areas[:, None], 0.0)
-        # plane offset <n, y> = c for each facet
-        self.facet_offsets = np.einsum("ij,ij->i", self.facet_normals, a)
-        self.volume = float(np.einsum("ij,ij->i", cross(a, b), c).sum() / 6.0)
-        if not (self.volume > 0.0 and math.isfinite(self.volume)):
-            raise FlatBodyError("polytope has empty interior")
-        scale = float(_MAX(np.abs(verts), None)) or 1.0
-        if (self.facet_areas <= 1e-14 * scale * scale).any():
-            raise InputError("facet triple is affinely dependent")
-        if self.symmetric:
-            d = self._symmetry_defect()
-            if d > 1e-9 * scale:
-                raise InputError(f"body is not centrally symmetric (defect {d:.3e})")
+        _build([self], verts, tris, [len(verts)], [len(tris)], symmetric, _corners(verts, tris))
 
     def _symmetry_defect(self):
         """How far the reflected vertex set pokes outside the facet planes.
@@ -279,10 +247,10 @@ class Polytope:
         meaningful invariant is geometric containment of -v, not vertex-set
         closure.  max over v of <-v, n> is the support at -n (negation is
         exact, and a facet's offset comes off after its max), so the check
-        runs in the support's chunks.
+        runs in the support's chunks (_symmetry_defects, a block of its own).
         """
-        outside = self.support(-self.facet_normals) - self.facet_offsets
-        return float(max(0.0, np.max(outside)))
+        return _symmetry_defects(self.vertices, self.facet_normals, self.facet_offsets,
+                                 [0], [len(self.vertices)], [0], [len(self.facets)])[0]
 
     def support(self, X):
         """Support values max over vertices of <x, v>, per row of X (or for one x)."""
@@ -303,8 +271,8 @@ class Polytope:
         Kept for P and the support of Pi^2 P; merging makes its pair sums and
         zonogon walks shorter.
         """
-        from .zonotope import GeneratorSet, merge_parallel  # zonotope imports geom
-        return GeneratorSet(merge_parallel(self.projection_generators()))
+        from .zonotope import pi_bodies  # zonotope imports geom
+        return pi_bodies([self])[0]
 
     @cached_property
     def candidates(self):
@@ -333,7 +301,36 @@ def convex_hull(points, symmetric=False):
     """Triangulated convex hull of >= 4 points in R^3 with outward normals.
 
     Coplanar input raises FlatBodyError; interior points are dropped from the
-    vertex list.
+    vertex list.  The stack of one of convex_hulls.
+    """
+    return _hull_chunk([qhull_triangles(points)], symmetric)[0]
+
+
+def convex_hulls(point_sets, symmetric=False):
+    """[convex_hull(p, symmetric) for p in point_sets], bit for bit, in one pass a chunk.
+
+    qhull runs once per set (qhull_triangles); polytopes then forms every
+    facet array of a chunk of sets at once.  The error raised is that of
+    the first set convex_hull would raise for.
+    """
+    triangles = []
+    for points in point_sets:
+        try:
+            triangles.append(qhull_triangles(points))
+        except ValueError:  # GeometryError, or qhull's on NaN
+            polytopes(triangles, symmetric)  # an earlier set's error comes first
+            raise
+    return polytopes(triangles, symmetric)
+
+
+Triangles = namedtuple("Triangles", "points simplices scale")
+
+
+def qhull_triangles(points):
+    """qhull's triangles of >= 4 points in R^3, its flatness test passed: Triangles.
+
+    scale is the largest coordinate's size (1 for all zeros).  Coplanar
+    input raises FlatBodyError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -346,33 +343,160 @@ def convex_hull(points, symmetric=False):
         hull = ConvexHull(pts)
     except QhullError as exc:
         raise FlatBodyError(f"degenerate point set: {exc}") from exc
-    scale = float(np.max(np.abs(pts))) or 1.0
+    scale = float(_MAX(np.abs(pts), None)) or 1.0
     if hull.volume <= HULL_TOL * scale ** 3:
         raise FlatBodyError("hull volume is numerically zero")
-    simplices = hull.simplices
-    corners = _corners(pts, simplices)
+    return Triangles(pts, hull.simplices, scale)
+
+
+def polytopes(triangles, symmetric=False):
+    """The Polytope of each Triangles (qhull_triangles), as convex_hull gives it.
+
+    The sets go in chunks of about _CHUNK_BYTES, each in one concatenated
+    pass: corners, crosses, sliver filter, vertex remap, then _build.
+    """
+    out = []
+    # corners, crosses and facet arrays: about 600 bytes a point (two facets each)
+    size = max((len(t.points) for t in triangles), default=0)
+    for sl in _chunks(len(triangles), 600 * size):
+        out += _hull_chunk(triangles[sl], symmetric)
+    return out
+
+
+def _hull_chunk(triangles, symmetric):
+    """polytopes of one chunk: its sets' points and triangles concatenated, one pass."""
+    one = len(triangles) == 1
+    if one:
+        pts, simplices, scale = triangles[0]
+        tris = simplices.astype(int)
+    else:
+        pts = np.concatenate([t.points for t in triangles])
+        tris = np.concatenate([t.simplices for t in triangles]).astype(int)
+        counts = [len(t.simplices) for t in triangles]
+        tris += np.repeat(_starts([len(t.points) for t in triangles]), counts)[:, None]
+        scale = np.repeat([t.scale for t in triangles], counts)
+    corners = _corners(pts, tris)
     two_areas = np.sqrt(np.add.reduce(corners[-1] * corners[-1], 1))
     # dense hulls can triangulate merged facets into zero-area slivers; they
     # carry no surface measure and would only trip the facet validation
     solid = 0.5 * two_areas > 1e-13 * scale * scale
-    tris = simplices.astype(int)
-    if not solid.all():
+    fcount = [len(tris)] if one else counts
+    if not _ALL(solid):
         tris, two_areas = tris[solid], two_areas[solid]
         # the crosses keep the column-major layout cross gives them, in which
-        # Polytope._build's einsums add their terms
+        # _build's einsums add their terms
         corners = [x[solid] for x in corners[:-1]] + [np.asfortranarray(corners[-1][solid])]
+        fcount = [len(tris)] if one else _block_sums(solid, counts)
     used = np.zeros(pts.shape[0], dtype=bool)
     used[tris] = True
-    if used.all():
-        verts = pts.copy()
+    vcount = [len(t.points) for t in triangles]
+    if _ALL(used):
+        verts = pts.copy() if one else pts
     else:  # interior points, or vertices of slivers only
-        keep = np.flatnonzero(used)
-        remap = np.full(pts.shape[0], -1, dtype=int)
+        keep = used.nonzero()[0]
+        remap = np.empty(pts.shape[0], dtype=int)  # read at the kept points only
         remap[keep] = np.arange(keep.size)
         verts, tris = pts[keep], remap[tris]
-    P = Polytope.__new__(Polytope)
-    P._build(verts, tris, symmetric, corners, two_areas)
-    return P
+        vcount = [keep.size] if one else _block_sums(used, vcount)
+    if not one:  # each set's own vertex indices
+        tris -= np.repeat(_starts(vcount), fcount)[:, None]
+    polys = [Polytope.__new__(Polytope) for _ in triangles]
+    _build(polys, verts, tris, vcount, fcount, symmetric, corners, two_areas)
+    return polys
+
+
+def _starts(counts):
+    """Where each of blocks of these sizes starts: [0, c0, c0 + c1, ...] less the end."""
+    return list(itertools.accumulate(counts[:-1], initial=0))
+
+
+def _block_sums(mask, counts):
+    """How many entries of mask are True in each of its blocks of these sizes."""
+    ends = np.cumsum(mask)[np.cumsum(counts) - 1]
+    return np.diff(ends, prepend=0).tolist()
+
+
+def _build(polys, verts, tris, vcount, fcount, symmetric, corners, two_areas=None):
+    """Orient the facets, derive every facet array from their crosses, and check them.
+
+    Fills each of polys with its block of verts and tris (its own vertex
+    indices), the blocks vcount and fcount rows long.  corners are
+    _corners(verts, tris), or the same arrays gathered from points that
+    verts keep with their coordinates (convex_hull), and two_areas the
+    norms of their crosses when known.  Every array is formed for all the
+    blocks at once and each polytope's is that of a block of its own, bit
+    for bit; each centroid and volume is summed over its own block, as sums
+    over a block and over its part of a longer array round differently.
+    The first block failing a check raises its error.
+    """
+    a, b, c, u, w, cr = corners
+    if two_areas is None:
+        two_areas = np.sqrt(np.add.reduce(cr * cr, 1))
+    one = len(polys) == 1
+    vstart, fstart = ([0], [0]) if one else (_starts(vcount), _starts(fcount))
+    if one:  # verts.mean(axis=0), as the other centroids below
+        centroid = np.add.reduce(verts, 0) / len(verts)
+    else:
+        centroid = np.repeat([np.add.reduce(verts[i:i + n], 0) / n
+                              for i, n in zip(vstart, vcount)], fcount, axis=0)
+    flip = np.einsum("ij,ij->i", cr, a - centroid) < 0.0
+    if _ANY(flip):
+        # w x u rather than -(u x w), which differs from it in the sign of zeros
+        cr[flip] = cross(w[flip], u[flip])
+        tris = np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
+        b, c = np.where(flip[:, None], c, b), np.where(flip[:, None], b, c)
+    areas = 0.5 * two_areas
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals = np.where(two_areas[:, None] > 0.0, cr / two_areas[:, None], 0.0)
+    # plane offset <n, y> = c for each facet
+    offsets = np.einsum("ij,ij->i", normals, a)
+    volumes = np.einsum("ij,ij->i", cross(a, b), c)
+    if one:
+        scale = [float(_MAX(np.abs(verts), None)) or 1.0]
+        flat = [_ANY(areas <= 1e-14 * scale[0] * scale[0])]
+    else:
+        scale = np.maximum.reduceat(_MAX(np.abs(verts), 1), vstart)
+        scale[scale == 0.0] = 1.0
+        s = np.repeat(scale, fcount)
+        flat = np.logical_or.reduceat(areas <= 1e-14 * s * s, fstart)
+    if symmetric:
+        defects = _symmetry_defects(verts, normals, offsets, vstart, vcount, fstart, fcount)
+    for k, P in enumerate(polys):
+        vs, fs = slice(vstart[k], vstart[k] + vcount[k]), slice(fstart[k], fstart[k] + fcount[k])
+        P.vertices = verts[vs]
+        P.facets = tris[fs]
+        P.symmetric = bool(symmetric)
+        P.facet_areas = areas[fs]
+        P.facet_normals = np.asfortranarray(normals[fs])
+        P.facet_offsets = offsets[fs]
+        P.volume = float(np.add.reduce(volumes[fs]) / 6.0)
+        if not (P.volume > 0.0 and math.isfinite(P.volume)):
+            raise FlatBodyError("polytope has empty interior")
+        if flat[k]:
+            raise InputError("facet triple is affinely dependent")
+        if symmetric and defects[k] > 1e-9 * scale[k]:
+            raise InputError(f"body is not centrally symmetric (defect {defects[k]:.3e})")
+
+
+def _symmetry_defects(verts, normals, offsets, vstart, vcount, fstart, fcount):
+    """Polytope._symmetry_defect of each block, bit for bit: one padded stacked max.
+
+    Each block's vertices and normals are padded by repeating its last,
+    which leaves its max the same, and all go through one stacked
+    _reduce_dots.
+    """
+    if len(vcount) == 1:
+        outside = _reduce_dots(verts, -normals, True) - offsets
+        return [max(0.0, float(_MAX(outside, None)))]
+    vi, fi = _padded_rows(vstart, vcount), _padded_rows(fstart, fcount)
+    outside = _reduce_dots(verts[vi], -normals[fi], True) - offsets[fi]
+    return np.maximum(0.0, _MAX(outside, 1))
+
+
+def _padded_rows(starts, counts):
+    """Each block's row indices, padded to the longest by repeating its last: (blocks, longest)."""
+    return np.add(np.array(starts)[:, None],
+                  np.minimum(np.arange(max(counts)), np.subtract(counts, 1)[:, None]))
 
 
 def _corners(points, tris):

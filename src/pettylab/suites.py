@@ -15,12 +15,12 @@ from . import fixtures
 from .errors import InputError, LimitError
 from .functionals import (LIMITS, check_limit, invariants, m_values, mixed_volume, petty_value,
                           polar_volume, q_direction, ratio, sl_invariance_check, ts_sums)
-from .geom import _chunks, plane_basis, unitize
+from .geom import Polytope, _chunks, plane_basis, unitize
 from .report import Row, check
 from .revolution import berwald_check
-from .symmetrize import steiner_projection_monotonicity
-from .zonotope import (GeneratorSet, second_proj_support, stack_ratios, z_shadow_area,
-                       zonogon_area)
+from .symmetrize import steiner_shadows
+from .zonotope import (GeneratorSet, cache_pi_bodies, second_proj_support, stack_ratios,
+                       z_shadow_area, zonogon_area)
 
 SHARP_TS = 4.0 / 3.0
 
@@ -132,9 +132,8 @@ def suite_minkowski(samples, seed):
     """V(K,L) >= V(K)^{1/3} V(L)^{2/3} and V(K,K) = V(K) on random pairs."""
     rng = _rng(seed, "minkowski")
     slack, diag = [], []
-    for _ in range(samples):
-        K = _random_body(rng)
-        L = _random_body(rng)
+    for K, L in _drawn(rng, samples, lambda rng, hull, _: (_random_body(rng, hull),
+                                                         _random_body(rng, hull))):
         vK, vL = K.volume, L.volume
         slack.append(mixed_volume(K, L) / (vK ** (1.0 / 3.0) * vL ** (2.0 / 3.0)))
         diag.append(abs(mixed_volume(L, L) - vL) / vL)
@@ -142,26 +141,55 @@ def suite_minkowski(samples, seed):
             _bound_row("mixed-volume-diagonal", seed, diag, 1e-9)]
 
 
-def _random_body(rng):
+def _random_body(rng, hull):
+    """A random zonotope or symmetric hull, the hull drawn by hull (fixtures.draw_chunk)."""
     if rng.random() < 0.5:
         return fixtures.random_zonotope(rng, int(rng.integers(3, 8)))
-    return fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
+    return hull(rng, int(rng.integers(4, 11)))
+
+
+def _draws(rng, samples, draw, sample_bytes=10_000):
+    """(slice, samples) of draw's samples (fixtures.draw_chunk), in chunks of about _CHUNK_BYTES.
+
+    A chunk's hulls are finished in one stack and their Pi bodies merged in
+    one pass (zonotope.cache_pi_bodies).  sample_bytes is what a sample
+    keeps while its chunk is read.
+    """
+    for sl in _chunks(samples, sample_bytes):
+        chunk = fixtures.draw_chunk(rng, len(range(*sl.indices(samples))), draw)
+        cache_pi_bodies([B for sample in chunk for B in sample if isinstance(B, Polytope)])
+        yield sl, chunk
+
+
+def _drawn(rng, samples, draw):
+    """draw's samples one at a time (_draws), each let go of once the next is taken.
+
+    What a sample's bodies cache as it is read (Pi^2 K, determinant tables)
+    then goes with it, as when it was drawn on its own.
+    """
+    for _, chunk in _draws(rng, samples, draw):
+        chunk.reverse()
+        while chunk:
+            yield chunk.pop()
 
 
 def suite_steiner_monotone(samples, seed):
     """Shadow of Pi K on planes through nu never grows under Steiner."""
     rng = _rng(seed, "steiner")
-    gaps = []
-    for _ in range(samples):
-        P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11)))
-        nu = unitize(rng.standard_normal(3))
-        h2 = unitize(rng.standard_normal(3))
-        if abs(np.dot(nu, h2)) > 1.0 - 1e-6:
-            gaps.append(-np.inf)  # no plane through nu and h2
-            continue
-        before, after = steiner_projection_monotonicity(P, nu, h2)
-        gaps.append((after - before) / max(before, 1e-300))
+    gaps = np.full(samples, -np.inf)  # -inf: no plane through nu and h2
+    # a sample keeps its hull, its symmetral's, both Pi bodies and the pair
+    # crosses their shadows cache: about 40 kB
+    for sl, cases in _draws(rng, samples, _steiner_case, 40_000):
+        live = [k for k, (_, nu, h2) in enumerate(cases) if abs(np.dot(nu, h2)) <= 1.0 - 1e-6]
+        before, after = steiner_shadows([cases[k] for k in live])
+        gaps[sl][live] = (after - before) / np.maximum(before, 1e-300)
     return [_bound_row("steiner-shadow-monotone", seed, gaps, 1e-9)]
+
+
+def _steiner_case(rng, hull, _):
+    """steiner-monotone's sample: a symmetric hull, nu and a second direction."""
+    P = hull(rng, int(rng.integers(4, 11)))
+    return P, unitize(rng.standard_normal(3)), unitize(rng.standard_normal(3))
 
 
 def suite_schwartz_monotone(samples, seed):
@@ -171,9 +199,8 @@ def suite_schwartz_monotone(samples, seed):
     """
     rng = _rng(seed, "schwartz")
     cases = [*zip([fixtures.cube()] * 3, np.eye(3)), (fixtures.cylinder_profile(), np.eye(3)[2])]
-    while len(cases) < samples:
-        cases.append((fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 11))),
-                      unitize(rng.standard_normal(3))))
+    cases += _drawn(rng, max(0, samples - len(cases)), lambda rng, hull, _: (
+        hull(rng, int(rng.integers(4, 11))), unitize(rng.standard_normal(3))))
     return [_bound_row("schwartz-ratio-monotone", seed,
                        [q_direction(P, x) - ratio(P, x) for P, x in cases[:samples]], 1e-9)]
 
@@ -262,9 +289,9 @@ def suite_theorem_1_1(samples, seed):
     M = np.empty(samples)
     # the samples are drawn in order, in chunks of about _CHUNK_BYTES at
     # about 200 bytes a sample, with one stack per generator count
-    for sl in _chunks(samples, 200):
-        gens = [fixtures.random_generators(rng, int(rng.integers(3, 9)))
-                for _ in range(*sl.indices(samples))]
+    for sl, chunk in _draws(rng, samples,
+                            lambda rng, _, gens: (gens(rng, int(rng.integers(3, 9))),), 200):
+        gens = [g for g, in chunk]
         sizes = np.array([len(g) for g in gens])
         for n in np.unique(sizes):
             idx = np.flatnonzero(sizes == n)
@@ -289,9 +316,9 @@ def suite_theorem_1_2(samples, seed):
     """
     rng = _rng(seed, "thm12")
     m = np.empty(samples)
-    for sl in _chunks(samples, 10_000):
-        m[sl] = m_values([fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 13)))
-                          for _ in range(*sl.indices(samples))])
+    for sl, chunk in _draws(rng, samples,
+                            lambda rng, hull, _: (hull(rng, int(rng.integers(4, 13))),)):
+        m[sl] = m_values([B for B, in chunk])
     worst, witness = _worst(seed, m, lowest=True)
     oct_val = float(ratio(fixtures.octahedron(), np.eye(3)).min())
     return [_limit_row("symmetric-ratio-lower", "m", worst, witness),
@@ -306,8 +333,8 @@ def _sl_cases(samples, seed):
     maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             np.diag([2.0, 0.5, 1.0])]
     cases = [(b, T) for b in bodies for T in maps]
-    while len(cases) < samples:
-        cases.append((_random_body(rng), _random_unimodular(rng)))
+    cases += _drawn(rng, max(0, samples - len(cases)),
+                    lambda rng, hull, _: (_random_body(rng, hull), _random_unimodular(rng)))
     return cases[:samples]
 
 
@@ -333,8 +360,7 @@ def suite_class_reduction(samples, seed):
     """P(Pi K) <= P(K); the worst body's two values are logged."""
     rng = _rng(seed, "classred")
     gaps, notes = [], []
-    for _ in range(samples):
-        B = _random_body(rng)
+    for B, in _drawn(rng, samples, lambda rng, hull, _: (_random_body(rng, hull),)):
         pk = petty_value(B)
         ppk = petty_value(B.pi_body)
         gaps.append((ppk - pk) / max(pk, 1e-300))

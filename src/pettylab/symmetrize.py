@@ -18,9 +18,10 @@ functionals.q_direction evaluates exactly without building it.
 import numpy as np
 
 from .errors import FlatBodyError, InputError, SymmetryError
-from .geom import _chunks, chords, convex_hull, cross, plane_basis, slice_quadratics, unitize
+from .geom import (_chunks, chords, convex_hull, convex_hulls, cross, plane_basis, slice_quadratics,
+                   unitize)
 from .revolution import RevolutionBody
-from .zonotope import z_shadow_area
+from .zonotope import cache_pi_bodies, z_shadow_area
 
 DUPLICATE_TOL = 1e-10
 
@@ -53,7 +54,11 @@ def _roof_floor_edges(P, nu):
     facet_sign = P.facet_normals @ nu
     # e_all stacks the three edge lists block-wise, so the facet signs tile
     sgn = np.tile(facet_sign, 3)
-    edges, inv = np.unique(e_all, axis=0, return_inverse=True)
+    # rows (i, j), i < j, as the keys i V + j: np.unique(e_all, axis=0) without
+    # sorting the rows as records
+    V = len(P.vertices)
+    keys, inv = np.unique(e_all[:, 0] * V + e_all[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // V, keys % V])
     up = np.zeros(edges.shape[0], dtype=bool)
     down = np.zeros(edges.shape[0], dtype=bool)
     tol = 1e-12
@@ -104,8 +109,12 @@ def chord_profile(P, nu):
     scale = float(np.max(np.abs(P.vertices))) or 1.0
     # merge duplicate base points
     key = np.round(pts2 / (DUPLICATE_TOL * scale)).astype(np.int64)
-    _, keep = np.unique(key, axis=0, return_index=True)
-    pts2 = pts2[np.sort(keep)]
+    # the first of each run of equal keys in a stable sort by both: the first
+    # occurrence of each, as np.unique(key, axis=0, return_index=True) finds it
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = key[order]
+    first = np.concatenate([[True], np.any(key[1:] != key[:-1], axis=1)])
+    pts2 = pts2[np.sort(order[first])]
     bases = pts2[:, 0, None] * e1[None, :] + pts2[:, 1, None] * e2[None, :]
     lo, hi = chords(P, bases, nu)
     ok = ~np.isnan(lo)
@@ -117,8 +126,14 @@ def chord_profile(P, nu):
 def steiner(P, nu):
     """Steiner symmetral of P along nu: exact, volume preserving.
 
-    Hull of the recentred chords {base +- w * nu} over the chord profile.
+    Hull of the recentred chords {base +- w * nu} over the chord profile
+    (steiner_points).
     """
+    return convex_hull(steiner_points(P, nu), symmetric=P.symmetric)
+
+
+def steiner_points(P, nu):
+    """The points whose hull is the Steiner symmetral of P along nu (steiner)."""
     nu = unitize(nu)
     prof = chord_profile(P, nu)
     pts = np.vstack([prof.base_points + prof.w[:, None] * nu[None, :],
@@ -127,7 +142,7 @@ def steiner(P, nu):
         # grazing chords can drop one of a +-pair to round-off; restore the
         # exact central symmetry of the sample set
         pts = np.vstack([pts, -pts])
-    return convex_hull(pts, symmetric=P.symmetric)
+    return pts
 
 
 def schwartz(P, nu):
@@ -194,17 +209,39 @@ def steiner_projection_monotonicity(P, nu, h_second):
 
     H is spanned by nu and the second direction; the symmetrized shadow never
     exceeds the original (after <= before + 1e-9 on every valid input).
+    The stack of one of steiner_shadows.
     """
-    nu = unitize(nu)
-    h2 = np.asarray(h_second, dtype=float)
-    perp = h2 - np.dot(h2, nu) * nu
-    if np.linalg.norm(perp) < 1e-9:
-        raise InputError("second direction must be independent of nu")
-    # the shadow on H = span(nu, e2) is the shadow along the normal nu x e2
-    w = cross(nu, unitize(perp))
-    before = z_shadow_area(P.pi_body, w)
-    after = z_shadow_area(steiner(P, nu).pi_body, w)
+    (before,), (after,) = steiner_shadows([(P, nu, h_second)])
     return float(before), float(after)
+
+
+def steiner_shadows(cases):
+    """steiner_projection_monotonicity of each (P, nu, h_second) case: (before, after) arrays.
+
+    The symmetrals' hulls are built in one stack per symmetry flag
+    (geom.convex_hulls), and Pi of the bodies and of their symmetrals by
+    one zonotope.cache_pi_bodies, each as its own call gives it.
+    """
+    normals, points = [], []
+    for P, nu, h_second in cases:
+        nu = unitize(nu)
+        h2 = np.asarray(h_second, dtype=float)
+        perp = h2 - np.dot(h2, nu) * nu
+        if np.linalg.norm(perp) < 1e-9:
+            raise InputError("second direction must be independent of nu")
+        # the shadow on H = span(nu, e2) is the shadow along the normal nu x e2
+        normals.append(cross(nu, unitize(perp)))
+        points.append(steiner_points(P, nu))
+    bodies = [P for P, _, _ in cases]
+    symmetrals = [None] * len(cases)
+    for flag in (False, True):
+        idx = [i for i, P in enumerate(bodies) if P.symmetric == flag]
+        for i, S in zip(idx, convex_hulls([points[i] for i in idx], symmetric=flag)):
+            symmetrals[i] = S
+    cache_pi_bodies(bodies + symmetrals)
+    before = [z_shadow_area(P.pi_body, w) for P, w in zip(bodies, normals)]
+    after = [z_shadow_area(S.pi_body, w) for S, w in zip(symmetrals, normals)]
+    return np.array(before, dtype=float), np.array(after, dtype=float)
 
 
 def roundness(P):

@@ -504,13 +504,17 @@ def second_proj_support(Z, x):
     return 64.0 * float(np.sum(np.abs(terms)))
 
 
-def merge_parallel(gens):
+def merge_parallel(gens, counts=None):
     """Combine (anti)parallel generators into single summed segments.
 
     Generators whose sign-canonical unit vectors lie within tol = 1e-12 of
     each other (directly or through a chain of such neighbours) become one
     segment: the unit vector of the first member times the summed lengths,
-    in order of first appearance.
+    in order of first appearance.  With counts, gens is a ragged stack, the
+    blocks of those sizes one after the other, each merged on its own:
+    returns (merged, merged counts), each block's rows those of a call of
+    its own bit for bit, from one sort by (block, key), one close-pair test
+    and one label pass.
     """
     tol = 1e-12
     g = np.asarray(gens, dtype=float)
@@ -522,10 +526,14 @@ def merge_parallel(gens):
     # units within tol of each other have keys within tol along any unit axis:
     # sort by one key and test only the pairs whose keys are that close (2 tol
     # leaves room for the rounding of the keys)
-    key = units @ _MERGE_AXIS
+    key, reach = units @ _MERGE_AXIS, 2.0 * tol
+    if counts is not None:
+        block = np.repeat(np.arange(len(counts)), counts)[keep]
+        # complex numbers sort by real part, then imaginary: by block, then key
+        key, reach = block + 1j * key, 1j * reach
     order = np.argsort(key, kind="stable")
     ks = key[order]
-    count = np.searchsorted(ks, ks + 2.0 * tol, side="right") - np.arange(ks.size) - 1
+    count = np.searchsorted(ks, ks + reach, side="right") - np.arange(ks.size) - 1
     a = np.repeat(np.arange(ks.size), count)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
     i, j = order[a], order[b]
@@ -547,7 +555,41 @@ def merge_parallel(gens):
     # in order: np.unique(label) and its inverse without the sort
     root = label == np.arange(len(label))
     group = (np.cumsum(root) - 1)[label]
-    return units[root] * np.bincount(group, weights=norms)[:, None]
+    merged = units[root] * np.bincount(group, weights=norms)[:, None]
+    if counts is None:
+        return merged
+    return merged, np.bincount(block[root], minlength=len(counts))
+
+
+def pi_bodies(polys):
+    """Pi P of each polytope, as P.pi_body gives it: one merge_parallel a chunk.
+
+    The facet generators (P.projection_generators()) of a chunk of about
+    _CHUNK_BYTES go through one ragged merge_parallel; each GeneratorSet
+    holds its block's rows, those of a merge of its own bit for bit.
+    """
+    out = []
+    # a generator's rows, keys, order and labels: about 200 bytes
+    for sl in _chunks(len(polys), 200 * max((len(P.facets) for P in polys), default=0)):
+        gens = [P.projection_generators() for P in polys[sl]]
+        if len(gens) == 1:
+            merged = merge_parallel(gens[0])
+            counts = [len(merged)]
+        else:
+            merged, counts = merge_parallel(np.concatenate(gens), [len(g) for g in gens])
+        for start, count in zip(itertools.accumulate(counts, initial=0), counts):
+            # merged rows are nonzero and finite: GeneratorSet's checks hold
+            Z = GeneratorSet.__new__(GeneratorSet)
+            Z.gens = merged[start:start + count]
+            out.append(Z)
+    return out
+
+
+def cache_pi_bodies(polys):
+    """Fill each polytope's cached pi_body (Polytope.pi_body) from one pi_bodies call."""
+    polys = [P for P in polys if "pi_body" not in P.__dict__]
+    for P, Z in zip(polys, pi_bodies(polys)):
+        P.__dict__["pi_body"] = Z
 
 
 def zonogon_area(gens2d):

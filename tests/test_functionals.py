@@ -23,6 +23,7 @@ from pettylab import (convex_hull, fibonacci_sphere, fixtures, functionals, revo
 from pettylab.cli import GRID_MAX
 from pettylab.suites import _sl_cases
 from pettylab.revolution import rev_to_polytope
+from pettylab.zonotope import pi2_count
 
 E1, E2, E3 = np.eye(3)
 SHARP = 4.0 / 3.0
@@ -669,10 +670,11 @@ class TestPrunedMGrid:
     @pytest.mark.parametrize("want", [("m",), ("m", "Q")])
     def test_small_bodies_and_Q_take_the_full_grid(self, monkeypatch, want):
         # nothing is pruned for a body whose Pi^2 B has no more facet normals
-        # than the grid has rows: it reads all of them in one stacked pass
-        # (pi2_minima, no z_shadow_area call), with or without Q; Q, whose
-        # bound is the ratio on every row, takes the candidates' ratios in
-        # one call and the grid's and the axes' in another
+        # than the grid has rows: it reads all of them in one pass
+        # (pi2_minima, a body of its own reading ratio at its normals, one
+        # z_shadow_area call), with or without Q; Q, whose bound is the ratio
+        # on every row, takes the candidates' ratios in one call and the
+        # grid's and the axes' in another
         rows = self._rows(monkeypatch)
         stacked = []
         true_minima = functionals.pi2_minima
@@ -681,7 +683,8 @@ class TestPrunedMGrid:
         small = fixtures.random_symmetric_polytope(np.random.default_rng(6), 6)
         assert invariants(small, grid=256, refine=0, want=want).m_source == "pi2 normals"
         grid = [len(small.candidates), 256 + 3] * ("Q" in want)
-        assert rows == {"exact": grid, "vertices": []} and stacked == [1]
+        normals = [pi2_count(len(small.pi_body))]
+        assert rows == {"exact": grid + normals, "vertices": []} and stacked == [1]
         rows["exact"].clear()
         large = fixtures.icosphere(2)
         assert invariants(large, grid=256, refine=0, want=want).m_source == "grid"
@@ -974,6 +977,25 @@ def test_stacked_exact_m_mixes_bodies():
     assert [len(B.pi_body) for B in bodies[1:6:4]] == [4, 4]
     assert len({len(B.pi_body) for B in bodies}) >= 5
     _same_m(bodies)
+
+
+def test_a_body_of_its_own_reads_no_stack(monkeypatch):
+    # a list of one reads ratio on its own rows, with no grouping, stacking
+    # or padding, and the bits of the body's place in a stack
+    rng = np.random.default_rng(31)
+    hull = np.vstack([rng.standard_normal((6, 3)), 0.01 * rng.standard_normal((3, 3))])
+    bodies = [fixtures.octahedron(), fixtures.cube_zonotope(), fixtures.random_zonotope(rng, 5),
+              convex_hull(np.vstack([hull, -hull]), symmetric=True),
+              fixtures.random_symmetric_polytope(rng, 9)]
+    stacked = [functionals.pi2_minima([B, B]) for B in bodies]
+
+    def no_stack(*args):
+        raise AssertionError("a body of its own is stacked")
+
+    monkeypatch.setattr(functionals, "stack_shadows", no_stack)
+    for B, (m, dirs) in zip(bodies, stacked):
+        (v,), (x,) = functionals.pi2_minima([B])
+        assert v == m[0] == m[1] and x.tobytes() == dirs[0].tobytes()
 
 
 def test_flattened_zonotope_m_is_7():

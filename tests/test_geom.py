@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from pettylab import (FlatBodyError, InputError, Polytope, chords, convex_hull,
-                      fibonacci_sphere, fixtures, geom, slice_area, z_volume)
-from pettylab.geom import _BAND, _TAU, plane_basis, slice_quadratics
+                      fibonacci_sphere, fixtures, geom, slice_area, symmetrize, z_volume)
+from pettylab.geom import _BAND, _TAU, plane_basis, slice_quadratics, unitize
 from pettylab.zonotope import pair_crosses
 
 E1, E2, E3 = np.eye(3)
@@ -181,6 +181,128 @@ class TestHullFromItsCrosses:
     def test_invalid_polytope_raises_as_before(self, vertices, facets, error, match):
         with pytest.raises(error, match=match):
             Polytope(vertices, facets)
+
+
+def _hull_point_sets():
+    """(name, points, symmetric): every kind of set convex_hulls takes."""
+    rng = np.random.default_rng(31)
+    sets = []
+    for pairs in (4, 5, 7, 12, 19, 30):
+        p = rng.standard_normal((pairs, 3))
+        sets.append((f"symmetric{pairs}", np.vstack([p, -p]), True))
+        sets.append((f"interior{pairs}", np.vstack([p, -p, 0.3 * p, -0.2 * p]), True))
+        sets.append((f"rounded{pairs}", np.round(np.vstack([p, -p]), 1), True))
+    for n in (4, 6, 11, 25):
+        sets.append((f"asymmetric{n}", rng.standard_normal((n, 3)) + 0.5, False))
+    corners = np.array([(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+    sets.append(("cube", corners, True))
+    sets.append(("cube-midpoints", np.vstack([corners, 0.5 * corners, [[0.0, 0.0, 1.0]],
+                                              [[0.0, 0.0, -1.0]]]), True))
+    # a Steiner symmetral's sample set: repeated and coplanar chord ends, slivers
+    P = fixtures.random_symmetric_polytope(np.random.default_rng(3), 9)
+    nu = unitize(rng.standard_normal(3))
+    sets.append(("steiner-samples", symmetrize.steiner_points(P, nu), True))
+    return sets
+
+
+class TestConvexHulls:
+    """convex_hulls is convex_hull of each set bit for bit, in one pass a chunk."""
+
+    SETS = _hull_point_sets()
+
+    def _check(self, sets):
+        for flag in (False, True):
+            chosen = [(name, pts) for name, pts, sym in sets if sym == flag]
+            got = geom.convex_hulls([pts for _, pts in chosen], symmetric=flag)
+            assert len(got) == len(chosen)
+            for (name, pts), P in zip(chosen, got):
+                own = convex_hull(pts, symmetric=flag)
+                _same_arrays(P, own)
+                _same_arrays(P, Polytope(P.vertices, P.facets, symmetric=flag))
+                # the layouts later products see are those of a call of its own
+                assert P.facet_normals.flags.f_contiguous and P.vertices.flags.c_contiguous, name
+
+    def test_every_kind_in_one_stack(self):
+        self._check(self.SETS)
+
+    @pytest.mark.parametrize("k", range(len(SETS)))
+    def test_stack_of_one(self, k):
+        self._check(self.SETS[k:k + 1])
+
+    def test_mixed_sizes_in_several_chunks(self, monkeypatch):
+        # at about 600 bytes a point, 200 kB chunks hold a few sets each
+        monkeypatch.setattr(geom, "_CHUNK_BYTES", 200_000)
+        sets = [pts for _, pts, sym in self.SETS[::-1] if sym]
+        sizes, real = [], geom._hull_chunk
+        monkeypatch.setattr(geom, "_hull_chunk", lambda t, s: sizes.append(len(t)) or real(t, s))
+        got = geom.convex_hulls(sets, symmetric=True)
+        assert sum(sizes) == len(sets) and len(sizes) > 2 and max(sizes) > 1
+        for pts, P in zip(sets, got):
+            _same_arrays(P, convex_hull(pts, symmetric=True))
+
+    def test_sliver_in_a_stack(self, monkeypatch):
+        # qhull's output with a zero-area sliver added (as in TestHullFromItsCrosses)
+        import scipy.spatial
+        real = scipy.spatial.ConvexHull
+        corners = np.array([(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                            for z in (-1.0, 1.0)])
+        pts = np.vstack([corners, [(0.0, -1.0, -1.0)]])
+        others = [np.vstack([p, -p]) for p in np.random.default_rng(4).standard_normal((3, 6, 3))]
+        want = [convex_hull(p, symmetric=True) for p in [others[0], pts] + others[1:]]
+
+        class WithSliver:
+            def __init__(self, points):
+                hull = real(points)
+                self.volume, self.simplices = hull.volume, hull.simplices
+                if len(points) == 9:
+                    self.simplices = np.vstack([hull.simplices[:5], [[0, 4, 8]],
+                                                hull.simplices[5:]])
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", WithSliver)
+        got = geom.convex_hulls([others[0], pts] + others[1:], symmetric=True)
+        assert len(got[1].vertices) == 8 and len(got[1].facets) == 12
+        for P, Q in zip(got, want):
+            _same_arrays(P, Q)
+
+    def test_symmetry_defect_of_each_member(self):
+        # the stacked max reads each member's defect bit for bit
+        rng = np.random.default_rng(8)
+        bodies = [fixtures.random_symmetric_polytope(rng, int(n)) for n in rng.integers(4, 30, 40)]
+        bodies = [Polytope(B.vertices * rng.uniform(0.5, 2.0, 3), B.facets) for B in bodies]
+        verts = np.concatenate([B.vertices for B in bodies])
+        normals = np.concatenate([B.facet_normals for B in bodies])
+        offsets = np.concatenate([B.facet_offsets for B in bodies])
+        vcount = [len(B.vertices) for B in bodies]
+        fcount = [len(B.facets) for B in bodies]
+        got = geom._symmetry_defects(verts, normals, offsets, geom._starts(vcount), vcount,
+                                     geom._starts(fcount), fcount)
+        want = [B._symmetry_defect() for B in bodies]
+        assert got.tolist() == want and max(want) > 0.0
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_a_member_failing_the_symmetry_check(self, bad):
+        rng = np.random.default_rng(9)
+        sets = [np.vstack([p, -p]) for p in rng.standard_normal((5, 7, 3))]
+        # the farthest point, a vertex, pushed out: its reflection is outside
+        sets[bad][np.argmax(np.linalg.norm(sets[bad], axis=1))] *= 1.3
+        with pytest.raises(InputError, match="not centrally symmetric") as own:
+            convex_hull(sets[bad], symmetric=True)
+        with pytest.raises(InputError) as stacked:
+            geom.convex_hulls(sets, symmetric=True)
+        assert str(stacked.value) == str(own.value)
+
+    def test_first_failing_member_raises(self):
+        # a flat set after an asymmetric one: the asymmetric one's error, as
+        # convex_hull of each in turn would raise
+        sets = [np.vstack([np.eye(3), [[1.0, 1.0, 1.0]]]),
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]]
+        with pytest.raises(InputError, match="not centrally symmetric"):
+            geom.convex_hulls(sets, symmetric=True)
+        with pytest.raises(FlatBodyError, match="degenerate point set"):
+            geom.convex_hulls(sets[::-1], symmetric=True)
+
+    def test_no_sets(self):
+        assert geom.convex_hulls([]) == []
 
 
 class TestFacetData:

@@ -13,7 +13,8 @@ from pettylab.geom import unitize
 from pettylab.revolution import rev_volume
 from pettylab.suites import _rng
 from pettylab.symmetrize import _projected_edge_crossings, roundness, steiner_rounding_run
-from pettylab import fixtures, geom
+from pettylab import fixtures, geom, symmetrize
+from pettylab.zonotope import z_shadow_area
 
 E1, E2, E3 = np.eye(3)
 
@@ -202,6 +203,61 @@ class TestSteinerShadowMonotonicity:
     def test_degenerate_plane_rejected(self, cube):
         with pytest.raises(InputError):
             steiner_projection_monotonicity(cube, E3, E3)
+
+    def test_stacked_shadows_are_each_cases(self, rng, tetrahedron):
+        # steiner_shadows against each case composed by hand: Pi P's shadow
+        # and that of Pi of the symmetral (steiner), on bodies of their own
+        def cases():
+            drawn = np.random.default_rng(11)
+            out = [(fixtures.cube(), E3, E1), (fixtures.tetrahedron(), E3, E1)]
+            for _ in range(30):
+                out.append((fixtures.random_symmetric_polytope(drawn, int(drawn.integers(4, 11))),
+                            unitize(drawn.standard_normal(3)), unitize(drawn.standard_normal(3))))
+            return out
+        before, after = symmetrize.steiner_shadows(cases())
+        for k, (P, nu, h2) in enumerate(cases()):
+            nu = unitize(nu)
+            perp = h2 - np.dot(h2, nu) * nu
+            w = geom.cross(nu, unitize(perp))
+            assert before[k] == z_shadow_area(P.pi_body, w)
+            assert after[k] == z_shadow_area(steiner(P, nu).pi_body, w)
+
+
+class TestUniqueByKeys:
+    """Roof/floor edges and chord bases deduplicated by keys, as np.unique(axis=0) did."""
+
+    def test_edges_are_the_unique_rows(self, rng):
+        for _ in range(20):
+            P = fixtures.random_symmetric_polytope(rng, int(rng.integers(4, 30)))
+            nu = unitize(rng.standard_normal(3))
+            t = P.facets
+            e_all = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+            edges, inv = np.unique(e_all, axis=0, return_inverse=True)
+            sgn = np.tile(P.facet_normals @ nu, 3)
+            up, down = np.zeros(len(edges), bool), np.zeros(len(edges), bool)
+            np.logical_or.at(up, inv.ravel(), sgn > 1e-12)
+            np.logical_or.at(down, inv.ravel(), sgn < -1e-12)
+            roof, floor = symmetrize._roof_floor_edges(P, nu)
+            assert np.array_equal(roof, edges[up & ~down])
+            assert np.array_equal(floor, edges[down & ~up])
+
+    def test_bases_keep_first_occurrences(self, rng, cube):
+        # np.unique's first occurrences, on bodies with many repeated bases
+        for P in [cube, fixtures.octahedron()] + [
+                fixtures.random_symmetric_polytope(rng, n) for n in (5, 9, 14)]:
+            for nu in [E3, unitize(np.array([1.0, 1.0, 0.0])), unitize(rng.standard_normal(3))]:
+                e1, e2 = geom.plane_basis(unitize(nu))
+                verts2 = np.column_stack([P.vertices @ e1, P.vertices @ e2])
+                pts2 = np.vstack([verts2, _projected_edge_crossings(P, unitize(nu), e1, e2)])
+                scale = float(np.max(np.abs(P.vertices)))
+                key = np.round(pts2 / (symmetrize.DUPLICATE_TOL * scale)).astype(np.int64)
+                _, keep = np.unique(key, axis=0, return_index=True)
+                bases = pts2[np.sort(keep)]
+                want = bases[:, 0, None] * e1[None, :] + bases[:, 1, None] * e2[None, :]
+                prof = chord_profile(P, nu)
+                assert len(prof.base_points) <= len(want)
+                lo, _ = geom.chords(P, want, unitize(nu))
+                assert prof.base_points.tobytes() == want[~np.isnan(lo)].tobytes()
 
 
 class TestSchwartzRatioMonotonicity:

@@ -281,6 +281,64 @@ def test_merge_parallel_matches_loop(name):
         assert got.shape == (6, 3)
 
 
+def _chain_gens():
+    """Units 0.6e-12 apart in a row: ends 1.2e-12 apart, joined through the middle one."""
+    b, w = np.array([0.2, 0.9, -0.4]), np.array([0.9, -0.2, 0.0])
+    b /= np.linalg.norm(b)
+    w -= (w @ b) * b
+    w /= np.linalg.norm(w)
+    return np.array([1.5 * (b + 1.2e-12 * w), 0.5 * b, -2.0 * (b + 0.6e-12 * w), [0.0, 0.0, 1.0]])
+
+
+def _ragged_members():
+    """Generator blocks of many kinds, each to be merged on its own."""
+    rng = np.random.default_rng(12)
+    members = [fixtures.cube().projection_generators(), _near_parallel_gens(), _chain_gens()]
+    members += [fixtures.random_symmetric_polytope(rng, n).projection_generators()
+                for n in (4, 9, 17)]
+    members += [np.vstack([rng.standard_normal((5, 3)), np.zeros((2, 3))]), np.eye(3)]
+    # the same lines in two blocks, which must not merge across them
+    members += [np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 0.0]]), np.array([[-2.0, -4.0, -4.0]])]
+    return members
+
+
+def test_stacked_merge_parallel_is_each_members_merge():
+    members = _ragged_members()
+    merged, counts = merge_parallel(np.concatenate(members), [len(g) for g in members])
+    assert len(counts) == len(members) and counts.sum() == len(merged)
+    blocks = np.split(merged, np.cumsum(counts)[:-1])
+    for k, (g, block) in enumerate(zip(members, blocks)):
+        own = merge_parallel(g)
+        assert block.shape == own.shape and block.tobytes() == own.tobytes()
+        if k == 2:
+            # the loop joins a group's first member only, so it splits the chain
+            continue
+        want = merge_parallel_loop(g)
+        assert block.shape == want.shape
+        assert np.max(np.abs(block - want)) <= 1e-15 * np.max(np.abs(want))
+    # the chain is one segment, its summed length 4, and the last two blocks
+    # keep their lines
+    assert len(blocks[2]) == 2 and np.linalg.norm(blocks[2][0]) == pytest.approx(4.0, rel=1e-15)
+    assert len(blocks[-2]) == 2 and len(blocks[-1]) == 1
+
+
+def test_pi_bodies_are_each_polytopes_own():
+    def polytopes():
+        rng = np.random.default_rng(13)
+        return ([fixtures.cube(), fixtures.octahedron(), fixtures.icosphere(1)]
+                + [fixtures.random_symmetric_polytope(rng, n) for n in (4, 6, 11, 30)])
+
+    polys, fresh = polytopes(), polytopes()
+    zonotope.cache_pi_bodies(fresh)
+    for P, Q in zip(polys, fresh):
+        assert "pi_body" in Q.__dict__
+        assert Q.pi_body.gens.tobytes() == P.pi_body.gens.tobytes()
+        assert Q.pi_body.gens.flags.c_contiguous == P.pi_body.gens.flags.c_contiguous
+    kept = fresh[0].pi_body
+    zonotope.cache_pi_bodies(fresh[:1])  # a cached Pi body stays
+    assert fresh[0].pi_body is kept
+
+
 def _shadow_oracle(G, x):
     e1, e2 = plane_basis(x / np.linalg.norm(x))
     return np.linalg.norm(x) * zonogon_area(np.column_stack([G @ e1, G @ e2]))
