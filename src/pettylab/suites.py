@@ -288,9 +288,10 @@ def suite_theorem_1_1(samples, seed):
     rng = _rng(seed, "thm11")
     M = np.empty(samples)
     # the samples are drawn in order, in chunks of about _CHUNK_BYTES at
-    # about 200 bytes a sample, with one stack per generator count
+    # about 600 bytes a sample (its generators, the tuples that carry them
+    # and the stacks they go through), with one stack per generator count
     for sl, chunk in _draws(rng, samples,
-                            lambda rng, _, gens: (gens(rng, int(rng.integers(3, 9))),), 200):
+                            lambda rng, _, gens: (gens(rng, int(rng.integers(3, 9))),), 600):
         gens = [g for g, in chunk]
         sizes = np.array([len(g) for g in gens])
         for n in np.unique(sizes):
