@@ -24,6 +24,7 @@ from .errors import FlatBodyError, InputError
 HULL_TOL = 1e-10
 # (b x c)_k = b_{k+1} c_{k+2} - b_{k+2} c_{k+1}
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_AXES = np.eye(3)
 
 
 def as_vec(x, d=None):
@@ -69,10 +70,27 @@ def cross(u, w):
 
 
 def plane_basis(x):
-    """Orthonormal pair (e1, e2) spanning the plane orthogonal to the unit x."""
-    a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = unitize(cross(x, a))
+    """Orthonormal pair (e1, e2) spanning the plane orthogonal to the unit x.
+
+    For unit rows x (b, 3), the pair of each row, (b, 3) each, bit for bit
+    that of the row alone.
+    """
+    e1 = unitize_rows(cross(x, np.where(np.abs(x[..., :1]) < 0.9, _AXES[0], _AXES[1])))
     return e1, cross(x, e1)
+
+
+def unitize_rows(X):
+    """unitize of each row of X (or of X itself), bit for bit, without its checks."""
+    return X / _norms(X)[..., None]
+
+
+def _norms(X):
+    """np.linalg.norm of each row of X (or of X itself), bit for bit.
+
+    np.matmul of a row by a column takes the one dot product np.linalg.norm
+    takes of a vector.
+    """
+    return np.sqrt(np.matmul(X[..., None, :], X[..., None])[..., 0, 0])
 
 
 # slice_quadratics sums a segment by prefix sums when (1 + W/g)(1 + W/g') <=
@@ -109,6 +127,20 @@ def _chunks(d, row_bytes):
     """Slices of d directions, each about _CHUNK_BYTES at row_bytes apiece."""
     step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
     return (slice(lo, lo + step) for lo in range(0, d, step))
+
+
+def _ragged_chunks(sizes, item_bytes):
+    """Slices of consecutive rows of these item counts, each about _CHUNK_BYTES at item_bytes an item.
+
+    A row larger than a chunk goes alone.
+    """
+    ends = np.cumsum(sizes)
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    lo = 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + step, side="right"))
+        yield slice(lo, max(hi, lo + 1))
+        lo = max(hi, lo + 1)
 
 
 # np.max, np.any and np.all without their Python dispatch, and without the
@@ -511,29 +543,64 @@ def chords(P, bases, direction):
 
     Returns arrays (f, g) with one entry per row of bases, NaN where the line
     misses P; endpoints lie on the boundary to ~1e-9 of the body scale.  The
-    bases go in chunks of about _CHUNK_BYTES of (base, facet) arrays, in one
-    pass when they fit.
+    stack of one of stack_chords.
     """
-    den = P.facet_normals @ direction                            # (F,)
-    scale = float(np.max(np.abs(P.vertices))) or 1.0
+    bases = np.asarray(bases, dtype=float)
+    return stack_chords([P], bases, [len(bases)], np.asarray(direction, dtype=float)[None])
+
+
+def stack_chords(polys, bases, counts, directions):
+    """chords of each polytope along its row of directions at its block of bases: (f, g).
+
+    bases holds one block of rows per polytope, of these counts, one after
+    the other, and f and g follow them.  A block's bases go in chunks of
+    about _CHUNK_BYTES of (base, facet) arrays, in one pass when they fit,
+    and each chunk's products with the facet normals are one BLAS call of
+    its own, as a chords call of its own makes them: one padded stacked
+    product rounds some entries otherwise once its width crosses the
+    kernel's blocking (415 facets padded to 942).  The chunks of several
+    blocks are then read at once, their (base, facet) arrays padded to the
+    widest, and as every min, max and test is exact, each block gets the
+    values of its own call bit for bit.
+    """
+    nf = np.array([len(P.facets) for P in polys], dtype=int)
+    den = np.concatenate([P.facet_normals @ x for P, x in zip(polys, directions)])
+    offsets = np.concatenate([P.facet_offsets for P in polys])
+    scale = np.array([_MAX(np.abs(P.vertices), None) for P in polys])
+    scale[scale == 0.0] = 1.0
     # den is a cosine times |direction|, whatever the body's size
-    tol = 1e-12 * float(np.linalg.norm(direction))
-    pos = den > tol
-    neg = den < -tol
-    par = ~pos & ~neg
-    n = bases.shape[0]
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    miss = np.zeros(n, dtype=bool)
-    # the offsets less the products, and their quotients by den: ~24 bytes a facet
-    for sl in _chunks(n, 24 * den.size):
-        num = P.facet_offsets[None, :] - bases[sl] @ P.facet_normals.T   # (N, F)
-        if np.any(pos):
-            hi[sl] = np.min(num[:, pos] / den[pos], axis=1)
-        if np.any(neg):
-            lo[sl] = np.max(num[:, neg] / den[neg], axis=1)
-        if np.any(par):
-            miss[sl] = np.any(num[:, par] < -1e-9 * scale, axis=1)
+    tol = 1e-12 * _norms(directions)
+    # each block's chunks of its own call, as (block, first row, last row)
+    pieces = [(k, start + sl.start, start + min(sl.stop, n))
+              for k, (start, n) in enumerate(zip(_starts(counts), counts))
+              for sl in _chunks(n, 24 * nf[k])]
+    fstart = np.array(_starts(nf), dtype=int)
+    lo, hi = np.full(len(bases), -np.inf), np.full(len(bases), np.inf)
+    miss = np.zeros(len(bases), dtype=bool)
+    for group in _padded_groups(pieces, nf):
+        ks = np.array([k for k, _, _ in group])
+        rows = np.array([b - a for _, a, b in group])
+        width = nf[ks].max()
+        prod = np.zeros((len(group), rows.max(), width))
+        for j, (k, a, b) in enumerate(group):
+            np.matmul(bases[a:b], polys[k].facet_normals.T, out=prod[j, :b - a, :nf[k]])
+        # each polytope's facets, padded to the widest by repeating its last
+        fi = _padded_rows(fstart[ks], nf[ks])
+        facet = np.arange(width) < nf[ks, None]
+        d = den[fi]
+        pos = facet & (d > tol[ks, None])
+        neg = facet & (d < -tol[ks, None])
+        par = (facet & ~pos & ~neg)[:, None, :]
+        # the offsets less the products, and their quotients by den
+        num = np.subtract(offsets[fi][:, None, :], prod, out=prod)
+        out = np.any((num < -1e-9 * scale[ks, None, None]) & par, axis=2)
+        q = np.divide(num, np.where(pos | neg, d, 1.0)[:, None, :], out=num)
+        block = np.arange(rows.max()) < rows[:, None]
+        span = slice(group[0][1], group[-1][2])
+        hi[span] = np.where(pos[:, None, :], q, np.inf).min(axis=2)[block]
+        lo[span] = np.where(neg[:, None, :], q, -np.inf).max(axis=2)[block]
+        miss[span] = out[block]
+    scale = np.repeat(scale, counts)
     miss |= ~np.isfinite(lo) | ~np.isfinite(hi) | (lo > hi + 1e-9 * scale)
     mid = 0.5 * (lo + hi)
     lo = np.minimum(lo, mid)
@@ -541,6 +608,24 @@ def chords(P, bases, direction):
     lo[miss] = np.nan
     hi[miss] = np.nan
     return lo, hi
+
+
+def _padded_groups(pieces, width):
+    """Consecutive pieces (k, first, last) whose rows padded by width[k] fit _CHUNK_BYTES together.
+
+    (rows, width) arrays of the group's widest take about 24 bytes an entry
+    (stack_chords); a piece wider than that goes alone.
+    """
+    group, rows, cols = [], 0, 0
+    for k, a, b in pieces:
+        r, c = max(rows, b - a), max(cols, width[k])
+        if group and 24 * (len(group) + 1) * r * c > _CHUNK_BYTES:
+            yield group
+            group, r, c = [], b - a, width[k]
+        group.append((k, a, b))
+        rows, cols = r, c
+    if group:
+        yield group
 
 
 def slice_area(P, x, s):

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import GeometryError, InputError
 from .fixtures import icosphere, cube
 from .functionals import BALL_RATIO, GRID, LIMITS, check_limit, invariants, m_values, ts_sums
-from .geom import convex_hull
-from .zonotope import GeneratorSet, _line_units, stack_ratios, stack_volumes
+from .geom import convex_hull, polytopes, qhull_triangles
+from .zonotope import GeneratorSet, _line_units, cache_pi_bodies, stack_ratios, stack_volumes
 
 
 def _symmetric_hull(config):
@@ -202,10 +202,13 @@ def _steps(obj, configs):
 
     Tuples are scored by one ts_sums call.  Zonotopes take one stacked svd,
     zonotope.stack_volumes (one triple_dets) and one zonotope.stack_ratios
-    call.  Hulls are built one by one and read by one functionals.m_values
-    call, which stacks those whose m reads the facet normals of Pi^2 K.
-    The rest (min-Q-symmetric, which has no stacked score, a zonotope
-    stack_ratios cannot take) are scored by _evaluate one at a time.
+    call.  Hulls take qhull one move at a time, then one geom.polytopes
+    stack, or one build a move if a move fails a check the stack makes;
+    for m their Pi K are merged by one zonotope.cache_pi_bodies and read by
+    one functionals.m_values call, which stacks those whose m reads the
+    facet normals of Pi^2 K.  The rest (min-Q-symmetric, which has no
+    stacked score and reads no Pi K, a zonotope stack_ratios cannot take)
+    are scored by _evaluate one at a time.
     """
     states = [None] * len(configs)
     if obj.build is None:
@@ -228,16 +231,25 @@ def _steps(obj, configs):
             states[i] = c / v ** (1.0 / 3.0), float(np.max(row)) if good else \
                 _evaluate(obj, c, obj.build(c))
         return states
-    bodies = {}
+    # the symmetric hulls: qhull per move, then one stack (_symmetric_hull)
+    triangles = {}
     for i in live:
         try:
-            body = obj.build(configs[i])
-            v = body.volume
+            triangles[i] = qhull_triangles(np.vstack([configs[i], -configs[i]]))
         except GeometryError:
             continue
-        if v > 1e-9:
-            bodies[i] = body
+    try:
+        built = zip(triangles, polytopes(list(triangles.values()), symmetric=True))
+    except GeometryError:  # a move fails a check: build each on its own
+        built = []
+        for i, t in triangles.items():
+            try:
+                built.append((i, polytopes([t], symmetric=True)[0]))
+            except GeometryError:
+                continue
+    bodies = {i: body for i, body in built if body.volume > 1e-9}
     if obj.quantity == "m":
+        cache_pi_bodies(list(bodies.values()))
         values = m_values(list(bodies.values()), GRID if obj.grid is None else obj.grid, 0)
     else:
         values = [_evaluate(obj, configs[i], B) for i, B in bodies.items()]

@@ -411,9 +411,10 @@ def stack_shadows(Zs, X):
         raise InputError("stacked zonotopes must share a generator count and pair rows")
     values, ok = np.full(X.shape[:2], np.nan), np.zeros(len(Zs), dtype=bool)
     if Zs and _pair_path(len(Zs[0]), X.shape[1], pair_row_count(Zs[0])):
-        # the rows each member keeps on its own: pair_crosses, or Pi Z's _crosses
-        C = (cross_rows(np.array([Z.gens for Z in Zs])) if source[0] is None
-             else pi2_rows(*map(np.array, zip(*source))))
+        # the rows each member keeps on its own: pair_crosses, in its C order
+        # (BLAS rounds a product by the layout of its operands), or Pi Z's _crosses
+        C = (np.ascontiguousarray(cross_rows(np.array([Z.gens for Z in Zs])))
+             if source[0] is None else pi2_rows(*map(np.array, zip(*source))))
         ok = np.all(_nonzero(C), axis=-1)
         if ok.all():
             values = 4.0 * _reduce_dots(C, X)

@@ -342,3 +342,62 @@ def test_batched_polish_skips_degenerate_moves(objective, rows):
     value = _step(obj, config)[1]
     out = _polish(obj, config, value, rounds=12)
     assert _same_polish((obj, config, value, 12), out)[1] > 0
+
+
+def _same_states(batch, each):
+    assert len(batch) == len(each)
+    for a, b in zip(batch, each):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+
+
+@pytest.mark.parametrize("objective, n", [("min-m-symmetric", 6), ("min-Q-symmetric", 4)])
+def test_steps_are_each_moves_step(monkeypatch, objective, n):
+    # a batch of good moves, near-flat ones, coplanar ones qhull rejects (past
+    # a near-flat test switched off) and one whose hull fails a check the
+    # stack makes, so that the batch is built move by move
+    from pettylab import geom, search
+    obj, rng = RECORDS[objective], np.random.default_rng(8)
+    good = [rng.standard_normal((n, 3)) for _ in range(5)]
+    near_flat = good[0] * np.array([1.0, 1.0, 1e-4])
+    coplanar = good[1] * np.array([1.0, 1.0, 0.0])
+    configs = np.array(good[:2] + [near_flat] + good[2:4] + [coplanar] + good[4:])
+    _same_states(search._steps(obj, configs), [_step(obj, c) for c in configs])
+    monkeypatch.setattr(search, "_near_flat", lambda c: np.zeros(np.shape(c)[:-2], dtype=bool))
+    _same_states(search._steps(obj, configs), [_step(obj, c) for c in configs])
+    assert _step(obj, coplanar) is None
+    # the hull of the fourth move fails its checks, alone or in a stack
+    hull_chunk, bad = geom._hull_chunk, np.vstack([configs[3], -configs[3]])
+    chunks = []
+
+    def failing(triangles, symmetric):
+        chunks.append(len(triangles))
+        if any(np.array_equal(t.points, bad) for t in triangles):
+            raise InputError("facet triple is affinely dependent")
+        return hull_chunk(triangles, symmetric)
+
+    monkeypatch.setattr(geom, "_hull_chunk", failing)
+    batch = search._steps(obj, configs)
+    assert chunks[0] == 6 and chunks[1:] == [1] * 6
+    assert batch[3] is None and _step(obj, configs[3]) is None
+    _same_states(batch, [_step(obj, c) for c in configs])
+
+
+def test_q_batch_builds_no_pi_body(monkeypatch):
+    # min-Q-symmetric reads no Pi K: a batch of its moves merges none
+    from pettylab import search
+    built = []
+    polytopes = search.polytopes
+
+    def recorded(triangles, symmetric=False):
+        built.extend(polytopes(triangles, symmetric))
+        return built[-len(triangles):]
+
+    monkeypatch.setattr(search, "polytopes", recorded)
+    configs = np.random.default_rng(9).standard_normal((4, 5, 3))
+    states = search._steps(RECORDS["min-Q-symmetric"], configs)
+    assert len(built) == 4 and all(s is not None for s in states)
+    assert not any("pi_body" in B.__dict__ for B in built)
+    search._steps(RECORDS["min-m-symmetric"], configs)
+    assert all("pi_body" in B.__dict__ for B in built[4:])

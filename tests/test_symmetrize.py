@@ -1,18 +1,19 @@
 """Steiner/Schwartz symmetrization: exactness, monotonicity, rounding."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pettylab import (FlatBodyError, InputError, SymmetryError, axis_ratio,
+from pettylab import (FlatBodyError, InputError, Polytope, SymmetryError, axis_ratio,
                       chord_profile, convex_hull, q_direction, ratio, schwartz,
                       steiner, steiner_projection_monotonicity)
 from pettylab.geom import unitize
 from pettylab.revolution import rev_volume
 from pettylab.suites import _rng
-from pettylab.symmetrize import _projected_edge_crossings, roundness, steiner_rounding_run
+from pettylab.symmetrize import roundness, steiner_points, steiner_rounding_run
 from pettylab import fixtures, geom, symmetrize
 from pettylab.zonotope import z_shadow_area
 
@@ -107,10 +108,9 @@ class TestSteiner:
         assert peak < 12 * 2**20
         assert S.volume == pytest.approx(P.volume, rel=1e-9)
         # the chunks' crossings are those of one pass, in order, bit for bit
-        e1, e2 = np.eye(3)[:2]
-        chunked = _projected_edge_crossings(P, E3, e1, e2)
+        chunked = symmetrize._plane_points([P], E3[None])[0]
         monkeypatch.setattr(geom, "_CHUNK_BYTES", 2**40)
-        assert np.array_equal(chunked, _projected_edge_crossings(P, E3, e1, e2))
+        assert np.array_equal(chunked, symmetrize._plane_points([P], E3[None])[0])
 
     def test_flat_rejected(self):
         with pytest.raises((FlatBodyError, InputError)):
@@ -223,6 +223,57 @@ class TestSteinerShadowMonotonicity:
             assert after[k] == z_shadow_area(steiner(P, nu).pi_body, w)
 
 
+class TestStackedProfiles:
+    """Chord profiles and sample sets of many bodies in one pass, each its own call's bit for bit."""
+
+    @staticmethod
+    def _cases():
+        drawn = np.random.default_rng(17)
+        cube = fixtures.cube()
+        out = [(cube, E3),  # facets parallel to nu
+               (convex_hull(cube.vertices + np.array([1.0, 1.0, 1.0])), E3),
+               # the crossed-edge tetrahedron: its volume sits at a crossing
+               (convex_hull([[1, 0, 1], [-1, 0, 1], [0, 1, -1], [0, -1, -1]]), E3)]
+        # boxes whose plane points sort next to each other with equal merge
+        # keys: the last of the first box's, the first of the second's
+        for lo, hi in [([0, -3, -1], [2, -1, 1]), ([-2, -1, -3], [0, 1, 3])]:
+            out.append((convex_hull(np.array(list(itertools.product(*zip(lo, hi))), float)), E3))
+        for n in (5, 9, 14, 20):
+            out.append((convex_hull(drawn.standard_normal((n, 3))), drawn.standard_normal(3)))
+        for n in range(4, 31, 2):
+            out.append((fixtures.random_symmetric_polytope(drawn, n), drawn.standard_normal(3)))
+        return out
+
+    # at 2**10 bytes every base of a body is a chunk of its own, and every
+    # chunk a (base, facet) array of its own; at 2**13 both vary in width
+    @pytest.mark.parametrize("chunk", [geom._CHUNK_BYTES, 2**13, 2**10])
+    def test_stack_is_each_bodys_own(self, monkeypatch, chunk):
+        monkeypatch.setattr(geom, "_CHUNK_BYTES", chunk)
+        cases = self._cases()
+        bodies, nus = [P for P, _ in cases], np.array([unitize(nu) for _, nu in cases])
+        bases, f, g, counts = symmetrize._profiles(bodies, nus)
+        sets = symmetrize._point_sets(bodies, nus)
+        for (P, nu), a, n, points in zip(cases, geom._starts(counts), counts, sets):
+            prof = chord_profile(P, nu)
+            assert bases[a:a + n].tobytes() == prof.base_points.tobytes()
+            assert f[a:a + n].tobytes() == prof.f.tobytes()
+            assert g[a:a + n].tobytes() == prof.g.tobytes()
+            assert points.tobytes() == steiner_points(P, nu).tobytes()
+
+    def test_first_degenerate_profile_raises(self, cube, tetrahedron):
+        # one facet of the tetrahedron alone: every line along E3 misses it
+        sheet = Polytope(tetrahedron.vertices, tetrahedron.facets[3:])
+        with pytest.raises(FlatBodyError, match="chord profile is degenerate"):
+            chord_profile(sheet, E3)
+        with pytest.raises(FlatBodyError, match="chord profile is degenerate"):
+            symmetrize._profiles([cube, sheet, cube, sheet], np.array([E3, E3, E1, E2]))
+        # an earlier case's error comes first, as case by case
+        with pytest.raises(FlatBodyError):
+            symmetrize.steiner_shadows([(cube, E3, E1), (sheet, E3, E1), (cube, E3, E3)])
+        with pytest.raises(InputError, match="independent"):
+            symmetrize.steiner_shadows([(cube, E3, E1), (cube, E3, E3), (sheet, E3, E1)])
+
+
 class TestUniqueByKeys:
     """Roof/floor edges and chord bases deduplicated by keys, as np.unique(axis=0) did."""
 
@@ -237,7 +288,8 @@ class TestUniqueByKeys:
             up, down = np.zeros(len(edges), bool), np.zeros(len(edges), bool)
             np.logical_or.at(up, inv.ravel(), sgn > 1e-12)
             np.logical_or.at(down, inv.ravel(), sgn < -1e-12)
-            roof, floor = symmetrize._roof_floor_edges(P, nu)
+            roof, floor = symmetrize._roof_floor_edges(P.facets, P.facet_normals @ nu,
+                                                       len(P.vertices))
             assert np.array_equal(roof, edges[up & ~down])
             assert np.array_equal(floor, edges[down & ~up])
 
@@ -247,8 +299,10 @@ class TestUniqueByKeys:
                 fixtures.random_symmetric_polytope(rng, n) for n in (5, 9, 14)]:
             for nu in [E3, unitize(np.array([1.0, 1.0, 0.0])), unitize(rng.standard_normal(3))]:
                 e1, e2 = geom.plane_basis(unitize(nu))
+                # the projected vertices, then the crossings
+                pts2 = symmetrize._plane_points([P], unitize(nu)[None])[0]
                 verts2 = np.column_stack([P.vertices @ e1, P.vertices @ e2])
-                pts2 = np.vstack([verts2, _projected_edge_crossings(P, unitize(nu), e1, e2)])
+                assert pts2[:len(verts2)].tobytes() == verts2.tobytes()
                 scale = float(np.max(np.abs(P.vertices)))
                 key = np.round(pts2 / (symmetrize.DUPLICATE_TOL * scale)).astype(np.int64)
                 _, keep = np.unique(key, axis=0, return_index=True)
